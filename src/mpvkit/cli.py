@@ -2,8 +2,8 @@
 
 ``mpv solve|verify|kernelize|transform|generate|bench``; every
 subcommand reads and writes the plain-text formats from
-:mod:`mpvkit.formats`. Exit codes: 0 yes/valid, 1 no/invalid, 2 usage
-or input error, 3 exploration budget exceeded.
+:mod:`mpvkit.formats`. Exit codes: 0 yes/valid, 1 no/invalid, 2 usage,
+input or unexpected error, 3 exploration budget exceeded.
 """
 
 from __future__ import annotations
@@ -14,12 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .core import (
-    BudgetExceededError,
-    TrivialVerdict,
-    WeightedInstance,
-    verify,
-)
+from .core import BudgetExceededError, TrivialVerdict, verify
 from .formats import (
     FormatError,
     emit_instance,
@@ -28,7 +23,7 @@ from .formats import (
     parse_instance,
     parse_solution,
 )
-from .kernel import kernel_mtau, kernel_ntau_cmpv, kernel_ntau_rmpv, solve_weighted
+from .kernel import kernel_mtau, kernel_ntau_cmpv, kernel_ntau_rmpv
 from .oracle import brute_force
 from .reductions import (
     PartitionedGraph,
@@ -56,17 +51,13 @@ EXIT_ERROR = 2
 EXIT_BUDGET = 3
 
 
-def _greedy(instance, budget=None):
-    return solve_unconstrained(instance)
-
-
 _ALGORITHMS = {
     "auto": solve_auto,
     "brute": brute_force,
     "layered-k": solve_layered_k,
     "inout-ell": solve_inout_ell,
     "dp-tau": solve_dp_tau,
-    "greedy": _greedy,
+    "greedy": solve_unconstrained,
 }
 
 
@@ -78,14 +69,8 @@ def _write_output(text: str, path):
 
 
 def _run_algorithm(name, instance, budget):
-    if isinstance(instance, WeightedInstance):
-        if name not in ("auto", "brute"):
-            raise ValueError("weighted instances support only brute-force solving")
-        if budget is None:
-            return solve_weighted(instance)
-        return solve_weighted(instance, budget=budget)
     fn = _ALGORITHMS[name]
-    if budget is None or name == "greedy":
+    if budget is None:
         return fn(instance)
     return fn(instance, budget=budget)
 
@@ -106,8 +91,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     instance = parse_instance(Path(args.instance).read_text())
-    if isinstance(instance, WeightedInstance):
-        raise ValueError("verification needs a ballot instance, not a weighted one")
     committees = parse_solution(Path(args.solution).read_text(), instance)
     violations = verify(instance, committees)
     if violations:
@@ -123,8 +106,6 @@ def _cmd_kernelize(args) -> int:
     if args.target == "mtau":
         _write_output(emit_instance(kernel_mtau(instance)), args.output)
         return EXIT_YES
-    if isinstance(instance, WeightedInstance):
-        raise ValueError("the ntau kernel needs a ballot instance")
     if instance.variant == "C":
         result = kernel_ntau_cmpv(instance)
     else:
@@ -340,11 +321,11 @@ def run(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (FormatError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a crash must not exit with the "no" code
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

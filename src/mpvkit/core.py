@@ -18,8 +18,12 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
+
+import numpy as np
 
 CONSERVATIVE = "C"
 REVOLUTIONARY = "R"
@@ -70,7 +74,50 @@ class SolveReport:
     stats: dict
 
 
-@dataclass(frozen=True)
+def _check_parameters(instance, variant, m, k, ell, x):
+    """Validate and store the parameters every instance shares."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    object.__setattr__(instance, "variant", variant)
+    for name, value, low in (("m", m, 1), ("k", k, 1), ("ell", ell, 0), ("x", x, 1)):
+        try:
+            # bool is an int subclass but never a size; numpy integers are fine
+            number = None if isinstance(value, bool) else operator.index(value)
+        except TypeError:
+            number = None
+        if number is None or number < low:
+            kind = "positive" if low else "non-negative"
+            raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+        object.__setattr__(instance, name, number)
+
+
+def _tally(ballots, m):
+    """Check ballot rows and count every stage's approvals, vectorized."""
+    rows = tuple(tuple(row) for row in ballots)
+    if not rows:
+        raise ValueError("an instance needs at least one stage")
+    tau, n = len(rows), len(rows[0])
+    flat = array("q")
+    for t, row in enumerate(rows, start=1):
+        if len(row) != n:
+            raise ValueError(f"stage {t} has {len(row)} ballots, expected {n}")
+        try:
+            # unlike a numpy conversion, array refuses floats and strings
+            flat += array("q", row)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"stage {t}: ballot entries must be integers: {exc}") from None
+    entries = np.frombuffer(flat, dtype=np.int64).reshape(tau, n)
+    if n and (entries.min() < 0 or entries.max() > m):
+        t, j = np.argwhere((entries < 0) | (entries > m))[0].tolist()
+        raise ValueError(f"stage {t + 1}: ballot entry {rows[t][j]!r} outside 0..{m}")
+    width = m + 1
+    entries += np.arange(0, tau * width, width)[:, None]  # stage t counts at t * width
+    counts = np.bincount(entries.ravel(), minlength=tau * width).reshape(tau, width)
+    counts[:, 0] = 0
+    return rows, tuple(map(tuple, counts.tolist()))
+
+
+@dataclass(frozen=True, init=False)
 class Instance:
     """One conservative or revolutionary multistage plurality voting instance.
 
@@ -92,49 +139,40 @@ class Instance:
     x : int
         Plurality score threshold per stage.
 
-    Derived attributes ``n``, ``tau`` and ``counts`` are computed on
-    construction; ``counts[t-1][c]`` is the number of approvals candidate
-    ``c`` receives at stage ``t`` (index ``0`` of each row is unused and 0).
+    ``m``, ``k``, ``ell`` and ``x`` accept any integer type except
+    ``bool`` and are stored as ``int``. ``counts[t-1][c]`` is the score
+    candidate ``c`` contributes at stage ``t`` (index ``0`` of each row
+    is unused and 0); it is the only data that scoring, checking, the
+    solvers and :func:`~mpvkit.kernel.kernel_mtau` read, so they all
+    accept a :class:`WeightedInstance` as well. ``tau`` is the number of
+    stages. ``ballots`` and ``n`` (the number of agents) exist only for
+    ballot instances; on a weighted instance they raise
+    :class:`PreconditionError`, and so does every operation that needs
+    agents: the n-tau kernels, the lifts and normalizations, and the
+    AND-compositions.
     """
 
     variant: str
     m: int
-    ballots: tuple
     k: int
     ell: int
     x: int
-    counts: tuple = field(init=False, repr=False, compare=False)
+    counts: tuple
+    _ballots: Optional[tuple] = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        for name in ("m", "k", "x"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not isinstance(self.ell, int) or self.ell < 0:
-            raise ValueError(f"ell must be a non-negative integer, got {self.ell!r}")
-        rows = tuple(tuple(row) for row in self.ballots)
-        if not rows:
-            raise ValueError("an instance needs at least one stage")
-        n = len(rows[0])
-        for t, row in enumerate(rows, start=1):
-            if len(row) != n:
-                raise ValueError(f"stage {t} has {len(row)} ballots, expected {n}")
-            for entry in row:
-                if not isinstance(entry, int) or not 0 <= entry <= self.m:
-                    raise ValueError(
-                        f"stage {t}: ballot entry {entry!r} outside 0..{self.m}"
-                    )
-        object.__setattr__(self, "ballots", rows)
-        counts = []
-        for row in rows:
-            stage = [0] * (self.m + 1)
-            for entry in row:
-                if entry:
-                    stage[entry] += 1
-            counts.append(tuple(stage))
-        object.__setattr__(self, "counts", tuple(counts))
+    def __init__(self, variant, m, ballots, k, ell, x):
+        _check_parameters(self, variant, m, k, ell, x)
+        rows, counts = _tally(ballots, self.m)
+        object.__setattr__(self, "_ballots", rows)
+        object.__setattr__(self, "counts", counts)
+
+    @property
+    def ballots(self) -> tuple:
+        if self._ballots is None:
+            raise PreconditionError(
+                "a weighted instance has scores but no agents or ballots"
+            )
+        return self._ballots
 
     @property
     def n(self) -> int:
@@ -142,40 +180,25 @@ class Instance:
 
     @property
     def tau(self) -> int:
-        return len(self.ballots)
+        return len(self.counts)
 
 
-@dataclass(frozen=True)
-class WeightedInstance:
+class WeightedInstance(Instance):
     """Multistage plurality voting with per-stage candidate weights.
 
     Replaces the agent/ballot layer of :class:`Instance` with explicit
     non-negative integer scores: ``weights[t-1][c]`` is the score candidate
-    ``c`` contributes at stage ``t`` (index ``0`` of each row is unused).
-    Weights may be arbitrarily large integers.
+    ``c`` contributes at stage ``t`` (index ``0`` of each row is unused and
+    must be 0). Weights may be arbitrarily large integers. The rows are the
+    instance's ``counts``.
     """
 
-    variant: str
-    m: int
-    weights: tuple
-    k: int
-    ell: int
-    x: int
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        for name in ("m", "k", "x"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not isinstance(self.ell, int) or self.ell < 0:
-            raise ValueError(f"ell must be a non-negative integer, got {self.ell!r}")
-        rows = []
-        if not tuple(self.weights):
+    def __init__(self, variant, m, weights, k, ell, x):
+        _check_parameters(self, variant, m, k, ell, x)
+        rows = tuple(tuple(row) for row in weights)
+        if not rows:
             raise ValueError("an instance needs at least one stage")
-        for t, row in enumerate(tuple(self.weights), start=1):
-            row = tuple(row)
+        for t, row in enumerate(rows, start=1):
             if len(row) != self.m + 1:
                 raise ValueError(
                     f"stage {t}: weight row has {len(row)} entries, expected m+1={self.m + 1}"
@@ -188,12 +211,11 @@ class WeightedInstance:
                         f"stage {t}: weight for candidate {c} must be a non-negative "
                         f"integer, got {value!r}"
                     )
-            rows.append(row)
-        object.__setattr__(self, "weights", tuple(rows))
+        object.__setattr__(self, "counts", rows)
 
     @property
-    def tau(self) -> int:
-        return len(self.weights)
+    def weights(self) -> tuple:
+        return self.counts
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +237,9 @@ def _check_candidates(instance, committee):
 def score(instance: Instance, t: int, committee: Iterable[int]) -> int:
     """Plurality score of ``committee`` at stage ``t``.
 
-    The score is the number of agents whose stage-``t`` approval lands in
-    the committee. Raises ``ValueError`` for a stage or candidate id out of
-    range.
+    The score is the sum of the members' stage-``t`` counts; for ballots,
+    that is the number of agents whose approval lands in the committee.
+    Raises ``ValueError`` for a stage or candidate id out of range.
     """
     _check_stage(instance, t)
     committee = frozenset(committee)
@@ -297,19 +319,35 @@ def feasible_committee(
         raise ValueError(
             f"required and forbidden overlap: {sorted(required & forbidden)}"
         )
-    if len(required) > instance.k:
-        return None
     row = instance.counts[t - 1]
-    blocked = required | forbidden
-    pool = sorted(
-        (c for c in range(1, instance.m + 1) if c not in blocked),
-        key=lambda c: (-row[c], c),
-    )
-    chosen = set(required)
-    for c in pool:
-        if len(chosen) >= instance.k:
+    added = _greedy_fill(row, _stage_order(row), instance.k, instance.x, required, forbidden)
+    return None if added is None else required | frozenset(added)
+
+
+def _stage_order(row):
+    """Candidate ids by decreasing stage score, ties broken towards the lower id."""
+    return sorted(range(1, len(row)), key=lambda c: (-row[c], c))
+
+
+def _greedy_fill(row, order, k, x, required, forbidden, stop_at_x=False):
+    """The greedy step of :func:`feasible_committee` on a precomputed ``order``.
+
+    Returns the list of candidates added to ``required``, skipping
+    ``required`` and ``forbidden``, until the committee has ``k`` members;
+    or ``None`` when its score misses ``x``. With ``stop_at_x`` it stops
+    adding as soon as the score reaches ``x``, which decides the same
+    question with less work but may return a smaller committee.
+    """
+    if len(required) > k:
+        return None
+    added = []
+    room = k - len(required)
+    total = sum(row[c] for c in required)
+    for c in order:
+        if len(added) >= room or (stop_at_x and total >= x):
             break
-        chosen.add(c)
-    if sum(row[c] for c in chosen) >= instance.x:
-        return frozenset(chosen)
-    return None
+        if c in required or c in forbidden:
+            continue
+        added.append(c)
+        total += row[c]
+    return added if total >= x else None

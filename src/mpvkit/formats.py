@@ -3,7 +3,9 @@
 All three formats are line oriented with a fixed directive order, so
 ``parse(emit(obj))`` reproduces ``obj`` exactly and emitted files are
 byte-stable. Parsers reject unknown directives, out-of-order lines, and
-out-of-range values with the offending line number.
+out-of-range values with the offending line number; that includes a
+``candidates`` count above :data:`MAX_CANDIDATES` and ``stages`` that
+would make more than :data:`MAX_COUNTS` counts.
 
 Instance files::
 
@@ -29,6 +31,12 @@ from __future__ import annotations
 
 from .core import Instance, WeightedInstance
 from .reductions import Graph, PartitionedGraph
+
+
+# An instance holds (m + 1) * stages counts however few ballots its file
+# lists, so huge ``candidates`` or ``stages`` lines would exhaust memory.
+MAX_CANDIDATES = 100_000
+MAX_COUNTS = 10**7
 
 
 class FormatError(ValueError):
@@ -128,7 +136,11 @@ def parse_instance(text: str):
         n = _directive(lines, idx, "agents", minimum=0)
         idx += 1
     m = _directive(lines, idx, "candidates", minimum=1)
+    if m > MAX_CANDIDATES:
+        raise FormatError(idx + 1, f"candidates must be at most {MAX_CANDIDATES}, got {m}")
     tau = _directive(lines, idx + 1, "stages", minimum=1)
+    if (m + 1) * tau > MAX_COUNTS:
+        raise FormatError(idx + 2, f"{tau} stages of {m} candidates exceed {MAX_COUNTS} counts")
     k = _directive(lines, idx + 2, "k", minimum=1)
     ell = _directive(lines, idx + 3, "ell", minimum=0)
     x = _directive(lines, idx + 4, "x", minimum=1)

@@ -10,18 +10,17 @@ Two reduction families:
   candidates and stages (:func:`kernel_mtau`), built on
   :func:`shrink_weights`.
 
-The weighted form is first-class here: :func:`to_weighted` converts
-ballots to per-stage candidate weights, :func:`solve_weighted` decides
-weighted instances by brute force in exact arithmetic, and
-:func:`weighted_to_unit` converts back when stage totals are small
-enough to spell out as individual agents.
+:func:`to_weighted` keeps only an instance's per-stage counts, as a
+:class:`~mpvkit.core.WeightedInstance`, and :func:`weighted_to_unit`
+spells weights back out as individual agents when stage totals are small
+enough. The n-tau kernels need agents and raise
+:class:`~mpvkit.core.PreconditionError` on weighted input.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -29,7 +28,6 @@ from sympy import QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from .core import (
-    BudgetExceededError,
     CONSERVATIVE,
     Instance,
     PreconditionError,
@@ -38,7 +36,7 @@ from .core import (
     TrivialVerdict,
     WeightedInstance,
 )
-from .oracle import DEFAULT_SEQUENCE_BUDGET, _sequence_search
+from .oracle import DEFAULT_SEQUENCE_BUDGET, brute_force
 
 
 @dataclass
@@ -227,28 +225,8 @@ def to_weighted(instance: Instance) -> WeightedInstance:
 def solve_weighted(
     winstance: WeightedInstance, budget: int = DEFAULT_SEQUENCE_BUDGET
 ) -> SolveReport:
-    """Decide a weighted instance by exhaustive search, exact arithmetic."""
-    start = time.perf_counter()
-    solutions, extensions = _sequence_search(
-        winstance.m,
-        winstance.k,
-        winstance.ell,
-        winstance.x,
-        winstance.tau,
-        winstance.weights,
-        winstance.variant == CONSERVATIVE,
-        budget,
-        1,
-    )
-    return SolveReport(
-        answer=bool(solutions),
-        witness=solutions[0] if solutions else None,
-        algorithm="brute-force-weighted",
-        stats={
-            "states": extensions,
-            "time_ms": (time.perf_counter() - start) * 1000.0,
-        },
-    )
+    """:func:`~mpvkit.oracle.brute_force`, reported as ``"brute-force-weighted"``."""
+    return replace(brute_force(winstance, budget=budget), algorithm="brute-force-weighted")
 
 
 def weighted_to_unit(winstance: WeightedInstance, cap: int = 10**6) -> Instance:
@@ -256,18 +234,18 @@ def weighted_to_unit(winstance: WeightedInstance, cap: int = 10**6) -> Instance:
 
     Stage ``t`` gets ``w^t_c`` agents approving candidate ``c``; the agent
     count is the largest stage total and shorter stages pad with
-    abstentions. Refuses with ``ValueError`` when some stage total
-    exceeds ``cap``.
+    abstentions. Refuses with :class:`PreconditionError` when some stage
+    total exceeds ``cap``. Accepts any instance.
     """
-    totals = [sum(row[1:]) for row in winstance.weights]
+    totals = [sum(row[1:]) for row in winstance.counts]
     n = max(totals)
     if n > cap:
         t = totals.index(n) + 1
-        raise ValueError(
+        raise PreconditionError(
             f"stage {t} needs {n} agents, above the cap of {cap}"
         )
     ballots = []
-    for row in winstance.weights:
+    for row in winstance.counts:
         stage = []
         for c in range(1, winstance.m + 1):
             stage.extend([c] * row[c])
@@ -388,30 +366,21 @@ def shrink_weights(w, N: int):
 def kernel_mtau(instance) -> WeightedInstance:
     """Compress stage scores to polynomially many bits in m and tau.
 
-    Converts to the weighted form, concatenates all stage weight rows and
-    the threshold into one vector of dimension ``m * tau + 1``, shrinks it
-    with ``N = k + 2``, and splits the result back. Checking a committee
-    sequence only ever compares a sum of at most ``k`` weights against
-    the threshold, an inner product with a vector of l1-norm at most
-    ``k + 1``, so exactly the same sequences are solutions. Accepts unit
-    or weighted instances; candidate ids are untouched.
+    Concatenates all stage count rows and the threshold into one vector
+    of dimension ``m * tau + 1``, shrinks it with ``N = k + 2``, and
+    splits the result back. Checking a committee sequence only ever
+    compares a sum of at most ``k`` weights against the threshold, an
+    inner product with a vector of l1-norm at most ``k + 1``, so exactly
+    the same sequences are solutions. Accepts unit or weighted instances;
+    candidate ids are untouched.
     """
-    win = to_weighted(instance) if isinstance(instance, Instance) else instance
     flat = []
-    for row in win.weights:
+    for row in instance.counts:
         flat.extend(row[1:])
-    flat.append(win.x)
-    shrunk = shrink_weights(flat, win.k + 2)
+    flat.append(instance.x)
+    shrunk = shrink_weights(flat, instance.k + 2)
     new_x = shrunk[-1]
     assert new_x >= 1, "positive threshold must stay positive"
-    rows = []
-    for t in range(win.tau):
-        rows.append((0,) + tuple(shrunk[t * win.m : (t + 1) * win.m]))
-    return WeightedInstance(
-        variant=win.variant,
-        m=win.m,
-        weights=tuple(rows),
-        k=win.k,
-        ell=win.ell,
-        x=new_x,
-    )
+    m = instance.m
+    rows = tuple((0,) + tuple(shrunk[t * m : (t + 1) * m]) for t in range(instance.tau))
+    return WeightedInstance(instance.variant, m, rows, instance.k, instance.ell, new_x)

@@ -42,15 +42,16 @@ def _subsets_upto(candidates, k):
     yield from rec(0)
 
 
-def _sequence_search(m, k, ell, x, tau, rows, conservative, budget, max_solutions):
-    """DFS over committee sequences shared by the unit and weighted searches.
+def _sequence_search(instance, budget, max_solutions):
+    """DFS over committee sequences in lexicographic order.
 
-    ``rows[t-1][c]`` is candidate ``c``'s score contribution at stage ``t``.
     Counts every accepted extension of a partial sequence against
     ``budget``; also refuses up front when a single stage's committee pool
     is already too large to enumerate within it. Returns
     ``(solutions, extensions)``.
     """
+    m, k, ell, x, tau = instance.m, instance.k, instance.ell, instance.x, instance.tau
+    conservative = instance.variant == CONSERVATIVE
     pool_size = sum(comb(m, j) for j in range(min(k, m) + 1))
     if pool_size > budget or pool_size * tau > 8 * budget:
         raise BudgetExceededError(
@@ -58,8 +59,7 @@ def _sequence_search(m, k, ell, x, tau, rows, conservative, budget, max_solution
         )
     subsets = list(_subsets_upto(range(1, m + 1), k))
     feasible = []
-    for t in range(tau):
-        row = rows[t]
+    for row in instance.counts:
         feasible.append([s for s in subsets if sum(row[c] for c in s) >= x])
 
     solutions = []
@@ -111,17 +111,7 @@ def brute_force(instance: Instance, budget: int = DEFAULT_SEQUENCE_BUDGET) -> So
         gives up with :class:`BudgetExceededError`.
     """
     start = time.perf_counter()
-    solutions, extensions = _sequence_search(
-        instance.m,
-        instance.k,
-        instance.ell,
-        instance.x,
-        instance.tau,
-        instance.counts,
-        instance.variant == CONSERVATIVE,
-        budget,
-        1,
-    )
+    solutions, extensions = _sequence_search(instance, budget, 1)
     return SolveReport(
         answer=bool(solutions),
         witness=solutions[0] if solutions else None,
@@ -141,15 +131,5 @@ def enumerate_solutions(
         raise ValueError(f"limit must be a non-negative integer, got {limit!r}")
     if limit == 0:
         return []
-    solutions, _ = _sequence_search(
-        instance.m,
-        instance.k,
-        instance.ell,
-        instance.x,
-        instance.tau,
-        instance.counts,
-        instance.variant == CONSERVATIVE,
-        budget,
-        limit,
-    )
+    solutions, _ = _sequence_search(instance, budget, limit)
     return solutions

@@ -442,7 +442,7 @@ def _check_same_shape(instances, head):
             head.k,
             head.x,
         ):
-            raise ValueError("inputs must share n, m, tau, k, and x")
+            raise PreconditionError("inputs must share n, m, tau, k, and x")
 
 
 def and_compose_cmpv(instances) -> Instance:
@@ -461,7 +461,7 @@ def and_compose_cmpv(instances) -> Instance:
     head = instances[0]
     for inst in instances:
         if inst.variant != CONSERVATIVE or inst.ell != 1:
-            raise ValueError("inputs must be conservative with ell=1")
+            raise PreconditionError("inputs must be conservative with ell=1")
     _check_same_shape(instances, head)
     n = head.n
     z = head.m + 1
@@ -498,7 +498,7 @@ def and_compose_rmpv(instances) -> Instance:
     head = instances[0]
     for inst in instances:
         if inst.variant != REVOLUTIONARY or inst.ell != 2 * inst.k or inst.m != inst.ell:
-            raise ValueError("inputs must be revolutionary with m = ell = 2k")
+            raise PreconditionError("inputs must be revolutionary with m = ell = 2k")
     _check_same_shape(instances, head)
     n, m, ell = head.n, head.m, head.ell
     z = m + 1

@@ -32,6 +32,8 @@ from .core import (
     PreconditionError,
     REVOLUTIONARY,
     SolveReport,
+    _greedy_fill,
+    _stage_order,
     feasible_committee,
 )
 from .oracle import _subsets_upto
@@ -48,34 +50,43 @@ def _elapsed_ms(start):
 # ---------------------------------------------------------------------------
 
 
-def solve_unconstrained(instance: Instance) -> SolveReport:
+def _decoupled(instance: Instance) -> bool:
+    """Whether the transition constraint can never bind.
+
+    True when ``tau == 1``, when the variant is conservative with
+    ``ell >= 2k`` (committees of size at most ``k`` can never differ by
+    more than ``2k``), or revolutionary with ``ell == 0``.
+    """
+    if instance.variant == CONSERVATIVE:
+        return instance.tau == 1 or instance.ell >= 2 * instance.k
+    return instance.tau == 1 or instance.ell == 0
+
+
+def solve_unconstrained(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> SolveReport:
     """Solve the regimes where the transition constraint never binds.
 
     Applicable when ``tau == 1``, when the variant is conservative with
-    ``ell >= 2k`` (committees of size at most ``k`` can never differ by
-    more than ``2k``), or revolutionary with ``ell == 0``. Stages then
-    decouple and each is decided by its greedy top-``k`` committee, which
-    maximizes the stage score. Raises :class:`PreconditionError` outside
-    these regimes.
+    ``ell >= 2k``, or revolutionary with ``ell == 0``. Stages then
+    decouple and each is decided by its greedy top-``k`` committee
+    (:func:`~mpvkit.core.feasible_committee`), which maximizes the stage
+    score. Raises :class:`PreconditionError` outside these regimes.
+
+    The work is one greedy pass per stage, so ``budget`` (accepted like
+    every solver's) never runs out.
     """
-    c_ok = instance.variant == CONSERVATIVE and instance.ell >= 2 * instance.k
-    r_ok = instance.variant == REVOLUTIONARY and instance.ell == 0
-    if not (instance.tau == 1 or c_ok or r_ok):
+    if not _decoupled(instance):
         raise PreconditionError(
             "greedy decoupling needs tau == 1, conservative ell >= 2k, "
             "or revolutionary ell == 0"
         )
     start = time.perf_counter()
     committees = []
-    answer = True
     for t in range(1, instance.tau + 1):
-        row = instance.counts[t - 1]
-        order = sorted(range(1, instance.m + 1), key=lambda c: (-row[c], c))
-        top = order[: min(instance.k, instance.m)]
-        if sum(row[c] for c in top) < instance.x:
-            answer = False
+        committee = feasible_committee(instance, t)
+        if committee is None:
             break
-        committees.append(frozenset(top))
+        committees.append(committee)
+    answer = len(committees) == instance.tau
     return SolveReport(
         answer=answer,
         witness=tuple(committees) if answer else None,
@@ -190,7 +201,7 @@ def solve_inout_ell(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> S
         raise PreconditionError(
             "change-witness search applies to the revolutionary variant only"
         )
-    if instance.tau == 1 or instance.ell == 0:
+    if _decoupled(instance):
         return solve_unconstrained(instance)
 
     start = time.perf_counter()
@@ -221,31 +232,13 @@ def solve_inout_ell(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> S
                 outgoing = frozenset(xs)
                 nodes.append((outgoing, uset - outgoing))
 
-    orders = [
-        sorted(range(1, m + 1), key=lambda c, row=row: (-row[c], c))
-        for row in instance.counts
-    ]
+    orders = [_stage_order(row) for row in instance.counts]
 
     def feasible(t, required, forbidden):
         # same decision as feasible_committee(...) is not None, but with the
         # stage's candidate order precomputed and an early exit at x
-        if len(required) > k:
-            return False
         row = instance.counts[t - 1]
-        total = sum(row[c] for c in required)
-        size = len(required)
-        if total >= x:
-            return True
-        for c in orders[t - 1]:
-            if size >= k:
-                break
-            if c in required or c in forbidden:
-                continue
-            size += 1
-            total += row[c]
-            if total >= x:
-                return True
-        return False
+        return _greedy_fill(row, orders[t - 1], k, x, required, forbidden, True) is not None
 
     states = len(nodes) * (tau - 1)
     examined = 0
@@ -355,9 +348,8 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> Solv
         )
 
     # a stage whose best k candidates miss x makes the answer no outright
-    for row in instance.counts:
-        if sum(sorted(row[1:], reverse=True)[:k]) < x:
-            return report(False, None, 0)
+    if any(feasible_committee(instance, t) is None for t in range(1, tau + 1)):
+        return report(False, None, 0)
     if not conservative and ell > 2 * k and tau >= 2:
         # committees of size <= k can never differ by more than 2k
         return report(False, None, 0)
@@ -411,7 +403,8 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> Solv
         for f, base, stages in fingerprints:
             delta = base.copy()
             for t in stages:
-                delta[2 * tau - 1 + t] = col[t]
+                # the score is clipped at x next, and this keeps big weights in int64
+                delta[2 * tau - 1 + t] = min(col[t], x)
             new = sources + delta
             mask = (new[:, :tau] <= k).all(axis=1)
             if conservative and tau >= 2:
@@ -502,21 +495,13 @@ def solve_auto(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> SolveR
     """
     from .oracle import brute_force
 
-    tau, k, m, x, ell, n = (
-        instance.tau,
-        instance.k,
-        instance.m,
-        instance.x,
-        instance.ell,
-        instance.n,
-    )
-    c_ok = instance.variant == CONSERVATIVE and ell >= 2 * k
-    r_ok = instance.variant == REVOLUTIONARY and ell == 0
-    if tau == 1 or c_ok or r_ok:
+    tau, k, m, x, ell = instance.tau, instance.k, instance.m, instance.x, instance.ell
+    if _decoupled(instance):
         return solve_unconstrained(instance)
 
     dcap = min(ell, 2 * k)
-    x_eff = min(x, n)
+    # no stage score exceeds the largest stage total
+    x_eff = min(x, max(map(sum, instance.counts)))
     entries = [
         (tau * m**k, 0, "layered-k", solve_layered_k),
         (

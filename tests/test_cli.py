@@ -49,7 +49,8 @@ def test_solve_weighted_instance(tmp_path, capsys):
     path.write_text(emit_instance(to_weighted(e1("R", ell=2))))
     assert run(["solve", str(path)]) == 0
     assert capsys.readouterr().out == "YES\n"
-    assert run(["solve", str(path), "--algorithm", "dp-tau"]) == 2
+    assert run(["solve", str(path), "--algorithm", "dp-tau"]) == 0
+    assert capsys.readouterr().out == "YES\n"
 
 
 def test_solve_budget_exit_code(tmp_path, capsys):
@@ -74,6 +75,31 @@ def test_missing_file_and_bad_usage(capsys, tmp_path):
     bad.write_text("mpv 1\nvariant C\nagents -3\n")
     assert run(["solve", str(bad)]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def test_absurd_sizes_are_input_errors(tmp_path, capsys):
+    huge = tmp_path / "huge.mpv"
+    huge.write_text(
+        emit_instance(e1()).replace("candidates 3", "candidates 99999999999999999999")
+    )
+    assert run(["solve", str(huge)]) == 2
+    assert "line 4: candidates must be at most" in capsys.readouterr().err
+    # rejected before any count row is allocated
+    many = tmp_path / "many.mpv"
+    many.write_text(
+        emit_instance(e1()).replace("candidates 3", "candidates 100000").replace("stages 3", "stages 1000")
+    )
+    assert run(["solve", str(many)]) == 2
+    assert "line 5: 1000 stages of 100000 candidates exceed" in capsys.readouterr().err
+
+
+def test_unexpected_crash_is_not_a_no(e1_file, monkeypatch, capsys):
+    def crash(text):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr("mpvkit.cli.parse_instance", crash)
+    assert run(["solve", e1_file()]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_round_trip(e1_file, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -48,11 +49,24 @@ def test_zero_agents_allowed():
         dict(variant="C", m=3, ballots=((1, 1), (2, 2), (1, 4)), k=1, ell=2, x=1),
         dict(variant="C", m=3, ballots=((1, 1), (2, 2), (-1, 3)), k=1, ell=2, x=1),
         dict(variant="C", m=3, ballots=((1, 1), (2,), (1, 3)), k=1, ell=2, x=1),
+        dict(variant="C", m=3, ballots=((1, 1), (2, 2), (1, 3.0)), k=1, ell=2, x=1),
+        dict(variant="C", m=True, ballots=((1, 1),), k=1, ell=2, x=1),
+        dict(variant="C", m=3, ballots=E1_BALLOTS, k=True, ell=2, x=1),
+        dict(variant="C", m=3, ballots=E1_BALLOTS, k=1, ell=True, x=1),
+        dict(variant="C", m=3, ballots=E1_BALLOTS, k=1, ell=2, x=True),
     ],
 )
 def test_rejects_malformed(kwargs):
     with pytest.raises(ValueError):
         Instance(**kwargs)
+
+
+def test_accepts_numpy_integer_parameters():
+    inst = Instance(
+        variant="C", m=np.int64(3), ballots=E1_BALLOTS, k=np.int32(1), ell=np.uint8(2), x=np.int64(1)
+    )
+    assert inst == e1()
+    assert all(type(v) is int for v in (inst.m, inst.k, inst.ell, inst.x))
 
 
 def test_instances_hash_and_compare():
