@@ -24,9 +24,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
-from sympy import QQ, ZZ
-from sympy.polys.matrices import DomainMatrix
-
 from .core import (
     CONSERVATIVE,
     Instance,
@@ -274,6 +271,10 @@ def _simultaneous_approx(u, eps):
     1 <= q <= (1/eps)^d * 2^ceil(d(d+1)/4) with integer p of
     max-norm at most q.
     """
+    # imported here: sympy costs ~0.4 s of start-up and only kernel_mtau needs it
+    from sympy import QQ, ZZ
+    from sympy.polys.matrices import DomainMatrix
+
     d = len(u)
     c = -(-(d * (d + 1)) // 4)
     theta = eps ** (d + 1) / 2**c

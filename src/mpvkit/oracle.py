@@ -9,7 +9,9 @@ parameter, intended for desk-scale instances and as a test oracle.
 from __future__ import annotations
 
 import time
+from itertools import accumulate
 from math import comb
+from operator import add
 
 from .core import (
     BudgetExceededError,
@@ -21,25 +23,64 @@ from .core import (
 DEFAULT_SEQUENCE_BUDGET = 10**8
 
 
+def _feasible_masks(row, pool, k, x):
+    """Committees of at most ``k`` members of ``pool`` scoring at least ``x``.
+
+    Each committee is an int bitmask over pool positions: bit ``i`` stands
+    for ``pool[i]``, and its score is the sum of ``row[c]`` over members.
+    The list is in lexicographic order of the committees' sorted position
+    tuples (the order of :func:`_subsets_upto` for a sorted pool). A
+    committee with ``left`` free seats stops extending at position ``i``
+    once even the ``left`` largest counts of ``pool[i:]`` cannot lift its
+    score to ``x``; that bound never grows with ``i``, so no later
+    position can either.
+    """
+    weights = [row[c] for c in pool]
+    n = len(weights)
+    k = min(k, n)
+    # best[r][i]: sum of the r largest weights in pool[i:] (all of them if
+    # fewer): the larger of best[r][i + 1] and weights[i] + best[r - 1][i + 1]
+    best = [[0] * (n + 1)]
+    for r in range(1, k + 1):
+        taking = list(map(add, weights, best[-1][1:]))
+        best.append(list(accumulate(reversed(taking), max))[::-1] + [0])
+
+    out = [0] if x <= 0 else []
+
+    def rec(start, mask, left, score):
+        bound, rest = best[left], best[left - 1]
+        for i in range(start, n):
+            if score + bound[i] < x:
+                break
+            s = score + weights[i]
+            if s >= x:
+                out.append(mask | 1 << i)
+            if left > 1 and s + rest[i + 1] >= x:
+                rec(i + 1, mask | 1 << i, left - 1, s)
+
+    if k:
+        rec(0, 0, k, 0)
+    return out
+
+
+def _decode(mask, pool):
+    """The committee of ``pool`` members whose positions are set in ``mask``."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(pool[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(members)
+
+
 def _subsets_upto(candidates, k):
     """Subsets of ``candidates`` with at most ``k`` elements as frozensets.
 
-    Yielded in lexicographic order of their sorted tuples:
+    In lexicographic order of their sorted tuples:
     ``(), (1,), (1, 2), (1, 2, 3), (1, 3), (2,), ...``
     """
-    candidates = sorted(candidates)
-    chosen = []
-
-    def rec(start):
-        yield frozenset(chosen)
-        if len(chosen) == k:
-            return
-        for i in range(start, len(candidates)):
-            chosen.append(candidates[i])
-            yield from rec(i + 1)
-            chosen.pop()
-
-    yield from rec(0)
+    pool = sorted(candidates)
+    return [_decode(mask, pool) for mask in _feasible_masks(dict.fromkeys(pool, 0), pool, k, 0)]
 
 
 def _sequence_search(instance, budget, max_solutions):
@@ -57,10 +98,8 @@ def _sequence_search(instance, budget, max_solutions):
         raise BudgetExceededError(
             f"enumerating {pool_size} committees per stage exceeds the budget of {budget}"
         )
-    subsets = list(_subsets_upto(range(1, m + 1), k))
-    feasible = []
-    for row in instance.counts:
-        feasible.append([s for s in subsets if sum(row[c] for c in s) >= x])
+    pool = range(1, m + 1)
+    feasible = [_feasible_masks(row, pool, k, x) for row in instance.counts]
 
     solutions = []
     prefix = []
@@ -70,7 +109,7 @@ def _sequence_search(instance, budget, max_solutions):
         nonlocal extensions
         for committee in feasible[t]:
             if prev is not None:
-                d = len(prev ^ committee)
+                d = (prev ^ committee).bit_count()
                 if conservative:
                     if d > ell:
                         continue
@@ -83,7 +122,7 @@ def _sequence_search(instance, budget, max_solutions):
                 )
             prefix.append(committee)
             if t + 1 == tau:
-                solutions.append(tuple(prefix))
+                solutions.append(tuple(_decode(mask, pool) for mask in prefix))
                 done = len(solutions) >= max_solutions
             else:
                 done = extend(t + 1, committee)

@@ -36,7 +36,7 @@ from .core import (
     _stage_order,
     feasible_committee,
 )
-from .oracle import _subsets_upto
+from .oracle import _decode, _feasible_masks
 
 DEFAULT_STATE_BUDGET = 5 * 10**7
 
@@ -100,27 +100,80 @@ def solve_unconstrained(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) 
 # ---------------------------------------------------------------------------
 
 
+# pairwise differences computed per numpy call in the arc scan
+_SCAN_ELEMENTS = 1 << 18
+
+
+def _layer_array(masks, words):
+    """Committee bitmasks as a ``(len(masks), words)`` uint64 array, low word first."""
+    if words == 1:
+        return np.array(masks, dtype=np.uint64).reshape(-1, 1)
+    out = np.empty((len(masks), words), dtype=np.uint64)
+    for j in range(words):
+        out[:, j] = [mask >> (64 * j) & 0xFFFF_FFFF_FFFF_FFFF for mask in masks]
+    return out
+
+
+def _scan_arcs(layer, reach, conservative, ell, states, budget):
+    """First compatible ``reach`` row for every row of ``layer``.
+
+    Returns ``(parents, states)``: ``parents[i]`` is the first position in
+    ``reach`` whose symmetric difference with ``layer[i]`` respects ``ell``
+    (``-1`` when none does), and ``states`` grows by the arcs a row-by-row
+    scan with early exit examines: ``parents[i] + 1`` per hit and
+    ``len(reach)`` per miss. Columns go in blocks of doubling width and only
+    rows without a hit move on, so cheap hits stay cheap. The running count
+    is a lower bound on the final one, so the budget error is raised as soon
+    as it passes ``budget``, exactly when the row-by-row scan would raise.
+    """
+    words = layer.shape[1]
+    parents = np.full(layer.shape[0], -1, dtype=np.int64)
+    pending = np.arange(layer.shape[0])
+    lo, width = 0, 64
+    while pending.size and lo < reach.shape[0]:
+        hi = min(reach.shape[0], lo + width)
+        block = reach[lo:hi]
+        rows = max(1, _SCAN_ELEMENTS // ((hi - lo) * words))
+        missed = []
+        for a in range(0, pending.size, rows):
+            idx = pending[a : a + rows]
+            d = np.bitwise_count(layer[idx, None, :] ^ block[None, :, :])
+            d = d[..., 0] if words == 1 else d.sum(axis=2, dtype=np.int64)
+            ok = d <= ell if conservative else d >= ell
+            hit = ok.any(axis=1)
+            first = ok[hit].argmax(axis=1)
+            parents[idx[hit]] = first + lo
+            missed.append(idx[~hit])
+            states += int(first.sum()) + first.size + (hi - lo) * (idx.size - first.size)
+            if states > budget:
+                raise BudgetExceededError(f"arc scan exceeded the budget of {budget}")
+        pending = np.concatenate(missed)
+        lo, width = hi, min(2 * width, _SCAN_ELEMENTS)
+    return parents, states
+
+
 def solve_layered_k(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> SolveReport:
     """Layered reachability over explicit per-stage committees.
 
     Each stage contributes a layer whose nodes are the committees of size
-    at most ``k`` that meet the stage's score threshold; consecutive layers
+    at most ``k`` that meet the stage's score threshold, enumerated under
+    a score bound as bitmasks over the candidate pool; consecutive layers
     are connected when the symmetric difference respects ``ell``. The
-    instance is a yes iff a path crosses all layers. For the conservative
-    variant the candidate pool shrinks to candidates approved at least
-    once: dropping never-approved candidates from a solution keeps scores,
-    shrinks sizes, and shrinks symmetric differences, so some solution
-    avoids them.
+    instance is a yes iff a path crosses all layers. A reachable committee
+    keeps the first compatible reachable committee of the previous stage
+    as its parent, and the witness is the path to the first reachable
+    committee of the last stage. For the conservative variant the
+    candidate pool shrinks to candidates approved at least once: dropping
+    never-approved candidates from a solution keeps scores, shrinks sizes,
+    and shrinks symmetric differences, so some solution avoids them.
 
-    Budget counts layer nodes plus examined arcs.
+    Budget counts layer nodes plus examined arcs. ``stats["layer_sizes"]``
+    holds the number of feasible committees at each stage.
     """
     start = time.perf_counter()
-    if instance.variant == CONSERVATIVE:
-        pool = [
-            c
-            for c in range(1, instance.m + 1)
-            if any(row[c] for row in instance.counts)
-        ]
+    conservative = instance.variant == CONSERVATIVE
+    if conservative:
+        pool = [c for c, column in enumerate(zip(*instance.counts)) if c and any(column)]
     else:
         pool = list(range(1, instance.m + 1))
     node_bound = sum(comb(len(pool), j) for j in range(min(instance.k, len(pool)) + 1))
@@ -129,49 +182,43 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> S
             f"{node_bound} committees per layer over {instance.tau} stages "
             f"exceed the budget of {budget}"
         )
-    subsets = list(_subsets_upto(pool, instance.k))
-    layers = []
-    states = 0
-    for t in range(instance.tau):
-        row = instance.counts[t]
-        nodes = [s for s in subsets if sum(row[c] for c in s) >= instance.x]
-        states += len(nodes)
-        layers.append(nodes)
+    words = max(1, -(-len(pool) // 64))
+    layers = [
+        _layer_array(_feasible_masks(row, pool, instance.k, instance.x), words)
+        for row in instance.counts
+    ]
+    layer_sizes = [layer.shape[0] for layer in layers]
+    states = sum(layer_sizes)
 
-    conservative = instance.variant == CONSERVATIVE
-    ell = instance.ell
-    # reach entries are (committee, parent entry) linked lists
-    reach = [(committee, None) for committee in layers[0]]
+    # reach[t]: layer-t positions of the committees reachable through stage t,
+    # in layer order; links[t - 1][j]: reach[t - 1] index of reach[t][j]'s parent
+    reach = [np.arange(layer_sizes[0])]
+    links = []
     for t in range(1, instance.tau):
-        if not reach:
+        if not reach[-1].size:
             break
-        cur = []
-        for committee in layers[t]:
-            for entry in reach:
-                states += 1
-                if states > budget:
-                    raise BudgetExceededError(
-                        f"arc scan exceeded the budget of {budget}"
-                    )
-                d = len(entry[0] ^ committee)
-                if (d <= ell) if conservative else (d >= ell):
-                    cur.append((committee, entry))
-                    break
-        reach = cur
+        parents, states = _scan_arcs(
+            layers[t], layers[t - 1][reach[-1]], conservative, instance.ell, states, budget
+        )
+        hits = np.flatnonzero(parents >= 0)
+        reach.append(hits)
+        links.append(parents[hits])
 
     witness = None
-    if reach:
-        entry = reach[0]
+    if len(reach) == instance.tau and reach[-1].size:
         chain = []
-        while entry is not None:
-            chain.append(entry[0])
-            entry = entry[1]
+        j = 0
+        for t in range(instance.tau - 1, -1, -1):
+            row = layers[t][reach[t][j]]
+            chain.append(_decode(sum(int(w) << 64 * i for i, w in enumerate(row)), pool))
+            if t:
+                j = links[t - 1][j]
         witness = tuple(reversed(chain))
     return SolveReport(
         answer=witness is not None,
         witness=witness,
         algorithm="layered-k",
-        stats={"states": states, "time_ms": _elapsed_ms(start)},
+        stats={"states": states, "time_ms": _elapsed_ms(start), "layer_sizes": layer_sizes},
     )
 
 

@@ -1,7 +1,10 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from mpvkit import BudgetExceededError, Instance, brute_force, enumerate_solutions, verify
-from mpvkit.oracle import _subsets_upto
+from mpvkit.oracle import _decode, _feasible_masks, _subsets_upto
 
 from conftest import e1
 
@@ -20,6 +23,32 @@ def test_subset_order_is_lexicographic():
     ]
     ones = [tuple(sorted(s)) for s in _subsets_upto((1, 2, 3), 1)]
     assert ones == [(), (1,), (2,), (3,)]
+
+
+@pytest.mark.parametrize(
+    "m, pool_size, k, scale",
+    [
+        (6, 6, 2, 1),
+        (5, 5, 7, 1),  # k >= |pool|
+        (4, 0, 2, 1),  # no candidates at all
+        (8, 5, 3, 2**70),  # weights near 2^70
+        (80, 70, 2, 1),  # masks longer than one 64-bit word
+    ],
+)
+def test_feasible_masks_match_filtered_subsets(m, pool_size, k, scale):
+    rng = random.Random(f"{m}/{pool_size}/{k}")
+    for _ in range(10):
+        # zero columns are common: most candidates are approved by nobody
+        row = [0] + [rng.choice((0, 0, 0, 1, 2, 5)) * scale + rng.randint(0, 2) for _ in range(m)]
+        pool = sorted(rng.sample(range(1, m + 1), pool_size))
+        reference = sorted(
+            c for j in range(min(k, len(pool)) + 1) for c in combinations(pool, j)
+        )
+        assert [tuple(sorted(s)) for s in _subsets_upto(pool, k)] == reference
+        for x in (1, scale, 3 * scale, 7 * scale, 20 * scale):
+            got = [_decode(mask, pool) for mask in _feasible_masks(row, pool, k, x)]
+            assert got == [s for s in _subsets_upto(pool, k) if sum(row[c] for c in s) >= x]
+            assert got == [frozenset(c) for c in reference if sum(row[i] for i in c) >= x]
 
 
 def test_e1_answers():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -15,6 +16,8 @@ from mpvkit import (
     solve_unconstrained,
     verify,
 )
+
+from mpvkit.oracle import _subsets_upto
 
 from conftest import e1
 
@@ -138,12 +141,105 @@ def test_budget_raises():
     inst = random_instance(4, 8, 6, 3, 2, 1, "C", seed=11)
     with pytest.raises(BudgetExceededError):
         solve_layered_k(inst, budget=5)
+    # the arc scan spends exactly its reported states: one fewer raises
+    states = solve_layered_k(inst).stats["states"]
+    assert solve_layered_k(inst, budget=states).stats["states"] == states
+    with pytest.raises(BudgetExceededError, match="arc scan"):
+        solve_layered_k(inst, budget=states - 1)
     with pytest.raises(BudgetExceededError):
         solve_dp_tau(inst, budget=5)
     with pytest.raises(BudgetExceededError):
         solve_inout_ell(
             random_instance(4, 8, 6, 3, 2, 1, "R", seed=11), budget=5
         )
+
+
+def _layered_reference(inst, budget):
+    """solve_layered_k's search as a row-by-row loop over frozensets.
+
+    Returns (witness, states, layer sizes), or None where the loop runs out
+    of budget.
+    """
+    pool = range(1, inst.m + 1)
+    if inst.variant == "C":
+        pool = [c for c in pool if any(row[c] for row in inst.counts)]
+    if len(_subsets_upto(pool, inst.k)) * inst.tau > budget:
+        return None
+    layers = [
+        [s for s in _subsets_upto(pool, inst.k) if sum(row[c] for c in s) >= inst.x]
+        for row in inst.counts
+    ]
+    sizes = list(map(len, layers))
+    states = sum(sizes)
+    reach = [(s, None) for s in layers[0]]
+    for layer in layers[1:]:
+        if not reach:
+            break
+        cur = []
+        for committee in layer:
+            for entry in reach:
+                states += 1
+                if states > budget:
+                    return None
+                d = len(entry[0] ^ committee)
+                if (d <= inst.ell) if inst.variant == "C" else (d >= inst.ell):
+                    cur.append((committee, entry))
+                    break
+        reach = cur
+    chain = []
+    entry = reach[0] if reach else None
+    while entry is not None:
+        chain.append(entry[0])
+        entry = entry[1]
+    return (tuple(reversed(chain)) or None), states, sizes
+
+
+def test_layered_matches_row_by_row_scan():
+    rng = random.Random(5)
+    for trial in range(60):
+        variant = rng.choice("CR")
+        n, m = rng.randint(2, 40), rng.choice((6, 12, 70))
+        k = rng.randint(1, 3 if m < 70 else 2)
+        inst = random_instance(
+            n, m, rng.randint(1, 4), k, rng.randint(0, 2 * k), rng.randint(1, 4), variant,
+            abstain_probability=0.2, seed=trial,
+        )
+        budget = rng.choice((10**3, 10**4, 10**7))
+        expected = _layered_reference(inst, budget)
+        if expected is None:
+            with pytest.raises(BudgetExceededError):
+                solve_layered_k(inst, budget=budget)
+            continue
+        rep = solve_layered_k(inst, budget=budget)
+        assert (rep.witness, rep.stats["states"], rep.stats["layer_sizes"]) == expected, inst
+
+
+def test_layered_dense_layers_agree_with_brute_force():
+    # x = 1 and ell = 1 make nearly every committee a node and most pairs arcs
+    for seed in range(4):
+        inst = random_instance(12, 14, 3, 3, 1, 1, "R", seed=seed)
+        rep = solve_layered_k(inst)
+        assert rep.answer == brute_force(inst).answer
+        if rep.answer:
+            assert verify(inst, rep.witness) == []
+
+
+def test_layered_pool_over_64_candidates():
+    # more than 64 approved candidates: committee masks span two words
+    for seed in (1, 4):
+        inst = random_instance(80, 130, 3, 2, 1, 3, "C", seed=seed)
+        rep = solve_layered_k(inst)
+        assert rep.answer == brute_force(inst).answer
+        assert rep.answer
+        assert verify(inst, rep.witness) == []
+    # the only solution runs through candidates beyond the first word
+    inst = Instance(
+        variant="R", m=130, ballots=((70, 100, 0), (100, 129, 0), (129, 130, 0)),
+        k=2, ell=2, x=2,
+    )
+    rep = solve_layered_k(inst)
+    assert rep.witness == (frozenset({70, 100}), frozenset({100, 129}), frozenset({129, 130}))
+    assert verify(inst, rep.witness) == []
 
 
 # ---------------------------------------------------------------------------
