@@ -206,7 +206,8 @@ class WeightedInstance(Instance):
             if row[0] != 0:
                 raise ValueError(f"stage {t}: weight slot 0 is reserved and must be 0")
             for c, value in enumerate(row):
-                if not isinstance(value, int) or value < 0:
+                # bool is an int subclass but never a score
+                if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                     raise ValueError(
                         f"stage {t}: weight for candidate {c} must be a non-negative "
                         f"integer, got {value!r}"

@@ -71,14 +71,27 @@ def _directive(lines, idx, name, minimum=None):
     return _int_field(idx + 1, name, parts[1], minimum)
 
 
-def _tagged_row(lines, idx, tag):
-    """Split a 'tag t: a b c' line into integer entries."""
+def _tagged_row(lines, idx, tag, lookup=None):
+    """Split a 'tag t: a b c' line into integer entries.
+
+    Returns the entries and whether every token was found in ``lookup``,
+    a table from canonical tokens to their values. Without a table the
+    tokens go through ``int`` in one pass. A token missing from the table,
+    or one ``int`` refuses, sends the whole row through the per-token
+    loop, which accepts whatever ``int`` accepts (``01``, ``+2``, ``1_0``)
+    and names the line of the first bad token.
+    """
     if idx >= len(lines):
         raise FormatError(len(lines) + 1, f"missing '{tag}' line")
     head, sep, rest = lines[idx].partition(":")
     if not sep or head != tag:
         raise FormatError(idx + 1, f"expected '{tag}: ...', got {lines[idx]!r}")
-    return [_int_field(idx + 1, "entry", tok) for tok in rest.split()]
+    tokens = rest.split()
+    in_table = lookup is not None
+    try:
+        return list(map(lookup.__getitem__ if in_table else int, tokens)), in_table
+    except (KeyError, ValueError):
+        return [_int_field(idx + 1, "entry", tok) for tok in tokens], False
 
 
 def _no_trailing(lines, idx):
@@ -104,10 +117,13 @@ def emit_instance(instance) -> str:
     lines.append(f"x {instance.x}")
     if weighted:
         for t, row in enumerate(instance.weights, start=1):
-            lines.append(f"weights {t}:" + "".join(f" {w}" for w in row[1:]))
+            lines.append(f"weights {t}: " + " ".join(map(str, row[1:])))
     else:
+        # entries are 0..m (Instance checks them), so a table indexed by the
+        # entry spells each one, also for bool and numpy integer entries
+        names = [f" {c}" for c in range(instance.m + 1)]
         for t, row in enumerate(instance.ballots, start=1):
-            lines.append(f"profile {t}:" + "".join(f" {e}" for e in row))
+            lines.append(f"profile {t}:" + "".join(map(names.__getitem__, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -148,12 +164,12 @@ def parse_instance(text: str):
     if weighted:
         weights = []
         for t in range(1, tau + 1):
-            row = _tagged_row(lines, idx, f"weights {t}")
+            row, _ = _tagged_row(lines, idx, f"weights {t}")
             if len(row) != m:
                 raise FormatError(idx + 1, f"expected {m} weights, got {len(row)}")
-            for w in row:
-                if w < 0:
-                    raise FormatError(idx + 1, f"negative weight {w}")
+            if min(row) < 0:
+                w = next(w for w in row if w < 0)
+                raise FormatError(idx + 1, f"negative weight {w}")
             weights.append((0,) + tuple(row))
             idx += 1
         _no_trailing(lines, idx)
@@ -161,13 +177,15 @@ def parse_instance(text: str):
             variant=variant, m=m, weights=tuple(weights), k=k, ell=ell, x=x
         )
     ballots = []
+    lookup = {str(c): c for c in range(m + 1)}
     for t in range(1, tau + 1):
-        row = _tagged_row(lines, idx, f"profile {t}")
+        row, in_table = _tagged_row(lines, idx, f"profile {t}", lookup)
         if len(row) != n:
             raise FormatError(idx + 1, f"expected {n} ballot entries, got {len(row)}")
-        for e in row:
-            if not 0 <= e <= m:
-                raise FormatError(idx + 1, f"ballot entry {e} outside 0..{m}")
+        if not in_table:  # every table value is in 0..m already
+            for e in row:
+                if not 0 <= e <= m:
+                    raise FormatError(idx + 1, f"ballot entry {e} outside 0..{m}")
         ballots.append(tuple(row))
         idx += 1
     _no_trailing(lines, idx)
@@ -192,7 +210,7 @@ def parse_solution(text: str, instance) -> tuple:
     lines = text.splitlines()
     committees = []
     for t in range(1, instance.tau + 1):
-        row = _tagged_row(lines, t - 1, f"stage {t}")
+        row, _ = _tagged_row(lines, t - 1, f"stage {t}")
         seen = set()
         for c in row:
             if not 1 <= c <= instance.m:

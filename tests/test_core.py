@@ -86,6 +86,8 @@ def test_weighted_rows_must_have_zero_slot():
         WeightedInstance(variant="C", m=2, weights=((0, -1, 1),), k=1, ell=0, x=1)
     with pytest.raises(ValueError):
         WeightedInstance(variant="C", m=2, weights=((0, 3),), k=1, ell=0, x=1)
+    with pytest.raises(ValueError):
+        WeightedInstance(variant="C", m=2, weights=((0, True, 3),), k=1, ell=0, x=1)
 
 
 def test_trivial_verdict_is_frozen():

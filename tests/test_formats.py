@@ -1,14 +1,17 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpvkit import (
     FormatError,
     Graph,
+    Instance,
     PartitionedGraph,
     WeightedInstance,
     emit_graph,
     emit_instance,
     emit_solution,
+    mcc_to_cmpv,
     parse_graph,
     parse_instance,
     parse_solution,
@@ -98,6 +101,78 @@ def test_parse_errors_name_the_line(mutation, line):
     with pytest.raises(FormatError) as err:
         parse_instance(mutation(E1_TEXT))
     assert err.value.line == line
+
+
+def test_bool_ballot_entries_round_trip():
+    inst = Instance("C", 2, ((True, 0), (1, 2)), 1, 0, 1)
+    text = emit_instance(inst)
+    assert "profile 1: 1 0\n" in text
+    assert parse_instance(text) == inst
+    assert emit_instance(parse_instance(text)) == text
+
+
+def test_numpy_ballot_entries_emit_like_ints():
+    rows = ((1, 0, 3), (2, 2, 0))
+    plain = Instance("R", 3, rows, 1, 1, 1)
+    for dtype in (np.int64, np.uint8, np.int32):
+        numpy_rows = tuple(tuple(dtype(e) for e in row) for row in rows)
+        assert emit_instance(Instance("R", 3, numpy_rows, 1, 1, 1)) == emit_instance(plain)
+
+
+def test_gadget_round_trip_at_scale():
+    pg = PartitionedGraph(
+        parts=({1, 2, 3}, {4, 5, 6}, {7, 8, 9}),
+        edges=((1, 4), (1, 7), (4, 7), (2, 5), (2, 9), (3, 6), (5, 8), (6, 9)),
+    )
+    inst = mcc_to_cmpv(pg)
+    assert inst.n > 1000
+    text = emit_instance(inst)
+    back = parse_instance(text)
+    assert back == inst
+    assert emit_instance(back) == text
+
+
+def test_non_canonical_tokens_still_parse():
+    text = E1_TEXT.replace("candidates 3", "candidates 12").replace("agents 2", "agents 3")
+    text = text.replace("profile 1: 1 1", "profile 1: 1 1 10")
+    text = text.replace("profile 2: 2 2", "profile 2: 2 2 0")
+    text = text.replace("profile 3: 1 3", "profile 3: 1 3 12")
+    canonical = parse_instance(text)
+    for old, new in (
+        ("profile 1: 1 1 10", "profile 1: 01 1 10"),
+        ("profile 2: 2 2 0", "profile 2: +2 2 00"),
+        ("profile 1: 1 1 10", "profile 1: 1 1 1_0"),
+        ("profile 3: 1 3 12", "profile 3: 1 0003 +1_2"),
+    ):
+        assert old in text
+        assert parse_instance(text.replace(old, new)) == canonical
+
+
+@pytest.mark.parametrize(
+    "last,message",
+    [("4", "ballot entry 4 outside 0..3"), ("1.5", "entry must be an integer, got '1.5'")],
+)
+def test_bad_last_token_of_a_long_row(last, message):
+    n = 5000
+    row = " ".join(["1", "2", "3", "0"] * (n // 4))
+    text = E1_TEXT.replace("agents 2", f"agents {n}")
+    text = text.replace("profile 1: 1 1", f"profile 1: {row}")
+    text = text.replace("profile 2: 2 2", f"profile 2: {row}")
+    text = text.replace("profile 3: 1 3", f"profile 3: {row}")
+    assert parse_instance(text).n == n
+    bad = text.replace(f"profile 2: {row}", f"profile 2: {row[:-1]}{last}")
+    with pytest.raises(FormatError) as err:
+        parse_instance(bad)
+    assert err.value.line == 10
+    assert str(err.value) == f"line 10: {message}"
+
+
+def test_negative_weight_message_names_the_first():
+    text = emit_instance(to_weighted(e1()))
+    bad = text.replace("weights 2: 0 2 0", "weights 2: 0 -2 -7")
+    with pytest.raises(FormatError) as err:
+        parse_instance(bad)
+    assert str(err.value) == "line 9: negative weight -2"
 
 
 def test_out_of_order_directives_rejected():
