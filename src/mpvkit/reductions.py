@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, isqrt
 
-import numpy as np
-
 from .core import (
     CONSERVATIVE,
     Instance,
@@ -132,6 +130,8 @@ def sidon(b: int) -> SidonSet:
     """
     if not isinstance(b, int) or b < 1:
         raise ValueError(f"b must be a positive integer, got {b!r}")
+    import numpy as np
+
     limit = 2 * b + 2
     mask = np.ones(limit, dtype=bool)
     mask[:2] = False

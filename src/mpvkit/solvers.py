@@ -23,8 +23,6 @@ import time
 from itertools import combinations
 from math import comb
 
-import numpy as np
-
 from .core import (
     BudgetExceededError,
     CONSERVATIVE,
@@ -32,6 +30,7 @@ from .core import (
     PreconditionError,
     REVOLUTIONARY,
     SolveReport,
+    _change_out_of_reach,
     _greedy_fill,
     _stage_order,
     feasible_committee,
@@ -104,8 +103,11 @@ def solve_unconstrained(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) 
 _SCAN_ELEMENTS = 1 << 18
 
 
-def _layer_array(masks, words):
-    """Committee bitmasks as a ``(len(masks), words)`` uint64 array, low word first."""
+def _layer_array(np, masks, words):
+    """Committee bitmasks as a ``(len(masks), words)`` uint64 array, low word first.
+
+    ``np`` is the numpy module, imported by the calling solver.
+    """
     if words == 1:
         return np.array(masks, dtype=np.uint64).reshape(-1, 1)
     out = np.empty((len(masks), words), dtype=np.uint64)
@@ -114,7 +116,7 @@ def _layer_array(masks, words):
     return out
 
 
-def _scan_arcs(layer, reach, conservative, ell, states, budget):
+def _scan_arcs(np, layer, reach, conservative, ell, states, budget):
     """First compatible ``reach`` row for every row of ``layer``.
 
     Returns ``(parents, states)``: ``parents[i]`` is the first position in
@@ -125,6 +127,7 @@ def _scan_arcs(layer, reach, conservative, ell, states, budget):
     rows without a hit move on, so cheap hits stay cheap. The running count
     is a lower bound on the final one, so the budget error is raised as soon
     as it passes ``budget``, exactly when the row-by-row scan would raise.
+    ``np`` is the numpy module, imported by the calling solver.
     """
     words = layer.shape[1]
     parents = np.full(layer.shape[0], -1, dtype=np.int64)
@@ -182,9 +185,11 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> S
             f"{node_bound} committees per layer over {instance.tau} stages "
             f"exceed the budget of {budget}"
         )
+    import numpy as np
+
     words = max(1, -(-len(pool) // 64))
     layers = [
-        _layer_array(_feasible_masks(row, pool, instance.k, instance.x), words)
+        _layer_array(np, _feasible_masks(row, pool, instance.k, instance.x), words)
         for row in instance.counts
     ]
     layer_sizes = [layer.shape[0] for layer in layers]
@@ -198,7 +203,7 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> S
         if not reach[-1].size:
             break
         parents, states = _scan_arcs(
-            layers[t], layers[t - 1][reach[-1]], conservative, instance.ell, states, budget
+            np, layers[t], layers[t - 1][reach[-1]], conservative, instance.ell, states, budget
         )
         hits = np.flatnonzero(parents >= 0)
         reach.append(hits)
@@ -357,9 +362,9 @@ def solve_inout_ell(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> S
 
 
 def _unpack(packed, radii, mult):
-    out = np.empty((packed.size, len(radii)), dtype=np.int64)
-    for i, r in enumerate(radii):
-        out[:, i] = (packed // mult[i]) % r
+    """Packed profile keys as a ``(packed.size, len(radii))`` int64 array."""
+    out = packed[:, None] // mult
+    out %= radii
     return out
 
 
@@ -397,8 +402,7 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> Solv
     # a stage whose best k candidates miss x makes the answer no outright
     if any(feasible_committee(instance, t) is None for t in range(1, tau + 1)):
         return report(False, None, 0)
-    if not conservative and ell > 2 * k and tau >= 2:
-        # committees of size <= k can never differ by more than 2k
+    if _change_out_of_reach(instance):
         return report(False, None, 0)
 
     dcap = min(ell, 2 * k) if conservative else ell
@@ -410,6 +414,8 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> Solv
         raise BudgetExceededError(
             f"profile space of size {capacity} cannot be packed into 64-bit keys"
         )
+    import numpy as np
+
     width = 3 * tau - 1
     mult = np.empty(width, dtype=np.int64)
     acc = 1
@@ -531,7 +537,9 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> Solv
 def solve_auto(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> SolveReport:
     """Route to the estimated-cheapest applicable solver.
 
-    Greedy decoupling is used whenever its precondition holds. Otherwise
+    Greedy decoupling is used whenever its precondition holds, and a
+    revolutionary instance with ``ell > 2k`` over at least two stages goes
+    to :func:`solve_dp_tau`, whose prechecks answer it no. Otherwise
     the candidates are ranked by crude state estimates (layered
     ``tau * m**k``, profile DP
     ``(k+1)**tau * (dcap+1)**(tau-1) * (x+1)**tau * m``, change witnesses
@@ -545,6 +553,8 @@ def solve_auto(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> SolveR
     tau, k, m, x, ell = instance.tau, instance.k, instance.m, instance.x, instance.ell
     if _decoupled(instance):
         return solve_unconstrained(instance)
+    if _change_out_of_reach(instance):
+        return solve_dp_tau(instance, budget=budget)
 
     dcap = min(ell, 2 * k)
     # no stage score exceeds the largest stage total

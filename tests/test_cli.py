@@ -1,8 +1,22 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mpvkit import emit_graph, emit_instance, parse_instance, to_weighted, Graph
+import mpvkit
+from mpvkit import (
+    brute_force,
+    emit_graph,
+    emit_instance,
+    parse_instance,
+    random_instance,
+    solve_auto,
+    to_weighted,
+    Graph,
+)
 from mpvkit.cli import run
 
 from conftest import e1
@@ -234,3 +248,85 @@ def test_bench_csv(tmp_path, e1_file):
     assert answers[("yes.mpv", "auto")] == "yes"
     assert answers[("no.mpv", "brute")] == "no"
     assert all(float(r[4]) >= 0 for r in body)
+
+
+# ---------------------------------------------------------------------------
+# numpy stays off the start-up path
+# ---------------------------------------------------------------------------
+
+# Runs ``mpv`` in-process in a fresh interpreter, then reports on stderr
+# whether numpy was imported along the way.
+_MPV_AND_REPORT = (
+    "import sys\n"
+    "from mpvkit.cli import run\n"
+    "code = run(sys.argv[1:])\n"
+    "print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _fresh_python(*args):
+    # the child imports the same mpvkit as this process
+    src = str(Path(mpvkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
+def _mpv(*args):
+    """``(exit code, stdout, numpy loaded)`` of one ``mpv`` call in a fresh interpreter."""
+    proc = _fresh_python("-c", _MPV_AND_REPORT, *args)
+    report = proc.stderr.strip().splitlines()[-1]
+    assert report.startswith("numpy loaded: "), proc.stderr
+    return proc.returncode, proc.stdout, report == "numpy loaded: True"
+
+
+def test_import_does_not_load_numpy():
+    proc = _fresh_python("-c", "import sys, mpvkit; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_version_does_not_load_numpy():
+    code, out, numpy_loaded = _mpv("--version")
+    assert code == 0 and out.strip()
+    assert not numpy_loaded
+
+
+def test_numpy_free_solves(tmp_path):
+    inout = random_instance(6, 6, 4, 3, 1, 3, "R", seed=0)
+    assert solve_auto(inout).algorithm == "inout-ell"
+    cases = [
+        ("greedy", e1("C", ell=2), ()),
+        ("inout", inout, ()),
+        ("brute", e1("C", ell=1), ("--algorithm", "brute")),
+        ("readme-ell3", e1("R", ell=3), ()),
+    ]
+    for name, inst, extra in cases:
+        path = tmp_path / f"{name}.mpv"
+        path.write_text(emit_instance(inst))
+        code, out, numpy_loaded = _mpv("solve", "--witness", str(path), *extra)
+        answer = brute_force(inst).answer
+        assert code == (0 if answer else 1), name
+        assert out.startswith("YES\n" if answer else "NO\n"), name
+        assert not numpy_loaded, name
+        if answer:
+            sol = tmp_path / f"{name}.sol"
+            sol.write_text(out.split("\n", 1)[1])
+            code, out, numpy_loaded = _mpv("verify", str(path), str(sol))
+            assert (code, out) == (0, "VALID\n"), name
+            assert not numpy_loaded, name
+
+
+def test_layered_solve_still_answers(e1_file):
+    path = e1_file(variant="R", ell=2)
+    assert solve_auto(parse_instance(Path(path).read_text())).algorithm == "layered-k"
+    code, out, numpy_loaded = _mpv("solve", "--witness", path)
+    assert (code, out) == (0, "YES\nstage 1: 1\nstage 2: 2\nstage 3: 1\n")
+    # the probe sees numpy when a solver does load it
+    assert numpy_loaded

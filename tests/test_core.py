@@ -1,7 +1,12 @@
+import random
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mpvkit import core
 from mpvkit import (
     Instance,
     TrivialVerdict,
@@ -95,6 +100,74 @@ def test_trivial_verdict_is_frozen():
     assert v.answer is False
     with pytest.raises(AttributeError):
         v.answer = True
+
+
+# ---------------------------------------------------------------------------
+# ballot tally: plain Python up to TALLY_PYTHON_MAX entries, numpy above
+# ---------------------------------------------------------------------------
+
+# thresholds that send every non-empty profile down one path
+_PATH_CAPS = {"python": 10**12, "numpy": 0}
+
+
+def _tally_on_each_path(monkeypatch, rows, m):
+    """Counts, or the ``ValueError`` message, of ``rows`` on each path."""
+    out = {}
+    for path, cap in [("default", core.TALLY_PYTHON_MAX), *_PATH_CAPS.items()]:
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "TALLY_PYTHON_MAX", cap)
+            try:
+                out[path] = Instance("C", m, rows, 1, 0, 1).counts
+            except ValueError as exc:
+                out[path] = str(exc)
+    return out
+
+
+def test_tally_paths_agree(monkeypatch):
+    rng = random.Random(6)
+    cap = core.TALLY_PYTHON_MAX
+    for size in (cap - 1, cap, cap + 1, 50 * cap):
+        tau = next(t for t in range(2, size + 1) if size % t == 0)
+        m = rng.randint(3, 40)
+        rows = [[rng.randint(0, m) for _ in range(size // tau)] for _ in range(tau)]
+        expected = tuple(
+            tuple(Counter(row)[c] if c else 0 for c in range(m + 1)) for row in rows
+        )
+        results = _tally_on_each_path(monkeypatch, rows, m)
+        assert results == dict.fromkeys(results, expected), size
+
+
+def test_tally_threshold_is_where_numpy_starts(monkeypatch):
+    cap = core.TALLY_PYTHON_MAX
+    monkeypatch.setitem(sys.modules, "numpy", None)  # importing numpy now fails
+    assert Instance("C", 3, ((1,) * cap,), 1, 0, 1).counts == ((0, cap, 0, 0),)
+    with pytest.raises(ImportError):
+        Instance("C", 3, ((1,) * (cap + 1),), 1, 0, 1)
+
+
+@pytest.mark.parametrize("bad", [-1, 6, 2.0, "2", 2**63, "ragged"], ids=repr)
+def test_tally_paths_raise_the_same_errors(monkeypatch, bad):
+    m = 5
+    # one profile under the threshold and one over it, so the default path differs
+    for n in (4, 2 * core.TALLY_PYTHON_MAX):
+        rows = [[(t + j) % (m + 1) for j in range(n)] for t in range(3)]
+        if bad == "ragged":
+            rows[2].pop()
+        else:
+            rows[1][n - 2] = rows[2][0] = bad  # the first one is reported
+        results = _tally_on_each_path(monkeypatch, rows, m)
+        message = results["default"]
+        assert isinstance(message, str) and results == dict.fromkeys(results, message)
+        assert message.startswith("stage 3 has" if bad == "ragged" else "stage 2:"), message
+
+
+def test_tally_paths_accept_bool_and_numpy_entries(monkeypatch):
+    plain = ((1, 0, 1, 1), (0, 1, 1, 0))
+    expected = Instance("C", 1, plain, 1, 0, 1).counts
+    for convert in (bool, np.int64, np.uint8, np.int32):
+        rows = tuple(tuple(convert(e) for e in row) for row in plain)
+        results = _tally_on_each_path(monkeypatch, rows, 1)
+        assert results == dict.fromkeys(results, expected), convert
 
 
 # ---------------------------------------------------------------------------

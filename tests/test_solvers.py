@@ -254,6 +254,14 @@ def test_auto_uses_greedy_when_decoupled():
     assert rep.algorithm != "greedy"
 
 
+def test_auto_answers_ell_beyond_2k_without_search():
+    rep = solve_auto(e1("R", ell=3))
+    assert (rep.answer, rep.algorithm, rep.stats["states"]) == (False, "dp-tau", 0)
+    # ell = 2k is still reachable, so the rule must not fire there
+    rep = solve_auto(e1("R", ell=2))
+    assert rep.answer is True and rep.algorithm != "dp-tau"
+
+
 def test_auto_reports_all_failures_when_budget_too_small():
     inst = random_instance(4, 8, 6, 3, 2, 1, "C", seed=13)
     with pytest.raises(BudgetExceededError) as err:
