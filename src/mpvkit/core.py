@@ -19,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import operator
+import time
 from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -70,6 +71,21 @@ class SolveReport:
     witness: Optional[tuple]
     algorithm: str
     stats: dict
+
+
+def _report(algorithm, start, witness, states, **extra) -> SolveReport:
+    """The report of a solver run that began at ``time.perf_counter()`` ``start``.
+
+    The answer is yes iff ``witness`` is not ``None``. ``stats`` holds
+    ``states``, the elapsed ``time_ms`` and the ``extra`` counters.
+    """
+    time_ms = (time.perf_counter() - start) * 1000.0
+    return SolveReport(
+        answer=witness is not None,
+        witness=witness,
+        algorithm=algorithm,
+        stats={"states": states, "time_ms": time_ms, **extra},
+    )
 
 
 def _check_parameters(instance, variant, m, k, ell, x):
@@ -257,15 +273,23 @@ class WeightedInstance(Instance):
 # ---------------------------------------------------------------------------
 
 
+def _check_id(kind, value, high):
+    """Raise ``ValueError`` unless ``value`` is an integer (numpy's too) in ``1..high``."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{kind} must be an integer, got {value!r}") from None
+    if not 1 <= number <= high:
+        raise ValueError(f"{kind} {value!r} outside 1..{high}")
+
+
 def _check_stage(instance, t):
-    if not isinstance(t, int) or not 1 <= t <= instance.tau:
-        raise ValueError(f"stage {t!r} outside 1..{instance.tau}")
+    _check_id("stage", t, instance.tau)
 
 
 def _check_candidates(instance, committee):
     for c in committee:
-        if not isinstance(c, int) or not 1 <= c <= instance.m:
-            raise ValueError(f"candidate {c!r} outside 1..{instance.m}")
+        _check_id("candidate", c, instance.m)
 
 
 def score(instance: Instance, t: int, committee: Iterable[int]) -> int:
@@ -363,14 +387,13 @@ def _stage_order(row):
     return sorted(range(1, len(row)), key=lambda c: (-row[c], c))
 
 
-def _greedy_fill(row, order, k, x, required, forbidden, stop_at_x=False):
+def _greedy_fill(row, order, k, x, required, forbidden):
     """The greedy step of :func:`feasible_committee` on a precomputed ``order``.
 
     Returns the list of candidates added to ``required``, skipping
-    ``required`` and ``forbidden``, until the committee has ``k`` members;
-    or ``None`` when its score misses ``x``. With ``stop_at_x`` it stops
-    adding as soon as the score reaches ``x``, which decides the same
-    question with less work but may return a smaller committee.
+    ``required`` and ``forbidden``, until the committee has ``k`` members
+    or ``order`` runs out; or ``None`` when its score misses ``x``.
+    ``required`` and ``forbidden`` are assumed disjoint and in range.
     """
     if len(required) > k:
         return None
@@ -378,7 +401,7 @@ def _greedy_fill(row, order, k, x, required, forbidden, stop_at_x=False):
     room = k - len(required)
     total = sum(row[c] for c in required)
     for c in order:
-        if len(added) >= room or (stop_at_x and total >= x):
+        if len(added) >= room:
             break
         if c in required or c in forbidden:
             continue

@@ -33,6 +33,7 @@ from .core import (
     TrivialVerdict,
     WeightedInstance,
     _change_out_of_reach,
+    _check_candidates,
 )
 from .oracle import DEFAULT_SEQUENCE_BUDGET, brute_force
 
@@ -62,7 +63,8 @@ class KernelResult:
         Maps candidate ids through ``id_map`` and, after the revolutionary
         rescaling rule, re-adds the reserved never-approved fillers
         (pairwise disjoint across stages) that restore the original
-        committee size and change bounds.
+        committee size and change bounds. A candidate id outside
+        ``1..m'`` of the reduced instance raises ``ValueError``.
         """
         if self.verdict is not None:
             raise ValueError("nothing to lift: the kernel decided the instance")
@@ -72,6 +74,8 @@ class KernelResult:
                 f"solution has {len(committees)} committees, "
                 f"instance has {self.instance.tau} stages"
             )
+        for committee in committees:
+            _check_candidates(self.instance, committee)
         lifted = [frozenset(self.id_map[c] for c in committee) for committee in committees]
         if self.stage_fillers is not None:
             lifted = [

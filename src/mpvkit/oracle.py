@@ -18,6 +18,7 @@ from .core import (
     CONSERVATIVE,
     Instance,
     SolveReport,
+    _report,
 )
 
 DEFAULT_SEQUENCE_BUDGET = 10**8
@@ -151,15 +152,7 @@ def brute_force(instance: Instance, budget: int = DEFAULT_SEQUENCE_BUDGET) -> So
     """
     start = time.perf_counter()
     solutions, extensions = _sequence_search(instance, budget, 1)
-    return SolveReport(
-        answer=bool(solutions),
-        witness=solutions[0] if solutions else None,
-        algorithm="brute-force",
-        stats={
-            "states": extensions,
-            "time_ms": (time.perf_counter() - start) * 1000.0,
-        },
-    )
+    return _report("brute-force", start, solutions[0] if solutions else None, extensions)
 
 
 def enumerate_solutions(

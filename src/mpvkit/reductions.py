@@ -124,25 +124,17 @@ def sidon(b: int) -> SidonSet:
 
     Uses ``s_i = 2*hat_b*i + (i^2 mod hat_b)`` for ``i = 1..b`` where
     ``hat_b`` is the smallest prime above ``b`` (one exists below ``2b``
-    by Bertrand's postulate; a numpy sieve finds it). Sums ``s_i + s_j``
+    by Bertrand's postulate; trial division finds it). Sums ``s_i + s_j``
     determine ``{i, j}`` because the quadratic residue part determines
     ``i + j`` and ``i*j`` modulo the prime.
     """
     if not isinstance(b, int) or b < 1:
         raise ValueError(f"b must be a positive integer, got {b!r}")
-    import numpy as np
-
-    limit = 2 * b + 2
-    mask = np.ones(limit, dtype=bool)
-    mask[:2] = False
-    for p in range(2, isqrt(limit - 1) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    above = np.flatnonzero(mask[b + 1 :])
-    hat_b = int(above[0]) + b + 1
-    idx = np.arange(1, b + 1, dtype=np.int64)
-    elements = 2 * hat_b * idx + (idx * idx) % hat_b
-    return SidonSet(b=b, hat_b=hat_b, elements=tuple(int(e) for e in elements))
+    hat_b = b + 1
+    while not all(hat_b % p for p in range(2, isqrt(hat_b) + 1)):
+        hat_b += 1
+    elements = tuple(2 * hat_b * i + i * i % hat_b for i in range(1, b + 1))
+    return SidonSet(b=b, hat_b=hat_b, elements=elements)
 
 
 # ---------------------------------------------------------------------------

@@ -32,17 +32,13 @@ from .core import (
     SolveReport,
     _change_out_of_reach,
     _greedy_fill,
+    _report,
     _stage_order,
     feasible_committee,
 )
-from .oracle import _decode, _feasible_masks
+from .oracle import _decode, _feasible_masks, brute_force
 
 DEFAULT_STATE_BUDGET = 5 * 10**7
-
-
-def _elapsed_ms(start):
-    return (time.perf_counter() - start) * 1000.0
-
 
 # ---------------------------------------------------------------------------
 # decoupled stages
@@ -85,13 +81,8 @@ def solve_unconstrained(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) 
         if committee is None:
             break
         committees.append(committee)
-    answer = len(committees) == instance.tau
-    return SolveReport(
-        answer=answer,
-        witness=tuple(committees) if answer else None,
-        algorithm="greedy",
-        stats={"states": instance.tau, "time_ms": _elapsed_ms(start)},
-    )
+    witness = tuple(committees) if len(committees) == instance.tau else None
+    return _report("greedy", start, witness, instance.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +210,7 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> S
             if t:
                 j = links[t - 1][j]
         witness = tuple(reversed(chain))
-    return SolveReport(
-        answer=witness is not None,
-        witness=witness,
-        algorithm="layered-k",
-        stats={"states": states, "time_ms": _elapsed_ms(start), "layer_sizes": layer_sizes},
-    )
+    return _report("layered-k", start, witness, states, layer_sizes=layer_sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +221,26 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> S
 def solve_inout_ell(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> SolveReport:
     """Layered reachability over committee-change witnesses (revolutionary).
 
-    A node of layer ``i`` (one layer per consecutive stage pair) is a pair
-    of disjoint candidate sets ``(X, Y)`` with ``|X| + |Y| == ell``: the
-    members of ``X`` sit in the stage-``i`` committee and leave, the
-    members of ``Y`` are new in the stage-``i+1`` committee. A change of
-    size at least ``ell`` always contains such an exact witness, and on
-    any source-sink path ``X`` and ``Y`` embed into committees, so only
-    pairs with both sides of size at most ``min(k, ell)`` are
-    materialized. Arcs exist when adjacent witnesses are compatible and
-    the stage between them has a committee including/excluding what the
-    witnesses dictate, checked greedily.
+    A node is a pair of disjoint candidate sets ``(X, Y)`` with
+    ``|X| + |Y| == ell``, a witness of the change after some stage: the
+    members of ``X`` sit in that stage's committee and leave, the members
+    of ``Y`` are new in the next one. A change of size at least ``ell``
+    always contains such an exact witness, and on any path ``X`` and ``Y``
+    embed into committees, so only pairs with both sides of size at most
+    ``min(k, ell)`` are materialized (none when ``ell > m`` or
+    ``ell > 2k``, which answers no).
 
-    Raises :class:`PreconditionError` for the conservative variant;
-    ``tau == 1`` and ``ell == 0`` delegate to the greedy solver.
+    One loop runs over stages ``1..tau``, with the empty witness as the
+    change before stage 1 and after stage ``tau``. Stage ``t`` links the
+    reachable witnesses before it to the witnesses after it when they are
+    disjoint side by side and stage ``t`` has a committee with what they
+    bring in and without what they take out, checked greedily. Each
+    linked witness keeps its first parent, and the committees of the
+    returned witness are rebuilt along that chain.
+
+    Budget counts nodes per change plus examined arcs, checked on the
+    middle stages. Raises :class:`PreconditionError` for the conservative
+    variant; ``tau == 1`` and ``ell == 0`` delegate to the greedy solver.
     """
     if instance.variant != REVOLUTIONARY:
         raise PreconditionError(
@@ -260,16 +253,7 @@ def solve_inout_ell(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> S
     m, k, ell, x, tau = instance.m, instance.k, instance.ell, instance.x, instance.tau
     cap = min(k, ell)
     lo = max(0, ell - cap)
-    splits = sum(comb(ell, j) for j in range(lo, cap + 1)) if ell <= m else 0
-    if splits == 0:
-        # no admissible witness pair, so no two committees can differ enough
-        return SolveReport(
-            answer=False,
-            witness=None,
-            algorithm="inout-ell",
-            stats={"states": 0, "time_ms": _elapsed_ms(start)},
-        )
-    node_count = comb(m, ell) * splits
+    node_count = comb(m, ell) * sum(comb(ell, j) for j in range(lo, cap + 1))
     work_bound = node_count * (tau - 1) + node_count * node_count * max(0, tau - 2)
     if work_bound > budget:
         raise BudgetExceededError(
@@ -284,76 +268,42 @@ def solve_inout_ell(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> S
                 outgoing = frozenset(xs)
                 nodes.append((outgoing, uset - outgoing))
 
-    orders = [_stage_order(row) for row in instance.counts]
-
-    def feasible(t, required, forbidden):
-        # same decision as feasible_committee(...) is not None, but with the
-        # stage's candidate order precomputed and an early exit at x
-        row = instance.counts[t - 1]
-        return _greedy_fill(row, orders[t - 1], k, x, required, forbidden, True) is not None
-
+    empty = (frozenset(), frozenset())
     states = len(nodes) * (tau - 1)
-    examined = 0
-    reach = []
-    for idx, (out_set, in_set) in enumerate(nodes):
-        examined += 1
-        if feasible(1, out_set, in_set):
-            reach.append((idx, None))
-    for stage in range(2, tau):
+    reach = [(empty, None)]  # (witness, entry of the witness before it)
+    for t in range(1, tau + 1):
         if not reach:
             break
+        row = instance.counts[t - 1]
+        order = _stage_order(row)
         cur = []
-        for idx, (out2, in2) in enumerate(nodes):
+        for node in nodes if t < tau else (empty,):
+            out2, in2 = node
             for entry in reach:
-                examined += 1
-                if states + examined > budget:
-                    raise BudgetExceededError(
-                        f"arc scan exceeded the budget of {budget}"
-                    )
-                out1, in1 = nodes[entry[0]]
+                states += 1
+                if 1 < t < tau and states > budget:
+                    raise BudgetExceededError(f"arc scan exceeded the budget of {budget}")
+                out1, in1 = entry[0]
                 if out1 & out2 or in1 & in2:
                     continue
-                if feasible(stage, in1 | out2, out1 | in2):
-                    cur.append((idx, entry))
+                if _greedy_fill(row, order, k, x, in1 | out2, out1 | in2) is not None:
+                    cur.append((node, entry))
                     break
         reach = cur
 
-    goal = None
-    for entry in reach:
-        out_set, in_set = nodes[entry[0]]
-        examined += 1
-        if feasible(tau, in_set, out_set):
-            goal = entry
-            break
-
-    if goal is None:
-        return SolveReport(
-            answer=False,
-            witness=None,
-            algorithm="inout-ell",
-            stats={"states": states + examined, "time_ms": _elapsed_ms(start)},
+    witness = None
+    if reach:
+        chain = []
+        entry = reach[0]
+        while entry is not None:
+            chain.append(entry[0])
+            entry = entry[1]
+        chain.reverse()
+        witness = tuple(
+            feasible_committee(instance, t, in1 | out2, out1 | in2)
+            for t, ((out1, in1), (out2, in2)) in enumerate(zip(chain, chain[1:]), start=1)
         )
-
-    chain = []
-    entry = goal
-    while entry is not None:
-        chain.append(nodes[entry[0]])
-        entry = entry[1]
-    chain.reverse()
-    committees = [feasible_committee(instance, 1, chain[0][0], chain[0][1])]
-    for i in range(1, tau - 1):
-        out1, in1 = chain[i - 1]
-        out2, in2 = chain[i]
-        committees.append(feasible_committee(instance, i + 1, in1 | out2, out1 | in2))
-    out_last, in_last = chain[-1]
-    committees.append(feasible_committee(instance, tau, in_last, out_last))
-    assert all(c is not None for c in committees)
-    return SolveReport(
-        answer=True,
-        witness=tuple(committees),
-        algorithm="inout-ell",
-        stats={"states": states + examined, "time_ms": _elapsed_ms(start)},
-    )
+    return _report("inout-ell", start, witness, states)
 
 
 # ---------------------------------------------------------------------------
@@ -391,19 +341,11 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> Solv
     tau, k, m, x, ell = instance.tau, instance.k, instance.m, instance.x, instance.ell
     conservative = instance.variant == CONSERVATIVE
 
-    def report(answer, witness, states):
-        return SolveReport(
-            answer=answer,
-            witness=witness,
-            algorithm="dp-tau",
-            stats={"states": states, "time_ms": _elapsed_ms(start)},
-        )
-
     # a stage whose best k candidates miss x makes the answer no outright
     if any(feasible_committee(instance, t) is None for t in range(1, tau + 1)):
-        return report(False, None, 0)
+        return _report("dp-tau", start, None, 0)
     if _change_out_of_reach(instance):
-        return report(False, None, 0)
+        return _report("dp-tau", start, None, 0)
 
     dcap = min(ell, 2 * k) if conservative else ell
     radii = [k + 1] * tau + [dcap + 1] * (tau - 1) + [x + 1] * tau
@@ -508,7 +450,7 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> Solv
         ok &= (final[:, tau : 2 * tau - 1] == ell).all(axis=1)
     hits = np.flatnonzero(ok)
     if hits.size == 0:
-        return report(False, None, int(seen.size))
+        return _report("dp-tau", start, None, int(seen.size))
 
     target = int(seen[hits[0]])
     chosen = {}
@@ -526,7 +468,7 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> Solv
             if f >> t & 1:
                 committees[t].add(c)
     witness = tuple(frozenset(s) for s in committees)
-    return report(True, witness, int(seen.size))
+    return _report("dp-tau", start, witness, int(seen.size))
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +490,6 @@ def solve_auto(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> SolveR
     :class:`BudgetExceededError` hands over to the next one. When every
     attempt fails the raised budget error lists all estimates.
     """
-    from .oracle import brute_force
-
     tau, k, m, x, ell = instance.tau, instance.k, instance.m, instance.x, instance.ell
     if _decoupled(instance):
         return solve_unconstrained(instance)
@@ -560,23 +500,23 @@ def solve_auto(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> SolveR
     # no stage score exceeds the largest stage total
     x_eff = min(x, max(map(sum, instance.counts)))
     entries = [
-        (tau * m**k, 0, "layered-k", solve_layered_k),
+        (tau * m**k, "layered-k", solve_layered_k),
         (
             (k + 1) ** tau * (dcap + 1) ** (tau - 1) * (x_eff + 1) ** tau * m,
-            1,
             "dp-tau",
             solve_dp_tau,
         ),
     ]
     if instance.variant == REVOLUTIONARY:
-        entries.append((tau * m ** (2 * ell), 2, "inout-ell", solve_inout_ell))
+        entries.append((tau * m ** (2 * ell), "inout-ell", solve_inout_ell))
     entries.append(
-        (sum(comb(m, j) for j in range(min(k, m) + 1)) ** tau, 3, "brute-force", brute_force)
+        (sum(comb(m, j) for j in range(min(k, m) + 1)) ** tau, "brute-force", brute_force)
     )
-    entries.sort(key=lambda e: (e[0], e[1]))
+    # stable: equal estimates keep the order above
+    entries.sort(key=lambda e: e[0])
 
     failures = []
-    for estimate, _, name, solver in entries:
+    for estimate, name, solver in entries:
         try:
             return solver(instance, budget=budget)
         except BudgetExceededError as exc:

@@ -189,6 +189,26 @@ def test_score_range_checks(e1_cmpv):
         score(e1_cmpv, 4, {1})
     with pytest.raises(ValueError):
         score(e1_cmpv, 1, {4})
+    # numpy integers are ids like any int; non-integers are refused as such
+    assert score(e1_cmpv, np.int64(1), [np.int64(1)]) == score(e1_cmpv, 1, [1])
+    assert feasible_committee(e1_cmpv, np.int32(2), [np.int64(2)]) == feasible_committee(
+        e1_cmpv, 2, [2]
+    )
+    assert verify(e1_cmpv, ({np.int64(1)}, {np.int16(2)}, {np.uint8(1)})) == []
+    with pytest.raises(ValueError, match=r"candidate np.int64\(4\) outside 1..3"):
+        score(e1_cmpv, 1, [np.int64(4)])
+    with pytest.raises(ValueError, match=r"stage np.int64\(0\) outside 1..3"):
+        score(e1_cmpv, np.int64(0), [1])
+    with pytest.raises(ValueError, match="stage must be an integer, got 1.0"):
+        score(e1_cmpv, 1.0, [1])
+    with pytest.raises(ValueError, match="candidate must be an integer, got '1'"):
+        verify(e1_cmpv, ({"1"}, {2}, {1}))
+    with pytest.raises(ValueError, match="candidate must be an integer"):
+        feasible_committee(e1_cmpv, 1, [np.float64(1.0)])
+    # bool stays what it was: True is id 1, False is out of range
+    assert score(e1_cmpv, True, {True}) == score(e1_cmpv, 1, {1})
+    with pytest.raises(ValueError, match="stage False outside 1..3"):
+        score(e1_cmpv, False, {1})
 
 
 def test_symdiff_size():

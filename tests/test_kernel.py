@@ -40,6 +40,19 @@ def test_cmpv_kernel_drops_unapproved_candidates():
     assert brute_force(small).answer == brute_force(inst).answer
 
 
+def test_lift_rejects_ids_outside_the_reduced_instance():
+    inst = Instance(
+        variant="C", m=20, ballots=((1, 2, 3), (4, 5, 6), (7, 8, 9)), k=2, ell=1, x=1
+    )
+    result = kernel_ntau_cmpv(inst)
+    assert result.instance.m == 9
+    good = (frozenset({1}), frozenset({4}), frozenset({7}))
+    assert result.lift(good) == good
+    for bad in (10, 0):
+        with pytest.raises(ValueError, match=rf"candidate {bad} outside 1..9"):
+            result.lift((frozenset({1}), frozenset({bad}), frozenset({7})))
+
+
 def test_cmpv_kernel_noop_when_already_small(e1_cmpv):
     result = kernel_ntau_cmpv(e1_cmpv)
     assert result.instance == e1_cmpv

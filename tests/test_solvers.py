@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,6 +10,7 @@ from mpvkit import (
     Instance,
     PreconditionError,
     brute_force,
+    feasible_committee,
     random_instance,
     solve_auto,
     solve_dp_tau,
@@ -18,6 +21,7 @@ from mpvkit import (
 )
 
 from mpvkit.oracle import _subsets_upto
+from mpvkit.solvers import DEFAULT_STATE_BUDGET
 
 from conftest import e1
 
@@ -212,6 +216,108 @@ def test_layered_matches_row_by_row_scan():
             continue
         rep = solve_layered_k(inst, budget=budget)
         assert (rep.witness, rep.stats["states"], rep.stats["layer_sizes"]) == expected, inst
+
+
+def _inout_reference(inst, budget):
+    """solve_inout_ell's search as separate first, middle and last passes.
+
+    Returns (witness, states), or the message of the budget error the
+    search raises.
+    """
+    if inst.tau == 1 or inst.ell == 0:
+        rep = solve_unconstrained(inst)
+        return rep.witness, rep.stats["states"]
+    m, k, ell, tau = inst.m, inst.k, inst.ell, inst.tau
+    cap = min(k, ell)
+    lo = max(0, ell - cap)
+    splits = sum(math.comb(ell, j) for j in range(lo, cap + 1)) if ell <= m else 0
+    if splits == 0:
+        return None, 0
+    node_count = math.comb(m, ell) * splits
+    if node_count * (tau - 1) + node_count**2 * max(0, tau - 2) > budget:
+        return f"{node_count} witness pairs per layer exceed the budget of {budget}"
+    nodes = []
+    for union in itertools.combinations(range(1, m + 1), ell):
+        for jx in range(lo, cap + 1):
+            for xs in itertools.combinations(union, jx):
+                nodes.append((frozenset(xs), frozenset(union) - frozenset(xs)))
+
+    def feasible(t, required, forbidden):
+        return feasible_committee(inst, t, required, forbidden) is not None
+
+    # every node per change, plus the first pass's one check per node
+    states = len(nodes) * (tau - 1) + len(nodes)
+    reach = [(node, None) for node in nodes if feasible(1, *node)]
+    for t in range(2, tau):
+        if not reach:
+            break
+        cur = []
+        for out2, in2 in nodes:
+            for entry in reach:
+                states += 1
+                if states > budget:
+                    return f"arc scan exceeded the budget of {budget}"
+                out1, in1 = entry[0]
+                if not (out1 & out2 or in1 & in2) and feasible(t, in1 | out2, out1 | in2):
+                    cur.append(((out2, in2), entry))
+                    break
+        reach = cur
+    goal = None
+    for entry in reach:
+        states += 1
+        if feasible(tau, entry[0][1], entry[0][0]):
+            goal = entry
+            break
+    if goal is None:
+        return None, states
+    chain = []
+    while goal is not None:
+        chain.append(goal[0])
+        goal = goal[1]
+    chain.reverse()
+    committees = [feasible_committee(inst, 1, *chain[0])]
+    for t in range(2, tau):
+        (out1, in1), (out2, in2) = chain[t - 2], chain[t - 1]
+        committees.append(feasible_committee(inst, t, in1 | out2, out1 | in2))
+    committees.append(feasible_committee(inst, tau, chain[-1][1], chain[-1][0]))
+    return tuple(committees), states
+
+
+def test_inout_matches_three_pass_reference():
+    seen = Counter()
+
+    def check(inst, budget):
+        expected = _inout_reference(inst, budget)
+        if isinstance(expected, str):
+            seen["scan" if expected.startswith("arc scan") else "bound"] += 1
+            with pytest.raises(BudgetExceededError) as err:
+                solve_inout_ell(inst, budget=budget)
+            assert str(err.value) == expected, (inst, budget)
+            return
+        seen["yes" if expected[0] else "no"] += 1
+        rep = solve_inout_ell(inst, budget=budget)
+        assert (rep.witness, rep.stats["states"]) == expected, (inst, budget)
+        assert rep.answer == (rep.witness is not None)
+
+    rng = random.Random(7)
+    for trial in range(400):
+        n, tau, m = rng.randint(1, 6), rng.randint(1, 5), rng.randint(1, 6)
+        k, ell = rng.randint(1, 3), rng.randint(0, 5)
+        inst = random_instance(
+            n, m, tau, k, ell, rng.randint(1, n), "R", abstain_probability=0.2, seed=trial
+        )
+        seen.update(tau1=tau == 1, ell_over_m=ell > m, ell_over_2k=ell > 2 * k)
+        check(inst, rng.choice((rng.randint(1, 400), DEFAULT_STATE_BUDGET)))
+    # no arc passes the middle stage, so the arc scan's own count runs past
+    # the up-front bound (2 * 24 + 24**2 = 624 for 24 witness pairs)
+    inst = Instance(
+        variant="R", m=4, ballots=((1, 2, 3, 4), (0,) * 4, (1, 2, 3, 4)), k=2, ell=2, x=1
+    )
+    for budget in range(620, 650):
+        check(inst, budget)
+    # every boundary case and both budget errors occur
+    cases = ("tau1", "ell_over_m", "ell_over_2k", "yes", "no", "bound", "scan")
+    assert min(seen[case] for case in cases) >= 10, seen
 
 
 def test_layered_dense_layers_agree_with_brute_force():
