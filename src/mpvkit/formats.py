@@ -277,12 +277,16 @@ def parse_graph(text: str):
     q = _directive(lines, idx, "parts", minimum=2)
     idx += 1
     parts = []
+    placed = set()
     for i in range(q):
         if idx >= len(lines):
             raise FormatError(len(lines) + 1, "missing part line")
-        parts.append(
-            frozenset(_int_field(idx + 1, "vertex id", tok) for tok in lines[idx].split())
-        )
+        part = [_int_field(idx + 1, "vertex id", tok) for tok in lines[idx].split()]
+        for v in part:
+            if v in placed:
+                raise FormatError(idx + 1, f"vertex {v} listed twice in the parts")
+            placed.add(v)
+        parts.append(frozenset(part))
         idx += 1
     _no_trailing(lines, idx)
     try:

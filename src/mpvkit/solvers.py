@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 from .core import (
     BudgetExceededError,
@@ -327,15 +327,17 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> Solv
     exact and pruned above ``ell``; revolutionary: clipped at ``ell``),
     and every stage's score clipped at ``x``. Candidate ``c`` advances a
     state by choosing the set of stages whose committee will contain
-    ``c``; the update depends only on that set and on ``c``'s per-stage
-    approval counts, so whole state batches advance at once and runs of
-    identical candidates only need their newly discovered states
-    reprocessed. The instance is a yes iff some final state has every
-    score clipped at ``x`` (and, revolutionary, every difference clipped
-    at ``ell``).
+    ``c`` (its fingerprint); the update depends only on that set and on
+    ``c``'s per-stage approval counts, so whole state batches advance at
+    once and runs of identical candidates only need their newly
+    discovered states reprocessed. The instance is a yes iff some final
+    state has every score clipped at ``x`` (and, revolutionary, every
+    difference clipped at ``ell``).
 
     States are packed into int64 keys; the whole run is vectorized and
-    deterministic. Budget counts distinct states discovered.
+    deterministic: a state first reached by several steps keeps the one
+    with the smallest fingerprint (as a stage bitmask), then the smallest
+    parent key. Budget counts distinct states discovered.
     """
     start = time.perf_counter()
     tau, k, m, x, ell = instance.tau, instance.k, instance.m, instance.x, instance.ell
@@ -347,34 +349,26 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> Solv
     if _change_out_of_reach(instance):
         return _report("dp-tau", start, None, 0)
 
-    dcap = min(ell, 2 * k) if conservative else ell
-    radii = [k + 1] * tau + [dcap + 1] * (tau - 1) + [x + 1] * tau
-    capacity = 1
-    for r in radii:
-        capacity *= r
+    # each profile entry's largest value: sizes, differences, scores
+    top = [k] * tau + [min(ell, 2 * k) if conservative else ell] * (tau - 1) + [x] * tau
+    capacity = prod(v + 1 for v in top)
     if capacity > 2**62:
         raise BudgetExceededError(
             f"profile space of size {capacity} cannot be packed into 64-bit keys"
         )
     import numpy as np
 
-    width = 3 * tau - 1
-    mult = np.empty(width, dtype=np.int64)
-    acc = 1
-    for i, r in enumerate(radii):
-        mult[i] = acc
-        acc *= r
+    top = np.array(top, dtype=np.int64)
+    radii = top + 1
+    mult = np.cumprod(np.concatenate(([1], radii[:-1])))
+    # sizes (and conservative differences) beyond top are pruned, the rest clipped
+    pruned = 2 * tau - 1 if conservative else tau
+    goal = [0] * tau + [0 if conservative else ell] * (tau - 1) + [x] * tau
 
-    fingerprints = []
-    for f in range(1, 1 << tau):
-        stages = [t for t in range(tau) if f >> t & 1]
-        base = np.zeros(width, dtype=np.int64)
-        for t in stages:
-            base[t] = 1
-        for t in range(tau - 1):
-            if ((f >> t) & 1) != ((f >> (t + 1)) & 1):
-                base[tau + t] = 1
-        fingerprints.append((f, base, stages))
+    fingerprints = np.arange(1, 1 << tau)
+    members = fingerprints[:, None] >> np.arange(tau) & 1
+    # one row per fingerprint: size, difference and (set per column) score steps
+    steps = np.hstack([members, members[:, 1:] ^ members[:, :-1], members])
 
     seen = np.zeros(1, dtype=np.int64)  # packed key 0 is the empty profile
     frontier = seen
@@ -392,81 +386,46 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> Solv
         else:
             sources_packed = seen
             prev_col = col
+            # scores are clipped at x next, and this keeps big weights out of int64
+            steps[:, 2 * tau - 1 :] = members * [min(v, x) for v in col]
         sources = _unpack(sources_packed, radii, mult)
 
-        packed_parts, parent_parts, f_parts = [], [], []
-        for f, base, stages in fingerprints:
-            delta = base.copy()
-            for t in stages:
-                # the score is clipped at x next, and this keeps big weights in int64
-                delta[2 * tau - 1 + t] = min(col[t], x)
-            new = sources + delta
-            mask = (new[:, :tau] <= k).all(axis=1)
-            if conservative and tau >= 2:
-                mask &= (new[:, tau : 2 * tau - 1] <= ell).all(axis=1)
-            if not mask.all():
-                new = new[mask]
-                parents = sources_packed[mask]
-            else:
-                parents = sources_packed
-            if new.shape[0] == 0:
-                continue
-            if not conservative and tau >= 2:
-                np.minimum(new[:, tau : 2 * tau - 1], ell, out=new[:, tau : 2 * tau - 1])
-            np.minimum(new[:, 2 * tau - 1 :], x, out=new[:, 2 * tau - 1 :])
-            packed_parts.append(new @ mult)
-            parent_parts.append(parents)
-            f_parts.append(np.full(new.shape[0], f, dtype=np.int64))
-
-        if not packed_parts:
-            frontier = np.empty(0, dtype=np.int64)
-            continue
-        packed_all = np.concatenate(packed_parts)
-        parent_all = np.concatenate(parent_parts)
-        f_all = np.concatenate(f_parts)
-        # keep, per key, the smallest (fingerprint, parent) for determinism
-        order = np.lexsort((parent_all, f_all, packed_all))
-        packed_all = packed_all[order]
-        parent_all = parent_all[order]
-        f_all = f_all[order]
-        first = np.ones(packed_all.size, dtype=bool)
-        first[1:] = packed_all[1:] != packed_all[:-1]
-        packed_all = packed_all[first]
-        parent_all = parent_all[first]
-        f_all = f_all[first]
-        fresh = ~np.isin(packed_all, seen, assume_unique=True)
-        frontier = packed_all[fresh]
+        keys, parents = [], []
+        for step in steps:
+            new = sources + step
+            keep = (new[:, :pruned] <= top[:pruned]).all(1)
+            new = new[keep]
+            np.minimum(new, top, out=new)
+            keys.append(new @ mult)
+            parents.append(sources_packed[keep])
+        # parts come in (fingerprint, parent) order, and np.unique keeps first hits
+        keys, first = np.unique(np.concatenate(keys), return_index=True)
+        fresh = ~np.isin(keys, seen, assume_unique=True)
+        frontier = keys[fresh]
         if frontier.size:
-            layer_maps.append((c, frontier, parent_all[fresh], f_all[fresh]))
+            first = first[fresh]
+            fps = np.repeat(fingerprints, [p.size for p in parents])[first]
+            layer_maps.append((c, frontier, np.concatenate(parents)[first], fps))
             seen = np.union1d(seen, frontier)
             if seen.size > budget:
                 raise BudgetExceededError(
                     f"{seen.size} profiles exceed the budget of {budget}"
                 )
 
-    final = _unpack(seen, radii, mult)
-    ok = (final[:, 2 * tau - 1 :] == x).all(axis=1)
-    if not conservative and tau >= 2:
-        ok &= (final[:, tau : 2 * tau - 1] == ell).all(axis=1)
-    hits = np.flatnonzero(ok)
+    hits = np.flatnonzero((_unpack(seen, radii, mult) >= goal).all(1))
     if hits.size == 0:
         return _report("dp-tau", start, None, int(seen.size))
 
     target = int(seen[hits[0]])
-    chosen = {}
+    committees = [set() for _ in range(tau)]
     for c, keys, parents, fps in reversed(layer_maps):
-        if target == 0:
-            break
         pos = int(np.searchsorted(keys, target))
-        if pos < keys.size and int(keys[pos]) == target:
-            chosen[c] = int(fps[pos])
+        if pos < keys.size and keys[pos] == target:
+            for t in range(tau):
+                if fps[pos] >> t & 1:
+                    committees[t].add(c)
             target = int(parents[pos])
     assert target == 0
-    committees = [set() for _ in range(tau)]
-    for c, f in chosen.items():
-        for t in range(tau):
-            if f >> t & 1:
-                committees[t].add(c)
     witness = tuple(frozenset(s) for s in committees)
     return _report("dp-tau", start, witness, int(seen.size))
 

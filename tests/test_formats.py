@@ -248,3 +248,11 @@ def test_graph_errors():
         parse_graph("graph 4 2\n1 2\n1 2\n")  # duplicate edge
     with pytest.raises(FormatError):
         parse_graph("graph 4 0\nparts 2\n1 2\n3\n")  # vertex 4 in no part
+    # a vertex listed twice is reported on the part line that repeats it
+    for text, line in (
+        ("graph 4 1\n1 3\nparts 2\n1 1 2\n3 4\n", 4),
+        ("graph 4 1\n1 3\nparts 2\n1 2\n3 2 4\n", 5),
+    ):
+        with pytest.raises(FormatError, match="vertex . listed twice") as err:
+            parse_graph(text)
+        assert err.value.line == line

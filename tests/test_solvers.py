@@ -9,6 +9,7 @@ from mpvkit import (
     BudgetExceededError,
     Instance,
     PreconditionError,
+    WeightedInstance,
     brute_force,
     feasible_committee,
     random_instance,
@@ -20,6 +21,7 @@ from mpvkit import (
     verify,
 )
 
+from mpvkit.core import _change_out_of_reach
 from mpvkit.oracle import _subsets_upto
 from mpvkit.solvers import DEFAULT_STATE_BUDGET
 
@@ -152,6 +154,11 @@ def test_budget_raises():
         solve_layered_k(inst, budget=states - 1)
     with pytest.raises(BudgetExceededError):
         solve_dp_tau(inst, budget=5)
+    # dp-tau counts every discovered profile: its exact count is enough
+    small = random_instance(4, 8, 3, 3, 2, 1, "R", seed=11)
+    assert solve_dp_tau(small, budget=806).stats["states"] == 806
+    with pytest.raises(BudgetExceededError, match="806 profiles exceed the budget of 805"):
+        solve_dp_tau(small, budget=805)
     with pytest.raises(BudgetExceededError):
         solve_inout_ell(
             random_instance(4, 8, 6, 3, 2, 1, "R", seed=11), budget=5
@@ -318,6 +325,137 @@ def test_inout_matches_three_pass_reference():
     # every boundary case and both budget errors occur
     cases = ("tau1", "ell_over_m", "ell_over_2k", "yes", "no", "bound", "scan")
     assert min(seen[case] for case in cases) >= 10, seen
+
+
+def _dp_reference(inst, budget):
+    """solve_dp_tau's search with one delta per fingerprint and lexsort dedup.
+
+    Returns (witness, states), or the message of the budget error the
+    search raises.
+    """
+    import numpy as np
+
+    tau, k, m, x, ell = inst.tau, inst.k, inst.m, inst.x, inst.ell
+    conservative = inst.variant == "C"
+    if any(feasible_committee(inst, t) is None for t in range(1, tau + 1)):
+        return None, 0
+    if _change_out_of_reach(inst):
+        return None, 0
+    dcap = min(ell, 2 * k) if conservative else ell
+    radii = [k + 1] * tau + [dcap + 1] * (tau - 1) + [x + 1] * tau
+    if math.prod(radii) > 2**62:
+        return f"profile space of size {math.prod(radii)} cannot be packed into 64-bit keys"
+    mult = np.array([math.prod(radii[:i]) for i in range(len(radii))], dtype=np.int64)
+
+    def unpack(keys):
+        return keys[:, None] // mult % radii
+
+    seen = frontier = np.zeros(1, dtype=np.int64)
+    layer_maps = []
+    prev_col = None
+    for c in range(1, m + 1):
+        col = tuple(inst.counts[t][c] for t in range(tau))
+        if conservative and not any(col):
+            continue
+        if col == prev_col:
+            if frontier.size == 0:
+                continue
+            sources_packed = frontier
+        else:
+            sources_packed, prev_col = seen, col
+        sources = unpack(sources_packed)
+        packed_parts, parent_parts, f_parts = [], [], []
+        for f in range(1, 1 << tau):
+            delta = np.zeros(3 * tau - 1, dtype=np.int64)
+            for t in range(tau):
+                if f >> t & 1:
+                    delta[t] = 1
+                    delta[2 * tau - 1 + t] = min(col[t], x)
+                if t + 1 < tau and (f >> t & 1) != (f >> (t + 1) & 1):
+                    delta[tau + t] = 1
+            new = sources + delta
+            mask = (new[:, :tau] <= k).all(axis=1)
+            if conservative:
+                mask &= (new[:, tau : 2 * tau - 1] <= ell).all(axis=1)
+            new = new[mask]
+            if not conservative:
+                np.minimum(new[:, tau : 2 * tau - 1], ell, out=new[:, tau : 2 * tau - 1])
+            np.minimum(new[:, 2 * tau - 1 :], x, out=new[:, 2 * tau - 1 :])
+            packed_parts.append(new @ mult)
+            parent_parts.append(sources_packed[mask])
+            f_parts.append(np.full(new.shape[0], f, dtype=np.int64))
+        packed = np.concatenate(packed_parts)
+        parent = np.concatenate(parent_parts)
+        fps = np.concatenate(f_parts)
+        order = np.lexsort((parent, fps, packed))
+        packed, parent, fps = packed[order], parent[order], fps[order]
+        first = np.ones(packed.size, dtype=bool)
+        first[1:] = packed[1:] != packed[:-1]
+        packed, parent, fps = packed[first], parent[first], fps[first]
+        fresh = ~np.isin(packed, seen)
+        frontier = packed[fresh]
+        if frontier.size:
+            layer_maps.append((c, frontier, parent[fresh], fps[fresh]))
+            seen = np.union1d(seen, frontier)
+            if seen.size > budget:
+                return f"{seen.size} profiles exceed the budget of {budget}"
+
+    final = unpack(seen)
+    ok = (final[:, 2 * tau - 1 :] == x).all(axis=1)
+    if not conservative:
+        ok &= (final[:, tau : 2 * tau - 1] == ell).all(axis=1)
+    hits = np.flatnonzero(ok)
+    if hits.size == 0:
+        return None, int(seen.size)
+    target = int(seen[hits[0]])
+    chosen = {}
+    for c, keys, parents, fs in reversed(layer_maps):
+        if target == 0:
+            break
+        pos = int(np.searchsorted(keys, target))
+        if pos < keys.size and int(keys[pos]) == target:
+            chosen[c] = int(fs[pos])
+            target = int(parents[pos])
+    assert target == 0
+    committees = [set() for _ in range(tau)]
+    for c, f in chosen.items():
+        for t in range(tau):
+            if f >> t & 1:
+                committees[t].add(c)
+    return tuple(frozenset(s) for s in committees), int(seen.size)
+
+
+def test_dp_matches_fingerprint_reference():
+    seen = Counter()
+    rng = random.Random(9)
+    for trial in range(600):
+        variant, tau = rng.choice("CR"), rng.randint(1, 4)
+        n, m, k = rng.randint(1, 6), rng.randint(1, 7), rng.randint(1, 3)
+        inst = random_instance(
+            n, m, tau, k, rng.randint(0, 2 * k + 1), rng.randint(1, n), variant,
+            abstain_probability=rng.choice((0, 0.2, 0.5)), seed=trial,
+        )
+        if trial % 5 == 0:
+            # weights beyond int64 reach the solver only clipped at x
+            rows = [list(row) for row in inst.counts]
+            rows[rng.randrange(tau)][rng.randint(1, m)] = 2**63 + rng.randrange(2**64)
+            inst = WeightedInstance(variant, m, rows, k, inst.ell, inst.x)
+            seen["weighted"] += 1
+        cols = [tuple(row[c] for row in inst.counts) for c in range(1, m + 1)]
+        seen["repeated"] += any(a == b and any(a) for a, b in zip(cols, cols[1:]))
+        budget = rng.choice((rng.randint(1, 300), DEFAULT_STATE_BUDGET))
+        expected = _dp_reference(inst, budget)
+        if isinstance(expected, str):
+            seen["budget"] += 1
+            with pytest.raises(BudgetExceededError) as err:
+                solve_dp_tau(inst, budget=budget)
+            assert str(err.value) == expected, (inst, budget)
+            continue
+        seen["yes" if expected[0] else "no"] += 1
+        rep = solve_dp_tau(inst, budget=budget)
+        assert (rep.witness, rep.stats["states"]) == expected, (inst, budget)
+        assert rep.answer == (rep.witness is not None)
+    assert min(seen[case] for case in ("weighted", "repeated", "budget", "yes", "no")) >= 20, seen
 
 
 def test_layered_dense_layers_agree_with_brute_force():
