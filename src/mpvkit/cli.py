@@ -68,6 +68,17 @@ def _write_output(text: str, path):
         sys.stdout.write(text)
 
 
+def _budget(text):
+    """``--budget`` value: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _run_algorithm(name, instance, budget):
     fn = _ALGORITHMS[name]
     if budget is None:
@@ -244,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="solver to run (default: auto)",
     )
     p.add_argument("--witness", action="store_true", help="print a committee sequence on yes")
-    p.add_argument("--budget", type=int, default=None, help="state exploration budget")
+    p.add_argument("--budget", type=_budget, default=None, help="state exploration budget")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="check a solution file against an instance")
@@ -302,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="comma-separated algorithm names (default: auto)",
     )
-    p.add_argument("--budget", type=int, default=None, help="state exploration budget")
+    p.add_argument("--budget", type=_budget, default=None, help="state exploration budget")
     p.add_argument("-o", "--output", default=None, help="CSV output file (default: stdout)")
     p.set_defaults(func=_cmd_bench)
     return parser

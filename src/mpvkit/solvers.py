@@ -90,6 +90,12 @@ def solve_unconstrained(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) 
 # ---------------------------------------------------------------------------
 
 
+# Layered-k scans arcs in plain Python while consecutive layers hold at
+# most this many committee pairs in all. On a 2-vCPU Xeon the Python scan
+# costs about 100 ns per pair, so its worst case here is about 0.8 ms,
+# against 155 ms or more for numpy's cold import.
+SCAN_PYTHON_MAX = 1 << 13
+
 # pairwise differences computed per numpy call in the arc scan
 _SCAN_ELEMENTS = 1 << 18
 
@@ -146,6 +152,32 @@ def _scan_arcs(np, layer, reach, conservative, ell, states, budget):
     return parents, states
 
 
+def _scan_masks(layer, prev, ok, states, budget):
+    """First compatible ``prev`` mask for every mask of ``layer``, in plain Python.
+
+    Returns ``(hits, parents, states)``: ``hits`` lists the positions in
+    ``layer`` that have a compatible mask in ``prev``, and ``parents[i]``
+    is the first such position in ``prev`` for ``layer[hits[i]]``. A pair
+    is compatible when ``ok[(a ^ b).bit_count()]`` holds. ``states`` grows
+    like :func:`_scan_arcs`'s, and the budget error is raised after the
+    first row that takes it past ``budget``, so both scans raise on the
+    same instances with the same message.
+    """
+    hits, parents = [], []
+    for i, a in enumerate(layer):
+        for j, b in enumerate(prev):
+            if ok[(a ^ b).bit_count()]:
+                hits.append(i)
+                parents.append(j)
+                states += j + 1
+                break
+        else:
+            states += len(prev)
+        if states > budget:
+            raise BudgetExceededError(f"arc scan exceeded the budget of {budget}")
+    return hits, parents, states
+
+
 def solve_layered_k(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> SolveReport:
     """Layered reachability over explicit per-stage committees.
 
@@ -160,6 +192,12 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> S
     candidate pool shrinks to candidates approved at least once: dropping
     never-approved candidates from a solution keeps scores, shrinks sizes,
     and shrinks symmetric differences, so some solution avoids them.
+
+    When consecutive layers hold at most :data:`SCAN_PYTHON_MAX` committee
+    pairs in all (up to the first empty layer), the arcs are scanned in
+    plain Python and numpy is never imported; larger instances scan them
+    with numpy (:func:`_scan_arcs`). Both scans return the same witness,
+    states and budget errors.
 
     Budget counts layer nodes plus examined arcs. ``stats["layer_sizes"]``
     holds the number of feasible committees at each stage.
@@ -176,37 +214,50 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> S
             f"{node_bound} committees per layer over {instance.tau} stages "
             f"exceed the budget of {budget}"
         )
-    import numpy as np
-
-    words = max(1, -(-len(pool) // 64))
-    layers = [
-        _layer_array(np, _feasible_masks(row, pool, instance.k, instance.x), words)
-        for row in instance.counts
-    ]
-    layer_sizes = [layer.shape[0] for layer in layers]
+    masks = [_feasible_masks(row, pool, instance.k, instance.x) for row in instance.counts]
+    layer_sizes = list(map(len, masks))
     states = sum(layer_sizes)
+    pairs = 0
+    for size, after in zip(layer_sizes, layer_sizes[1:]):
+        if not size:
+            break
+        pairs += size * after
+    in_python = pairs <= SCAN_PYTHON_MAX
+    if in_python:
+        # ok[d]: whether committees at symmetric difference d may follow each other
+        ell = instance.ell
+        ok = [d <= ell if conservative else d >= ell for d in range(len(pool) + 1)]
+    else:
+        import numpy as np
+
+        words = max(1, -(-len(pool) // 64))
+        layers = [_layer_array(np, layer, words) for layer in masks]
 
     # reach[t]: layer-t positions of the committees reachable through stage t,
     # in layer order; links[t - 1][j]: reach[t - 1] index of reach[t][j]'s parent
-    reach = [np.arange(layer_sizes[0])]
+    reach = [range(layer_sizes[0])]
     links = []
     for t in range(1, instance.tau):
-        if not reach[-1].size:
+        if not len(reach[-1]):
             break
-        parents, states = _scan_arcs(
-            np, layers[t], layers[t - 1][reach[-1]], conservative, instance.ell, states, budget
-        )
-        hits = np.flatnonzero(parents >= 0)
+        if in_python:
+            prev = [masks[t - 1][i] for i in reach[-1]]
+            hits, parents, states = _scan_masks(masks[t], prev, ok, states, budget)
+        else:
+            parents, states = _scan_arcs(
+                np, layers[t], layers[t - 1][reach[-1]], conservative, instance.ell, states, budget
+            )
+            hits = np.flatnonzero(parents >= 0)
+            parents = parents[hits]
         reach.append(hits)
-        links.append(parents[hits])
+        links.append(parents)
 
     witness = None
-    if len(reach) == instance.tau and reach[-1].size:
+    if len(reach) == instance.tau and len(reach[-1]):
         chain = []
         j = 0
         for t in range(instance.tau - 1, -1, -1):
-            row = layers[t][reach[t][j]]
-            chain.append(_decode(sum(int(w) << 64 * i for i, w in enumerate(row)), pool))
+            chain.append(_decode(masks[t][reach[t][j]], pool))
             if t:
                 j = links[t - 1][j]
         witness = tuple(reversed(chain))

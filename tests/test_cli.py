@@ -78,6 +78,17 @@ def test_solve_budget_exit_code(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_negative_budget_is_a_usage_error(e1_file, tmp_path, capsys):
+    path = e1_file(variant="R", ell=2)
+    for args in (["solve", path], ["bench", str(tmp_path)]):
+        assert run(args + ["--budget=-1"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --budget: must be a non-negative integer, got '-1'" in err
+    # budget 0 is still a budget: layered-k runs out of it at once
+    assert run(["solve", path, "--budget", "0"]) == 3
+    assert "exceed the budget of 0" in capsys.readouterr().err
+
+
 def test_missing_file_and_bad_usage(capsys, tmp_path):
     assert run(["solve", str(tmp_path / "absent.mpv")]) == 2
     capsys.readouterr()
@@ -301,11 +312,22 @@ def test_version_does_not_load_numpy():
 def test_numpy_free_solves(tmp_path):
     inout = random_instance(6, 6, 4, 3, 1, 3, "R", seed=0)
     assert solve_auto(inout).algorithm == "inout-ell"
+    # layered-k files shaped like the benchmark's small layered and dp files:
+    # their layers hold few enough committee pairs to scan in plain Python
+    layered = [
+        ("layered-yes", random_instance(6, 10, 3, 2, 1, 2, "C", seed=0)),
+        ("layered-no", random_instance(6, 10, 3, 2, 1, 3, "C", seed=0)),
+        ("dp-shape-yes", random_instance(8, 12, 2, 3, 1, 3, "C", seed=3)),
+        ("dp-shape-no", random_instance(8, 12, 2, 3, 1, 5, "C", seed=0)),
+    ]
+    for name, inst in layered:
+        assert solve_auto(inst).algorithm == "layered-k", name
     cases = [
         ("greedy", e1("C", ell=2), ()),
         ("inout", inout, ()),
         ("brute", e1("C", ell=1), ("--algorithm", "brute")),
         ("readme-ell3", e1("R", ell=3), ()),
+        *((name, inst, ()) for name, inst in layered),
     ]
     for name, inst, extra in cases:
         path = tmp_path / f"{name}.mpv"
@@ -328,5 +350,9 @@ def test_layered_solve_still_answers(e1_file):
     assert solve_auto(parse_instance(Path(path).read_text())).algorithm == "layered-k"
     code, out, numpy_loaded = _mpv("solve", "--witness", path)
     assert (code, out) == (0, "YES\nstage 1: 1\nstage 2: 2\nstage 3: 1\n")
-    # the probe sees numpy when a solver does load it
+    assert not numpy_loaded
+    # the probe sees numpy when a solver does load it: this file passes
+    # dp-tau's prechecks
+    code, out, numpy_loaded = _mpv("solve", "--algorithm", "dp-tau", path)
+    assert (code, out) == (0, "YES\n")
     assert numpy_loaded

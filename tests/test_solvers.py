@@ -21,6 +21,7 @@ from mpvkit import (
     verify,
 )
 
+from mpvkit import solvers
 from mpvkit.core import _change_out_of_reach
 from mpvkit.oracle import _subsets_upto
 from mpvkit.solvers import DEFAULT_STATE_BUDGET
@@ -143,15 +144,39 @@ def test_reports_carry_stats():
     assert rep.algorithm == "inout-ell"
 
 
-def test_budget_raises():
+# layered-k's arc scan: plain Python up to SCAN_PYTHON_MAX committee pairs, numpy above
+_SCAN_CAPS = {"python": 10**12, "numpy": 0}
+
+
+def _unexpected_scan(*args):
+    raise AssertionError("layered-k took the other scan path")
+
+
+def _on_each_scan_path(monkeypatch):
+    """Force layered-k onto each scan path in turn, yielding the path's name.
+
+    The other path's scan fails if it is called.
+    """
+    for path, cap in _SCAN_CAPS.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "SCAN_PYTHON_MAX", cap)
+            other = "_scan_arcs" if path == "python" else "_scan_masks"
+            patch.setattr(solvers, other, _unexpected_scan)
+            yield path
+
+
+def test_budget_raises(monkeypatch):
     inst = random_instance(4, 8, 6, 3, 2, 1, "C", seed=11)
     with pytest.raises(BudgetExceededError):
         solve_layered_k(inst, budget=5)
-    # the arc scan spends exactly its reported states: one fewer raises
+    # the arc scan spends exactly its reported states: one fewer raises,
+    # with the same count and message on both scan paths
     states = solve_layered_k(inst).stats["states"]
-    assert solve_layered_k(inst, budget=states).stats["states"] == states
-    with pytest.raises(BudgetExceededError, match="arc scan"):
-        solve_layered_k(inst, budget=states - 1)
+    for path in _on_each_scan_path(monkeypatch):
+        assert solve_layered_k(inst, budget=states).stats["states"] == states, path
+        with pytest.raises(BudgetExceededError) as err:
+            solve_layered_k(inst, budget=states - 1)
+        assert str(err.value) == f"arc scan exceeded the budget of {states - 1}", path
     with pytest.raises(BudgetExceededError):
         solve_dp_tau(inst, budget=5)
     # dp-tau counts every discovered profile: its exact count is enough
@@ -205,7 +230,7 @@ def _layered_reference(inst, budget):
     return (tuple(reversed(chain)) or None), states, sizes
 
 
-def test_layered_matches_row_by_row_scan():
+def test_layered_matches_row_by_row_scan(monkeypatch):
     rng = random.Random(5)
     for trial in range(60):
         variant = rng.choice("CR")
@@ -217,12 +242,14 @@ def test_layered_matches_row_by_row_scan():
         )
         budget = rng.choice((10**3, 10**4, 10**7))
         expected = _layered_reference(inst, budget)
-        if expected is None:
-            with pytest.raises(BudgetExceededError):
-                solve_layered_k(inst, budget=budget)
-            continue
-        rep = solve_layered_k(inst, budget=budget)
-        assert (rep.witness, rep.stats["states"], rep.stats["layer_sizes"]) == expected, inst
+        for path in _on_each_scan_path(monkeypatch):
+            if expected is None:
+                with pytest.raises(BudgetExceededError):
+                    solve_layered_k(inst, budget=budget)
+                continue
+            rep = solve_layered_k(inst, budget=budget)
+            got = (rep.witness, rep.stats["states"], rep.stats["layer_sizes"])
+            assert got == expected, (path, inst)
 
 
 def _inout_reference(inst, budget):
@@ -468,22 +495,25 @@ def test_layered_dense_layers_agree_with_brute_force():
             assert verify(inst, rep.witness) == []
 
 
-def test_layered_pool_over_64_candidates():
+def test_layered_pool_over_64_candidates(monkeypatch):
     # more than 64 approved candidates: committee masks span two words
-    for seed in (1, 4):
-        inst = random_instance(80, 130, 3, 2, 1, 3, "C", seed=seed)
-        rep = solve_layered_k(inst)
-        assert rep.answer == brute_force(inst).answer
-        assert rep.answer
-        assert verify(inst, rep.witness) == []
+    insts = [random_instance(80, 130, 3, 2, 1, 3, "C", seed=seed) for seed in (1, 4)]
+    truths = [brute_force(inst).answer for inst in insts]
+    assert all(truths)
     # the only solution runs through candidates beyond the first word
-    inst = Instance(
+    lone = Instance(
         variant="R", m=130, ballots=((70, 100, 0), (100, 129, 0), (129, 130, 0)),
         k=2, ell=2, x=2,
     )
-    rep = solve_layered_k(inst)
-    assert rep.witness == (frozenset({70, 100}), frozenset({100, 129}), frozenset({129, 130}))
-    assert verify(inst, rep.witness) == []
+    for path in _on_each_scan_path(monkeypatch):
+        for inst, truth in zip(insts, truths):
+            rep = solve_layered_k(inst)
+            assert rep.answer == truth, path
+            assert verify(inst, rep.witness) == []
+        rep = solve_layered_k(lone)
+        expected = (frozenset({70, 100}), frozenset({100, 129}), frozenset({129, 130}))
+        assert rep.witness == expected, path
+        assert verify(lone, rep.witness) == []
 
 
 # ---------------------------------------------------------------------------
