@@ -289,7 +289,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
         required=True,
     )
-    p.add_argument("inputs", nargs="+", help="input file(s)")
+    p.add_argument(
+        "inputs", nargs="+", help="input file; several for and-cmpv and and-rmpv"
+    )
     p.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
     p.set_defaults(func=_cmd_transform)
 
@@ -324,6 +326,9 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "transform" and len(args.inputs) > 1:
+            if not args.reduction.startswith("and-"):  # only AND-compositions take several
+                parser.error(f"transform --reduction {args.reduction} takes one input file")
     except SystemExit as exc:
         # argparse already printed usage or version text
         return EXIT_YES if not exc.code else EXIT_ERROR

@@ -116,26 +116,37 @@ TALLY_PYTHON_MAX = 4096
 def _tally(ballots, m):
     """Check ballot rows and count every stage's approvals.
 
-    Every row is copied into one ``array("q")``, which refuses floats,
-    strings and entries beyond int64, and every entry must lie in
-    ``0..m``. Profiles with at most :data:`TALLY_PYTHON_MAX` entries are
-    then counted in plain Python; larger ones import numpy and count all
-    stages with one ``bincount``. Both paths raise the same errors and
-    return the same ``(rows, counts)``.
+    All rows are joined into one flat buffer. When ``m < 256`` and every
+    row has the same length, ``bytes`` checks each row in one C pass: like
+    ``array("q")`` it refuses floats, strings and ``None`` and takes
+    ``bool`` and numpy integers, and it also refuses entries outside
+    0..255. Otherwise, or if ``bytes`` refuses an entry, every row is
+    copied into one ``array("q")``, whose loop reports the error, so both
+    buffers raise the same errors. Every entry must lie in ``0..m``.
+    Profiles with at most :data:`TALLY_PYTHON_MAX` entries are then
+    counted in plain Python; larger ones import numpy and count all stages
+    with one ``bincount``. Every path returns the same ``(rows, counts)``.
     """
     rows = tuple(tuple(row) for row in ballots)
     if not rows:
         raise ValueError("an instance needs at least one stage")
     tau, n = len(rows), len(rows[0])
-    flat = array("q")
-    for t, row in enumerate(rows, start=1):
-        if len(row) != n:
-            raise ValueError(f"stage {t} has {len(row)} ballots, expected {n}")
+    flat = None
+    if m < 256 and all(len(row) == n for row in rows):
         try:
-            # unlike a numpy conversion, array refuses floats and strings
-            flat += array("q", row)
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"stage {t}: ballot entries must be integers: {exc}") from None
+            flat = b"".join(map(bytes, rows))
+        except (TypeError, ValueError):
+            pass  # an entry outside 0..255 or not an integer: report it below
+    if flat is None:
+        flat = array("q")
+        for t, row in enumerate(rows, start=1):
+            if len(row) != n:
+                raise ValueError(f"stage {t} has {len(row)} ballots, expected {n}")
+            try:
+                # unlike a numpy conversion, array refuses floats and strings
+                flat += array("q", row)
+            except (TypeError, OverflowError) as exc:
+                raise ValueError(f"stage {t}: ballot entries must be integers: {exc}") from None
     width = m + 1
     if len(flat) <= TALLY_PYTHON_MAX:
         if n and (min(flat) < 0 or max(flat) > m):
@@ -150,10 +161,11 @@ def _tally(ballots, m):
         return rows, tuple(counts)
     import numpy as np
 
-    entries = np.frombuffer(flat, dtype=np.int64).reshape(tau, n)
+    dtype = np.uint8 if isinstance(flat, bytes) else np.int64
+    entries = np.frombuffer(flat, dtype=dtype).reshape(tau, n)
     if entries.min() < 0 or entries.max() > m:
         _out_of_range(rows, flat, m)
-    entries += np.arange(0, tau * width, width)[:, None]  # stage t counts at t * width
+    entries = entries + np.arange(0, tau * width, width)[:, None]  # stage t counts at t * width
     counts = np.bincount(entries.ravel(), minlength=tau * width).reshape(tau, width)
     counts[:, 0] = 0
     return rows, tuple(map(tuple, counts.tolist()))

@@ -283,6 +283,8 @@ def parse_graph(text: str):
             raise FormatError(len(lines) + 1, "missing part line")
         part = [_int_field(idx + 1, "vertex id", tok) for tok in lines[idx].split()]
         for v in part:
+            if not 1 <= v <= nv:
+                raise FormatError(idx + 1, f"vertex {v} outside 1..{nv}")
             if v in placed:
                 raise FormatError(idx + 1, f"vertex {v} listed twice in the parts")
             placed.add(v)

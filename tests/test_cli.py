@@ -210,6 +210,18 @@ def test_transform_chain(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "reduction",
+    ["vc-cmpv", "cmpv-rmpv", "normalize-half", "mcc-cmpv", "lift-ell1", "lift-ell2km2"],
+)
+def test_transform_refuses_extra_inputs(tmp_path, capsys, reduction):
+    src = tmp_path / "g.txt"
+    src.write_text(emit_graph(Graph(2, ((1, 2),))))
+    assert run(["transform", "--reduction", reduction, str(src), "/nonexistent/file"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"--reduction {reduction} takes one input file" in err
+
+
 def test_transform_and_compose(tmp_path, capsys):
     from mpvkit import random_instance
 

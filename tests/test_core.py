@@ -1,6 +1,10 @@
+import itertools
+import operator
 import random
 import sys
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -126,15 +130,17 @@ def _tally_on_each_path(monkeypatch, rows, m):
 def test_tally_paths_agree(monkeypatch):
     rng = random.Random(6)
     cap = core.TALLY_PYTHON_MAX
+    # m = 255 fits a bytes buffer, m = 256 and 300 need the array("q") one
     for size in (cap - 1, cap, cap + 1, 50 * cap):
         tau = next(t for t in range(2, size + 1) if size % t == 0)
-        m = rng.randint(3, 40)
-        rows = [[rng.randint(0, m) for _ in range(size // tau)] for _ in range(tau)]
-        expected = tuple(
-            tuple(Counter(row)[c] if c else 0 for c in range(m + 1)) for row in rows
-        )
-        results = _tally_on_each_path(monkeypatch, rows, m)
-        assert results == dict.fromkeys(results, expected), size
+        for m in (rng.randint(3, 40), 255, 256, 300):
+            rows = [[rng.randint(0, m) for _ in range(size // tau)] for _ in range(tau)]
+            expected = tuple(
+                tuple(tally[c] if c else 0 for c in range(m + 1))
+                for tally in map(Counter, rows)
+            )
+            results = _tally_on_each_path(monkeypatch, rows, m)
+            assert results == dict.fromkeys(results, expected), (size, m)
 
 
 def test_tally_threshold_is_where_numpy_starts(monkeypatch):
@@ -145,29 +151,55 @@ def test_tally_threshold_is_where_numpy_starts(monkeypatch):
         Instance("C", 3, ((1,) * (cap + 1),), 1, 0, 1)
 
 
-@pytest.mark.parametrize("bad", [-1, 6, 2.0, "2", 2**63, "ragged"], ids=repr)
+def test_tally_tries_bytes_only_below_256(monkeypatch):
+    # at m >= 256 a bytes buffer would mostly fail part-way, so it is not tried
+    tried = []
+    monkeypatch.setattr(core, "bytes", lambda row: tried.append(row) or bytes(row), raising=False)
+    for m in (255, 256):
+        Instance("C", m, ((1, m),), 1, 0, 1)
+    assert tried == [(1, 255)]
+
+
+_OUT_OF_RANGE = (-1, "m + 1")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [*_OUT_OF_RANGE, 2.0, "2", 2**63, np.True_, Fraction(2), Decimal(2), "ragged"],
+    ids=repr,
+)
 def test_tally_paths_raise_the_same_errors(monkeypatch, bad):
-    m = 5
-    # one profile under the threshold and one over it, so the default path differs
-    for n in (4, 2 * core.TALLY_PYTHON_MAX):
+    # m = 5 and 255 build a bytes buffer, which refuses 256 at m = 255; m = 300
+    # goes straight to array("q"); one profile under the threshold and one over
+    # it, so the default path differs
+    for m, n in itertools.product((5, 255, 300), (4, 2 * core.TALLY_PYTHON_MAX)):
+        entry = m + 1 if bad == "m + 1" else bad
         rows = [[(t + j) % (m + 1) for j in range(n)] for t in range(3)]
         if bad == "ragged":
             rows[2].pop()
         else:
-            rows[1][n - 2] = rows[2][0] = bad  # the first one is reported
+            rows[1][n - 2] = rows[2][0] = entry  # the first one is reported
         results = _tally_on_each_path(monkeypatch, rows, m)
         message = results["default"]
         assert isinstance(message, str) and results == dict.fromkeys(results, message)
-        assert message.startswith("stage 3 has" if bad == "ragged" else "stage 2:"), message
+        if bad == "ragged":
+            assert message.startswith("stage 3 has"), message
+        elif any(bad is b for b in _OUT_OF_RANGE):
+            assert message == f"stage 2: ballot entry {entry!r} outside 0..{m}"
+        else:
+            assert message.startswith("stage 2: ballot entries must be integers"), message
 
 
 def test_tally_paths_accept_bool_and_numpy_entries(monkeypatch):
     plain = ((1, 0, 1, 1), (0, 1, 1, 0))
-    expected = Instance("C", 1, plain, 1, 0, 1).counts
-    for convert in (bool, np.int64, np.uint8, np.int32):
+    converts = (bool, np.int64, np.uint8, np.int32, np.uint64, np.int8)
+    for m, convert in itertools.product((1, 300), converts):  # a bytes and an array buffer
+        expected = Instance("C", m, plain, 1, 0, 1).counts
         rows = tuple(tuple(convert(e) for e in row) for row in plain)
-        results = _tally_on_each_path(monkeypatch, rows, 1)
-        assert results == dict.fromkeys(results, expected), convert
+        results = _tally_on_each_path(monkeypatch, rows, m)
+        assert results == dict.fromkeys(results, expected), (m, convert)
+        stored = Instance("C", m, rows, 1, 0, 1).ballots
+        assert all(map(operator.is_, itertools.chain(*stored), itertools.chain(*rows)))
 
 
 # ---------------------------------------------------------------------------

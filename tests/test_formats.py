@@ -248,11 +248,13 @@ def test_graph_errors():
         parse_graph("graph 4 2\n1 2\n1 2\n")  # duplicate edge
     with pytest.raises(FormatError):
         parse_graph("graph 4 0\nparts 2\n1 2\n3\n")  # vertex 4 in no part
-    # a vertex listed twice is reported on the part line that repeats it
-    for text, line in (
-        ("graph 4 1\n1 3\nparts 2\n1 1 2\n3 4\n", 4),
-        ("graph 4 1\n1 3\nparts 2\n1 2\n3 2 4\n", 5),
+    # a vertex listed twice or outside 1..nv is reported on the part line that lists it
+    for text, line, message in (
+        ("graph 4 1\n1 3\nparts 2\n1 1 2\n3 4\n", 4, "vertex 1 listed twice"),
+        ("graph 4 1\n1 3\nparts 2\n1 2\n3 2 4\n", 5, "vertex 2 listed twice"),
+        ("graph 4 1\n1 2\nparts 2\n1 2\n3 99\n", 5, "vertex 99 outside 1..4"),
+        ("graph 4 1\n1 2\nparts 2\n1 2\n0 3 4\n", 5, "vertex 0 outside 1..4"),
     ):
-        with pytest.raises(FormatError, match="vertex . listed twice") as err:
+        with pytest.raises(FormatError, match=message) as err:
             parse_graph(text)
         assert err.value.line == line
