@@ -43,7 +43,7 @@ pg = PartitionedGraph(
 )
 inst = mcc_to_cmpv(pg)
 q = len(pg.parts)
-print(f"clique gadget: m={inst.m}, tau={inst.tau}, k={inst.k}, x={inst.x}")
+print(f"clique gadget: n={inst.n}, m={inst.m}, tau={inst.tau}, k={inst.k}, x={inst.x}")
 report = brute_force(inst)
 print("multicolored triangle exists:", "yes" if report.answer else "no")
 

@@ -192,7 +192,10 @@ class Instance:
     ballots : tuple of tuples
         ``ballots[t-1][j]`` is the candidate approved by agent ``j+1`` at
         stage ``t``, or ``0`` for abstention. The outer length is the number
-        of stages, every inner tuple has one entry per agent.
+        of stages, every inner tuple has one entry per agent. An entry is
+        anything ``operator.index`` accepts: Python's ``bool`` is an
+        ``int``, so ``True`` is candidate 1, while numpy's bool has no
+        ``__index__`` and is refused like a float.
     k : int
         Committee size bound.
     ell : int

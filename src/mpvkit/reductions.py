@@ -347,14 +347,20 @@ def mcc_to_cmpv(pgraph: PartitionedGraph) -> Instance:
     edges (fresh ids in edge order). Vertices carry Sidon-set ids so
     endpoint-id sums identify edges uniquely. Stages come in blocks:
     one vertex-selection profile per part (every vertex approved by x
-    fresh agents), one edge-selection profile per part pair, then per
-    pair two coherence profiles whose approval multiplicities encode
-    "the chosen endpoints sum to the chosen edge" as two opposite
-    inequalities. Each gadget owns a fresh agent block abstaining
-    elsewhere. A committee of size ``k = q + C(q, 2)`` meeting
-    ``x = 2 s_h`` everywhere must pick one vertex per part and one
-    consistent edge per pair, which is possible iff the graph has a
-    multicolored clique.
+    agents), one edge-selection profile per part pair, then per pair two
+    coherence profiles whose approval multiplicities encode "the chosen
+    endpoints sum to the chosen edge" as two opposite inequalities.
+
+    All stages share one agent pool. In each stage agents ``1..total``
+    approve the stage's candidates in the order listed, each as often as
+    its count, and the rest abstain. A plurality score depends only on a
+    stage's per-candidate counts, so any profile with these counts has
+    the same solutions, and ``n``, the largest stage total, is the
+    fewest agents the counts allow.
+
+    A committee of size ``k = q + C(q, 2)`` meeting ``x = 2 s_h``
+    everywhere must pick one vertex per part and one consistent edge
+    per pair, which is possible iff the graph has a multicolored clique.
 
     A part pair without edges yields an all-abstain edge-selection
     stage, making the instance correctly a no.
@@ -375,12 +381,10 @@ def mcc_to_cmpv(pgraph: PartitionedGraph) -> Instance:
         i, j = sorted((part_of[e[0]], part_of[e[1]]))
         pair_edges[(i, j)].append(e)
 
-    gadget_stages = []  # per gadget: list of stages, each a (candidate, count) list
-    for part in parts:
-        gadget_stages.append([[(v, x) for v in sorted(part)]])
+    stages = [[(v, x) for v in sorted(part)] for part in parts]  # (candidate, count) lists
     pairs = sorted(pair_edges)
     for pair in pairs:
-        gadget_stages.append([[(edge_candidate[e], x) for e in pair_edges[pair]]])
+        stages.append([(edge_candidate[e], x) for e in pair_edges[pair]])
     for i, j in pairs:
         both = sorted(parts[i] | parts[j])
         agree = [(v, ident[v]) for v in both]
@@ -393,22 +397,15 @@ def mcc_to_cmpv(pgraph: PartitionedGraph) -> Instance:
             (edge_candidate[e], ident[e[0]] + ident[e[1]])
             for e in pair_edges[(i, j)]
         ]
-        gadget_stages.append([agree, oppose])
+        stages += [agree, oppose]
 
-    offsets = []
-    n = 0
-    for stages in gadget_stages:
-        offsets.append(n)
-        n += max((sum(count for _, count in stage) for stage in stages), default=0)
+    n = max(sum(count for _, count in stage) for stage in stages)
     rows = []
-    for g, stages in enumerate(gadget_stages):
-        for stage in stages:
-            row = [0] * n
-            pos = offsets[g]
-            for candidate, count in stage:
-                row[pos : pos + count] = [candidate] * count
-                pos += count
-            rows.append(tuple(row))
+    for stage in stages:
+        row = []
+        for candidate, count in stage:
+            row += [candidate] * count
+        rows.append(tuple(row + [0] * (n - len(row))))
     assert len(rows) == q + 3 * comb(q, 2)
     return Instance(
         variant=CONSERVATIVE,

@@ -16,6 +16,7 @@ from mpvkit import (
     solve_auto,
     to_weighted,
     Graph,
+    PartitionedGraph,
 )
 from mpvkit.cli import run
 
@@ -185,6 +186,21 @@ def test_transform_vc(tmp_path, capsys):
     assert (inst.k, inst.ell, inst.x) == (2, 0, 1)
     assert run(["solve", str(out)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("edges", [((1, 2), (1, 3), (2, 3)), ((1, 2), (1, 3), (2, 4))])
+def test_transform_mcc(tmp_path, capsys, edges):
+    pg = PartitionedGraph(parts=({1}, {2}, {3, 4}), edges=edges)
+    clique = any({(1, 2), (1, v), (2, v)} <= set(edges) for v in (3, 4))
+    src = tmp_path / "g.txt"
+    src.write_text(emit_graph(pg))
+    out = tmp_path / "mcc.mpv"
+    assert run(["transform", "--reduction", "mcc-cmpv", str(src), "-o", str(out)]) == 0
+    text = out.read_text()
+    inst = parse_instance(text)
+    assert f"\nagents {max(map(sum, inst.counts))}\n" in text
+    assert run(["solve", str(out)]) == (0 if clique else 1)
+    assert capsys.readouterr().out == ("YES\n" if clique else "NO\n")
 
 
 def test_transform_edgeless_verdict(tmp_path, capsys):

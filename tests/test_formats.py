@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mpvkit import core
 from mpvkit import (
     FormatError,
     Graph,
@@ -126,6 +127,7 @@ def test_gadget_round_trip_at_scale():
     )
     inst = mcc_to_cmpv(pg)
     assert inst.n > 1000
+    assert inst.n * inst.tau > core.TALLY_PYTHON_MAX
     text = emit_instance(inst)
     back = parse_instance(text)
     assert back == inst

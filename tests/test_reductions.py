@@ -23,6 +23,8 @@ from mpvkit import (
     vc_to_cmpv,
 )
 
+from test_acceptance import all_partitioned_graphs
+
 
 # ---------------------------------------------------------------------------
 # graph types
@@ -339,6 +341,69 @@ def test_mcc_three_parts_exhaustive():
         inst = mcc_to_cmpv(pg)
         assert inst.tau == 3 + 3 * 3 and inst.k == 3 + 3
         assert brute_force(inst).answer == brute_clique(pg), pg
+
+
+def _mcc_fresh_blocks_reference(pg):
+    # the construction before the shared agent pool: every gadget (a part's
+    # vertex stage, a pair's edge stage, a pair's two coherence stages) owns
+    # a fresh block of agents who abstain in every other stage
+    parts = pg.parts
+    h = pg.num_vertices
+    sid = sidon(h).elements
+    ident = {v: sid[v - 1] for v in range(1, h + 1)}
+    x = 2 * sid[-1]
+    edge_candidate = {e: h + 1 + i for i, e in enumerate(pg.edges)}
+    part_of = {v: i for i, part in enumerate(parts) for v in part}
+    pair_edges = {pair: [] for pair in itertools.combinations(range(len(parts)), 2)}
+    for e in pg.edges:
+        pair_edges[tuple(sorted((part_of[e[0]], part_of[e[1]])))].append(e)
+    gadgets = [[[(v, x) for v in sorted(part)]] for part in parts]
+    for pair in sorted(pair_edges):
+        gadgets.append([[(edge_candidate[e], x) for e in pair_edges[pair]]])
+    for i, j in sorted(pair_edges):
+        both = sorted(parts[i] | parts[j])
+        es = pair_edges[(i, j)]
+        agree = [(v, ident[v]) for v in both]
+        agree += [(edge_candidate[e], x - ident[e[0]] - ident[e[1]]) for e in es]
+        oppose = [(v, x // 2 - ident[v]) for v in both]
+        oppose += [(edge_candidate[e], ident[e[0]] + ident[e[1]]) for e in es]
+        gadgets.append([agree, oppose])
+    widths = [max((sum(c for _, c in stage) for stage in g), default=0) for g in gadgets]
+    n = sum(widths)
+    rows = []
+    for g, stages in enumerate(gadgets):
+        for stage in stages:
+            row = [0] * n
+            pos = sum(widths[:g])
+            for candidate, count in stage:
+                row[pos : pos + count] = [candidate] * count
+                pos += count
+            rows.append(tuple(row))
+    q = len(parts)
+    return Instance("C", h + len(pg.edges), tuple(rows), q + q * (q - 1) // 2, 0, x)
+
+
+def _mcc_graphs():
+    for shape in [(1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)]:
+        yield from all_partitioned_graphs(shape)
+    yield PartitionedGraph(  # the at-scale graph of test_formats
+        parts=({1, 2, 3}, {4, 5, 6}, {7, 8, 9}),
+        edges=((1, 4), (1, 7), (4, 7), (2, 5), (2, 9), (3, 6), (5, 8), (6, 9)),
+    )
+
+
+def test_mcc_shared_pool_keeps_the_reference_counts():
+    graphs = 0
+    for pg in _mcc_graphs():
+        inst, ref = mcc_to_cmpv(pg), _mcc_fresh_blocks_reference(pg)
+        fields = ("variant", "m", "k", "ell", "x", "counts")
+        assert [getattr(inst, f) for f in fields] == [getattr(ref, f) for f in fields], pg
+        assert inst.n == max(map(sum, inst.counts))
+        for row in inst.ballots:  # approvals from agent 1 onward, then abstentions
+            total = sum(1 for c in row if c)
+            assert all(row[:total]) and not any(row[total:]), pg
+        graphs += 1
+    assert graphs == 2 + 4 + 16 + 8 + 32 + 256 + 4096 + 1
 
 
 def test_mcc_rejects_empty_part():
