@@ -47,7 +47,6 @@ from .kernel import (
     shrink_weights,
     solve_weighted,
     to_weighted,
-    weighted_to_unit,
 )
 from .oracle import brute_force, enumerate_solutions
 from .reductions import (
@@ -125,5 +124,4 @@ __all__ = [
     "to_weighted",
     "vc_to_cmpv",
     "verify",
-    "weighted_to_unit",
 ]

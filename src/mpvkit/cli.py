@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
@@ -58,6 +59,18 @@ _ALGORITHMS = {
     "inout-ell": solve_inout_ell,
     "dp-tau": solve_dp_tau,
     "greedy": solve_unconstrained,
+}
+
+# name -> reduction, in the order ``--reduction`` lists them
+_REDUCTIONS = {
+    "vc-cmpv": vc_to_cmpv,
+    "cmpv-rmpv": cmpv_to_rmpv,
+    "normalize-half": cmpv_normalize_half,
+    "mcc-cmpv": mcc_to_cmpv,
+    "lift-ell1": lift_ell1,
+    "lift-ell2km2": lift_ell_2km2,
+    "and-cmpv": and_compose_cmpv,
+    "and-rmpv": and_compose_rmpv,
 }
 
 
@@ -142,28 +155,18 @@ def _cmd_kernelize(args) -> int:
 
 def _cmd_transform(args) -> int:
     name = args.reduction
+    texts = [Path(p).read_text() for p in args.inputs]
     if name in ("vc-cmpv", "mcc-cmpv"):
-        graph = parse_graph(Path(args.inputs[0]).read_text())
-        if name == "vc-cmpv":
-            if isinstance(graph, PartitionedGraph):
-                raise ValueError("vc-cmpv expects an unpartitioned graph")
-            result = vc_to_cmpv(graph)
-        else:
-            if not isinstance(graph, PartitionedGraph):
-                raise ValueError("mcc-cmpv expects a graph with a parts section")
-            result = mcc_to_cmpv(graph)
-    elif name in ("and-cmpv", "and-rmpv"):
-        instances = [parse_instance(Path(p).read_text()) for p in args.inputs]
-        compose = and_compose_cmpv if name == "and-cmpv" else and_compose_rmpv
-        result = compose(instances)
+        graph = parse_graph(texts[0])
+        if name == "vc-cmpv" and isinstance(graph, PartitionedGraph):
+            raise ValueError("vc-cmpv expects an unpartitioned graph")
+        if name == "mcc-cmpv" and not isinstance(graph, PartitionedGraph):
+            raise ValueError("mcc-cmpv expects a graph with a parts section")
+        result = _REDUCTIONS[name](graph)
+    elif name.startswith("and-"):
+        result = _REDUCTIONS[name]([parse_instance(text) for text in texts])
     else:
-        single = {
-            "cmpv-rmpv": cmpv_to_rmpv,
-            "normalize-half": cmpv_normalize_half,
-            "lift-ell1": lift_ell1,
-            "lift-ell2km2": lift_ell_2km2,
-        }[name]
-        result = single(parse_instance(Path(args.inputs[0]).read_text()))
+        result = _REDUCTIONS[name](parse_instance(texts[0]))
     if isinstance(result, TrivialVerdict):
         print(f"{'YES' if result.answer else 'NO'} ({result.reason})")
         return EXIT_YES if result.answer else EXIT_NO
@@ -221,13 +224,9 @@ def _cmd_bench(args) -> int:
                     f"{report.stats.get('time_ms', 0.0):.3f}",
                 ]
             )
-    if args.output:
-        with open(args.output, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["instance", "algorithm", "answer", "states", "time_ms"])
-            writer.writerows(rows)
-    else:
-        writer = csv.writer(sys.stdout)
+    target = open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout)
+    with target as handle:
+        writer = csv.writer(handle)
         writer.writerow(["instance", "algorithm", "answer", "states", "time_ms"])
         writer.writerows(rows)
     return EXIT_YES
@@ -277,16 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="apply a reduction or lift")
     p.add_argument(
         "--reduction",
-        choices=(
-            "vc-cmpv",
-            "cmpv-rmpv",
-            "normalize-half",
-            "mcc-cmpv",
-            "lift-ell1",
-            "lift-ell2km2",
-            "and-cmpv",
-            "and-rmpv",
-        ),
+        choices=tuple(_REDUCTIONS),
         required=True,
     )
     p.add_argument(

@@ -22,6 +22,7 @@ import operator
 import time
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional
 
 CONSERVATIVE = "C"
@@ -178,6 +179,21 @@ def _out_of_range(rows, flat, m):
     raise ValueError(f"stage {t + 1}: ballot entry {rows[t][j]!r} outside 0..{m}")
 
 
+def _spell(counts, n):
+    """The canonical ballots of ``counts`` over ``n`` agents.
+
+    At every stage agents ``1..total`` approve the candidates in id order,
+    each as often as its count, and the other agents abstain.
+    """
+    rows = []
+    for row in counts:
+        runs = [(c,) * count for c, count in enumerate(row) if count]
+        spelled = tuple(chain.from_iterable(runs))
+        assert len(spelled) <= n, f"a stage total of {len(spelled)} exceeds n={n}"
+        rows.append(spelled + (0,) * (n - len(spelled)))
+    return tuple(rows)
+
+
 @dataclass(frozen=True, init=False)
 class Instance:
     """One conservative or revolutionary multistage plurality voting instance.
@@ -209,11 +225,15 @@ class Instance:
     is unused and 0); it is the only data that scoring, checking, the
     solvers and :func:`~mpvkit.kernel.kernel_mtau` read, so they all
     accept a :class:`WeightedInstance` as well. ``tau`` is the number of
-    stages. ``ballots`` and ``n`` (the number of agents) exist only for
-    ballot instances; on a weighted instance they raise
-    :class:`PreconditionError`, and so does every operation that needs
-    agents: the n-tau kernels, the lifts and normalizations, and the
-    AND-compositions.
+    stages. The normalizations, lifts, AND-compositions and the clique
+    gadget build their outputs from counts, and the ballots of such an
+    instance are the canonical spelling of its counts: at every stage
+    agents ``1..total`` approve the candidates in id order, each as often
+    as its count, and the rest abstain. ``ballots`` and ``n`` (the
+    number of agents) exist only for ballot instances; on a weighted
+    instance they raise :class:`PreconditionError`, and so does every
+    operation that needs agents: the n-tau kernels, the lifts and
+    normalizations, and the AND-compositions.
     """
 
     variant: str
@@ -229,6 +249,21 @@ class Instance:
         rows, counts = _tally(ballots, self.m)
         object.__setattr__(self, "_ballots", rows)
         object.__setattr__(self, "counts", counts)
+
+    @classmethod
+    def _of_counts(cls, variant, m, counts, n, k, ell, x):
+        """The instance whose ballots are the canonical spelling of ``counts``.
+
+        ``counts`` holds one row per stage with slot 0 unused and 0, as
+        the reductions build them; the rows are kept as given and spelled
+        over ``n`` agents by :func:`_spell`, with no tally.
+        """
+        instance = object.__new__(cls)
+        _check_parameters(instance, variant, m, k, ell, x)
+        counts = tuple(map(tuple, counts))
+        object.__setattr__(instance, "_ballots", _spell(counts, n))
+        object.__setattr__(instance, "counts", counts)
+        return instance
 
     @property
     def ballots(self) -> tuple:

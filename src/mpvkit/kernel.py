@@ -11,10 +11,8 @@ Two reduction families:
   :func:`shrink_weights`.
 
 :func:`to_weighted` keeps only an instance's per-stage counts, as a
-:class:`~mpvkit.core.WeightedInstance`, and :func:`weighted_to_unit`
-spells weights back out as individual agents when stage totals are small
-enough. The n-tau kernels need agents and raise
-:class:`~mpvkit.core.PreconditionError` on weighted input.
+:class:`~mpvkit.core.WeightedInstance`. The n-tau kernels need agents and
+raise :class:`~mpvkit.core.PreconditionError` on weighted input.
 """
 
 from __future__ import annotations
@@ -118,16 +116,24 @@ def _fill_to(approved, pool_size, target):
     return keep
 
 
+def _no_agents(instance) -> TrivialVerdict:
+    """The trivial no of an instance with no agents: every score is 0 < x."""
+    return TrivialVerdict(False, f"with no agents every score is 0, below x={instance.x}")
+
+
 def kernel_ntau_cmpv(instance: Instance) -> KernelResult:
     """Bound the candidate count by agents times stages (conservative).
 
-    Deletes never-approved candidates while more than ``n * tau`` remain.
+    An instance with no agents is a trivial no. Otherwise deletes
+    never-approved candidates while more than ``n * tau`` remain.
     Dropping such a candidate from any solution keeps scores and shrinks
     sizes and symmetric differences, so the reduced instance is
     equivalent. Ids are compacted; the mapping is recorded.
     """
     if instance.variant != CONSERVATIVE:
         raise PreconditionError("this rule applies to the conservative variant")
+    if instance.n == 0:
+        return KernelResult(kind="ntau-cmpv", verdict=_no_agents(instance))
     target = instance.n * instance.tau
     if instance.m <= target:
         identity = {c: c for c in range(1, instance.m + 1)}
@@ -140,10 +146,11 @@ def kernel_ntau_cmpv(instance: Instance) -> KernelResult:
 def kernel_ntau_rmpv(instance: Instance) -> KernelResult:
     """Bound the candidate count for the revolutionary variant.
 
-    Three rules, in order. With at least two stages and ``2k < ell`` the
+    The rules, in order. With at least two stages and ``2k < ell`` the
     instance is a trivial no: consecutive committees of size at most
     ``k`` cannot differ by more than ``2k``. (A single-stage instance has
-    no consecutive pair, so the rule is skipped there.) Then
+    no consecutive pair, so the rule is skipped there.) An instance with
+    no agents is a trivial no as well. Then
     never-approved candidates are deleted while more than
     ``max(n, k) * tau`` remain. Finally, when ``k > n`` and exactly
     ``k * tau`` candidates remain, the instance rescales to ``n * tau``
@@ -164,6 +171,8 @@ def kernel_ntau_rmpv(instance: Instance) -> KernelResult:
                 f"by ell={instance.ell} > 2k candidates",
             ),
         )
+    if instance.n == 0:
+        return KernelResult(kind="ntau-rmpv", verdict=_no_agents(instance))
     approved = _approved_candidates(instance)
     target = max(instance.n, instance.k) * instance.tau
     if instance.m > target:
@@ -229,38 +238,6 @@ def solve_weighted(
 ) -> SolveReport:
     """:func:`~mpvkit.oracle.brute_force`, reported as ``"brute-force-weighted"``."""
     return replace(brute_force(winstance, budget=budget), algorithm="brute-force-weighted")
-
-
-def weighted_to_unit(winstance: WeightedInstance, cap: int = 10**6) -> Instance:
-    """Spell a weighted instance out as unit-weight agents.
-
-    Stage ``t`` gets ``w^t_c`` agents approving candidate ``c``; the agent
-    count is the largest stage total and shorter stages pad with
-    abstentions. Refuses with :class:`PreconditionError` when some stage
-    total exceeds ``cap``. Accepts any instance.
-    """
-    totals = [sum(row[1:]) for row in winstance.counts]
-    n = max(totals)
-    if n > cap:
-        t = totals.index(n) + 1
-        raise PreconditionError(
-            f"stage {t} needs {n} agents, above the cap of {cap}"
-        )
-    ballots = []
-    for row in winstance.counts:
-        stage = []
-        for c in range(1, winstance.m + 1):
-            stage.extend([c] * row[c])
-        stage.extend([0] * (n - len(stage)))
-        ballots.append(tuple(stage))
-    return Instance(
-        variant=winstance.variant,
-        m=winstance.m,
-        ballots=tuple(ballots),
-        k=winstance.k,
-        ell=winstance.ell,
-        x=winstance.x,
-    )
 
 
 # ---------------------------------------------------------------------------

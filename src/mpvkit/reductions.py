@@ -6,7 +6,10 @@ AND-compositions used as evidence against small kernels, a Sidon set
 generator backing the clique gadget, and a seeded random instance
 generator for test corpora. Everything here is deterministic: profile
 and candidate orderings are fixed so repeated runs emit identical
-instances.
+instances. The normalizations, lifts, compositions and the clique gadget
+build per-candidate count rows, since a plurality score depends only on
+those; the ballots of their outputs are the canonical spelling of the
+counts (see :class:`~mpvkit.core.Instance`).
 """
 
 from __future__ import annotations
@@ -194,11 +197,12 @@ def vc_to_cmpv(graph: Graph):
 def cmpv_normalize_half(instance: Instance) -> Instance:
     """Pad a conservative ``ell = 0`` instance so that ``k = m/2``.
 
-    ``k > m/2``: add ``2k - m`` never-approved candidates. ``k < m/2``:
-    add ``m - 2k`` fresh candidates, each approved at every stage by
-    ``n`` dedicated fresh agents, and raise ``x`` by ``n*(m - 2k)``;
-    skipping any new candidate caps the score below the new threshold,
-    so winning committees are the old ones plus all new candidates.
+    ``k > m/2``: add ``2k - m`` never-approved candidates (zero count
+    columns). ``k < m/2``: add ``m - 2k`` fresh candidates, each
+    approved ``n`` times at every stage, so ``n' = n(1 + m - 2k)``, and
+    raise ``x`` by ``n*(m - 2k)``; skipping any new candidate caps the
+    score below the new threshold, so winning committees are the old
+    ones plus all new candidates.
     """
     if instance.variant != CONSERVATIVE or instance.ell != 0:
         raise PreconditionError("normalization expects a conservative instance with ell=0")
@@ -206,27 +210,12 @@ def cmpv_normalize_half(instance: Instance) -> Instance:
     if 2 * k == m:
         return instance
     if 2 * k > m:
-        return Instance(
-            variant=CONSERVATIVE,
-            m=2 * k,
-            ballots=instance.ballots,
-            k=k,
-            ell=0,
-            x=instance.x,
-        )
+        rows = [row + (0,) * (2 * k - m) for row in instance.counts]
+        return Instance._of_counts(CONSERVATIVE, 2 * k, rows, n, k, 0, instance.x)
     extra = m - 2 * k
-    pad = []
-    for j in range(extra):
-        pad.extend([m + 1 + j] * n)
-    pad = tuple(pad)
-    ballots = tuple(row + pad for row in instance.ballots)
-    return Instance(
-        variant=CONSERVATIVE,
-        m=m + extra,
-        ballots=ballots,
-        k=k + extra,
-        ell=0,
-        x=instance.x + n * extra,
+    rows = [row + (n,) * extra for row in instance.counts]
+    return Instance._of_counts(
+        CONSERVATIVE, m + extra, rows, n * (1 + extra), k + extra, 0, instance.x + n * extra
     )
 
 
@@ -235,9 +224,9 @@ def cmpv_to_rmpv(instance: Instance) -> Instance:
     revolutionary.
 
     Two fresh candidates ``z`` and ``y``: odd output stages replay the
-    input stages, every even stage has all agents approve ``y``, and one
-    final stage has all approve ``z``. With ``k' = k + 1`` and
-    ``ell' = 2k' = |C'|`` every transition must exchange the whole
+    input stages' counts, every even stage has all ``n`` agents approve
+    ``y``, and one final stage has all approve ``z``. With ``k' = k + 1``
+    and ``ell' = 2k' = |C'|`` every transition must exchange the whole
     committee, which forces the original committee to reappear unchanged
     at every replayed stage; thresholds carry over.
     """
@@ -250,34 +239,26 @@ def cmpv_to_rmpv(instance: Instance) -> Instance:
             "expected a conservative instance with ell=0 and k = m/2; "
             "run cmpv_normalize_half first"
         )
-    n = instance.n
-    z, y = instance.m + 1, instance.m + 2
+    n, blank = instance.n, (0,) * (instance.m + 1)
     rows = []
-    for row in instance.ballots:
-        rows.append(row)
-        rows.append((y,) * n)
-    rows.append((z,) * n)
+    for row in instance.counts:  # columns z = m + 1 and y = m + 2
+        rows += [row + (0, 0), blank + (0, n)]
+    rows.append(blank + (n, 0))
     k2 = instance.k + 1
-    return Instance(
-        variant=REVOLUTIONARY,
-        m=instance.m + 2,
-        ballots=tuple(rows),
-        k=k2,
-        ell=2 * k2,
-        x=instance.x,
-    )
+    return Instance._of_counts(REVOLUTIONARY, instance.m + 2, rows, n, k2, 2 * k2, instance.x)
 
 
 def lift_ell1(instance: Instance) -> Instance:
     """Lift a conservative ``ell = 0`` hardness instance to ``ell = 1``.
 
     For two-agent instances with ``x = 1``: three fresh candidates
-    ``v'``, ``v``, ``w`` and four fresh agents. Agents 5 and 6 always
-    approve ``w``; agents 3 and 4 approve ``w`` at odd stages, ``v'``
-    at stages divisible by four, and ``v`` at the remaining even stages.
-    Meeting ``x' = 5`` forces the committee to ride this rotation, and
-    the single allowed change per transition is spent on it, freezing
-    the original part; ``k' = k + 2``.
+    ``v'``, ``v``, ``w`` and four fresh agents, so ``n' = 6``. Every
+    stage adds two approvals of ``w`` and two of a rotating candidate:
+    ``w`` at odd stages, ``v'`` at stages divisible by four, and ``v``
+    at the remaining even stages. Meeting ``x' = 5`` forces the
+    committee to ride this rotation, and the single allowed change per
+    transition is spent on it, freezing the original part;
+    ``k' = k + 2``.
     """
     if (
         instance.variant != CONSERVATIVE
@@ -286,31 +267,22 @@ def lift_ell1(instance: Instance) -> Instance:
         or instance.x != 1
     ):
         raise PreconditionError("expected a conservative instance with n=2, ell=0, x=1")
-    vp, v, w = instance.m + 1, instance.m + 2, instance.m + 3
     rows = []
-    for t, row in enumerate(instance.ballots, start=1):
+    for t, row in enumerate(instance.counts, start=1):  # columns v', v, w
         if t % 2:
-            extra = w
+            rows.append(row + (0, 0, 4))
         elif t % 4 == 0:
-            extra = vp
+            rows.append(row + (2, 0, 2))
         else:
-            extra = v
-        rows.append(row + (extra, extra, w, w))
-    return Instance(
-        variant=CONSERVATIVE,
-        m=instance.m + 3,
-        ballots=tuple(rows),
-        k=instance.k + 2,
-        ell=1,
-        x=5,
-    )
+            rows.append(row + (0, 2, 2))
+    return Instance._of_counts(CONSERVATIVE, instance.m + 3, rows, 6, instance.k + 2, 1, 5)
 
 
 def lift_ell_2km2(instance: Instance) -> Instance:
     """Lift a full-change revolutionary instance to ``ell = 2k' - 2``.
 
     For two-agent instances with ``ell = 2k = m`` and ``x = 1``: one
-    fresh candidate ``w`` approved by two fresh agents at every stage.
+    fresh candidate ``w`` approved twice at every stage, so ``n' = 4``.
     Reaching ``x' = 3`` keeps ``w`` in every committee, so the remaining
     ``k`` slots still must swap completely; ``k' = k + 1``.
     """
@@ -322,17 +294,9 @@ def lift_ell_2km2(instance: Instance) -> Instance:
         or instance.x != 1
     ):
         raise PreconditionError("expected a revolutionary instance with n=2, ell=2k=m, x=1")
-    w = instance.m + 1
-    rows = tuple(row + (w, w) for row in instance.ballots)
+    rows = [row + (2,) for row in instance.counts]
     k2 = instance.k + 1
-    return Instance(
-        variant=REVOLUTIONARY,
-        m=instance.m + 1,
-        ballots=rows,
-        k=k2,
-        ell=2 * k2 - 2,
-        x=3,
-    )
+    return Instance._of_counts(REVOLUTIONARY, instance.m + 1, rows, 4, k2, 2 * k2 - 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +315,12 @@ def mcc_to_cmpv(pgraph: PartitionedGraph) -> Instance:
     coherence profiles whose approval multiplicities encode "the chosen
     endpoints sum to the chosen edge" as two opposite inequalities.
 
-    All stages share one agent pool. In each stage agents ``1..total``
-    approve the stage's candidates in the order listed, each as often as
-    its count, and the rest abstain. A plurality score depends only on a
-    stage's per-candidate counts, so any profile with these counts has
-    the same solutions, and ``n``, the largest stage total, is the
-    fewest agents the counts allow.
+    The stages are built as per-candidate counts on one shared agent
+    pool: ``n`` is the largest stage total, the fewest agents the counts
+    allow, and the ballots are their canonical spelling (agents
+    ``1..total`` approve the stage's candidates in id order, the rest
+    abstain). A plurality score depends only on a stage's counts, so any
+    profile with these counts has the same solutions.
 
     A committee of size ``k = q + C(q, 2)`` meeting ``x = 2 s_h``
     everywhere must pick one vertex per part and one consistent edge
@@ -399,21 +363,16 @@ def mcc_to_cmpv(pgraph: PartitionedGraph) -> Instance:
         ]
         stages += [agree, oppose]
 
-    n = max(sum(count for _, count in stage) for stage in stages)
+    m = h + len(pgraph.edges)
     rows = []
     for stage in stages:
-        row = []
+        row = [0] * (m + 1)
         for candidate, count in stage:
-            row += [candidate] * count
-        rows.append(tuple(row + [0] * (n - len(row))))
+            row[candidate] = count
+        rows.append(row)
     assert len(rows) == q + 3 * comb(q, 2)
-    return Instance(
-        variant=CONSERVATIVE,
-        m=h + len(pgraph.edges),
-        ballots=tuple(rows),
-        k=q + comb(q, 2),
-        ell=0,
-        x=x,
+    return Instance._of_counts(
+        CONSERVATIVE, m, rows, max(map(sum, rows)), q + comb(q, 2), 0, x
     )
 
 
@@ -437,10 +396,10 @@ def _check_same_shape(instances, head):
 def and_compose_cmpv(instances) -> Instance:
     """Conjoin conservative ``ell = 1`` instances into one.
 
-    Blocks replay the inputs over shared agent and candidate identities.
-    A fresh candidate ``z`` is approved by ``n`` fresh shadow agents at
-    every stage, raising every threshold to ``x + n``; between blocks,
-    ``2k`` transfer stages in which all ``2n`` agents approve ``z`` let
+    Blocks replay the inputs' counts over shared candidate identities.
+    A fresh candidate ``z`` gets ``n`` more approvals at every block
+    stage, raising every threshold to ``x + n``; between blocks, ``2k``
+    transfer stages in which all ``n' = 2n`` agents approve ``z`` let
     the committee migrate one change at a time. The output is a yes iff
     every input is.
     """
@@ -452,32 +411,23 @@ def and_compose_cmpv(instances) -> Instance:
         if inst.variant != CONSERVATIVE or inst.ell != 1:
             raise PreconditionError("inputs must be conservative with ell=1")
     _check_same_shape(instances, head)
-    n = head.n
-    z = head.m + 1
-    transfer = (z,) * (2 * n)
+    n, m = head.n, head.m
+    transfer = (0,) * (m + 1) + (2 * n,)  # column z = m + 1
     rows = []
     for b, inst in enumerate(instances):
         if b:
-            rows.extend([transfer] * (2 * head.k))
-        for row in inst.ballots:
-            rows.append(row + (z,) * n)
-    return Instance(
-        variant=CONSERVATIVE,
-        m=head.m + 1,
-        ballots=tuple(rows),
-        k=head.k + 1,
-        ell=1,
-        x=head.x + n,
-    )
+            rows += [transfer] * (2 * head.k)
+        rows += [row + (n,) for row in inst.counts]
+    return Instance._of_counts(CONSERVATIVE, m + 1, rows, 2 * n, head.k + 1, 1, head.x + n)
 
 
 def and_compose_rmpv(instances) -> Instance:
     """Conjoin full-change revolutionary instances into one.
 
     Inputs need ``ell = 2k`` and exactly ``ell`` candidates. The output
-    adds ``z`` and rotation candidates ``y_1..y_ell``, each approved at
-    every block stage by its own ``n`` fresh agents, and a single
-    transfer stage between blocks where all agents approve ``z``. The
+    adds ``z`` and rotation candidates ``y_1..y_ell``, each approved
+    ``n`` times at every block stage, and a single transfer stage between
+    blocks where all ``n' = n(ell + 2)`` agents approve ``z``. The
     enlarged committees can always realize the full-change constraint
     across block boundaries, so the output is a yes iff every input is.
     """
@@ -490,25 +440,15 @@ def and_compose_rmpv(instances) -> Instance:
             raise PreconditionError("inputs must be revolutionary with m = ell = 2k")
     _check_same_shape(instances, head)
     n, m, ell = head.n, head.m, head.ell
-    z = m + 1
-    pad = (z,) * n
-    for i in range(ell):
-        pad += (m + 2 + i,) * n
-    total_agents = n * (ell + 2)
-    transfer = (z,) * total_agents
+    transfer = (0,) * (m + 1) + (n * (ell + 2),) + (0,) * ell  # columns z, y_1..y_ell
     rows = []
     for b, inst in enumerate(instances):
         if b:
             rows.append(transfer)
-        for row in inst.ballots:
-            rows.append(row + pad)
-    return Instance(
-        variant=REVOLUTIONARY,
-        m=m + 1 + ell,
-        ballots=tuple(rows),
-        k=head.k + ell + 1,
-        ell=ell,
-        x=head.x + n * (ell + 1),
+        rows += [row + (n,) * (ell + 1) for row in inst.counts]
+    return Instance._of_counts(
+        REVOLUTIONARY, m + 1 + ell, rows, n * (ell + 2), head.k + ell + 1, ell,
+        head.x + n * (ell + 1),
     )
 
 

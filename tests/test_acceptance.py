@@ -326,19 +326,85 @@ def test_acceptance_05a_vertex_cover_reduction():
     print("criterion 5a: PASS (20 graphs)")
 
 
-def test_acceptance_05b_conservative_to_revolutionary():
+def conservative_ell0_inputs():
+    """Seeded conservative ``ell = 0`` instances with every relation of ``k`` to ``m/2``."""
     rng = random.Random(56)
     for trial in range(60):
         n = rng.randint(1, 3)
-        inst = random_instance(
+        yield random_instance(
             n, rng.randint(1, 5), rng.randint(1, 3), rng.randint(1, 3), 0,
             rng.randint(1, n), "C", abstain_probability=0.3, seed=trial + 70,
         )
+
+
+def test_acceptance_05b_conservative_to_revolutionary():
+    for inst in conservative_ell0_inputs():
         norm = cmpv_normalize_half(inst)
         rev = cmpv_to_rmpv(norm)
         assert rev.tau == 2 * norm.tau + 1
         assert brute_force(rev).answer == brute_force(inst).answer, inst
     print("criterion 5b: PASS (60 chains)")
+
+
+def sampled_partitioned_graphs():
+    """Seeded samples plus the complete and empty graphs for shapes up to 3+3+3."""
+    rng = random.Random(57)
+    for shape in [(1, 3, 3), (2, 2, 3), (2, 3, 3), (3, 3, 3)]:
+        parts = []
+        start = 1
+        for size in shape:
+            parts.append(frozenset(range(start, start + size)))
+            start += size
+        slots = []
+        for i, j in itertools.combinations(range(len(shape)), 2):
+            slots.extend((u, v) for u in sorted(parts[i]) for v in sorted(parts[j]))
+        samples = [tuple(e for e in slots if rng.random() < p)
+                   for p in (0.25, 0.5, 0.75) for _ in range(7)]
+        samples.append(tuple(slots))
+        samples.append(())
+        for edges in samples:
+            yield PartitionedGraph(parts=tuple(parts), edges=edges)
+
+
+def lift_inputs():
+    """Seeded two-agent inputs of ``lift_ell1`` and of ``lift_ell_2km2``."""
+    rng = random.Random(58)
+    ell1 = [
+        random_instance(
+            2, rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 2), 0, 1,
+            "C", abstain_probability=0.3, seed=trial + 500,
+        )
+        for trial in range(40)
+    ]
+    ell_2km2 = []
+    for trial in range(40):
+        k = rng.randint(1, 2)
+        ell_2km2.append(random_instance(
+            2, 2 * k, rng.randint(1, 3), k, 2 * k, 1, "R",
+            abstain_probability=0.3, seed=trial + 600,
+        ))
+    return ell1, ell_2km2
+
+
+def and_pools(variant, ell, m):
+    """Three yes and three no two-agent, two-stage inputs of an AND-composition."""
+    found = {True: [], False: []}
+    seed = 0
+    while any(len(v) < 3 for v in found.values()):
+        seed += 1
+        inst = random_instance(2, m, 2, 1, ell, 1, variant,
+                               abstain_probability=0.3, seed=seed)
+        a = brute_force(inst).answer
+        if len(found[a]) < 3:
+            found[a].append(inst)
+    return found
+
+
+def and_patterns(pool, parts):
+    """Input lists drawn from ``pool`` for every yes/no pattern of 1..``parts`` inputs."""
+    for p in range(1, parts + 1):
+        for pattern in itertools.product([True, False], repeat=p):
+            yield pattern, [pool[a][i % 3] for i, a in enumerate(pattern)]
 
 
 def test_acceptance_05c_multicolored_clique_reduction():
@@ -357,25 +423,10 @@ def test_acceptance_05c_multicolored_clique_reduction():
             assert inst.x == 2 * sidon(pg.num_vertices).elements[-1]
             assert clique_instance_answer(inst, q) == brute_clique(pg), pg
             graphs += 1
-    rng = random.Random(57)
-    for shape in [(1, 3, 3), (2, 2, 3), (2, 3, 3), (3, 3, 3)]:
-        parts = []
-        start = 1
-        for size in shape:
-            parts.append(frozenset(range(start, start + size)))
-            start += size
-        slots = []
-        for i, j in itertools.combinations(range(len(shape)), 2):
-            slots.extend((u, v) for u in sorted(parts[i]) for v in sorted(parts[j]))
-        samples = [tuple(e for e in slots if rng.random() < p)
-                   for p in (0.25, 0.5, 0.75) for _ in range(7)]
-        samples.append(tuple(slots))
-        samples.append(())
-        for edges in samples:
-            pg = PartitionedGraph(parts=tuple(parts), edges=edges)
-            inst = mcc_to_cmpv(pg)
-            assert clique_instance_answer(inst, len(shape)) == brute_clique(pg), pg
-            graphs += 1
+    for pg in sampled_partitioned_graphs():
+        inst = mcc_to_cmpv(pg)
+        assert clique_instance_answer(inst, len(pg.parts)) == brute_clique(pg), pg
+        graphs += 1
     # ground the decomposition oracle against plain brute force where feasible
     for shape in [(1, 1), (1, 2), (2, 2), (1, 1, 1)]:
         for pg in all_partitioned_graphs(shape):
@@ -385,51 +436,24 @@ def test_acceptance_05c_multicolored_clique_reduction():
 
 
 def test_acceptance_05d_lifts_and_compositions():
-    rng = random.Random(58)
     # lifts across yes and no inputs
+    ell1_inputs, ell_2km2_inputs = lift_inputs()
     lifted = 0
-    for trial in range(40):
-        inst = random_instance(
-            2, rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 2), 0, 1,
-            "C", abstain_probability=0.3, seed=trial + 500,
-        )
+    for inst in ell1_inputs:
         assert brute_force(lift_ell1(inst)).answer == brute_force(inst).answer
         lifted += 1
-    for trial in range(40):
-        k = rng.randint(1, 2)
-        inst = random_instance(
-            2, 2 * k, rng.randint(1, 3), k, 2 * k, 1, "R",
-            abstain_probability=0.3, seed=trial + 600,
-        )
+    for inst in ell_2km2_inputs:
         assert brute_force(lift_ell_2km2(inst)).answer == brute_force(inst).answer
         lifted += 1
 
-    def pools(variant, ell, m):
-        found = {True: [], False: []}
-        seed = 0
-        while any(len(v) < 3 for v in found.values()):
-            seed += 1
-            inst = random_instance(2, m, 2, 1, ell, 1, variant,
-                                   abstain_probability=0.3, seed=seed)
-            a = brute_force(inst).answer
-            if len(found[a]) < 3:
-                found[a].append(inst)
-        return found
-
-    pool_c = pools("C", 1, 3)
-    for p in (1, 2, 3):
-        for pattern in itertools.product([True, False], repeat=p):
-            inputs = [pool_c[a][i % 3] for i, a in enumerate(pattern)]
-            out = and_compose_cmpv(inputs)
-            assert out.tau == p * 2 + 2 * 1 * (p - 1)
-            assert brute_force(out).answer is all(pattern), pattern
-    pool_r = pools("R", 2, 2)
-    for p in (1, 2):
-        for pattern in itertools.product([True, False], repeat=p):
-            inputs = [pool_r[a][i % 3] for i, a in enumerate(pattern)]
-            out = and_compose_rmpv(inputs)
-            assert out.tau == p * 2 + (p - 1)
-            assert brute_force(out).answer is all(pattern), pattern
+    for pattern, inputs in and_patterns(and_pools("C", 1, 3), 3):
+        out = and_compose_cmpv(inputs)
+        assert out.tau == len(pattern) * 2 + 2 * 1 * (len(pattern) - 1)
+        assert brute_force(out).answer is all(pattern), pattern
+    for pattern, inputs in and_patterns(and_pools("R", 2, 2), 2):
+        out = and_compose_rmpv(inputs)
+        assert out.tau == len(pattern) * 2 + (len(pattern) - 1)
+        assert brute_force(out).answer is all(pattern), pattern
     print(f"criterion 5d: PASS ({lifted} lifts, all AND patterns)")
 
 

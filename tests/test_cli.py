@@ -1,4 +1,5 @@
 import csv
+import io
 import os
 import subprocess
 import sys
@@ -169,6 +170,19 @@ def test_kernelize_trivial_no(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("NO")
 
 
+@pytest.mark.parametrize("variant", ["C", "R"])
+def test_kernelize_ntau_without_agents(tmp_path, capsys, variant):
+    from mpvkit import Instance
+
+    src = tmp_path / "empty.mpv"
+    src.write_text(emit_instance(Instance(variant, 4, ((), ()), 2, 1, 1)))
+    assert "\nagents 0\n" in src.read_text()
+    assert run(["kernelize", str(src), "--target", "ntau"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("NO (") and "no agents" in captured.out
+    assert captured.err == ""
+
+
 def test_kernelize_mtau(e1_file, capsys):
     assert run(["kernelize", e1_file(variant="R", ell=2), "--target", "mtau"]) == 0
     out = capsys.readouterr().out
@@ -267,7 +281,7 @@ def test_generate_is_seeded(tmp_path):
     assert (inst.n, inst.m, inst.tau) == (3, 4, 3)
 
 
-def test_bench_csv(tmp_path, e1_file):
+def test_bench_csv(tmp_path, e1_file, capsys):
     bench_dir = tmp_path / "instances"
     bench_dir.mkdir()
     for name, variant, ell in (("yes.mpv", "R", 2), ("no.mpv", "C", 0)):
@@ -287,6 +301,11 @@ def test_bench_csv(tmp_path, e1_file):
     assert answers[("yes.mpv", "auto")] == "yes"
     assert answers[("no.mpv", "brute")] == "no"
     assert all(float(r[4]) >= 0 for r in body)
+    capsys.readouterr()
+    assert run(["bench", str(bench_dir), "--algorithms", "auto,brute,dp-tau"]) == 0
+    printed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert printed[0] == rows[0]
+    assert [r[:4] for r in printed[1:]] == [r[:4] for r in body]
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,30 @@ def test_trivial_verdict_is_frozen():
         v.answer = True
 
 
+def test_counts_spell_into_canonical_ballots():
+    rng = random.Random(12)
+    for trial in range(200):
+        m, tau = rng.randint(1, 9), rng.randint(1, 4)
+        counts = [
+            (0,) + tuple(rng.choice((0, 0, rng.randint(1, 6))) for _ in range(m))
+            for _ in range(tau)
+        ]
+        n = max(map(sum, counts)) + rng.choice((0, 0, rng.randint(1, 5)))
+        built = Instance._of_counts("R", m, counts, n, 2, 1, 3)
+        assert built.counts == tuple(counts) and built.n == n
+        assert Instance("R", m, built.ballots, 2, 1, 3) == built
+        for row, spelled in zip(counts, built.ballots):
+            # agents 1..total approve in id order, each candidate as often
+            # as its count, and the others abstain
+            assert spelled == tuple(sorted(spelled, key=lambda c: (c == 0, c)))
+            assert spelled.count(0) == n - sum(row)
+    assert Instance._of_counts("C", 2, [(0, 0, 0)], 0, 1, 0, 1).ballots == ((),)
+    with pytest.raises(AssertionError):
+        Instance._of_counts("C", 2, [(0, 2, 1)], 2, 1, 0, 1)  # 3 approvals, 2 agents
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        Instance._of_counts("C", 2, [(0, 2, 1)], 3, 0, 0, 1)
+
+
 # ---------------------------------------------------------------------------
 # ballot tally: plain Python up to TALLY_PYTHON_MAX entries, numpy above
 # ---------------------------------------------------------------------------

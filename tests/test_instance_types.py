@@ -42,7 +42,6 @@ from mpvkit import (
     solve_weighted,
     to_weighted,
     verify,
-    weighted_to_unit,
 )
 
 from conftest import e1
@@ -108,7 +107,6 @@ DECIDE = {
     "solve_weighted": lambda i: _report(solve_weighted(i)),
     "kernel_mtau": lambda i: _same_ids(kernel_mtau(i)),
     "to_weighted": lambda i: _same_ids(to_weighted(i)),
-    "weighted_to_unit": lambda i: _same_ids(weighted_to_unit(i)),
     "kernel_ntau_cmpv": lambda i: _kernel(kernel_ntau_cmpv(i)),
     "kernel_ntau_rmpv": lambda i: _kernel(kernel_ntau_rmpv(i)),
     "cmpv_normalize_half": lambda i: _output(cmpv_normalize_half(i)),

@@ -16,7 +16,6 @@ from mpvkit import (
     solve_weighted,
     to_weighted,
     verify,
-    weighted_to_unit,
 )
 
 from conftest import e1
@@ -25,6 +24,20 @@ from conftest import e1
 # ---------------------------------------------------------------------------
 # candidate kernels
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kernel,variant", [(kernel_ntau_cmpv, "C"), (kernel_ntau_rmpv, "R")]
+)
+def test_ntau_kernels_answer_no_without_agents(kernel, variant):
+    # n * tau = 0 candidates would be kept, and the revolutionary rescaling
+    # would set k to 0; every score is 0 < x instead
+    for m, k, ell in ((1, 1, 0), (4, 2, 1), (6, 3, 2)):
+        inst = Instance(variant, m, ((),) * 3, k, ell, 1)
+        result = kernel(inst)
+        assert result.instance is None and result.verdict.answer is False
+        assert "no agents" in result.verdict.reason
+        assert brute_force(inst).answer is False
 
 
 def test_cmpv_kernel_drops_unapproved_candidates():
@@ -178,32 +191,6 @@ def test_solve_weighted_matches_unit(e1_cmpv):
     rep = solve_weighted(to_weighted(e1("R", ell=2)))
     assert rep.answer is True
     assert rep.algorithm == "brute-force-weighted"
-
-
-def test_weighted_to_unit_round_trip():
-    rng = random.Random(3)
-    for trial in range(40):
-        n = rng.randint(0, 4)
-        inst = random_instance(
-            n, rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 2),
-            rng.randint(0, 3), max(1, n), rng.choice(["C", "R"]),
-            abstain_probability=0.3, seed=trial,
-        )
-        unit = weighted_to_unit(to_weighted(inst))
-        assert unit.counts == inst.counts
-        assert (unit.variant, unit.m, unit.k, unit.ell, unit.x) == (
-            inst.variant, inst.m, inst.k, inst.ell, inst.x,
-        )
-
-
-def test_weighted_to_unit_respects_cap():
-    w = WeightedInstance(
-        variant="C", m=1, weights=((0, 10**7),), k=1, ell=0, x=1
-    )
-    with pytest.raises(ValueError):
-        weighted_to_unit(w)
-    unit = weighted_to_unit(w, cap=10**7)
-    assert unit.n == 10**7
 
 
 # ---------------------------------------------------------------------------

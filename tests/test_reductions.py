@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from mpvkit import core
 from mpvkit import (
     Graph,
     Instance,
@@ -14,16 +15,25 @@ from mpvkit import (
     brute_force,
     cmpv_normalize_half,
     cmpv_to_rmpv,
+    emit_instance,
     lift_ell1,
     lift_ell_2km2,
     mcc_to_cmpv,
     pad_half_vertex_cover,
+    parse_instance,
     random_instance,
     sidon,
     vc_to_cmpv,
 )
 
-from test_acceptance import all_partitioned_graphs
+from test_acceptance import (
+    all_partitioned_graphs,
+    and_patterns,
+    and_pools,
+    conservative_ell0_inputs,
+    lift_inputs,
+    sampled_partitioned_graphs,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +353,9 @@ def test_mcc_three_parts_exhaustive():
         assert brute_force(inst).answer == brute_clique(pg), pg
 
 
-def _mcc_fresh_blocks_reference(pg):
-    # the construction before the shared agent pool: every gadget (a part's
-    # vertex stage, a pair's edge stage, a pair's two coherence stages) owns
-    # a fresh block of agents who abstain in every other stage
+def _mcc_gadgets(pg):
+    # the gadgets (a part's vertex stage, a pair's edge stage, a pair's two
+    # coherence stages) as lists of (candidate, count) stages, and x
     parts = pg.parts
     h = pg.num_vertices
     sid = sidon(h).elements
@@ -368,6 +377,29 @@ def _mcc_fresh_blocks_reference(pg):
         oppose = [(v, x // 2 - ident[v]) for v in both]
         oppose += [(edge_candidate[e], ident[e[0]] + ident[e[1]]) for e in es]
         gadgets.append([agree, oppose])
+    return gadgets, x
+
+
+def _mcc_shared_pool_reference(pg):
+    # the ballot-building construction before count rows: in every stage
+    # agents 1..total approve the listed candidates, the rest abstain
+    gadgets, x = _mcc_gadgets(pg)
+    stages = [stage for g in gadgets for stage in g]
+    n = max(sum(c for _, c in stage) for stage in stages)
+    rows = []
+    for stage in stages:
+        row = [candidate for candidate, count in stage for _ in range(count)]
+        rows.append(tuple(row + [0] * (n - len(row))))
+    q = len(pg.parts)
+    return Instance("C", pg.num_vertices + len(pg.edges), tuple(rows), q + q * (q - 1) // 2, 0, x)
+
+
+def _mcc_fresh_blocks_reference(pg):
+    # the construction before the shared agent pool: every gadget owns a
+    # fresh block of agents who abstain in every other stage
+    parts = pg.parts
+    h = pg.num_vertices
+    gadgets, x = _mcc_gadgets(pg)
     widths = [max((sum(c for _, c in stage) for stage in g), default=0) for g in gadgets]
     n = sum(widths)
     rows = []
@@ -406,9 +438,175 @@ def test_mcc_shared_pool_keeps_the_reference_counts():
     assert graphs == 2 + 4 + 16 + 8 + 32 + 256 + 4096 + 1
 
 
+def _same_build(out, ref, same_bytes):
+    # equal parameters and count rows; a built instance's ballots are the
+    # canonical spelling of its counts, which re-tally and round-trip to it
+    fields = ("variant", "m", "k", "ell", "x", "counts", "n")
+    assert [getattr(out, f) for f in fields] == [getattr(ref, f) for f in fields]
+    assert Instance(out.variant, out.m, out.ballots, out.k, out.ell, out.x) == out
+    text = emit_instance(out)
+    assert parse_instance(text) == out
+    if same_bytes:
+        assert text == emit_instance(ref)
+
+
+def test_mcc_builds_the_shared_pool_reference():
+    graphs = itertools.chain(_mcc_graphs(), sampled_partitioned_graphs())
+    for count, pg in enumerate(graphs, start=1):
+        inst, ref = mcc_to_cmpv(pg), _mcc_shared_pool_reference(pg)
+        assert inst == ref, pg  # every field and every ballot, so the same bytes
+        if count % 16 == 0 or count > 4415:  # the round trips on a slice and the large graphs
+            _same_build(inst, ref, same_bytes=True)
+    assert count == 4415 + 92
+
+
 def test_mcc_rejects_empty_part():
     with pytest.raises(PreconditionError):
         mcc_to_cmpv(PartitionedGraph(parts=({1}, frozenset(), {2}), edges=((1, 2),)))
+
+
+# ---------------------------------------------------------------------------
+# count rows against the ballot-building constructions
+# ---------------------------------------------------------------------------
+
+
+# The constructions as they spelled out ballots before they built count
+# rows, kept as references for the count-building ones.
+
+
+def _normalize_half_reference(inst):
+    m, k, n = inst.m, inst.k, inst.n
+    if 2 * k == m:
+        return inst
+    if 2 * k > m:
+        return Instance("C", 2 * k, inst.ballots, k, 0, inst.x)
+    extra = m - 2 * k
+    pad = tuple(c for c in range(m + 1, m + extra + 1) for _ in range(n))
+    rows = tuple(row + pad for row in inst.ballots)
+    return Instance("C", m + extra, rows, k + extra, 0, inst.x + n * extra)
+
+
+def _cmpv_to_rmpv_reference(inst):
+    n, z, y = inst.n, inst.m + 1, inst.m + 2
+    rows = []
+    for row in inst.ballots:
+        rows += [row, (y,) * n]
+    rows.append((z,) * n)
+    return Instance("R", inst.m + 2, tuple(rows), inst.k + 1, 2 * inst.k + 2, inst.x)
+
+
+def _lift_ell1_reference(inst):
+    vp, v, w = inst.m + 1, inst.m + 2, inst.m + 3
+    rows = []
+    for t, row in enumerate(inst.ballots, start=1):
+        extra = w if t % 2 else vp if t % 4 == 0 else v
+        rows.append(row + (extra, extra, w, w))
+    return Instance("C", inst.m + 3, tuple(rows), inst.k + 2, 1, 5)
+
+
+def _lift_ell_2km2_reference(inst):
+    w = inst.m + 1
+    rows = tuple(row + (w, w) for row in inst.ballots)
+    return Instance("R", inst.m + 1, rows, inst.k + 1, 2 * inst.k, 3)
+
+
+def _and_cmpv_reference(instances):
+    head = instances[0]
+    n, z = head.n, head.m + 1
+    rows = []
+    for b, inst in enumerate(instances):
+        if b:
+            rows += [(z,) * (2 * n)] * (2 * head.k)
+        rows += [row + (z,) * n for row in inst.ballots]
+    return Instance("C", z, tuple(rows), head.k + 1, 1, head.x + n)
+
+
+def _and_rmpv_reference(instances):
+    head = instances[0]
+    n, m, ell = head.n, head.m, head.ell
+    pad = tuple(c for c in range(m + 1, m + ell + 2) for _ in range(n))
+    rows = []
+    for b, inst in enumerate(instances):
+        if b:
+            rows.append((m + 1,) * (n * (ell + 2)))
+        rows += [row + pad for row in inst.ballots]
+    return Instance("R", m + 1 + ell, tuple(rows), head.k + ell + 1, ell, head.x + n * (ell + 1))
+
+
+def _vc_gadgets():
+    rng = random.Random(19)
+    for nv in (2, 4, 4, 6, 6, 6, 8, 8, 8, 8):
+        pool = list(itertools.combinations(range(1, nv + 1), 2))
+        yield vc_to_cmpv(Graph(nv, tuple(rng.sample(pool, rng.randint(1, len(pool))))))
+
+
+def _sorted(source):
+    # the same profile with every row in id order and abstentions last
+    if isinstance(source, list):
+        return [_sorted(inst) for inst in source]
+    rows = tuple(tuple(sorted(row, key=lambda c: (c == 0, c))) for row in source.ballots)
+    return Instance(source.variant, source.m, rows, source.k, source.ell, source.x)
+
+
+def _spelled_alike(source):
+    # whether the ballot references append their fresh approvals to rows in
+    # the canonical spelling: every row in id order, with no abstention
+    sources = source if isinstance(source, list) else [source]
+    return all(0 not in row and list(row) == sorted(row) for i in sources for row in i.ballots)
+
+
+def _reference_cases():
+    """Per reduction: the reduction, its ballot reference, and its inputs."""
+    ell1, ell_2km2 = lift_inputs()
+    vc = list(_vc_gadgets())
+    rev = [cmpv_to_rmpv(inst) for inst in vc]
+    ell0 = list(conservative_ell0_inputs())
+    and_c = [inputs for _, inputs in and_patterns(and_pools("C", 1, 3), 3)]
+    and_r = [inputs for _, inputs in and_patterns(and_pools("R", 2, 2), 2)]
+    for seed in range(0, 10, 2):  # pairs without abstentions, as in the benchmark
+        and_c.append([random_instance(3, 4, 3, 2, 1, 2, "C", seed=s) for s in (seed, seed + 1)])
+        and_r.append([random_instance(3, 4, 3, 2, 4, 2, "R", seed=s) for s in (seed, seed + 1)])
+    return {
+        "normalize-half": (cmpv_normalize_half, _normalize_half_reference, ell0 + vc),
+        "cmpv-rmpv": (
+            cmpv_to_rmpv, _cmpv_to_rmpv_reference, [_normalize_half_reference(i) for i in ell0] + vc
+        ),
+        "lift-ell1": (lift_ell1, _lift_ell1_reference, ell1 + vc),
+        "lift-ell2km2": (lift_ell_2km2, _lift_ell_2km2_reference, ell_2km2 + rev),
+        "and-cmpv": (and_compose_cmpv, _and_cmpv_reference, and_c),
+        "and-rmpv": (and_compose_rmpv, _and_rmpv_reference, and_r),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["normalize-half", "cmpv-rmpv", "lift-ell1", "lift-ell2km2", "and-cmpv", "and-rmpv"]
+)
+def test_counts_match_the_ballot_reference(name):
+    # every input gives the reference's counts; inputs without abstentions
+    # whose rows are in id order, as the VC gadgets and their revolutionary
+    # forms, also give its bytes
+    build, reference, inputs = _reference_cases()[name]
+    alike = 0
+    for source in inputs:
+        for variant in (source, _sorted(source)):
+            same_bytes = _spelled_alike(variant)
+            _same_build(build(variant), reference(variant), same_bytes)
+            alike += same_bytes
+    assert alike >= 5
+
+
+def test_reductions_build_without_a_tally(monkeypatch):
+    cases = _reference_cases()
+    graph = PartitionedGraph(parts=({1, 2}, {3}, {4}), edges=((1, 3), (1, 4), (3, 4)))
+
+    def no_tally(ballots, m):
+        raise AssertionError("a reduction tallied ballots")
+
+    monkeypatch.setattr(core, "_tally", no_tally)
+    mcc_to_cmpv(graph)
+    for build, _, inputs in cases.values():
+        for source in inputs:
+            build(source)
 
 
 # ---------------------------------------------------------------------------
