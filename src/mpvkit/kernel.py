@@ -174,11 +174,7 @@ def kernel_ntau_rmpv(instance: Instance) -> KernelResult:
     if instance.n == 0:
         return KernelResult(kind="ntau-rmpv", verdict=_no_agents(instance))
     approved = _approved_candidates(instance)
-    target = max(instance.n, instance.k) * instance.tau
-    if instance.m > target:
-        keep = _fill_to(approved, instance.m, target)
-    else:
-        keep = set(range(1, instance.m + 1))
+    keep = _fill_to(approved, instance.m, max(instance.n, instance.k) * instance.tau)
     m2 = len(keep)
 
     k, ell = instance.k, instance.ell

@@ -1,15 +1,17 @@
 """Reference brute-force search used to validate the faster solvers.
 
-Enumerates committee sequences stage by stage in lexicographic order,
-keeping only stage committees that meet the score threshold and transitions
-that respect the symmetric-difference constraint. Exponential in every
-parameter, intended for desk-scale instances and as a test oracle.
+One generator yields the valid committee sequences in lexicographic
+order: depth first, stage by stage, over the committees that meet the
+stage's score threshold, keeping a transition when one table of allowed
+symmetric-difference sizes admits it. :func:`brute_force` reads its first
+sequence and :func:`enumerate_solutions` its first ``limit``. Exponential
+in every parameter, intended for desk-scale instances and as a test oracle.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb
 from operator import add
 
@@ -84,56 +86,45 @@ def _subsets_upto(candidates, k):
     return [_decode(mask, pool) for mask in _feasible_masks(dict.fromkeys(pool, 0), pool, k, 0)]
 
 
-def _sequence_search(instance, budget, max_solutions):
-    """DFS over committee sequences in lexicographic order.
+def _sequence_search(instance, budget, states):
+    """Generate the valid committee sequences in lexicographic order.
 
-    Counts every accepted extension of a partial sequence against
-    ``budget``; also refuses up front when a single stage's committee pool
-    is already too large to enumerate within it. Returns
-    ``(solutions, extensions)``.
+    Stage ``t`` draws its committees from its feasible masks. A committee
+    extends a partial sequence when ``ok[d]`` holds for its symmetric
+    difference ``d`` with the committee before it (``d <= ell``
+    conservative, ``d >= ell`` revolutionary). Each accepted extension
+    counts in ``states[0]``, so a reader that stops after a few sequences
+    pays only for the search up to them. An extension past ``budget``
+    raises :class:`BudgetExceededError`, as does, up front, a stage pool
+    too large to enumerate within it.
     """
-    m, k, ell, x, tau = instance.m, instance.k, instance.ell, instance.x, instance.tau
-    conservative = instance.variant == CONSERVATIVE
+    m, k, ell, tau = instance.m, instance.k, instance.ell, instance.tau
     pool_size = sum(comb(m, j) for j in range(min(k, m) + 1))
     if pool_size > budget or pool_size * tau > 8 * budget:
         raise BudgetExceededError(
             f"enumerating {pool_size} committees per stage exceeds the budget of {budget}"
         )
     pool = range(1, m + 1)
-    feasible = [_feasible_masks(row, pool, k, x) for row in instance.counts]
+    feasible = [_feasible_masks(row, pool, k, instance.x) for row in instance.counts]
+    ok = [d <= ell if instance.variant == CONSERVATIVE else d >= ell for d in range(m + 1)]
 
-    solutions = []
-    prefix = []
-    extensions = 0
-
-    def extend(t, prev):
-        nonlocal extensions
+    def paths(t, prev):  # the valid tails from stage t on, after committee prev
         for committee in feasible[t]:
-            if prev is not None:
-                d = (prev ^ committee).bit_count()
-                if conservative:
-                    if d > ell:
-                        continue
-                elif d < ell:
-                    continue
-            extensions += 1
-            if extensions > budget:
+            if t and not ok[(prev ^ committee).bit_count()]:
+                continue
+            states[0] += 1
+            if states[0] > budget:
                 raise BudgetExceededError(
                     f"search exceeded the budget of {budget} partial sequences"
                 )
-            prefix.append(committee)
             if t + 1 == tau:
-                solutions.append(tuple(_decode(mask, pool) for mask in prefix))
-                done = len(solutions) >= max_solutions
+                yield (committee,)
             else:
-                done = extend(t + 1, committee)
-            prefix.pop()
-            if done:
-                return True
-        return False
+                for rest in paths(t + 1, committee):
+                    yield (committee,) + rest
 
-    extend(0, None)
-    return solutions, extensions
+    for path in paths(0, 0):
+        yield tuple(_decode(mask, pool) for mask in path)
 
 
 def brute_force(instance: Instance, budget: int = DEFAULT_SEQUENCE_BUDGET) -> SolveReport:
@@ -151,8 +142,9 @@ def brute_force(instance: Instance, budget: int = DEFAULT_SEQUENCE_BUDGET) -> So
         gives up with :class:`BudgetExceededError`.
     """
     start = time.perf_counter()
-    solutions, extensions = _sequence_search(instance, budget, 1)
-    return _report("brute-force", start, solutions[0] if solutions else None, extensions)
+    states = [0]
+    witness = next(_sequence_search(instance, budget, states), None)
+    return _report("brute-force", start, witness, states[0])
 
 
 def enumerate_solutions(
@@ -161,7 +153,4 @@ def enumerate_solutions(
     """First ``limit`` valid committee sequences in lexicographic order."""
     if not isinstance(limit, int) or limit < 0:
         raise ValueError(f"limit must be a non-negative integer, got {limit!r}")
-    if limit == 0:
-        return []
-    solutions, _ = _sequence_search(instance, budget, limit)
-    return solutions
+    return list(islice(_sequence_search(instance, budget, [0]), limit))

@@ -381,16 +381,16 @@ def mcc_to_cmpv(pgraph: PartitionedGraph) -> Instance:
 # ---------------------------------------------------------------------------
 
 
-def _check_same_shape(instances, head):
-    for inst in instances:
-        if (inst.n, inst.m, inst.tau, inst.k, inst.x) != (
-            head.n,
-            head.m,
-            head.tau,
-            head.k,
-            head.x,
-        ):
-            raise PreconditionError("inputs must share n, m, tau, k, and x")
+def _and_inputs(instances, fits, requirement):
+    """The inputs as a non-empty list, each passing ``fits``, all of one shape."""
+    instances = list(instances)
+    if not instances:
+        raise ValueError("need at least one instance")
+    if not all(map(fits, instances)):
+        raise PreconditionError(f"inputs must be {requirement}")
+    if len({(i.n, i.m, i.tau, i.k, i.x) for i in instances}) > 1:
+        raise PreconditionError("inputs must share n, m, tau, k, and x")
+    return instances
 
 
 def and_compose_cmpv(instances) -> Instance:
@@ -403,14 +403,10 @@ def and_compose_cmpv(instances) -> Instance:
     the committee migrate one change at a time. The output is a yes iff
     every input is.
     """
-    instances = list(instances)
-    if not instances:
-        raise ValueError("need at least one instance")
+    instances = _and_inputs(
+        instances, lambda i: i.variant == CONSERVATIVE and i.ell == 1, "conservative with ell=1"
+    )
     head = instances[0]
-    for inst in instances:
-        if inst.variant != CONSERVATIVE or inst.ell != 1:
-            raise PreconditionError("inputs must be conservative with ell=1")
-    _check_same_shape(instances, head)
     n, m = head.n, head.m
     transfer = (0,) * (m + 1) + (2 * n,)  # column z = m + 1
     rows = []
@@ -431,14 +427,12 @@ def and_compose_rmpv(instances) -> Instance:
     enlarged committees can always realize the full-change constraint
     across block boundaries, so the output is a yes iff every input is.
     """
-    instances = list(instances)
-    if not instances:
-        raise ValueError("need at least one instance")
+    instances = _and_inputs(
+        instances,
+        lambda i: i.variant == REVOLUTIONARY and i.m == i.ell == 2 * i.k,
+        "revolutionary with m = ell = 2k",
+    )
     head = instances[0]
-    for inst in instances:
-        if inst.variant != REVOLUTIONARY or inst.ell != 2 * inst.k or inst.m != inst.ell:
-            raise PreconditionError("inputs must be revolutionary with m = ell = 2k")
-    _check_same_shape(instances, head)
     n, m, ell = head.n, head.m, head.ell
     transfer = (0,) * (m + 1) + (n * (ell + 2),) + (0,) * ell  # columns z, y_1..y_ell
     rows = []

@@ -289,8 +289,8 @@ def solve_inout_ell(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> S
     linked witness keeps its first parent, and the committees of the
     returned witness are rebuilt along that chain.
 
-    Budget counts nodes per change plus examined arcs, checked on the
-    middle stages. Raises :class:`PreconditionError` for the conservative
+    Budget counts nodes per change plus examined arcs, checked on every
+    arc. Raises :class:`PreconditionError` for the conservative
     variant; ``tau == 1`` and ``ell == 0`` delegate to the greedy solver.
     """
     if instance.variant != REVOLUTIONARY:
@@ -332,7 +332,7 @@ def solve_inout_ell(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> S
             out2, in2 = node
             for entry in reach:
                 states += 1
-                if 1 < t < tau and states > budget:
+                if states > budget:
                     raise BudgetExceededError(f"arc scan exceeded the budget of {budget}")
                 out1, in1 = entry[0]
                 if out1 & out2 or in1 & in2:
@@ -394,10 +394,10 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> Solv
     tau, k, m, x, ell = instance.tau, instance.k, instance.m, instance.x, instance.ell
     conservative = instance.variant == CONSERVATIVE
 
-    # a stage whose best k candidates miss x makes the answer no outright
-    if any(feasible_committee(instance, t) is None for t in range(1, tau + 1)):
-        return _report("dp-tau", start, None, 0)
-    if _change_out_of_reach(instance):
+    # a stage whose best k candidates miss x, or a change out of reach, is a no outright
+    if _change_out_of_reach(instance) or any(
+        feasible_committee(instance, t) is None for t in range(1, tau + 1)
+    ):
         return _report("dp-tau", start, None, 0)
 
     # each profile entry's largest value: sizes, differences, scores

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -273,14 +274,17 @@ def test_and_compose_cmpv_patterns():
 
 def test_and_compose_cmpv_validation():
     ell0 = random_instance(2, 3, 2, 1, 0, 1, "C", seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="inputs must be conservative with ell=1"):
         and_compose_cmpv([ell0])
     a = random_instance(2, 3, 2, 1, 1, 1, "C", seed=1)
     b = random_instance(2, 4, 2, 1, 1, 1, "C", seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="inputs must share n, m, tau, k, and x"):
         and_compose_cmpv([a, b])
-    with pytest.raises(ValueError):
-        and_compose_cmpv([])
+    # every input's variant is checked before any shape
+    with pytest.raises(ValueError, match="inputs must be conservative with ell=1"):
+        and_compose_cmpv([b, a, ell0])
+    with pytest.raises(ValueError, match="need at least one instance"):
+        and_compose_cmpv(iter([]))
 
 
 def test_and_compose_rmpv_patterns():
@@ -298,8 +302,16 @@ def test_and_compose_rmpv_patterns():
 
 def test_and_compose_rmpv_validation():
     bad = random_instance(2, 3, 2, 1, 2, 1, "R", seed=1)  # m != ell
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"inputs must be revolutionary with m = ell = 2k"):
         and_compose_rmpv([bad])
+    a = random_instance(2, 2, 2, 1, 2, 1, "R", seed=1)
+    b = random_instance(2, 2, 2, 1, 2, 2, "R", seed=1)
+    with pytest.raises(ValueError, match="inputs must share n, m, tau, k, and x"):
+        and_compose_rmpv([a, b])
+    with pytest.raises(ValueError, match="inputs must be revolutionary"):
+        and_compose_rmpv([a, b, bad])
+    with pytest.raises(ValueError, match="need at least one instance"):
+        and_compose_rmpv([])
 
 
 # ---------------------------------------------------------------------------
@@ -394,27 +406,6 @@ def _mcc_shared_pool_reference(pg):
     return Instance("C", pg.num_vertices + len(pg.edges), tuple(rows), q + q * (q - 1) // 2, 0, x)
 
 
-def _mcc_fresh_blocks_reference(pg):
-    # the construction before the shared agent pool: every gadget owns a
-    # fresh block of agents who abstain in every other stage
-    parts = pg.parts
-    h = pg.num_vertices
-    gadgets, x = _mcc_gadgets(pg)
-    widths = [max((sum(c for _, c in stage) for stage in g), default=0) for g in gadgets]
-    n = sum(widths)
-    rows = []
-    for g, stages in enumerate(gadgets):
-        for stage in stages:
-            row = [0] * n
-            pos = sum(widths[:g])
-            for candidate, count in stage:
-                row[pos : pos + count] = [candidate] * count
-                pos += count
-            rows.append(tuple(row))
-    q = len(parts)
-    return Instance("C", h + len(pg.edges), tuple(rows), q + q * (q - 1) // 2, 0, x)
-
-
 def _mcc_graphs():
     for shape in [(1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)]:
         yield from all_partitioned_graphs(shape)
@@ -422,20 +413,6 @@ def _mcc_graphs():
         parts=({1, 2, 3}, {4, 5, 6}, {7, 8, 9}),
         edges=((1, 4), (1, 7), (4, 7), (2, 5), (2, 9), (3, 6), (5, 8), (6, 9)),
     )
-
-
-def test_mcc_shared_pool_keeps_the_reference_counts():
-    graphs = 0
-    for pg in _mcc_graphs():
-        inst, ref = mcc_to_cmpv(pg), _mcc_fresh_blocks_reference(pg)
-        fields = ("variant", "m", "k", "ell", "x", "counts")
-        assert [getattr(inst, f) for f in fields] == [getattr(ref, f) for f in fields], pg
-        assert inst.n == max(map(sum, inst.counts))
-        for row in inst.ballots:  # approvals from agent 1 onward, then abstentions
-            total = sum(1 for c in row if c)
-            assert all(row[:total]) and not any(row[total:]), pg
-        graphs += 1
-    assert graphs == 2 + 4 + 16 + 8 + 32 + 256 + 4096 + 1
 
 
 def _same_build(out, ref, same_bytes):
@@ -451,18 +428,63 @@ def _same_build(out, ref, same_bytes):
 
 
 def test_mcc_builds_the_shared_pool_reference():
+    exhaustive = 2 + 4 + 16 + 8 + 32 + 256 + 4096 + 1  # the graphs of _mcc_graphs
     graphs = itertools.chain(_mcc_graphs(), sampled_partitioned_graphs())
     for count, pg in enumerate(graphs, start=1):
         inst, ref = mcc_to_cmpv(pg), _mcc_shared_pool_reference(pg)
         assert inst == ref, pg  # every field and every ballot, so the same bytes
-        if count % 16 == 0 or count > 4415:  # the round trips on a slice and the large graphs
+        if count % 16 == 0 or count > exhaustive:  # round trips on a slice and the large graphs
             _same_build(inst, ref, same_bytes=True)
-    assert count == 4415 + 92
+    assert count == exhaustive + 92
 
 
 def test_mcc_rejects_empty_part():
     with pytest.raises(PreconditionError):
         mcc_to_cmpv(PartitionedGraph(parts=({1}, frozenset(), {2}), edges=((1, 2),)))
+
+
+# ---------------------------------------------------------------------------
+# fidelity on every small input
+# ---------------------------------------------------------------------------
+
+
+def _small_graphs():
+    # every labelled graph on 2 and 4 vertices, then a seeded sample on 6
+    for nv in (2, 4):
+        pairs = list(itertools.combinations(range(1, nv + 1), 2))
+        for bits in range(1 << len(pairs)):
+            yield Graph(nv, tuple(e for i, e in enumerate(pairs) if bits >> i & 1))
+    rng = random.Random(6)
+    pairs = list(itertools.combinations(range(1, 7), 2))
+    for _ in range(200):
+        yield Graph(6, tuple(e for e in pairs if rng.random() < 0.6))
+
+
+def test_vc_chain_keeps_every_cover_answer():
+    answers = Counter()
+    for g in _small_graphs():
+        want = brute_cover(g, g.num_vertices // 2)
+        answers[want] += 1
+        gadget = vc_to_cmpv(g)
+        if isinstance(gadget, TrivialVerdict):
+            assert gadget.answer == want and not g.edges, g
+            continue
+        half = cmpv_normalize_half(gadget)
+        chain = (gadget, half, cmpv_to_rmpv(half))
+        assert [brute_force(inst).answer for inst in chain] == [want] * 3, g
+    assert answers[True] + answers[False] == 2 + 2**6 + 200 and answers[False] >= 50, answers
+
+
+def test_lift_ell_2km2_keeps_every_two_agent_answer():
+    # ell = 2k = m with m <= 3 leaves m = 2, k = 1; ballot 0 abstains
+    ballots = list(itertools.product(range(3), repeat=2))
+    profiles = 0
+    for tau in (1, 2, 3):
+        for profile in itertools.product(ballots, repeat=tau):
+            inst = Instance("R", 2, profile, 1, 2, 1)
+            assert brute_force(lift_ell_2km2(inst)).answer == brute_force(inst).answer, profile
+            profiles += 1
+    assert profiles == 9 + 9**2 + 9**3
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,37 @@ def test_budget_raises(monkeypatch):
         )
 
 
+def test_no_answer_reports_more_states_than_its_budget():
+    # in/out-ell checks every arc, the first and last stage's too: one
+    # state fewer than an answer needs raises
+    for s in range(300):
+        inst = random_instance(4, 6, 2 + s % 3, 2, 1, 2, "R", seed=s)
+        with pytest.raises(BudgetExceededError):
+            solve_inout_ell(inst, budget=solve_inout_ell(inst).stats["states"] - 1)
+    # and no budgeted solver answers with more states than its budget
+    rng = random.Random(3)
+    answered = Counter()
+    for trial in range(150):
+        variant = rng.choice("CR")
+        n, m, tau, k = rng.randint(1, 5), rng.randint(1, 6), rng.randint(2, 4), rng.randint(1, 3)
+        inst = random_instance(
+            n, m, tau, k, rng.randint(1, 2 * k), rng.randint(1, n), variant,
+            abstain_probability=0.2, seed=trial,
+        )
+        budget = rng.randint(1, 400)
+        solvers_here = [solve_layered_k, solve_dp_tau, brute_force]
+        if variant == "R":
+            solvers_here.append(solve_inout_ell)
+        for solver in solvers_here:
+            try:
+                rep = solver(inst, budget=budget)
+            except BudgetExceededError:
+                continue
+            answered[rep.algorithm] += 1
+            assert rep.stats["states"] <= budget, (solver.__name__, inst, budget)
+    assert min(answered[a] for a in ("layered-k", "dp-tau", "brute-force", "inout-ell")) >= 20, answered
+
+
 def _layered_reference(inst, budget):
     """solve_layered_k's search as a row-by-row loop over frozensets.
 
@@ -279,9 +310,14 @@ def _inout_reference(inst, budget):
     def feasible(t, required, forbidden):
         return feasible_committee(inst, t, required, forbidden) is not None
 
-    # every node per change, plus the first pass's one check per node
-    states = len(nodes) * (tau - 1) + len(nodes)
-    reach = [(node, None) for node in nodes if feasible(1, *node)]
+    states = len(nodes) * (tau - 1)  # every node per change
+    reach = []
+    for node in nodes:  # the first pass: one arc per node
+        states += 1
+        if states > budget:
+            return f"arc scan exceeded the budget of {budget}"
+        if feasible(1, *node):
+            reach.append((node, None))
     for t in range(2, tau):
         if not reach:
             break
@@ -299,6 +335,8 @@ def _inout_reference(inst, budget):
     goal = None
     for entry in reach:
         states += 1
+        if states > budget:
+            return f"arc scan exceeded the budget of {budget}"
         if feasible(tau, entry[0][1], entry[0][0]):
             goal = entry
             break
