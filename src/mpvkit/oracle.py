@@ -3,9 +3,14 @@
 One generator yields the valid committee sequences in lexicographic
 order: depth first, stage by stage, over the committees that meet the
 stage's score threshold, keeping a transition when one table of allowed
-symmetric-difference sizes admits it. :func:`brute_force` reads its first
-sequence and :func:`enumerate_solutions` its first ``limit``. Exponential
-in every parameter, intended for desk-scale instances and as a test oracle.
+symmetric-difference sizes admits it. Where that table admits only a
+small neighbourhood of the previous committee (``ell`` near 0
+conservative, near ``m`` revolutionary), its successors are looked up
+rather than scanned for, and a tail found to hold no sequence is not
+searched again; ``stats["states"]`` still counts every extension of the
+full search. :func:`brute_force` reads its first sequence and
+:func:`enumerate_solutions` its first ``limit``. Exponential in every
+parameter, intended for desk-scale instances and as a test oracle.
 """
 
 from __future__ import annotations
@@ -89,14 +94,36 @@ def _subsets_upto(candidates, k):
 def _sequence_search(instance, budget, states):
     """Generate the valid committee sequences in lexicographic order.
 
-    Stage ``t`` draws its committees from its feasible masks. A committee
-    extends a partial sequence when ``ok[d]`` holds for its symmetric
-    difference ``d`` with the committee before it (``d <= ell``
-    conservative, ``d >= ell`` revolutionary). Each accepted extension
-    counts in ``states[0]``, so a reader that stops after a few sequences
-    pays only for the search up to them. An extension past ``budget``
-    raises :class:`BudgetExceededError`, as does, up front, a stage pool
-    too large to enumerate within it.
+    Stage ``t`` draws its committees from its feasible masks; stages with
+    equal count rows share one list. A committee extends a partial
+    sequence when ``ok[d]`` holds for its symmetric difference ``d`` with
+    the committee before it (``d <= ell`` conservative, ``d >= ell``
+    revolutionary). The successors of ``prev`` are found in one of two ways:
+
+    * by a lookup in the neighbourhood every successor lies in.
+      Conservative successors lie in the ball of radius ``ell`` around
+      ``prev``; revolutionary ones in the ball of radius ``m - ell``
+      around ``prev``'s complement over the ``m`` candidates, since
+      ``|prev ^ c| >= ell`` exactly when ``|~prev ^ c| <= m - ell``. The
+      ball's masks are enumerated once and looked up in the stage's
+      ``{mask: position}`` index, built on the stage's first lookup and
+      shared by equal rows; the hits are visited in position order,
+      which is the scan's order. A stage takes this path when the ball
+      holds at most 64 masks and at most a quarter of its list;
+    * otherwise by a scan of the stage's whole list that tests each
+      committee.
+
+    Each accepted extension counts in ``states[0]``, so a reader that stops
+    after a few sequences pays only for the search up to them. A tail
+    from stage ``t`` after ``prev`` that yields nothing is dead, and
+    ``dead[t][prev]`` remembers how many extensions it took; a revisit
+    adds that count to ``states[0]`` instead of searching again, so
+    ``states`` and every budget error stay those of the full search. The
+    memo holds at most one count per committee of stage ``t - 1``, and
+    the indexes one entry per feasible committee, so the search holds
+    memory of the order of its feasible lists. An extension past
+    ``budget`` raises :class:`BudgetExceededError`, as does, up front, a
+    stage pool too large to enumerate within it.
     """
     m, k, ell, tau = instance.m, instance.k, instance.ell, instance.tau
     pool_size = sum(comb(m, j) for j in range(min(k, m) + 1))
@@ -104,24 +131,53 @@ def _sequence_search(instance, budget, states):
         raise BudgetExceededError(
             f"enumerating {pool_size} committees per stage exceeds the budget of {budget}"
         )
+    exceeded = f"search exceeded the budget of {budget} partial sequences"
     pool = range(1, m + 1)
-    feasible = [_feasible_masks(row, pool, k, instance.x) for row in instance.counts]
-    ok = [d <= ell if instance.variant == CONSERVATIVE else d >= ell for d in range(m + 1)]
+    conservative = instance.variant == CONSERVATIVE
+    ok = [d <= ell if conservative else d >= ell for d in range(m + 1)]
+    # successors of prev lie within radius of prev ^ flip; a lookup takes at
+    # most 64 masks, and a ball of radius 7 holds at least 2**7 of them
+    radius, flip = (ell, 0) if conservative else (m - ell, (1 << m) - 1)
+    ball_size = sum(comb(m, j) for j in range(min(radius, m, 7) + 1))
+    shared = {}  # count row -> (feasible masks, {mask: position} filled on first lookup)
+    for row in instance.counts:
+        if row not in shared:
+            shared[row] = _feasible_masks(row, pool, k, instance.x), {}
+    feasible, indexes = zip(*map(shared.__getitem__, instance.counts))
+    lookup = [ball_size <= 64 and 4 * ball_size <= len(masks) for masks in feasible]
+    ball = _feasible_masks([0] * (m + 1), pool, radius, 0) if radius >= 0 and any(lookup) else []
+    dead = [{} for _ in range(tau)]
 
     def paths(t, prev):  # the valid tails from stage t on, after committee prev
-        for committee in feasible[t]:
+        spent = dead[t].get(prev)
+        if spent is not None:
+            states[0] += spent
+            if states[0] > budget:
+                raise BudgetExceededError(exceeded)
+            return
+        start, found, last = states[0], False, t + 1 == tau
+        candidates = feasible[t]
+        if t and lookup[t]:
+            index = indexes[t]
+            if not index:
+                index.update(zip(candidates, range(len(candidates))))
+            center = prev ^ flip
+            candidates = sorted(index.keys() & map(center.__xor__, ball), key=index.__getitem__)
+        for committee in candidates:
             if t and not ok[(prev ^ committee).bit_count()]:
                 continue
             states[0] += 1
             if states[0] > budget:
-                raise BudgetExceededError(
-                    f"search exceeded the budget of {budget} partial sequences"
-                )
-            if t + 1 == tau:
+                raise BudgetExceededError(exceeded)
+            if last:
+                found = True
                 yield (committee,)
             else:
                 for rest in paths(t + 1, committee):
+                    found = True
                     yield (committee,) + rest
+        if not found:
+            dead[t][prev] = states[0] - start
 
     for path in paths(0, 0):
         yield tuple(_decode(mask, pool) for mask in path)

@@ -32,6 +32,7 @@ from mpvkit import (
     random_instance,
     shrink_weights,
     sidon,
+    solve_auto,
     solve_dp_tau,
     solve_inout_ell,
     solve_layered_k,
@@ -433,6 +434,21 @@ def test_acceptance_05c_multicolored_clique_reduction():
             inst = mcc_to_cmpv(pg)
             assert brute_force(inst).answer == clique_instance_answer(inst, len(shape))
     print(f"criterion 5c: PASS ({graphs} partitioned graphs)")
+
+
+def test_brute_force_decides_3x3x3_clique_gadgets():
+    # at ell = 0 a stage's only successor is the committee itself, and
+    # solve_auto falls back to brute force on these gadgets
+    graphs = [pg for pg in sampled_partitioned_graphs() if list(map(len, pg.parts)) == [3, 3, 3]]
+    sparsest_yes = min((pg for pg in graphs if brute_clique(pg)), key=lambda pg: len(pg.edges))
+    densest_no = max((pg for pg in graphs if not brute_clique(pg)), key=lambda pg: len(pg.edges))
+    for pg, expected in ((sparsest_yes, True), (densest_no, False)):
+        inst = mcc_to_cmpv(pg)
+        for rep in (brute_force(inst), solve_auto(inst)):
+            assert rep.answer is expected, (pg, rep.algorithm)
+            assert (rep.witness is not None) is expected
+            if expected:
+                assert verify(inst, rep.witness) == []
 
 
 def test_acceptance_05d_lifts_and_compositions():

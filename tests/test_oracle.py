@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -214,3 +214,84 @@ def test_search_matches_the_closure_reference():
                 assert got == expected, (inst, budget, limit)
     # both variants answer yes and no, and both budget errors occur
     assert min(seen.values()) >= 10 and len(seen) == 6, seen
+
+
+def _gadget_shaped(rng, trial):
+    """A random instance at the extremes where successors are looked up.
+
+    Conservative with ``ell`` 0-1 or revolutionary with ``ell`` from
+    ``m - 1`` to ``m + 1``, ``m`` 8-10, with abstentions and with stage
+    rows repeated in a random pattern.
+    """
+    m = rng.randint(8, 10)
+    if rng.random() < 0.5:
+        variant, ell, k = "C", rng.randint(0, 1), rng.randint(2, 3)
+    else:
+        variant, ell, k = "R", rng.randint(m - 1, m + 1), m // 2
+    n, tau = rng.randint(4, 9), rng.randint(2, 4)
+    base = random_instance(
+        n, m, rng.randint(1, tau), k, ell, 1, variant,
+        abstain_probability=rng.choice((0.1, 0.3)), seed=trial,
+    )
+    rows = tuple(rng.choice(base.ballots) for _ in range(tau))
+    return Instance(variant, m, rows, k, ell, rng.randint(1, 4))
+
+
+def test_neighbourhood_lookup_matches_the_closure_reference():
+    seen = Counter()
+    rng = random.Random(14)
+    for trial in range(120):
+        inst = _gadget_shaped(rng, trial)
+        m, ell = inst.m, inst.ell
+        radius = ell if inst.variant == "C" else m - ell
+        ball = sum(comb(m, j) for j in range(radius + 1))
+        lists = [len(_feasible_masks(row, range(1, m + 1), inst.k, inst.x)) for row in inst.counts]
+        # a lookup serves some stage after the first
+        seen["lookup"] += ball <= 64 and any(4 * ball <= size for size in lists[1:])
+        seen["repeated"] += len(set(inst.counts)) < inst.tau
+        _, needed = _sequence_reference(inst, DEFAULT_SEQUENCE_BUDGET, 5)
+        for budget in (DEFAULT_SEQUENCE_BUDGET, rng.randint(1, max(1, needed)), max(1, needed - 1)):
+            expected = _sequence_reference(inst, budget, 1)
+            got = _outcome(lambda: brute_force(inst, budget=budget))
+            if isinstance(expected, str):
+                seen["exceeded"] += 1
+                assert got == expected, (inst, budget)
+            else:
+                witness = expected[0][0] if expected[0] else None
+                seen[inst.variant + ("yes" if witness else "no")] += 1
+                assert (got.answer, got.witness, got.stats["states"]) == (
+                    witness is not None, witness, expected[1]
+                ), (inst, budget)
+            for limit in range(1, 6):
+                expected = _sequence_reference(inst, budget, limit)
+                if not isinstance(expected, str):
+                    expected = expected[0]
+                got = _outcome(lambda: enumerate_solutions(inst, limit, budget=budget))
+                assert got == expected, (inst, budget, limit)
+    assert seen["lookup"] >= 70 and seen["repeated"] >= 70, seen
+    assert min(seen[key] for key in ("Cyes", "Cno", "Ryes", "Rno", "exceeded")) >= 10, seen
+
+
+def test_dead_tails_still_count_every_extension():
+    # six candidates, a of them approved at each stage, and none at the
+    # last: with x = 1 no committee meets the last stage, and ell = m
+    # allows every transition before it
+    m, k = 6, 3
+    approved = (6, 5, 6, 4, 0)
+    rows = tuple(tuple(range(1, a + 1)) + (0,) * (m - a) for a in approved)
+    inst = Instance(variant="C", m=m, ballots=rows, k=k, ell=m, x=1)
+    # a feasible committee holds at least one approved candidate
+    sizes = [sum(comb(m, j) - comb(m - a, j) for j in range(1, k + 1)) for a in approved]
+    assert sizes == [41, 40, 41, 38, 0]
+    # the full search extends every prefix through stage t once per
+    # sequence of feasible committees of stages 1..t
+    extensions = sum(prod(sizes[: t + 1]) for t in range(len(sizes)))
+    assert extensions == 2_624_041
+    rep = brute_force(inst)
+    assert (rep.answer, rep.witness, rep.stats["states"]) == (False, None, extensions)
+    assert brute_force(inst, budget=extensions).stats["states"] == extensions
+    for budget in (extensions - 1, 70_000):
+        with pytest.raises(BudgetExceededError) as exc:
+            brute_force(inst, budget=budget)
+        assert str(exc.value) == f"search exceeded the budget of {budget} partial sequences"
+    assert enumerate_solutions(inst, 5) == []
