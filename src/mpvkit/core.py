@@ -89,17 +89,28 @@ def _report(algorithm, start, witness, states, **extra) -> SolveReport:
     )
 
 
+def _integer(value):
+    """``value`` as an ``int``, or None if it is not a number's integer.
+
+    ``bool`` is an int subclass but never a size or a weight, so it is
+    refused; numpy integers and anything else ``operator.index`` takes
+    are fine.
+    """
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def _check_parameters(instance, variant, m, k, ell, x):
     """Validate and store the parameters every instance shares."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     object.__setattr__(instance, "variant", variant)
     for name, value, low in (("m", m, 1), ("k", k, 1), ("ell", ell, 0), ("x", x, 1)):
-        try:
-            # bool is an int subclass but never a size; numpy integers are fine
-            number = None if isinstance(value, bool) else operator.index(value)
-        except TypeError:
-            number = None
+        number = _integer(value)
         if number is None or number < low:
             kind = "positive" if low else "non-negative"
             raise ValueError(f"{name} must be a {kind} integer, got {value!r}")

@@ -8,7 +8,12 @@ Two reduction families:
   the reduced instance translate back, and
 * score compression bounding every weight's bit size by a polynomial in
   candidates and stages (:func:`kernel_mtau`), built on
-  :func:`shrink_weights`.
+  :func:`shrink_weights`: Frank-Tardos compression, whose simultaneous
+  Diophantine approximation runs an integral LLL over Python ints
+  (:func:`_lll`). It starts from the closed-form Gram-Schmidt data of
+  the one lattice it reduces and takes the same steps as sympy's
+  rational ``DomainMatrix.lll``, so outputs match it; sympy is not
+  needed.
 
 :func:`to_weighted` keeps only an instance's per-stage counts, as a
 :class:`~mpvkit.core.WeightedInstance`. The n-tau kernels need agents and
@@ -19,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Optional
 
 from .core import (
@@ -32,6 +36,7 @@ from .core import (
     WeightedInstance,
     _change_out_of_reach,
     _check_candidates,
+    _integer,
 )
 from .oracle import DEFAULT_SEQUENCE_BUDGET, brute_force
 
@@ -241,49 +246,130 @@ def solve_weighted(
 # ---------------------------------------------------------------------------
 
 
-def _simultaneous_approx(u, eps):
-    """Small q with ||q*u - p||_inf <= eps for rational u in [-1, 1].
+def _approx_lattice(w, N):
+    """The lattice basis :func:`_simultaneous_approx` reduces, as ``(a, D)``.
+
+    With ``u = w / max|w|``, ``eps = 1/(2N)`` and ``theta = eps**(d+1) /
+    2**ceil(d(d+1)/4)``, ``D`` is the least common denominator of
+    ``theta`` and ``u``; the basis is the first row
+    ``a = (theta*D, u_1*D, ..., u_d*D)`` followed by the rows ``D*e_i``
+    for ``i = 1..d``.
+    """
+    d = len(w)
+    top = max(abs(v) for v in w)
+    theta_den = (2 * N) ** (d + 1) << -(-(d * (d + 1)) // 4)
+    D = math.lcm(theta_den, *(top // math.gcd(v, top) for v in w))
+    return [D // theta_den] + [v * D // top for v in w], D
+
+
+def _lll(a, D):
+    """LLL-reduce (delta = 3/4) the basis ``a``, ``D*e_1``, ..., ``D*e_d``.
+
+    Integral LLL over Python ints (Cohen, GTM 138, Alg. 2.6.7) that takes
+    every step sympy's ``DomainMatrix.lll(delta=QQ(3, 4))`` takes on this
+    basis, so it returns the same reduced basis. ``dets[j]`` and
+    ``lam[i][j]`` are the algorithm's ``d_j`` and ``lambda_ij`` divided
+    by ``D**(2j - 2)`` and ``D**(2j)``: every ``j`` vectors of this
+    lattice have Gram determinant divisible by ``D**(2j - 2)`` (their
+    ``j x j`` minors are rank-one updates of ``D`` times an integer
+    matrix), so the quotients are integers and the updates keep their
+    form with ``dets[0] = D**2``. The start is closed form: with
+    ``s = sum(a_i**2)``, ``dets[j+1] = s - (a_1**2 + ... + a_j**2)``,
+    ``lam[i][0] = D*a_i`` and ``lam[i][j] = -a_i*a_j`` for ``1 <= j < i``.
+    LLL only ever lowers a ``d_j``, so every ``dets[j]`` stays at most
+    ``max(s, D**2)``, where the unscaled ``d_j`` would reach ``D**(2j)``.
+
+    A size reduction fires when ``2|lam[k][l]| > dets[l+1]``, that is
+    ``|mu| > 1/2``. Its quotient is sympy's ``floor(mu + 1/2)``, which
+    goes through ``float`` for sympy's pure-Python rationals; the same
+    rounding is kept here. Lovasz holds when
+    ``4 dets[k+1] dets[k-1] >= 3 dets[k]**2 - 4 lam[k][k-1]**2``.
+    """
+    m = len(a)
+    basis = [list(a)]
+    for i in range(1, m):
+        row = [0] * m
+        row[i] = D
+        basis.append(row)
+    rest = sum(v * v for v in a)
+    dets = [D * D, rest]
+    for j in range(1, m):
+        rest -= a[j] * a[j]
+        dets.append(rest)
+    lam = [[]] + [[D * a[i]] + [-a[i] * a[j] for j in range(1, i)] for i in range(1, m)]
+
+    def size_reduce(k, l):
+        lk, dl = lam[k], dets[l + 1]
+        if 2 * abs(lk[l]) > dl:
+            q = math.floor((2 * lk[l] + dl) / (2 * dl))
+            basis[k] = [x - q * y for x, y in zip(basis[k], basis[l])]
+            ll = lam[l]
+            for i in range(l):
+                lk[i] -= q * ll[i]
+            lk[l] -= q * dl
+
+    k = 1
+    while k < m:
+        size_reduce(k, k - 1)
+        lkk = lam[k][k - 1]
+        if 4 * dets[k + 1] * dets[k - 1] >= 3 * dets[k] ** 2 - 4 * lkk * lkk:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+            continue
+        # swap b_{k-1} and b_k; lam[k][k-1] keeps its value
+        basis[k], basis[k - 1] = basis[k - 1], basis[k]
+        lam[k - 1], lam[k] = lam[k][: k - 1], lam[k - 1] + [lkk]
+        dk, dk1 = dets[k], dets[k + 1]
+        new_dk = (dets[k - 1] * dk1 + lkk * lkk) // dk
+        for i in range(k + 1, m):
+            li = lam[i]
+            t = li[k]
+            li[k] = (dk1 * li[k - 1] - lkk * t) // dk
+            li[k - 1] = (new_dk * t + lkk * li[k]) // dk1
+        dets[k] = new_dk
+        k = max(k - 1, 1)
+    # sympy's closing checks: every k satisfies Lovasz, every pair is size-reduced
+    for k in range(1, m):
+        lkk = lam[k][k - 1]
+        assert 4 * dets[k + 1] * dets[k - 1] >= 3 * dets[k] ** 2 - 4 * lkk * lkk
+        assert all(2 * abs(lam[k][l]) <= dets[l + 1] for l in range(k))
+    return basis
+
+
+def _simultaneous_approx(w, N):
+    """Small q with ||q*u - p||_inf <= 1/(2N) for ``u = w / max|w|``.
 
     Lattice rounding: reduce the basis {(theta, u), scaled unit vectors}
-    and read q and p off the shortest reduced vector. Guarantees
-    1 <= q <= (1/eps)^d * 2^ceil(d(d+1)/4) with integer p of
-    max-norm at most q.
+    with the integral LLL of :func:`_lll`, started from the basis's
+    closed-form Gram-Schmidt data and step for step the same as sympy's
+    ``DomainMatrix.lll(delta=QQ(3, 4))``, and read q and p off the first
+    reduced vector. Guarantees 1 <= q <= (2N)^d * 2^ceil(d(d+1)/4)
+    with integer p of max-norm at most q.
     """
-    # imported here: sympy costs ~0.4 s of start-up and only kernel_mtau needs it
-    from sympy import QQ, ZZ
-    from sympy.polys.matrices import DomainMatrix
-
-    d = len(u)
-    c = -(-(d * (d + 1)) // 4)
-    theta = eps ** (d + 1) / 2**c
-    denom = math.lcm(theta.denominator, *(v.denominator for v in u))
-    first = [int(theta * denom)] + [int(v * denom) for v in u]
-    rows = [first]
-    for i in range(d):
-        row = [0] * (d + 1)
-        row[i + 1] = denom
-        rows.append(row)
-    mat = DomainMatrix([[ZZ(e) for e in row] for row in rows], (d + 1, d + 1), ZZ)
-    best = mat.lll(delta=QQ(3, 4)).to_list()[0]
-    v = [int(e) for e in best]
-    a = Fraction(v[0], first[0])
-    assert a.denominator == 1 and a != 0, "reduced vector lost the q component"
-    q = int(a)
+    first, D = _approx_lattice(w, N)
+    v = _lll(first, D)[0]
+    q, rem = divmod(v[0], first[0])
+    assert rem == 0 and q != 0, "reduced vector lost the q component"
     if q < 0:
         q = -q
         v = [-e for e in v]
+    top = max(abs(x) for x in w)
     p = []
-    for i in range(d):
-        num = q * u[i] * denom - v[i + 1]
-        pi = Fraction(num, denom)
-        assert pi.denominator == 1
-        p.append(int(pi))
-        assert abs(q * u[i] - p[-1]) <= eps
+    for x, a_i, v_i in zip(w, first[1:], v[1:]):
+        p_i, rem = divmod(q * a_i - v_i, D)
+        assert rem == 0
+        assert 2 * N * abs(q * x - p_i * top) <= top
+        p.append(p_i)
     return q, p
 
 
 def _shrink(w, N):
-    """Recursive core of shrink_weights over exact rationals."""
+    """Recursive core of shrink_weights over integers.
+
+    The result depends only on the direction of ``w``, which is read as
+    ``u = w / max|w|``.
+    """
     d = len(w)
     support = [i for i, v in enumerate(w) if v]
     if not support:
@@ -293,20 +379,19 @@ def _shrink(w, N):
         out[support[0]] = 1 if w[support[0]] > 0 else -1
         return out
     largest = max(abs(v) for v in w)
-    u = [v / largest for v in w]
-    eps = Fraction(1, 2 * N)
-    q, p_sub = _simultaneous_approx([u[i] for i in support], eps)
+    q, p_sub = _simultaneous_approx([w[i] for i in support], N)
     p = [0] * d
     for j, i in enumerate(support):
         p[i] = p_sub[j]
     for i in support:
         # entries at the max modulus get exact images, so the residual
         # support is strictly smaller and the recursion terminates
-        if u[i] == 1:
+        if w[i] == largest:
             p[i] = q
-        elif u[i] == -1:
+        elif w[i] == -largest:
             p[i] = -q
-    residual = [q * u[i] - p[i] for i in range(d)]
+    # q*u - p scaled by largest, which leaves its direction alone
+    residual = [q * w[i] - p[i] * largest for i in range(d)]
     assert sum(1 for v in residual if v) < len(support)
     rbar = _shrink(residual, N)
     gap = (N - 1) * max((abs(v) for v in rbar), default=0) + 1
@@ -323,23 +408,29 @@ def shrink_weights(w, N: int):
       vector ``b`` with ``sum(|b[i]|) <= N - 1``.
 
     In particular non-negative inputs stay non-negative and zeros stay
-    zero (take ``b`` a unit vector). Raises ``ValueError`` for ``N < 2``.
+    zero (take ``b`` a unit vector). Raises ``ValueError`` for ``N < 2``
+    and for an ``N`` or weight that is not an integer: ``bool`` is
+    refused, numpy integers and anything else ``operator.index`` takes
+    are stored as ``int``.
 
     The construction normalizes by the largest modulus, replaces the
     normalized vector by a nearby rational point with one small
-    denominator (simultaneous Diophantine approximation through exact
-    lattice reduction), recurses on the residual, and recombines with a
-    factor large enough that the approximation's signs dominate: short
-    inner products with the residual are too small to flip them.
+    denominator (simultaneous Diophantine approximation through the
+    exact integral LLL of :func:`_lll`), recurses on the residual, and
+    recombines with a factor large enough that the approximation's signs
+    dominate: short inner products with the residual are too small to
+    flip them.
     """
-    if not isinstance(N, int) or N < 2:
+    number = _integer(N)
+    if number is None or number < 2:
         raise ValueError(f"N must be an integer >= 2, got {N!r}")
     vec = []
     for v in w:
-        if not isinstance(v, int):
+        weight = _integer(v)
+        if weight is None:
             raise ValueError(f"weights must be integers, got {v!r}")
-        vec.append(Fraction(v))
-    return tuple(_shrink(vec, N))
+        vec.append(weight)
+    return tuple(_shrink(vec, number))
 
 
 def kernel_mtau(instance) -> WeightedInstance:

@@ -15,9 +15,11 @@ from mpvkit import (
     parse_instance,
     random_instance,
     solve_auto,
+    kernel_mtau,
     to_weighted,
     Graph,
     PartitionedGraph,
+    WeightedInstance,
 )
 from mpvkit.cli import run
 
@@ -190,6 +192,18 @@ def test_kernelize_mtau(e1_file, capsys):
     assert "weights" in out
 
 
+def test_kernelize_mtau_without_sympy(tmp_path, monkeypatch, capsys):
+    rows = ((0, 10**12 + 3, 10**12 - 1, 2), (0, 7, 5 * 10**11, 10**12))
+    inst = WeightedInstance("R", 3, rows, 1, 1, 10**12)
+    expected = emit_instance(kernel_mtau(inst))
+    path = tmp_path / "big.mpv"
+    path.write_text(emit_instance(inst))
+    monkeypatch.setitem(sys.modules, "sympy", None)  # importing sympy now fails
+    assert run(["kernelize", str(path), "--target", "mtau"]) == 0
+    assert capsys.readouterr().out == expected
+    assert "x 52\n" in expected  # the threshold did shrink
+
+
 def test_transform_vc(tmp_path, capsys):
     g = Graph(4, ((1, 2), (2, 3), (3, 4)))
     src = tmp_path / "g.txt"
@@ -348,6 +362,19 @@ def test_import_does_not_load_numpy():
     proc = _fresh_python("-c", "import sys, mpvkit; print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_kernel_mtau_does_not_load_sympy():
+    script = (
+        "import sys\n"
+        "from mpvkit import WeightedInstance, kernel_mtau\n"
+        "rows = ((0, 10**12 + 3, 10**12 - 1, 2), (0, 7, 5 * 10**11, 10**12))\n"
+        "print(kernel_mtau(WeightedInstance('R', 3, rows, 1, 1, 10**12)).x)\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    proc = _fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "52\nFalse\n"
 
 
 def test_version_does_not_load_numpy():

@@ -1,6 +1,10 @@
 import itertools
+import math
 import random
+import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mpvkit import (
@@ -17,6 +21,9 @@ from mpvkit import (
     to_weighted,
     verify,
 )
+
+from mpvkit.formats import emit_instance
+from mpvkit.kernel import _approx_lattice, _lll
 
 from conftest import e1
 
@@ -241,6 +248,116 @@ def test_shrink_weights_validation():
         shrink_weights((1, 2), 1)
     with pytest.raises(ValueError):
         shrink_weights((1.5, 2), 3)
+    # bool is never a weight or a bound, as in Instance's parameters
+    with pytest.raises(ValueError, match="weights must be integers"):
+        shrink_weights((True, 2), 3)
+    with pytest.raises(ValueError, match="N must be an integer"):
+        shrink_weights((1, 2), True)
+    with pytest.raises(ValueError, match="N must be an integer"):
+        shrink_weights((1, 2), 3.0)
+    # numpy integers are taken and stored as int
+    out = shrink_weights((np.int64(3), 10**15), np.int64(3))
+    assert out == shrink_weights((3, 10**15), 3)
+    assert all(type(v) is int for v in out)
+    assert shrink_weights([np.int64(5), np.uint8(0)], 2) == (1, 0)
+
+
+# outputs of the rational-LLL implementation this one replaced
+PINNED_SHRINKS = [
+    ((10**15, 10**15 + 1, 7), 3, (14, 15, 7)),
+    ((5 * 10**9, 10**9, 3 * 10**9), 3, (5, 1, 3)),
+    ((123456789, -987654321, 0, 5), 2, (14, -152, 0, 18)),
+    ((2**61 - 1, 2**31 - 1, 65537, 1), 6, (156, 31, 6, 1)),
+    ((10**12 + 39, 3 * 10**11, 7 * 10**11 - 1, 10**12), 4, (11710, 3396, 7914, 11320)),
+    ((-(10**9), 10**9 - 1, 17, 0, 2 * 10**9), 3, (-35, 34, 17, 0, 70)),
+    ((999983, 999979, 999961, 999959, 999953, 999931), 4, (79, 77, 68, 67, 64, 53)),
+    ((3, 1, 4, 1, 5, 9, 2, 6), 5, (3, 1, 4, 1, 5, 9, 2, 6)),
+]
+
+
+@pytest.mark.parametrize("w,N,expected", PINNED_SHRINKS)
+def test_shrink_weights_pinned_outputs(w, N, expected):
+    assert shrink_weights(w, N) == expected
+
+
+# ---------------------------------------------------------------------------
+# lattice reduction
+# ---------------------------------------------------------------------------
+
+
+def _approx_lattices(dims, seed, vectors=()):
+    """``(a, D)`` of the lattices ``_simultaneous_approx`` builds.
+
+    One seeded vector per entry of ``dims``, then the given ``vectors``,
+    each with its bound ``N``. Drawn entries are zero, negative or
+    positive with moduli up to 10**9.
+    """
+    rng = random.Random(seed)
+    drawn = []
+    for d in dims:
+        top = 10 ** rng.randint(0, 9)
+        w = [rng.choice((0, rng.randint(-top, top))) for _ in range(d)]
+        w[rng.randrange(d)] = rng.choice((top, -top))
+        drawn.append((w, rng.randint(2, 4)))
+    for w, N in drawn + list(vectors):
+        yield _approx_lattice(w, N)
+
+
+# sympy floors mu + 1/2 through float; on this vector the float rounding
+# gives another quotient than exact rationals would
+FLOAT_ROUNDING = (
+    [0, -567653936, 0, -348825971, 0, -212625479, 0, 0, 327476034, -139165344, 0, 0],
+    5,
+)
+# every d up to 20 once, then mostly small d, where sympy is quick
+SMALL_LATTICES = (list(range(1, 21)) + [1 + i % 8 for i in range(180)], 31, [FLOAT_ROUNDING])
+LARGE_LATTICES = ([38, 41], 32)
+
+
+def _basis(a, D):
+    rows = [list(a)]
+    for i in range(1, len(a)):
+        rows.append([D if j == i else 0 for j in range(len(a))])
+    return rows
+
+
+@pytest.mark.parametrize("draws", [SMALL_LATTICES, LARGE_LATTICES], ids=["d1-20", "d38-41"])
+def test_lll_matches_sympy(draws):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    ZZ, QQ = sympy.ZZ, sympy.QQ
+    for a, D in _approx_lattices(*draws):
+        n = len(a)
+        mat = DomainMatrix([[ZZ(e) for e in row] for row in _basis(a, D)], (n, n), ZZ)
+        expected = [[int(e) for e in row] for row in mat.lll(delta=QQ(3, 4)).to_list()]
+        assert _lll(a, D) == expected, (a, D)
+
+
+@pytest.mark.parametrize("draws", [SMALL_LATTICES, LARGE_LATTICES], ids=["d1-20", "d38-41"])
+def test_lll_output_is_a_reduced_basis_of_the_lattice(draws):
+    delta = Fraction(3, 4)
+    for a, D in _approx_lattices(*draws):
+        basis = _lll(a, D)
+        n = len(a)
+        # every row is q*a + D*p for integers q and p: a lattice vector
+        for row in basis:
+            q, r = divmod(row[0], a[0])
+            assert r == 0 and all((v - q * ai) % D == 0 for v, ai in zip(row[1:], a[1:]))
+        # Gram-Schmidt over exact rationals
+        star, norms, mu = [], [], [[Fraction(0)] * n for _ in range(n)]
+        for i, row in enumerate(basis):
+            v = [Fraction(e) for e in row]
+            for j in range(i):
+                mu[i][j] = sum(x * y for x, y in zip(row, star[j])) / norms[j]
+                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+            star.append(v)
+            norms.append(sum(x * x for x in v))
+        # same volume as the input basis, so the rows span the whole lattice
+        assert math.prod(norms) == D ** (2 * (n - 1)) * a[0] ** 2
+        for k in range(1, n):
+            assert all(abs(mu[k][j]) <= Fraction(1, 2) for j in range(k))
+            assert norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +384,27 @@ def test_kernel_mtau_shrinks_and_preserves():
         flat = [v for row in small.weights for v in row[1:]] + [small.x]
         assert all(abs(v) <= bound for v in flat)
         assert solve_weighted(small).answer == brute_force(inst).answer, (inst, small)
+
+
+# the rational-LLL implementation this one replaced gave the same text
+MTAU_PINNED = WeightedInstance(
+    "R", 3, ((0, 10**12 + 3, 10**12 - 1, 2), (0, 7, 5 * 10**11, 10**12)), 1, 1, 10**12
+)
+MTAU_PINNED_TEXT = """mpv 1
+variant R
+candidates 3
+stages 2
+k 1
+ell 1
+x 52
+weights 1: 58 50 4
+weights 2: 14 26 52
+"""
+
+
+def test_kernel_mtau_runs_without_sympy(monkeypatch):
+    monkeypatch.setitem(sys.modules, "sympy", None)  # importing sympy now fails
+    assert emit_instance(kernel_mtau(MTAU_PINNED)) == MTAU_PINNED_TEXT
 
 
 def test_kernel_mtau_accepts_weighted_input():
