@@ -5,18 +5,19 @@ order: depth first, stage by stage, over the committees that meet the
 stage's score threshold, keeping a transition when one table of allowed
 symmetric-difference sizes admits it. Where that table admits only a
 small neighbourhood of the previous committee (``ell`` near 0
-conservative, near ``m`` revolutionary), its successors are looked up
-rather than scanned for, and a tail found to hold no sequence is not
-searched again; ``stats["states"]`` still counts every extension of the
-full search. :func:`brute_force` reads its first sequence and
-:func:`enumerate_solutions` its first ``limit``. Exponential in every
-parameter, intended for desk-scale instances and as a test oracle.
+conservative, near ``m`` revolutionary), that neighbourhood's committees
+are tested directly instead of listing each stage's feasible ones, and a
+tail found to hold no sequence is not searched again; ``stats["states"]``
+still counts every extension of the full search. :func:`brute_force`
+reads its first sequence and :func:`enumerate_solutions` its first
+``limit``. Exponential in every parameter, intended for desk-scale
+instances and as a test oracle.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import accumulate, islice
+from itertools import accumulate, compress, islice
 from math import comb
 from operator import add
 
@@ -29,6 +30,8 @@ from .core import (
 )
 
 DEFAULT_SEQUENCE_BUDGET = 10**8
+_SELECT = bytes.maketrans(b"01", b"\0\1")
+_LEX = str.maketrans("01", "10")
 
 
 def _feasible_masks(row, pool, k, x):
@@ -37,11 +40,10 @@ def _feasible_masks(row, pool, k, x):
     Each committee is an int bitmask over pool positions: bit ``i`` stands
     for ``pool[i]``, and its score is the sum of ``row[c]`` over members.
     The list is in lexicographic order of the committees' sorted position
-    tuples (the order of :func:`_subsets_upto` for a sorted pool). A
-    committee with ``left`` free seats stops extending at position ``i``
-    once even the ``left`` largest counts of ``pool[i:]`` cannot lift its
-    score to ``x``; that bound never grows with ``i``, so no later
-    position can either.
+    tuples, a prefix first. A committee with ``left`` free seats stops
+    extending at position ``i`` once even the ``left`` largest counts of
+    ``pool[i:]`` cannot lift its score to ``x``; that bound never grows
+    with ``i``, so no later position can either.
     """
     weights = [row[c] for c in pool]
     n = len(weights)
@@ -81,37 +83,48 @@ def _decode(mask, pool):
     return frozenset(members)
 
 
-def _subsets_upto(candidates, k):
-    """Subsets of ``candidates`` with at most ``k`` elements as frozensets.
+def _hits(verdicts, row, k, x, masks):
+    """Those of ``masks`` with at most ``k`` members scoring at least ``x``.
 
-    In lexicographic order of their sorted tuples:
-    ``(), (1,), (1, 2), (1, 2, 3), (1, 3), (2,), ...``
+    In :func:`_feasible_masks`'s order: ``bits[c]`` is ``"1"`` exactly
+    when candidate ``c`` (bit ``c - 1``) is a member, and with 0 and 1
+    swapped it sorts a committee before its extensions and otherwise by
+    the first differing candidate, a member first. ``verdicts`` keeps
+    these strings per count row, ``""`` for a score below ``x``.
     """
-    pool = sorted(candidates)
-    return [_decode(mask, pool) for mask in _feasible_masks(dict.fromkeys(pool, 0), pool, k, 0)]
+    hits = []
+    for mask in masks:
+        if mask.bit_count() <= k:
+            key = verdicts.get(mask)
+            if key is None:
+                bits = bin(mask << 1)[:1:-1]
+                feasible = sum(compress(row, bits.encode().translate(_SELECT))) >= x
+                key = verdicts[mask] = bits.translate(_LEX) if feasible else ""
+            if key:
+                hits.append(mask)
+    if len(hits) > 1:
+        hits.sort(key=verdicts.__getitem__)
+    return hits
 
 
 def _sequence_search(instance, budget, states):
     """Generate the valid committee sequences in lexicographic order.
 
-    Stage ``t`` draws its committees from its feasible masks; stages with
-    equal count rows share one list. A committee extends a partial
-    sequence when ``ok[d]`` holds for its symmetric difference ``d`` with
-    the committee before it (``d <= ell`` conservative, ``d >= ell``
-    revolutionary). The successors of ``prev`` are found in one of two ways:
+    A committee extends a partial sequence when ``ok[d]`` holds for its
+    symmetric difference ``d`` with the committee before it (``d <= ell``
+    conservative, ``d >= ell`` revolutionary). The successors of ``prev``
+    at stage ``t`` are found in one of two ways:
 
     * by a lookup in the neighbourhood every successor lies in.
       Conservative successors lie in the ball of radius ``ell`` around
       ``prev``; revolutionary ones in the ball of radius ``m - ell``
       around ``prev``'s complement over the ``m`` candidates, since
-      ``|prev ^ c| >= ell`` exactly when ``|~prev ^ c| <= m - ell``. The
-      ball's masks are enumerated once and looked up in the stage's
-      ``{mask: position}`` index, built on the stage's first lookup and
-      shared by equal rows; the hits are visited in position order,
-      which is the scan's order. A stage takes this path when the ball
-      holds at most 64 masks and at most a quarter of its list;
-    * otherwise by a scan of the stage's whole list that tests each
-      committee.
+      ``|prev ^ c| >= ell`` exactly when ``|~prev ^ c| <= m - ell``. Every
+      stage after the first takes this path when the ball holds at most
+      64 masks, enumerated once; :func:`_hits` tests those around ``prev``
+      directly and returns the feasible ones in the scan's order;
+    * otherwise by a scan of the stage's feasible masks that tests each
+      committee. The first stage always scans.
 
     Each accepted extension counts in ``states[0]``, so a reader that stops
     after a few sequences pays only for the search up to them. A tail
@@ -119,13 +132,13 @@ def _sequence_search(instance, budget, states):
     ``dead[t][prev]`` remembers how many extensions it took; a revisit
     adds that count to ``states[0]`` instead of searching again, so
     ``states`` and every budget error stay those of the full search. The
-    memo holds at most one count per committee of stage ``t - 1``, and
-    the indexes one entry per feasible committee, so the search holds
-    memory of the order of its feasible lists. An extension past
-    ``budget`` raises :class:`BudgetExceededError`, as does, up front, a
-    stage pool too large to enumerate within it.
+    search holds the feasible lists of the scan stages only, at most 64
+    verdicts per committee a lookup visits, and at most one dead count
+    per committee of stage ``t - 1``. An extension past ``budget`` raises
+    :class:`BudgetExceededError`, as does, up front, a stage pool too
+    large to enumerate within it.
     """
-    m, k, ell, tau = instance.m, instance.k, instance.ell, instance.tau
+    m, k, ell, x, tau = instance.m, instance.k, instance.ell, instance.x, instance.tau
     pool_size = sum(comb(m, j) for j in range(min(k, m) + 1))
     if pool_size > budget or pool_size * tau > 8 * budget:
         raise BudgetExceededError(
@@ -139,13 +152,12 @@ def _sequence_search(instance, budget, states):
     # most 64 masks, and a ball of radius 7 holds at least 2**7 of them
     radius, flip = (ell, 0) if conservative else (m - ell, (1 << m) - 1)
     ball_size = sum(comb(m, j) for j in range(min(radius, m, 7) + 1))
-    shared = {}  # count row -> (feasible masks, {mask: position} filled on first lookup)
-    for row in instance.counts:
-        if row not in shared:
-            shared[row] = _feasible_masks(row, pool, k, instance.x), {}
-    feasible, indexes = zip(*map(shared.__getitem__, instance.counts))
-    lookup = [ball_size <= 64 and 4 * ball_size <= len(masks) for masks in feasible]
-    ball = _feasible_masks([0] * (m + 1), pool, radius, 0) if radius >= 0 and any(lookup) else []
+    lookup = tau > 1 and ball_size <= 64
+    ball = _feasible_masks([0] * (m + 1), pool, radius, 0) if lookup and radius >= 0 else []
+    counts = instance.counts  # stages with equal rows share a feasible list or verdicts
+    lists = {row: _feasible_masks(row, pool, k, x) for row in set(counts[: 1 if lookup else tau])}
+    verdicts = {row: {} for row in counts}
+    stages = [verdicts[row] if t and lookup else lists[row] for t, row in enumerate(counts)]
     dead = [{} for _ in range(tau)]
 
     def paths(t, prev):  # the valid tails from stage t on, after committee prev
@@ -156,13 +168,9 @@ def _sequence_search(instance, budget, states):
                 raise BudgetExceededError(exceeded)
             return
         start, found, last = states[0], False, t + 1 == tau
-        candidates = feasible[t]
-        if t and lookup[t]:
-            index = indexes[t]
-            if not index:
-                index.update(zip(candidates, range(len(candidates))))
-            center = prev ^ flip
-            candidates = sorted(index.keys() & map(center.__xor__, ball), key=index.__getitem__)
+        candidates = stages[t]
+        if t and lookup:
+            candidates = _hits(candidates, counts[t], k, x, map((prev ^ flip).__xor__, ball))
         for committee in candidates:
             if t and not ok[(prev ^ committee).bit_count()]:
                 continue

@@ -10,16 +10,17 @@ from mpvkit import (
     Instance,
     brute_force,
     enumerate_solutions,
+    mcc_to_cmpv,
     random_instance,
     verify,
 )
-from mpvkit.oracle import DEFAULT_SEQUENCE_BUDGET, _decode, _feasible_masks, _subsets_upto
+from mpvkit.oracle import DEFAULT_SEQUENCE_BUDGET, _decode, _feasible_masks
 
-from conftest import e1
+from conftest import e1, subsets_upto
 
 
 def test_subset_order_is_lexicographic():
-    subs = [tuple(sorted(s)) for s in _subsets_upto((1, 2, 3), 3)]
+    subs = [tuple(sorted(s)) for s in subsets_upto((1, 2, 3), 3)]
     assert subs == [
         (),
         (1,),
@@ -30,7 +31,7 @@ def test_subset_order_is_lexicographic():
         (2, 3),
         (3,),
     ]
-    ones = [tuple(sorted(s)) for s in _subsets_upto((1, 2, 3), 1)]
+    ones = [tuple(sorted(s)) for s in subsets_upto((1, 2, 3), 1)]
     assert ones == [(), (1,), (2,), (3,)]
 
 
@@ -53,10 +54,10 @@ def test_feasible_masks_match_filtered_subsets(m, pool_size, k, scale):
         reference = sorted(
             c for j in range(min(k, len(pool)) + 1) for c in combinations(pool, j)
         )
-        assert [tuple(sorted(s)) for s in _subsets_upto(pool, k)] == reference
+        assert [tuple(sorted(s)) for s in subsets_upto(pool, k)] == reference
         for x in (1, scale, 3 * scale, 7 * scale, 20 * scale):
             got = [_decode(mask, pool) for mask in _feasible_masks(row, pool, k, x)]
-            assert got == [s for s in _subsets_upto(pool, k) if sum(row[c] for c in s) >= x]
+            assert got == [s for s in subsets_upto(pool, k) if sum(row[c] for c in s) >= x]
             assert got == [frozenset(c) for c in reference if sum(row[i] for i in c) >= x]
 
 
@@ -245,9 +246,8 @@ def test_neighbourhood_lookup_matches_the_closure_reference():
         m, ell = inst.m, inst.ell
         radius = ell if inst.variant == "C" else m - ell
         ball = sum(comb(m, j) for j in range(radius + 1))
-        lists = [len(_feasible_masks(row, range(1, m + 1), inst.k, inst.x)) for row in inst.counts]
-        # a lookup serves some stage after the first
-        seen["lookup"] += ball <= 64 and any(4 * ball <= size for size in lists[1:])
+        # a lookup serves every stage after the first
+        seen["lookup"] += ball <= 64 and inst.tau > 1
         seen["repeated"] += len(set(inst.counts)) < inst.tau
         _, needed = _sequence_reference(inst, DEFAULT_SEQUENCE_BUDGET, 5)
         for budget in (DEFAULT_SEQUENCE_BUDGET, rng.randint(1, max(1, needed)), max(1, needed - 1)):
@@ -295,3 +295,47 @@ def test_dead_tails_still_count_every_extension():
             brute_force(inst, budget=budget)
         assert str(exc.value) == f"search exceeded the budget of {budget} partial sequences"
     assert enumerate_solutions(inst, 5) == []
+
+
+def test_lookup_stages_build_no_feasible_list(monkeypatch):
+    # ell = 0: every stage after the first looks its successor up in the
+    # ball of radius 0, so the ball and stage 1's row are the only lists
+    # enumerated, even where a later stage repeats that row
+    a, b = (1, 2, 2, 3), (2, 2, 3, 3)
+    inst = Instance(variant="C", m=5, ballots=(a, b, a, a, b), k=2, ell=0, x=3)
+    (witness,), states = _sequence_reference(inst, DEFAULT_SEQUENCE_BUDGET, 1)
+    assert witness == (frozenset({2, 3}),) * 5
+    calls = Counter()
+
+    def counted(row, pool, k, x):
+        calls[tuple(row), k, x] += 1
+        return _feasible_masks(row, pool, k, x)
+
+    monkeypatch.setattr("mpvkit.oracle._feasible_masks", counted)
+    rep = brute_force(inst)
+    assert (rep.witness, rep.stats["states"]) == (witness, states)
+    assert calls == {(inst.counts[0], 2, 3): 1, ((0,) * 6, 0, 0): 1}
+
+
+def test_brute_force_keeps_the_14_edge_clique_gadget_answers():
+    # answers, witnesses and states of the search that listed every
+    # stage's feasible committees, on mcc_to_cmpv of the 14-edge 3+3+3
+    # samples (m 23, tau 12, k 6, ell 0)
+    from test_acceptance import sampled_partitioned_graphs
+
+    graphs = [
+        pg for pg in sampled_partitioned_graphs()
+        if list(map(len, pg.parts)) == [3, 3, 3] and len(pg.edges) == 14
+    ]
+    recorded = [
+        ({1, 6, 8, 12, 13, 22}, 57_000),
+        ({1, 4, 7, 10, 13, 19}, 30_706),
+        ({1, 4, 8, 10, 13, 21}, 33_422),
+    ]
+    assert len(graphs) == len(recorded)
+    for pg, (committee, states) in zip(graphs, recorded):
+        inst = mcc_to_cmpv(pg)
+        rep = brute_force(inst)
+        assert (rep.answer, rep.witness, rep.stats["states"]) == (
+            True, (frozenset(committee),) * inst.tau, states
+        )

@@ -23,10 +23,9 @@ from mpvkit import (
 
 from mpvkit import solvers
 from mpvkit.core import _change_out_of_reach
-from mpvkit.oracle import _subsets_upto
 from mpvkit.solvers import DEFAULT_STATE_BUDGET
 
-from conftest import e1
+from conftest import e1, subsets_upto
 
 EXACT_SOLVERS = [solve_layered_k, solve_dp_tau, solve_auto]
 
@@ -230,10 +229,10 @@ def _layered_reference(inst, budget):
     pool = range(1, inst.m + 1)
     if inst.variant == "C":
         pool = [c for c in pool if any(row[c] for row in inst.counts)]
-    if len(_subsets_upto(pool, inst.k)) * inst.tau > budget:
+    if len(subsets_upto(pool, inst.k)) * inst.tau > budget:
         return None
     layers = [
-        [s for s in _subsets_upto(pool, inst.k) if sum(row[c] for c in s) >= inst.x]
+        [s for s in subsets_upto(pool, inst.k) if sum(row[c] for c in s) >= inst.x]
         for row in inst.counts
     ]
     sizes = list(map(len, layers))
