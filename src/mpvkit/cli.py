@@ -204,8 +204,8 @@ def _cmd_bench(args) -> int:
             continue
         try:
             instance = parse_instance(path.read_text())
-        except FormatError:
-            continue  # directories often hold .map sidecars and notes
+        except (FormatError, UnicodeDecodeError):
+            continue  # directories often hold .map sidecars, notes and binaries
         for name in algorithms:
             try:
                 report = _run_algorithm(name, instance, args.budget)

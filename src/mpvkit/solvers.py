@@ -96,8 +96,9 @@ def solve_unconstrained(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) 
 # against 155 ms or more for numpy's cold import.
 SCAN_PYTHON_MAX = 1 << 13
 
-# pairwise differences computed per numpy call in the arc scan
-_SCAN_ELEMENTS = 1 << 18
+# array elements one numpy call builds in the arc scan and in dp-tau's
+# expansion, so temporaries stay bounded on large inputs
+_CALL_ELEMENTS = 1 << 18
 
 
 def _layer_array(np, masks, words):
@@ -133,7 +134,7 @@ def _scan_arcs(np, layer, reach, conservative, ell, states, budget):
     while pending.size and lo < reach.shape[0]:
         hi = min(reach.shape[0], lo + width)
         block = reach[lo:hi]
-        rows = max(1, _SCAN_ELEMENTS // ((hi - lo) * words))
+        rows = max(1, _CALL_ELEMENTS // ((hi - lo) * words))
         missed = []
         for a in range(0, pending.size, rows):
             idx = pending[a : a + rows]
@@ -148,7 +149,7 @@ def _scan_arcs(np, layer, reach, conservative, ell, states, budget):
             if states > budget:
                 raise BudgetExceededError(f"arc scan exceeded the budget of {budget}")
         pending = np.concatenate(missed)
-        lo, width = hi, min(2 * width, _SCAN_ELEMENTS)
+        lo, width = hi, min(2 * width, _CALL_ELEMENTS)
     return parents, states
 
 
@@ -369,6 +370,45 @@ def _unpack(packed, radii, mult):
     return out
 
 
+def _expand(np, touched, room, packed, kept):
+    """Keys of the ``kept`` (fingerprint, source) pairs, in that order.
+
+    The key of pair ``(f, s)`` is ``packed[s] + touched[f] @ room[s]``.
+    Blocks of whole fingerprint rows are multiplied at once, each of at
+    most ``_CALL_ELEMENTS`` keys; when one row's sources exceed that, the
+    row is split over several blocks. ``np`` is the numpy module, imported
+    by the calling solver.
+    """
+    width = min(packed.size, _CALL_ELEMENTS)
+    rows = max(1, _CALL_ELEMENTS // packed.size)
+    keys = np.empty(np.count_nonzero(kept), dtype=np.int64)
+    at = 0
+    for lo in range(0, touched.shape[0], rows):
+        for a in range(0, packed.size, width):
+            block = touched[lo : lo + rows] @ room[a : a + width].T
+            block += packed[a : a + width]
+            ok = kept[lo : lo + rows, a : a + width].ravel()
+            n = np.count_nonzero(ok)
+            np.compress(ok, block.ravel(), out=keys[at : at + n])
+            at += n
+    return keys
+
+
+def _first_of_each(np, keys):
+    """The distinct ``keys``, ascending, and the position where each first occurs.
+
+    ``np`` is the numpy module, imported by the calling solver.
+    """
+    order = keys.argsort()
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    runs = first.nonzero()[0]
+    # the sort is not stable, so a run's first occurrence is its least position
+    return keys[runs], np.minimum.reduceat(order, runs)
+
+
 def solve_dp_tau(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> SolveReport:
     """Dynamic programming over per-stage size/difference/score profiles.
 
@@ -385,10 +425,21 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> Solv
     state has every score clipped at ``x`` (and, revolutionary, every
     difference clipped at ``ell``).
 
-    States are packed into int64 keys; the whole run is vectorized and
-    deterministic: a state first reached by several steps keeps the one
-    with the smallest fingerprint (as a stage bitmask), then the smallest
-    parent key. Budget counts distinct states discovered.
+    States are packed into int64 keys, and the seen keys are kept sorted.
+    Each candidate expands its sources by every fingerprint at once. A
+    step's clipped value in a column is ``min(step, top - source)``, so a
+    new key is its source's key plus one entry of a (fingerprint, source)
+    matrix product. The product is built in blocks of whole fingerprint
+    rows of at most ``_CALL_ELEMENTS`` keys (a row whose sources exceed
+    that is split), and each block keeps only its unpruned pairs, so no
+    temporary grows with fingerprints times sources times profile width.
+    The kept keys, in (fingerprint, parent) order, are sorted once; each
+    run of equal keys keeps its least position, and ``np.searchsorted``
+    against the seen keys drops the old ones. So a state first reached by
+    several steps keeps the one with the smallest fingerprint (as a stage
+    bitmask), then the smallest parent key, and the run is deterministic.
+    Budget counts distinct states discovered; each candidate's new states
+    are counted before they are stored.
     """
     start = time.perf_counter()
     tau, k, m, x, ell = instance.tau, instance.k, instance.m, instance.x, instance.ell
@@ -416,17 +467,22 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> Solv
     pruned = 2 * tau - 1 if conservative else tau
     goal = [0] * tau + [0 if conservative else ell] * (tau - 1) + [x] * tau
 
-    fingerprints = np.arange(1, 1 << tau)
-    members = fingerprints[:, None] >> np.arange(tau) & 1
-    # one row per fingerprint: size, difference and (set per column) score steps
-    steps = np.hstack([members, members[:, 1:] ^ members[:, :-1], members])
+    # row f - 1 is fingerprint f: the size, difference and score columns it steps
+    members = np.arange(1, 1 << tau)[:, None] >> np.arange(tau) & 1
+    touched = np.hstack([members, members[:, 1:] ^ members[:, :-1], members])
+    values = np.ones(3 * tau - 1, dtype=np.int64)  # score steps are set per candidate
+    # pruned columns as bitmasks in the smallest type that holds them, which keeps
+    # the (fingerprint, source) temporary small; capacity >= 4**tau, so tau <= 31
+    bits = (1 << np.arange(pruned)).astype(np.min_scalar_type((1 << pruned) - 1))
+    guards = (touched[:, :pruned] @ bits).astype(bits.dtype)
 
     seen = np.zeros(1, dtype=np.int64)  # packed key 0 is the empty profile
     frontier = seen
     layer_maps = []  # (candidate, new keys sorted, parent keys, fingerprints)
     prev_col = None
+    cols = list(zip(*instance.counts))
     for c in range(1, m + 1):
-        col = tuple(instance.counts[t][c] for t in range(tau))
+        col = cols[c]
         if conservative and not any(col):
             # unapproved candidates only grow sizes and differences here
             continue
@@ -438,30 +494,34 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> Solv
             sources_packed = seen
             prev_col = col
             # scores are clipped at x next, and this keeps big weights out of int64
-            steps[:, 2 * tau - 1 :] = members * [min(v, x) for v in col]
+            values[2 * tau - 1 :] = [min(v, x) for v in col]
         sources = _unpack(sources_packed, radii, mult)
 
-        keys, parents = [], []
-        for step in steps:
-            new = sources + step
-            keep = (new[:, :pruned] <= top[:pruned]).all(1)
-            new = new[keep]
-            np.minimum(new, top, out=new)
-            keys.append(new @ mult)
-            parents.append(sources_packed[keep])
-        # parts come in (fingerprint, parent) order, and np.unique keeps first hits
-        keys, first = np.unique(np.concatenate(keys), return_index=True)
-        fresh = ~np.isin(keys, seen, assume_unique=True)
+        # a step is pruned when it touches a pruned column already at top
+        kept = (guards[:, None] & ((sources[:, :pruned] == top[:pruned]) @ bits)) == 0
+        # a column's clipped step is min(value, top - source), so every key is
+        # its source's key plus one entry of a (fingerprint, source) product
+        room = top - sources
+        np.minimum(room, values, out=room)
+        room *= mult
+        keys, first = _first_of_each(np, _expand(np, touched, room, sources_packed, kept))
+        fresh = seen.take(seen.searchsorted(keys), mode="clip") != keys
         frontier = keys[fresh]
         if frontier.size:
-            first = first[fresh]
-            fps = np.repeat(fingerprints, [p.size for p in parents])[first]
-            layer_maps.append((c, frontier, np.concatenate(parents)[first], fps))
-            seen = np.union1d(seen, frontier)
-            if seen.size > budget:
+            # checked before the new states are stored, which can take more
+            # memory than the budget allows
+            if seen.size + frontier.size > budget:
                 raise BudgetExceededError(
-                    f"{seen.size} profiles exceed the budget of {budget}"
+                    f"{seen.size + frontier.size} profiles exceed the budget of {budget}"
                 )
+            # kept pairs ascend in (fingerprint row, source) order, so the first
+            # occurrence of a key is its smallest fingerprint, then parent
+            pairs = kept.ravel().nonzero()[0][first[fresh]]
+            fps, parents = np.divmod(pairs, sources_packed.size)
+            layer_maps.append((c, frontier, sources_packed[parents], fps + 1))
+            # seen and frontier are sorted runs, which a stable sort merges
+            seen = np.concatenate((seen, frontier))
+            seen.sort(kind="stable")
 
     hits = np.flatnonzero((_unpack(seen, radii, mult) >= goal).all(1))
     if hits.size == 0:

@@ -322,6 +322,21 @@ def test_bench_csv(tmp_path, e1_file, capsys):
     assert [r[:4] for r in printed[1:]] == [r[:4] for r in body]
 
 
+def test_bench_skips_files_that_are_not_utf8(tmp_path, capsys):
+    bench_dir = tmp_path / "instances"
+    bench_dir.mkdir()
+    (bench_dir / "yes.mpv").write_text(emit_instance(e1(variant="R", ell=2)))
+    (bench_dir / "utf16.txt").write_bytes(b"\xff\xfe" + "not an instance".encode("utf-16-le"))
+    assert run(["bench", str(bench_dir), "--algorithms", "auto"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = list(csv.reader(io.StringIO(captured.out)))
+    assert [r[:3] for r in rows[1:]] == [["yes.mpv", "auto", "yes"]]
+    # solve still reports such a file as an input error
+    assert run(["solve", str(bench_dir / "utf16.txt")]) == 2
+    assert "utf-8" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # numpy stays off the start-up path
 # ---------------------------------------------------------------------------

@@ -489,25 +489,34 @@ def _dp_reference(inst, budget):
     return tuple(frozenset(s) for s in committees), int(seen.size)
 
 
-def test_dp_matches_fingerprint_reference():
-    seen = Counter()
-    rng = random.Random(9)
-    for trial in range(600):
-        variant, tau = rng.choice("CR"), rng.randint(1, 4)
-        n, m, k = rng.randint(1, 6), rng.randint(1, 7), rng.randint(1, 3)
+def _dp_draws(trials, max_tau, max_m, max_k, min_tau=1, salt=0):
+    """Random (instance, budget) draws for the dp-tau reference comparison.
+
+    Every fifth instance carries one weight beyond int64.
+    """
+    rng = random.Random(9 + salt)
+    for trial in range(trials):
+        variant, tau = rng.choice("CR"), rng.randint(min_tau, max_tau)
+        n, m, k = rng.randint(1, 6), rng.randint(1, max_m), rng.randint(1, max_k)
         inst = random_instance(
             n, m, tau, k, rng.randint(0, 2 * k + 1), rng.randint(1, n), variant,
-            abstain_probability=rng.choice((0, 0.2, 0.5)), seed=trial,
+            abstain_probability=rng.choice((0, 0.2, 0.5)), seed=trial + 1000 * salt,
         )
         if trial % 5 == 0:
             # weights beyond int64 reach the solver only clipped at x
             rows = [list(row) for row in inst.counts]
             rows[rng.randrange(tau)][rng.randint(1, m)] = 2**63 + rng.randrange(2**64)
             inst = WeightedInstance(variant, m, rows, k, inst.ell, inst.x)
-            seen["weighted"] += 1
-        cols = [tuple(row[c] for row in inst.counts) for c in range(1, m + 1)]
+        yield inst, rng.choice((rng.randint(1, 300), DEFAULT_STATE_BUDGET))
+
+
+def _check_dp_against_reference(draws):
+    """Witness, states or budget message of every draw equal _dp_reference's."""
+    seen = Counter()
+    for inst, budget in draws:
+        seen["weighted"] += isinstance(inst, WeightedInstance)
+        cols = [tuple(row[c] for row in inst.counts) for c in range(1, inst.m + 1)]
         seen["repeated"] += any(a == b and any(a) for a, b in zip(cols, cols[1:]))
-        budget = rng.choice((rng.randint(1, 300), DEFAULT_STATE_BUDGET))
         expected = _dp_reference(inst, budget)
         if isinstance(expected, str):
             seen["budget"] += 1
@@ -519,7 +528,38 @@ def test_dp_matches_fingerprint_reference():
         rep = solve_dp_tau(inst, budget=budget)
         assert (rep.witness, rep.stats["states"]) == expected, (inst, budget)
         assert rep.answer == (rep.witness is not None)
+    return seen
+
+
+def test_dp_matches_fingerprint_reference():
+    seen = _check_dp_against_reference(_dp_draws(600, 4, 7, 3))
     assert min(seen[case] for case in ("weighted", "repeated", "budget", "yes", "no")) >= 20, seen
+
+
+def test_dp_matches_fingerprint_reference_over_five_stages():
+    # 31 fingerprints per candidate
+    seen = _check_dp_against_reference(_dp_draws(100, 5, 5, 2, min_tau=5, salt=1))
+    assert min(seen[case] for case in ("weighted", "budget", "yes", "no")) >= 5, seen
+
+
+@pytest.mark.parametrize("bound, every", [(1, 10), (7, 5)])
+def test_dp_expansion_in_small_blocks_matches_reference(monkeypatch, bound, every):
+    # a bound of 1 makes every key its own block; 7 groups whole fingerprint
+    # rows when the sources are few and splits each row when they are many
+    monkeypatch.setattr(solvers, "_CALL_ELEMENTS", bound)
+    expand, shapes = solvers._expand, Counter()
+
+    def counted(np, touched, room, packed, kept):
+        if packed.size > bound:
+            shapes["split rows"] += 1
+        elif max(1, bound // packed.size) < touched.shape[0]:
+            shapes["several rows"] += 1
+        return expand(np, touched, room, packed, kept)
+
+    monkeypatch.setattr(solvers, "_expand", counted)
+    seen = _check_dp_against_reference(itertools.islice(_dp_draws(600, 4, 7, 3), 0, None, every))
+    assert min(seen[case] for case in ("budget", "yes", "no")) >= 3, seen
+    assert shapes["split rows"] >= 20 and shapes["several rows"] >= 20, (seen, shapes)
 
 
 def test_layered_dense_layers_agree_with_brute_force():
