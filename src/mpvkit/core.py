@@ -200,12 +200,11 @@ def _spell(counts, n):
     for row in counts:
         runs = [(c,) * count for c, count in enumerate(row) if count]
         spelled = tuple(chain.from_iterable(runs))
-        assert len(spelled) <= n, f"a stage total of {len(spelled)} exceeds n={n}"
         rows.append(spelled + (0,) * (n - len(spelled)))
     return tuple(rows)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Instance:
     """One conservative or revolutionary multistage plurality voting instance.
 
@@ -236,15 +235,29 @@ class Instance:
     is unused and 0); it is the only data that scoring, checking, the
     solvers and :func:`~mpvkit.kernel.kernel_mtau` read, so they all
     accept a :class:`WeightedInstance` as well. ``tau`` is the number of
-    stages. The normalizations, lifts, AND-compositions and the clique
-    gadget build their outputs from counts, and the ballots of such an
+    stages.
+
+    An instance stores ``counts`` and ``n``, the number of agents. It
+    keeps ballots only when they were given: to this constructor, in a
+    ``profile`` file, or by :func:`~mpvkit.reductions.random_instance`.
+    The clique gadget, the normalizations, the lifts, the
+    AND-compositions and the n-tau kernels build their outputs from
+    counts and never tally or spell ballots. The ballots of such an
     instance are the canonical spelling of its counts: at every stage
-    agents ``1..total`` approve the candidates in id order, each as often
-    as its count, and the rest abstain. ``ballots`` and ``n`` (the
-    number of agents) exist only for ballot instances; on a weighted
+    agents ``1..total`` approve the candidates in id order, each as
+    often as its count, and the rest abstain. They are spelled when
+    ``ballots`` is first read (:func:`~mpvkit.formats.emit_instance`
+    reads it) and kept from then on.
+
+    ``ballots`` and ``n`` exist only for ballot instances; on a weighted
     instance they raise :class:`PreconditionError`, and so does every
     operation that needs agents: the n-tau kernels, the lifts and
     normalizations, and the AND-compositions.
+
+    Two instances are equal when they have the same class, parameters,
+    ``counts`` and ``n``, and the same ballots; a side built from counts
+    spells its ballots for the comparison. The hash is computed from the
+    parameters, ``n`` and ``counts``, so it never spells ballots.
     """
 
     variant: str
@@ -253,40 +266,62 @@ class Instance:
     ell: int
     x: int
     counts: tuple
+    _n: Optional[int] = field(default=None, repr=False)
     _ballots: Optional[tuple] = field(default=None, repr=False)
 
     def __init__(self, variant, m, ballots, k, ell, x):
         _check_parameters(self, variant, m, k, ell, x)
         rows, counts = _tally(ballots, self.m)
         object.__setattr__(self, "_ballots", rows)
+        object.__setattr__(self, "_n", len(rows[0]))
         object.__setattr__(self, "counts", counts)
 
     @classmethod
     def _of_counts(cls, variant, m, counts, n, k, ell, x):
-        """The instance whose ballots are the canonical spelling of ``counts``.
+        """The instance of ``counts`` over ``n`` agents, built with no tally.
 
         ``counts`` holds one row per stage with slot 0 unused and 0, as
-        the reductions build them; the rows are kept as given and spelled
-        over ``n`` agents by :func:`_spell`, with no tally.
+        the reductions and kernels build them; the rows are trusted and
+        kept as given. ``n=None`` gives an instance without agents, which
+        callers build as a :class:`WeightedInstance`. No ballots are
+        stored: ``ballots`` spells them from the counts on first read.
         """
         instance = object.__new__(cls)
         _check_parameters(instance, variant, m, k, ell, x)
         counts = tuple(map(tuple, counts))
-        object.__setattr__(instance, "_ballots", _spell(counts, n))
+        if n is not None:
+            total = max(map(sum, counts))
+            assert total <= n, f"a stage total of {total} exceeds n={n}"
+        object.__setattr__(instance, "_n", n)
         object.__setattr__(instance, "counts", counts)
         return instance
+
+    def _parameters(self):
+        return (self.variant, self.m, self.k, self.ell, self.x, self._n, self.counts)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._parameters() == other._parameters() and (
+            self._n is None or self.ballots == other.ballots
+        )
+
+    def __hash__(self):
+        return hash(self._parameters())
 
     @property
     def ballots(self) -> tuple:
         if self._ballots is None:
-            raise PreconditionError(
-                "a weighted instance has scores but no agents or ballots"
-            )
+            object.__setattr__(self, "_ballots", _spell(self.counts, self.n))
         return self._ballots
 
     @property
     def n(self) -> int:
-        return len(self.ballots[0])
+        if self._n is None:
+            raise PreconditionError(
+                "a weighted instance has scores but no agents or ballots"
+            )
+        return self._n
 
     @property
     def tau(self) -> int:

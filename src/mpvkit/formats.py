@@ -173,9 +173,7 @@ def parse_instance(text: str):
             weights.append((0,) + tuple(row))
             idx += 1
         _no_trailing(lines, idx)
-        return WeightedInstance(
-            variant=variant, m=m, weights=tuple(weights), k=k, ell=ell, x=x
-        )
+        return WeightedInstance._of_counts(variant, m, weights, None, k, ell, x)
     ballots = []
     lookup = {str(c): c for c in range(m + 1)}
     for t in range(1, tau + 1):

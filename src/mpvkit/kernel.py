@@ -15,9 +15,12 @@ Two reduction families:
   rational ``DomainMatrix.lll``, so outputs match it; sympy is not
   needed.
 
-:func:`to_weighted` keeps only an instance's per-stage counts, as a
-:class:`~mpvkit.core.WeightedInstance`. The n-tau kernels need agents and
-raise :class:`~mpvkit.core.PreconditionError` on weighted input.
+Both families build their outputs from counts: the n-tau kernels keep
+the count columns of the candidates they keep, so they tally and spell
+no ballots. :func:`to_weighted` keeps only an instance's per-stage
+counts, as a :class:`~mpvkit.core.WeightedInstance`. The n-tau kernels
+need agents and raise :class:`~mpvkit.core.PreconditionError` on
+weighted input.
 """
 
 from __future__ import annotations
@@ -93,22 +96,17 @@ def _approved_candidates(instance):
 
 
 def _compact(instance, keep, k, ell):
-    """Restrict ``instance`` to the candidate ids in ``keep`` and renumber."""
+    """Restrict ``instance`` to the candidate ids in ``keep`` and renumber.
+
+    ``keep`` holds every approved candidate, so the kept count columns
+    hold every approval and the agents stay the same.
+    """
     kept = sorted(keep)
-    old_to_new = {old: new for new, old in enumerate(kept, start=1)}
-    ballots = tuple(
-        tuple(old_to_new[entry] if entry else 0 for entry in row)
-        for row in instance.ballots
+    rows = [(0,) + tuple(row[c] for c in kept) for row in instance.counts]
+    reduced = Instance._of_counts(
+        instance.variant, len(kept), rows, instance.n, k, ell, instance.x
     )
-    reduced = Instance(
-        variant=instance.variant,
-        m=len(kept),
-        ballots=ballots,
-        k=k,
-        ell=ell,
-        x=instance.x,
-    )
-    return reduced, {new: old for old, new in old_to_new.items()}
+    return reduced, dict(enumerate(kept, start=1))
 
 
 def _fill_to(approved, pool_size, target):
@@ -224,13 +222,8 @@ def to_weighted(instance: Instance) -> WeightedInstance:
     satisfies the original one, because the plurality score already is a
     sum of per-candidate approval counts.
     """
-    return WeightedInstance(
-        variant=instance.variant,
-        m=instance.m,
-        weights=instance.counts,
-        k=instance.k,
-        ell=instance.ell,
-        x=instance.x,
+    return WeightedInstance._of_counts(
+        instance.variant, instance.m, instance.counts, None, instance.k, instance.ell, instance.x
     )
 
 
@@ -453,4 +446,6 @@ def kernel_mtau(instance) -> WeightedInstance:
     assert new_x >= 1, "positive threshold must stay positive"
     m = instance.m
     rows = tuple((0,) + tuple(shrunk[t * m : (t + 1) * m]) for t in range(instance.tau))
-    return WeightedInstance(instance.variant, m, rows, instance.k, instance.ell, new_x)
+    return WeightedInstance._of_counts(
+        instance.variant, m, rows, None, instance.k, instance.ell, new_x
+    )

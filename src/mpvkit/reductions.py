@@ -26,6 +26,7 @@ from .core import (
     REVOLUTIONARY,
     TrivialVerdict,
     VARIANTS,
+    _integer,
 )
 
 # ---------------------------------------------------------------------------
@@ -467,12 +468,17 @@ def random_instance(
     Each agent independently abstains with ``abstain_probability`` at
     each stage and otherwise approves a uniformly random candidate.
     Randomness comes from Python's Mersenne Twister (``random.Random``)
-    seeded with ``seed``.
+    seeded with ``seed``. ``n``, ``m``, ``tau``, ``k``, ``ell`` and ``x``
+    accept any integer type except ``bool``; anything else raises
+    ``ValueError``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if not 0.0 <= abstain_probability <= 1.0:
         raise ValueError(f"abstain_probability {abstain_probability!r} outside [0, 1]")
+    for name, value in (("n", n), ("m", m), ("tau", tau), ("k", k), ("ell", ell), ("x", x)):
+        if _integer(value) is None:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n < 0 or m < 1 or tau < 1 or k < 1 or ell < 0 or x < 1:
         raise ValueError("parameters out of range")
     rng = random.Random(seed)

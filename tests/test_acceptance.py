@@ -71,7 +71,7 @@ def solver_sweep(variant):
                                         abstain_probability=0.2, seed=seed)
                     )
     # random part: fill up to 520
-    rng = random.Random(hash(variant) % 1000 + 77)
+    rng = random.Random(f"acceptance-sweep/{variant}")
     while len(instances) < 520:
         n = rng.randint(1, 4)
         seed += 1

@@ -82,6 +82,18 @@ def test_instances_hash_and_compare():
     assert e1() == e1()
     assert e1() != e1(x=1, ell=0)
     assert len({e1(), e1(), e1("R")}) == 2
+    # built from counts, an instance equals the profile of its canonical
+    # spelling (E1_BALLOTS is one) and no other profile of the same counts
+    canonical = e1()
+    args = ("C", 3, canonical.counts, 2, 1, 2, 1)
+    reordered = Instance("C", 3, tuple(row[::-1] for row in E1_BALLOTS), 1, 2, 1)
+    assert reordered.counts == canonical.counts and reordered != canonical
+    assert Instance._of_counts(*args) == Instance._of_counts(*args) == canonical
+    assert Instance._of_counts(*args) != reordered
+    assert len({Instance._of_counts(*args), canonical, reordered}) == 2
+    assert Instance._of_counts("C", 3, canonical.counts, 3, 1, 2, 1) != canonical
+    weighted = WeightedInstance._of_counts("C", 3, canonical.counts, None, 1, 2, 1)
+    assert weighted == WeightedInstance("C", 3, canonical.counts, 1, 2, 1) != canonical
 
 
 def test_weighted_rows_must_have_zero_slot():

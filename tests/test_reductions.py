@@ -17,6 +17,9 @@ from mpvkit import (
     cmpv_normalize_half,
     cmpv_to_rmpv,
     emit_instance,
+    kernel_mtau,
+    kernel_ntau_cmpv,
+    kernel_ntau_rmpv,
     lift_ell1,
     lift_ell_2km2,
     mcc_to_cmpv,
@@ -24,7 +27,10 @@ from mpvkit import (
     parse_instance,
     random_instance,
     sidon,
+    solve_auto,
+    to_weighted,
     vc_to_cmpv,
+    verify,
 )
 
 from test_acceptance import (
@@ -617,18 +623,69 @@ def test_counts_match_the_ballot_reference(name):
     assert alike >= 5
 
 
+def _kernel_inputs():
+    # ballot instances on which every n-tau kernel rule builds a reduced instance
+    inputs = []
+    for seed in range(3):
+        inputs += [
+            random_instance(3, 20, 2, 2, 1, 2, "C", abstain_probability=0.2, seed=seed),
+            random_instance(3, 20, 2, 2, 2, 2, "R", abstain_probability=0.2, seed=seed),
+            random_instance(2, 20, 2, 4, 3, 1, "R", seed=seed),  # rescaled: k > n
+            random_instance(2, 7, 2, 4, 3, 1, "R", seed=seed),  # gap: k > n
+        ]
+    return inputs
+
+
 def test_reductions_build_without_a_tally(monkeypatch):
     cases = _reference_cases()
+    kernel_inputs = _kernel_inputs()
     graph = PartitionedGraph(parts=({1, 2}, {3}, {4}), edges=((1, 3), (1, 4), (3, 4)))
 
     def no_tally(ballots, m):
         raise AssertionError("a reduction tallied ballots")
 
+    def no_spelling(counts, n):
+        raise AssertionError("a reduction spelled ballots")
+
     monkeypatch.setattr(core, "_tally", no_tally)
-    mcc_to_cmpv(graph)
+    monkeypatch.setattr(core, "_spell", no_spelling)
+    to_weighted(mcc_to_cmpv(graph))
     for build, _, inputs in cases.values():
         for source in inputs:
-            build(source)
+            to_weighted(build(source))
+    kinds = set()
+    for source in kernel_inputs:
+        kernel = kernel_ntau_cmpv if source.variant == "C" else kernel_ntau_rmpv
+        result = kernel(source)
+        assert result.instance is not source and result.instance.n == source.n
+        kinds.add((result.kind, result.gap))
+        kernel_mtau(result.instance)
+        kernel_mtau(to_weighted(result.instance))
+    assert kinds == {
+        ("ntau-cmpv", False), ("ntau-rmpv", False), ("ntau-rmpv", True),
+        ("ntau-rmpv-rescaled", False),
+    }
+
+
+def test_gadget_ballots_are_spelled_once_when_read(monkeypatch):
+    graph = PartitionedGraph(parts=({1, 2}, {3}, {4}), edges=((1, 3), (1, 4), (3, 4)))
+    spelled = []
+    spell = core._spell
+
+    def counted_spell(counts, n):
+        spelled.append(n)
+        return spell(counts, n)
+
+    monkeypatch.setattr(core, "_spell", counted_spell)
+    inst = mcc_to_cmpv(graph)
+    report = solve_auto(inst)
+    assert report.answer and brute_force(inst).answer
+    assert verify(inst, report.witness) == []
+    assert inst.n > 0
+    assert spelled == []
+    text = emit_instance(inst)
+    assert inst.ballots == parse_instance(text).ballots
+    assert spelled == [inst.n]
 
 
 # ---------------------------------------------------------------------------
@@ -658,3 +715,8 @@ def test_random_instance_validation():
         random_instance(2, 3, 2, 1, 0, 1, "C", abstain_probability=1.5, seed=1)
     with pytest.raises(ValueError):
         random_instance(2, 0, 2, 1, 0, 1, "C", seed=1)
+    sizes = dict(n=2, m=3, tau=2, k=1, ell=0, x=1)
+    for name in sizes:
+        for bad in (2.0, True, "2", None):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                random_instance(**{**sizes, name: bad}, variant="C", seed=1)
