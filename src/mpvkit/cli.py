@@ -9,7 +9,6 @@ input or unexpected error, 3 exploration budget exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -18,26 +17,14 @@ from . import __version__
 from .core import BudgetExceededError, TrivialVerdict, verify
 from .formats import (
     FormatError,
+    _check_emittable,
     emit_instance,
     emit_solution,
     parse_graph,
     parse_instance,
     parse_solution,
 )
-from .kernel import kernel_mtau, kernel_ntau_cmpv, kernel_ntau_rmpv
 from .oracle import brute_force
-from .reductions import (
-    PartitionedGraph,
-    and_compose_cmpv,
-    and_compose_rmpv,
-    cmpv_normalize_half,
-    cmpv_to_rmpv,
-    lift_ell1,
-    lift_ell_2km2,
-    mcc_to_cmpv,
-    random_instance,
-    vc_to_cmpv,
-)
 from .solvers import (
     solve_auto,
     solve_dp_tau,
@@ -61,16 +48,18 @@ _ALGORITHMS = {
     "greedy": solve_unconstrained,
 }
 
-# name -> reduction, in the order ``--reduction`` lists them
+# name -> function of :mod:`mpvkit.reductions`, in the order ``--reduction``
+# lists them; the kernel and reduction modules are imported only by the
+# subcommands that call them
 _REDUCTIONS = {
-    "vc-cmpv": vc_to_cmpv,
-    "cmpv-rmpv": cmpv_to_rmpv,
-    "normalize-half": cmpv_normalize_half,
-    "mcc-cmpv": mcc_to_cmpv,
-    "lift-ell1": lift_ell1,
-    "lift-ell2km2": lift_ell_2km2,
-    "and-cmpv": and_compose_cmpv,
-    "and-rmpv": and_compose_rmpv,
+    "vc-cmpv": "vc_to_cmpv",
+    "cmpv-rmpv": "cmpv_to_rmpv",
+    "normalize-half": "cmpv_normalize_half",
+    "mcc-cmpv": "mcc_to_cmpv",
+    "lift-ell1": "lift_ell1",
+    "lift-ell2km2": "lift_ell_2km2",
+    "and-cmpv": "and_compose_cmpv",
+    "and-rmpv": "and_compose_rmpv",
 }
 
 
@@ -126,6 +115,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_kernelize(args) -> int:
+    from .kernel import kernel_mtau, kernel_ntau_cmpv, kernel_ntau_rmpv
+
     instance = parse_instance(Path(args.instance).read_text())
     if args.target == "mtau":
         _write_output(emit_instance(kernel_mtau(instance)), args.output)
@@ -154,19 +145,22 @@ def _cmd_kernelize(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from . import reductions
+
     name = args.reduction
+    reduction = getattr(reductions, _REDUCTIONS[name])
     texts = [Path(p).read_text() for p in args.inputs]
     if name in ("vc-cmpv", "mcc-cmpv"):
         graph = parse_graph(texts[0])
-        if name == "vc-cmpv" and isinstance(graph, PartitionedGraph):
+        if name == "vc-cmpv" and isinstance(graph, reductions.PartitionedGraph):
             raise ValueError("vc-cmpv expects an unpartitioned graph")
-        if name == "mcc-cmpv" and not isinstance(graph, PartitionedGraph):
+        if name == "mcc-cmpv" and not isinstance(graph, reductions.PartitionedGraph):
             raise ValueError("mcc-cmpv expects a graph with a parts section")
-        result = _REDUCTIONS[name](graph)
+        result = reduction(graph)
     elif name.startswith("and-"):
-        result = _REDUCTIONS[name]([parse_instance(text) for text in texts])
+        result = reduction([parse_instance(text) for text in texts])
     else:
-        result = _REDUCTIONS[name](parse_instance(texts[0]))
+        result = reduction(parse_instance(texts[0]))
     if isinstance(result, TrivialVerdict):
         print(f"{'YES' if result.answer else 'NO'} ({result.reason})")
         return EXIT_YES if result.answer else EXIT_NO
@@ -175,6 +169,9 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .reductions import random_instance
+
+    _check_emittable(args.candidates, args.stages)  # before building what cannot be written
     instance = random_instance(
         n=args.agents,
         m=args.candidates,
@@ -191,6 +188,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    import csv
+
     directory = Path(args.directory)
     if not directory.is_dir():
         raise ValueError(f"{args.directory!r} is not a directory")

@@ -21,9 +21,8 @@ from __future__ import annotations
 import operator
 import time
 from array import array
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from itertools import chain
-from typing import Iterable, Optional
 
 CONSERVATIVE = "C"
 REVOLUTIONARY = "R"
@@ -42,16 +41,51 @@ class BudgetExceededError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class TrivialVerdict:
+class _Record:
+    """Base of the records below: ``repr`` and ``==`` over ``_fields``, as a
+    dataclass spells them. They are plain classes, so
+    ``dataclasses.fields``, ``replace`` and ``is_dataclass`` do not apply.
+    """
+
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+
+class _Frozen(_Record):
+    """A record whose attributes are set once, with ``object.__setattr__``."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TrivialVerdict(_Frozen):
     """A yes/no answer that was decided without building or solving anything."""
 
-    answer: bool
-    reason: str
+    _fields = ("answer", "reason")
+
+    def __init__(self, answer: bool, reason: str):
+        object.__setattr__(self, "answer", answer)
+        object.__setattr__(self, "reason", reason)
+
+    def __hash__(self):
+        return hash(self._values())
 
 
-@dataclass
-class SolveReport:
+class SolveReport(_Record):
     """Outcome of a solver run.
 
     Attributes
@@ -66,12 +100,17 @@ class SolveReport:
     stats : dict
         Counters; always contains ``"states"`` (search effort in
         algorithm-specific units) and ``"time_ms"``.
+
+    Reports compare by their fields and are not hashable.
     """
 
-    answer: bool
-    witness: Optional[tuple]
-    algorithm: str
-    stats: dict
+    _fields = ("answer", "witness", "algorithm", "stats")
+
+    def __init__(self, answer: bool, witness: tuple | None, algorithm: str, stats: dict):
+        self.answer = answer
+        self.witness = witness
+        self.algorithm = algorithm
+        self.stats = stats
 
 
 def _report(algorithm, start, witness, states, **extra) -> SolveReport:
@@ -204,8 +243,7 @@ def _spell(counts, n):
     return tuple(rows)
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class Instance:
+class Instance(_Frozen):
     """One conservative or revolutionary multistage plurality voting instance.
 
     Parameters
@@ -260,14 +298,10 @@ class Instance:
     parameters, ``n`` and ``counts``, so it never spells ballots.
     """
 
-    variant: str
-    m: int
-    k: int
-    ell: int
-    x: int
-    counts: tuple
-    _n: Optional[int] = field(default=None, repr=False)
-    _ballots: Optional[tuple] = field(default=None, repr=False)
+    _fields = ("variant", "m", "k", "ell", "x", "counts")
+    # set by the constructors that have them; a weighted instance has neither
+    _n = None
+    _ballots = None
 
     def __init__(self, variant, m, ballots, k, ell, x):
         _check_parameters(self, variant, m, k, ell, x)
@@ -450,7 +484,7 @@ def feasible_committee(
     t: int,
     required: Iterable[int] = (),
     forbidden: Iterable[int] = (),
-) -> Optional[frozenset]:
+) -> frozenset | None:
     """Find a stage-``t`` committee through ``required`` avoiding ``forbidden``.
 
     Greedy: start from ``required`` and add the remaining allowed candidates

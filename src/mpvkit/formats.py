@@ -30,7 +30,6 @@ followed by ``ne`` edge lines and an optional ``parts q`` section.
 from __future__ import annotations
 
 from .core import Instance, WeightedInstance
-from .reductions import Graph, PartitionedGraph
 
 
 # An instance holds (m + 1) * stages counts however few ballots its file
@@ -104,8 +103,28 @@ def _no_trailing(lines, idx):
 # ---------------------------------------------------------------------------
 
 
+def _check_emittable(m, tau):
+    """Raise ``ValueError`` unless a file of ``m`` candidates and ``tau``
+    stages stays within :data:`MAX_CANDIDATES` and :data:`MAX_COUNTS`."""
+    if m > MAX_CANDIDATES:
+        raise ValueError(
+            f"cannot emit {m} candidates: files hold at most MAX_CANDIDATES={MAX_CANDIDATES}"
+        )
+    if (m + 1) * tau > MAX_COUNTS:
+        raise ValueError(
+            f"cannot emit {tau} stages of {m} candidates: files hold at most "
+            f"MAX_COUNTS={MAX_COUNTS} counts"
+        )
+
+
 def emit_instance(instance) -> str:
-    """Serialize an Instance or WeightedInstance to canonical text."""
+    """Serialize an Instance or WeightedInstance to canonical text.
+
+    Raises ``ValueError`` for an instance that :func:`parse_instance`
+    would refuse: more than :data:`MAX_CANDIDATES` candidates, or more
+    than :data:`MAX_COUNTS` counts.
+    """
+    _check_emittable(instance.m, instance.tau)
     lines = ["mpv 1", f"variant {instance.variant}"]
     weighted = isinstance(instance, WeightedInstance)
     if not weighted:
@@ -228,6 +247,8 @@ def parse_solution(text: str, instance) -> tuple:
 
 def emit_graph(graph) -> str:
     """Serialize a Graph or PartitionedGraph."""
+    from .reductions import PartitionedGraph
+
     lines = [f"graph {graph.num_vertices} {len(graph.edges)}"]
     for u, v in graph.edges:
         lines.append(f"{u} {v}")
@@ -241,6 +262,8 @@ def emit_graph(graph) -> str:
 def parse_graph(text: str):
     """Parse graph text; returns PartitionedGraph when a parts section
     is present, plain Graph otherwise."""
+    from .reductions import Graph, PartitionedGraph
+
     lines = text.splitlines()
     if not lines:
         raise FormatError(1, "empty input")

@@ -26,7 +26,7 @@ weighted input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
@@ -231,7 +231,9 @@ def solve_weighted(
     winstance: WeightedInstance, budget: int = DEFAULT_SEQUENCE_BUDGET
 ) -> SolveReport:
     """:func:`~mpvkit.oracle.brute_force`, reported as ``"brute-force-weighted"``."""
-    return replace(brute_force(winstance, budget=budget), algorithm="brute-force-weighted")
+    report = brute_force(winstance, budget=budget)
+    report.algorithm = "brute-force-weighted"
+    return report
 
 
 # ---------------------------------------------------------------------------

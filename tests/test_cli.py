@@ -295,6 +295,23 @@ def test_generate_is_seeded(tmp_path):
     assert (inst.n, inst.m, inst.tau) == (3, 4, 3)
 
 
+def test_generate_refuses_what_solve_would_refuse(tmp_path, capsys):
+    out = tmp_path / "wide.mpv"
+    args = ["--variant", "C", "--agents", "2", "--stages", "1", "--k", "1", "--ell", "0"]
+    args += ["--x", "1", "--seed", "0", "-o", str(out)]
+    assert run(["generate", "--candidates", "300000", *args]) == 2
+    assert "MAX_CANDIDATES=100000" in capsys.readouterr().err
+    assert not out.exists()
+    # refused before the 10**7 + 1 stage rows are drawn
+    assert run(["generate", "--candidates", "9", *args, "--stages", "1000001"]) == 2
+    assert "MAX_COUNTS=10000000" in capsys.readouterr().err
+    assert not out.exists()
+    # at the limit the file is written and solve reads it
+    assert run(["generate", "--candidates", "100000", *args]) == 0
+    assert run(["solve", str(out)]) == 0
+    assert capsys.readouterr().out == "YES\n"
+
+
 def test_bench_csv(tmp_path, e1_file, capsys):
     bench_dir = tmp_path / "instances"
     bench_dir.mkdir()
@@ -343,11 +360,14 @@ def test_bench_skips_files_that_are_not_utf8(tmp_path, capsys):
 
 # Runs ``mpv`` in-process in a fresh interpreter, then reports on stderr
 # whether numpy was imported along the way.
+# modules that mpv's start-up, solve and verify paths must not load
+_UNUSED_BY_SOLVE = ("numpy", "dataclasses", "inspect", "mpvkit.kernel", "mpvkit.reductions")
+
 _MPV_AND_REPORT = (
     "import sys\n"
     "from mpvkit.cli import run\n"
     "code = run(sys.argv[1:])\n"
-    "print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
+    f"print('loaded:', *[m for m in {_UNUSED_BY_SOLVE!r} if m in sys.modules], file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
@@ -366,17 +386,61 @@ def _fresh_python(*args):
 
 
 def _mpv(*args):
-    """``(exit code, stdout, numpy loaded)`` of one ``mpv`` call in a fresh interpreter."""
+    """``(exit code, stdout, loaded)`` of one ``mpv`` call in a fresh interpreter.
+
+    ``loaded`` is the set of the :data:`_UNUSED_BY_SOLVE` modules the call loaded.
+    """
     proc = _fresh_python("-c", _MPV_AND_REPORT, *args)
     report = proc.stderr.strip().splitlines()[-1]
-    assert report.startswith("numpy loaded: "), proc.stderr
-    return proc.returncode, proc.stdout, report == "numpy loaded: True"
+    assert report.startswith("loaded:"), proc.stderr
+    return proc.returncode, proc.stdout, set(report.split()[1:])
 
 
 def test_import_does_not_load_numpy():
     proc = _fresh_python("-c", "import sys, mpvkit; print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_import_loads_no_submodule():
+    script = "import sys, mpvkit; print(sorted(m for m in sys.modules if m.startswith('mpvkit')))"
+    proc = _fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['mpvkit']\n"
+
+
+def test_lazy_namespace_contract():
+    bench = Path(__file__).resolve().parents[1] / "benchmarks"
+    script = f"""
+import ast, importlib, mpvkit
+names = mpvkit.__all__
+assert set(dir(mpvkit)) >= set(names), "dir misses a name before first use"
+assert sorted(mpvkit._HOMES) == sorted(names) and len(set(names)) == len(names)
+scope = {{}}
+exec("from mpvkit import *", scope)
+assert set(scope) - {{"__builtins__"}} == set(names), "star import differs from __all__"
+for name in names:
+    home = importlib.import_module("mpvkit." + mpvkit._HOMES[name])
+    value = getattr(mpvkit, name)
+    assert value is getattr(home, name) is scope[name], name
+    assert getattr(value, "__module__", home.__name__) == home.__name__, name
+try:
+    mpvkit.no_such_name
+except AttributeError as exc:
+    print(exc)
+# every name the benchmark imports from mpvkit still resolves
+for file in ("workloads.py", "corpus.py", "probe.py"):
+    tree = ast.parse(open({str(bench)!r} + "/" + file).read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "mpvkit":
+            for alias in node.names:
+                getattr(mpvkit, alias.name)
+from mpvkit import WeightedInstance, to_weighted, solve_weighted
+print("ok")
+"""
+    proc = _fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "module 'mpvkit' has no attribute 'no_such_name'\nok\n"
 
 
 def test_kernel_mtau_does_not_load_sympy():
@@ -395,9 +459,9 @@ def test_kernel_mtau_does_not_load_sympy():
 
 
 def test_version_does_not_load_numpy():
-    code, out, numpy_loaded = _mpv("--version")
+    code, out, loaded = _mpv("--version")
     assert code == 0 and out.strip()
-    assert not numpy_loaded
+    assert not loaded
 
 
 def test_numpy_free_solves(tmp_path):
@@ -423,27 +487,27 @@ def test_numpy_free_solves(tmp_path):
     for name, inst, extra in cases:
         path = tmp_path / f"{name}.mpv"
         path.write_text(emit_instance(inst))
-        code, out, numpy_loaded = _mpv("solve", "--witness", str(path), *extra)
+        code, out, loaded = _mpv("solve", "--witness", str(path), *extra)
         answer = brute_force(inst).answer
         assert code == (0 if answer else 1), name
         assert out.startswith("YES\n" if answer else "NO\n"), name
-        assert not numpy_loaded, name
+        assert not loaded, name
         if answer:
             sol = tmp_path / f"{name}.sol"
             sol.write_text(out.split("\n", 1)[1])
-            code, out, numpy_loaded = _mpv("verify", str(path), str(sol))
+            code, out, loaded = _mpv("verify", str(path), str(sol))
             assert (code, out) == (0, "VALID\n"), name
-            assert not numpy_loaded, name
+            assert not loaded, name
 
 
 def test_layered_solve_still_answers(e1_file):
     path = e1_file(variant="R", ell=2)
     assert solve_auto(parse_instance(Path(path).read_text())).algorithm == "layered-k"
-    code, out, numpy_loaded = _mpv("solve", "--witness", path)
+    code, out, loaded = _mpv("solve", "--witness", path)
     assert (code, out) == (0, "YES\nstage 1: 1\nstage 2: 2\nstage 3: 1\n")
-    assert not numpy_loaded
+    assert not loaded
     # the probe sees numpy when a solver does load it: this file passes
     # dp-tau's prechecks
-    code, out, numpy_loaded = _mpv("solve", "--algorithm", "dp-tau", path)
+    code, out, loaded = _mpv("solve", "--algorithm", "dp-tau", path)
     assert (code, out) == (0, "YES\n")
-    assert numpy_loaded
+    assert "numpy" in loaded  # numpy itself imports inspect

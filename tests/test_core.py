@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from mpvkit import core
 from mpvkit import (
     Instance,
+    SolveReport,
     TrivialVerdict,
     WeightedInstance,
     feasible_committee,
@@ -116,6 +117,52 @@ def test_trivial_verdict_is_frozen():
     assert v.answer is False
     with pytest.raises(AttributeError):
         v.answer = True
+
+
+def test_records_keep_their_repr_equality_and_hash():
+    # the reprs were recorded when these records were still dataclasses
+    inst = Instance("C", 3, ((1, 2), (2, 0)), 2, 1, 1)
+    assert repr(inst) == (
+        "Instance(variant='C', m=3, k=2, ell=1, x=1, counts=((0, 1, 1, 0), (0, 0, 1, 0)))"
+    )
+    weighted = WeightedInstance("R", 2, ((0, 5, 10**20), (0, 0, 3)), 1, 2, 4)
+    assert repr(weighted) == (
+        "WeightedInstance(variant='R', m=2, k=1, ell=2, x=4, "
+        "counts=((0, 5, 100000000000000000000), (0, 0, 3)))"
+    )
+    witness = (frozenset({1}), frozenset({2}))
+    report = SolveReport(True, witness, "brute-force", {"states": 3, "time_ms": 0.5})
+    assert repr(report) == (
+        "SolveReport(answer=True, witness=(frozenset({1}), frozenset({2})), "
+        "algorithm='brute-force', stats={'states': 3, 'time_ms': 0.5})"
+    )
+    verdict = TrivialVerdict(False, "x exceeds n")
+    assert repr(verdict) == "TrivialVerdict(answer=False, reason='x exceeds n')"
+
+    assert inst == Instance("C", 3, ((1, 2), (2, 0)), 2, 1, 1)
+    assert hash(inst) == hash(Instance("C", 3, ((2, 1), (2, 0)), 2, 1, 1))
+    assert weighted == WeightedInstance("R", 2, ((0, 5, 10**20), (0, 0, 3)), 1, 2, 4)
+    assert hash(weighted) == hash(WeightedInstance("R", 2, ((0, 5, 10**20), (0, 0, 3)), 1, 2, 4))
+    assert report == SolveReport(
+        answer=True, witness=witness, algorithm="brute-force", stats={"states": 3, "time_ms": 0.5}
+    )
+    assert report != SolveReport(True, witness, "layered-k", {"states": 3, "time_ms": 0.5})
+    with pytest.raises(TypeError, match="unhashable type: 'SolveReport'"):
+        hash(report)
+    assert verdict == TrivialVerdict(False, "x exceeds n") != TrivialVerdict(True, "x exceeds n")
+    assert hash(verdict) == hash(TrivialVerdict(False, "x exceeds n"))
+    assert len({verdict, TrivialVerdict(False, "x exceeds n"), TrivialVerdict(True, "")}) == 2
+    # only the same class compares; a tuple of the same fields does not
+    assert verdict.__eq__((False, "x exceeds n")) is NotImplemented
+    assert report.__eq__(verdict) is NotImplemented and verdict != report
+
+    for record, name in ((inst, "m"), (inst, "counts"), (weighted, "k"), (verdict, "answer")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, 1)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+    report.algorithm = "renamed"  # a report stays mutable
+    assert report.algorithm == "renamed"
 
 
 def test_counts_spell_into_canonical_ballots():

@@ -134,6 +134,23 @@ def test_gadget_round_trip_at_scale():
     assert emit_instance(back) == text
 
 
+def test_emit_refuses_what_parse_would_refuse():
+    from mpvkit.formats import MAX_CANDIDATES, MAX_COUNTS
+
+    widest = random_instance(1, MAX_CANDIDATES, 1, 1, 0, 1, "C", seed=0)
+    assert parse_instance(emit_instance(widest)) == widest
+    row = (0, 1) + (0,) * (MAX_COUNTS // 100 - 2)  # 100 stages of this row hold MAX_COUNTS
+    longest = Instance._of_counts("C", len(row) - 1, (row,) * 100, 1, 1, 0, 1)
+    assert parse_instance(emit_instance(longest)) == longest
+    wide_row = (0, 1) + (0,) * MAX_CANDIDATES
+    too_wide = WeightedInstance._of_counts("C", MAX_CANDIDATES + 1, [wide_row], None, 1, 0, 1)
+    with pytest.raises(ValueError, match=f"MAX_CANDIDATES={MAX_CANDIDATES}"):
+        emit_instance(too_wide)
+    too_long = Instance._of_counts("C", len(row) - 1, (row,) * 101, 1, 1, 0, 1)
+    with pytest.raises(ValueError, match=f"MAX_COUNTS={MAX_COUNTS}"):
+        emit_instance(too_long)
+
+
 def test_non_canonical_tokens_still_parse():
     text = E1_TEXT.replace("candidates 3", "candidates 12").replace("agents 2", "agents 3")
     text = text.replace("profile 1: 1 1", "profile 1: 1 1 10")
