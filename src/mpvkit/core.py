@@ -276,16 +276,19 @@ class Instance(_Frozen):
     stages.
 
     An instance stores ``counts`` and ``n``, the number of agents. It
-    keeps ballots only when they were given: to this constructor, in a
-    ``profile`` file, or by :func:`~mpvkit.reductions.random_instance`.
+    keeps given ballots only: those passed to this constructor, those of
+    a ``profile`` file that :func:`~mpvkit.formats.parse_instance` reads
+    token by token, and those of :func:`~mpvkit.reductions.random_instance`.
     The clique gadget, the normalizations, the lifts, the
     AND-compositions and the n-tau kernels build their outputs from
-    counts and never tally or spell ballots. The ballots of such an
-    instance are the canonical spelling of its counts: at every stage
-    agents ``1..total`` approve the candidates in id order, each as
-    often as its count, and the rest abstain. They are spelled when
-    ``ballots`` is first read (:func:`~mpvkit.formats.emit_instance`
-    reads it) and kept from then on.
+    counts and never tally or spell ballots, and so does a file read as
+    runs. The ballots of such an instance are the canonical spelling of
+    its counts: at every stage agents ``1..total`` approve the
+    candidates in id order, each as often as its count, and the rest
+    abstain. They are spelled when ``ballots`` is first read and cached
+    apart from given ballots, so the instance still counts as built
+    from counts: :func:`~mpvkit.formats.emit_instance` writes its rows
+    from the counts when they are long enough.
 
     ``ballots`` and ``n`` exist only for ballot instances; on a weighted
     instance they raise :class:`PreconditionError`, and so does every
@@ -293,15 +296,18 @@ class Instance(_Frozen):
     normalizations, and the AND-compositions.
 
     Two instances are equal when they have the same class, parameters,
-    ``counts`` and ``n``, and the same ballots; a side built from counts
-    spells its ballots for the comparison. The hash is computed from the
-    parameters, ``n`` and ``counts``, so it never spells ballots.
+    ``counts`` and ``n``, and the same ballots. Two instances built from
+    counts have the same spelling when their counts agree, so they
+    compare without spelling; against given ballots, a side built from
+    counts spells its ballots. The hash is computed from the parameters,
+    ``n`` and ``counts``, so it never spells ballots.
     """
 
     _fields = ("variant", "m", "k", "ell", "x", "counts")
     # set by the constructors that have them; a weighted instance has neither
     _n = None
-    _ballots = None
+    _ballots = None  # given ballots only; None marks canonical rows
+    _spelled = None  # the spelling of counts, once read
 
     def __init__(self, variant, m, ballots, k, ell, x):
         _check_parameters(self, variant, m, k, ell, x)
@@ -336,8 +342,9 @@ class Instance(_Frozen):
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
+        canonical = self._ballots is None and other._ballots is None
         return self._parameters() == other._parameters() and (
-            self._n is None or self.ballots == other.ballots
+            self._n is None or canonical or self.ballots == other.ballots
         )
 
     def __hash__(self):
@@ -345,9 +352,11 @@ class Instance(_Frozen):
 
     @property
     def ballots(self) -> tuple:
-        if self._ballots is None:
-            object.__setattr__(self, "_ballots", _spell(self.counts, self.n))
-        return self._ballots
+        if self._ballots is not None:
+            return self._ballots
+        if self._spelled is None:
+            object.__setattr__(self, "_spelled", _spell(self.counts, self.n))
+        return self._spelled
 
     @property
     def n(self) -> int:

@@ -92,6 +92,8 @@ class KernelResult:
 
 
 def _approved_candidates(instance):
+    if instance._ballots is None:  # counts-built: read the count columns
+        return [c for c, column in enumerate(zip(*instance.counts)) if c and any(column)]
     return sorted({entry for row in instance.ballots for entry in row if entry})
 
 

@@ -189,6 +189,28 @@ def test_counts_spell_into_canonical_ballots():
         Instance._of_counts("C", 2, [(0, 2, 1)], 3, 0, 0, 1)
 
 
+def test_counts_built_instances_compare_without_spelling(monkeypatch):
+    counts = [(0, 2, 0, 1), (0, 0, 0, 0)]
+    given = Instance("C", 3, Instance._of_counts("C", 3, counts, 4, 2, 1, 1).ballots, 2, 1, 1)
+    reordered = Instance("C", 3, ((3, 1, 1, 0), (0, 0, 0, 0)), 2, 1, 1)
+
+    def no_spelling(counts, n):
+        raise AssertionError("an instance spelled its ballots")
+
+    monkeypatch.setattr(core, "_spell", no_spelling)
+    built = Instance._of_counts("C", 3, counts, 4, 2, 1, 1)
+    assert built == Instance._of_counts("C", 3, counts, 4, 2, 1, 1)
+    assert built != Instance._of_counts("C", 3, counts, 5, 2, 1, 1)
+    assert built != Instance._of_counts("C", 3, [(0, 1, 1, 1), (0, 0, 0, 0)], 4, 2, 1, 1)
+    assert built != Instance._of_counts("R", 3, counts, 4, 2, 1, 1)
+    monkeypatch.undo()
+    # a side with given ballots compares ballots: the canonical spelling
+    # equals the counts-built instance, other ballots of the same counts do not
+    assert given == built and built == given
+    assert reordered.counts == built.counts and hash(reordered) == hash(built)
+    assert reordered != built and built != reordered
+
+
 # ---------------------------------------------------------------------------
 # ballot tally: plain Python up to TALLY_PYTHON_MAX entries, numpy above
 # ---------------------------------------------------------------------------

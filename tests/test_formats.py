@@ -1,8 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpvkit import core
+from mpvkit import core, formats
 from mpvkit import (
     FormatError,
     Graph,
@@ -184,6 +186,97 @@ def test_bad_last_token_of_a_long_row(last, message):
         parse_instance(bad)
     assert err.value.line == 10
     assert str(err.value) == f"line 10: {message}"
+
+
+def _counts_built(rng, m, n, tau):
+    # seeded count rows over n agents, among them an all-abstain row and
+    # one without abstentions; 1, 10 and 11 share token prefixes
+    rows = [[0] * (m + 1) for _ in range(tau)]
+    for _ in range(n):
+        rows[1][rng.randint(1, m)] += 1
+    for row in rows[2:]:
+        for _ in range(rng.randint(0, n)):
+            row[rng.choice((1, 10, 11, rng.randint(1, m)))] += 1
+    rng.shuffle(rows)
+    return Instance._of_counts(rng.choice("CR"), m, rows, n, 2, 1, 3)
+
+
+def test_canonical_rows_round_trip_as_runs():
+    rng = random.Random(20)
+    for trial in range(80):
+        m = rng.randint(11, 14)
+        n = formats.RUN_MIN * (m + 1) + rng.choice((-9, -1, 0, 1, 37, 400))
+        built = _counts_built(rng, m, n, rng.randint(2, 5))
+        text = emit_instance(built)
+        spelled = Instance(built.variant, m, built.ballots, built.k, built.ell, built.x)
+        assert text == emit_instance(spelled)
+        back = parse_instance(text)
+        assert (back._ballots is None) == (n >= formats.RUN_MIN * (m + 1))
+        assert (back.counts, back.n, back.ballots) == (built.counts, n, built.ballots)
+        assert back == built == spelled and emit_instance(back) == text
+
+
+_ROW1 = " 1" * 30 + " 10" * 40 + " 11" * 30 + " 0" * 10
+_ROW2 = " 2" * 50 + " 12" * 60
+_ROW3 = " 0" * 110
+
+
+def _long_text(rows=(_ROW1, _ROW2, _ROW3), tail=""):
+    # 110 agents and 12 candidates, over RUN_MIN agents per candidate slot
+    head = "mpv 1\nvariant C\nagents 110\ncandidates 12\nstages 3\nk 2\nell 1\nx 40\n"
+    return head + "".join(f"profile {t}:{row}\n" for t, row in enumerate(rows, 1)) + tail
+
+
+def test_long_canonical_rows_are_read_as_runs():
+    inst = parse_instance(_long_text())
+    assert inst._ballots is None
+    assert inst.counts[0] == (0, 30) + (0,) * 8 + (40, 30, 0)
+    assert inst.counts[1] == (0, 0, 50) + (0,) * 9 + (60,) and inst.counts[2] == (0,) * 13
+    assert emit_instance(inst) == _long_text()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _long_text((" 11" * 30 + " 10" * 40 + " 1" * 30 + " 0" * 10, _ROW2, _ROW3)),
+        _long_text((" 1" * 20 + " 10" * 40 + " 1" * 10 + " 11" * 30 + " 0" * 10, _ROW2, _ROW3)),
+        _long_text((" 1" * 30 + " 0" * 10 + " 10" * 40 + " 11" * 30, _ROW2, _ROW3)),
+        _long_text((" 01" + _ROW1[2:], _ROW2, _ROW3)),
+        _long_text((_ROW1, " +2" + _ROW2[2:], _ROW3)),
+        _long_text((_ROW1.replace(" 10", " 1_0", 1), _ROW2, _ROW3)),
+        _long_text((_ROW1.replace(" 10", "  10", 1), _ROW2, _ROW3)),
+        _long_text((_ROW1 + " ", _ROW2, _ROW3)),
+        _long_text((_ROW1.replace(" 11", "\t11", 1), _ROW2, _ROW3)),
+        _long_text((_ROW1[:-2], _ROW2, _ROW3)),
+        _long_text((_ROW1 + " 0", _ROW2, _ROW3)),
+        _long_text((_ROW1, _ROW2 + " 12", _ROW3)),
+        _long_text((_ROW1[:-2] + " 13", _ROW2, _ROW3)),
+        _long_text((_ROW1, _ROW2)),
+        _long_text(tail="profile 4: 1\n"),
+        _long_text().replace("profile 2:", "profile 5:"),
+    ],
+    ids=[
+        "descending-ids", "split-run", "zeros-mid-row", "leading-zero", "plus-sign",
+        "underscore", "double-space", "trailing-space", "tab", "short-row", "long-row",
+        "long-row-without-abstentions", "out-of-range", "missing-line", "trailing-line", "wrong-stage",
+    ],
+)
+def test_long_rows_that_are_not_canonical_read_as_token_rows(monkeypatch, text):
+    # the per-token reader's instance, kept with its ballots, or its error
+    outcomes = []
+    for run_min in (10**9, formats.RUN_MIN):  # the per-token reader only, then both
+        monkeypatch.setattr(formats, "RUN_MIN", run_min)
+        try:
+            outcomes.append(parse_instance(text))
+        except FormatError as exc:
+            outcomes.append(exc)
+    tokens, runs = outcomes
+    if isinstance(tokens, FormatError):
+        assert isinstance(runs, FormatError)
+        assert (str(runs), runs.line) == (str(tokens), tokens.line)
+    else:
+        assert runs._ballots is not None and runs.ballots == tokens.ballots
+        assert runs == tokens
 
 
 def test_negative_weight_message_names_the_first():

@@ -7,14 +7,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mpvkit import core
 from mpvkit import (
     Instance,
+    PartitionedGraph,
     PreconditionError,
     WeightedInstance,
     brute_force,
     kernel_mtau,
     kernel_ntau_cmpv,
     kernel_ntau_rmpv,
+    mcc_to_cmpv,
+    parse_instance,
     random_instance,
     shrink_weights,
     solve_weighted,
@@ -179,6 +183,46 @@ def test_cmpv_kernel_equivalence():
         assert rep.answer == brute_force(inst).answer, (inst, small)
         if rep.answer:
             assert verify(inst, result.lift(rep.witness)) == []
+
+
+_NTAU = {"C": kernel_ntau_cmpv, "R": kernel_ntau_rmpv}
+
+
+def _counts_built_inputs():
+    # a gadget, the same gadget read back from its file, and a wide instance
+    # whose never-approved candidates the kernels drop; each in both variants
+    graph = PartitionedGraph(parts=({1, 2}, {3}, {4}), edges=((1, 3), (1, 4), (3, 4)))
+    gadget = mcc_to_cmpv(graph)
+    parsed = parse_instance(emit_instance(gadget))
+    wide = [(0,) * 5 + (3,) + (0,) * 30 + (1, 0, 0, 0, 2), (0, 4) + (0,) * 39, (0,) * 41]
+    inputs = []
+    for inst in (gadget, parsed):
+        inputs += [inst, Instance._of_counts("R", inst.m, inst.counts, inst.n, 2, 1, inst.x)]
+    return inputs + [Instance._of_counts(v, 40, wide, 6, 2, 1, 2) for v in ("C", "R")]
+
+
+def test_ntau_kernels_read_the_counts_of_a_counts_built_input(monkeypatch):
+    expected = []
+    for inst in _counts_built_inputs():
+        given = Instance(inst.variant, inst.m, inst.ballots, inst.k, inst.ell, inst.x)
+        expected.append(_NTAU[inst.variant](given))
+    assert [r.instance.m for r in expected[-2:]] == [18, 18]
+
+    def no_spelling(counts, n):
+        raise AssertionError("an instance spelled its ballots")
+
+    monkeypatch.setattr(core, "_spell", no_spelling)
+    inputs = _counts_built_inputs()
+    assert inputs[2]._ballots is None  # read as runs
+    for inst, want in zip(inputs, expected):
+        got = _NTAU[inst.variant](inst)
+        assert (got.kind, got.id_map, got.gap, got.stage_fillers) == (
+            want.kind, want.id_map, want.gap, want.stage_fillers
+        )
+        assert got.instance._parameters() == want.instance._parameters()
+    for inst in inputs[-2:]:
+        with pytest.raises(PreconditionError):
+            _NTAU[inst.variant](to_weighted(inst))
 
 
 # ---------------------------------------------------------------------------

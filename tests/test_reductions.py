@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from mpvkit import core
+from mpvkit import core, formats
 from mpvkit import (
     Graph,
     Instance,
@@ -681,11 +681,17 @@ def test_gadget_ballots_are_spelled_once_when_read(monkeypatch):
     report = solve_auto(inst)
     assert report.answer and brute_force(inst).answer
     assert verify(inst, report.witness) == []
-    assert inst.n > 0
+    assert inst.n >= formats.RUN_MIN * (inst.m + 1)  # its rows are written and read as runs
     assert spelled == []
     text = emit_instance(inst)
-    assert inst.ballots == parse_instance(text).ballots
-    assert spelled == [inst.n]
+    back = parse_instance(text)
+    assert back == inst and emit_instance(back) == text
+    assert spelled == []
+    assert inst.ballots == back.ballots
+    assert spelled == [inst.n, inst.n]  # once per instance, kept from then on
+    assert inst.ballots == back.ballots
+    assert spelled == [inst.n, inst.n]
+    assert inst._ballots is None and back._ballots is None  # still canonical
 
 
 # ---------------------------------------------------------------------------
