@@ -14,7 +14,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
-from .core import BudgetExceededError, TrivialVerdict, verify
+from .core import BudgetExceededError, DEFAULT_BUDGET, TrivialVerdict, verify
 from .formats import (
     FormatError,
     _check_emittable,
@@ -70,6 +70,9 @@ def _write_output(text: str, path):
         sys.stdout.write(text)
 
 
+_BUDGET_HELP = "state exploration budget, in the solver's own unit (default: %(default)s)"
+
+
 def _budget(text):
     """``--budget`` value: a non-negative integer."""
     try:
@@ -81,13 +84,6 @@ def _budget(text):
     return value
 
 
-def _run_algorithm(name, instance, budget):
-    fn = _ALGORITHMS[name]
-    if budget is None:
-        return fn(instance)
-    return fn(instance, budget=budget)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -95,7 +91,7 @@ def _run_algorithm(name, instance, budget):
 
 def _cmd_solve(args) -> int:
     instance = parse_instance(Path(args.instance).read_text())
-    report = _run_algorithm(args.algorithm, instance, args.budget)
+    report = _ALGORITHMS[args.algorithm](instance, budget=args.budget)
     print("YES" if report.answer else "NO")
     if args.witness and report.witness is not None:
         sys.stdout.write(emit_solution(report.witness))
@@ -207,7 +203,7 @@ def _cmd_bench(args) -> int:
             continue  # directories often hold .map sidecars, notes and binaries
         for name in algorithms:
             try:
-                report = _run_algorithm(name, instance, args.budget)
+                report = _ALGORITHMS[name](instance, budget=args.budget)
             except BudgetExceededError:
                 rows.append([path.name, name, "budget", "", ""])
                 continue
@@ -253,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="solver to run (default: auto)",
     )
     p.add_argument("--witness", action="store_true", help="print a committee sequence on yes")
-    p.add_argument("--budget", type=_budget, default=None, help="state exploration budget")
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="check a solution file against an instance")
@@ -304,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="comma-separated algorithm names (default: auto)",
     )
-    p.add_argument("--budget", type=_budget, default=None, help="state exploration budget")
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
     p.add_argument("-o", "--output", default=None, help="CSV output file (default: stdout)")
     p.set_defaults(func=_cmd_bench)
     return parser

@@ -41,6 +41,11 @@ class BudgetExceededError(RuntimeError):
     """
 
 
+# the ``budget`` default of every solver, brute force included; each
+# counts it in its own unit (``SolveReport.stats["states"]``)
+DEFAULT_BUDGET = 5 * 10**7
+
+
 class _Record:
     """Base of the records below: ``repr`` and ``==`` over ``_fields``, as a
     dataclass spells them. They are plain classes, so
@@ -467,12 +472,12 @@ def verify(instance: Instance, committees) -> list:
         _check_candidates(instance, committee)
 
     violations = []
-    for t, committee in enumerate(seq, start=1):
+    for t, (committee, row) in enumerate(zip(seq, instance.counts), start=1):
         if len(committee) > instance.k:
             violations.append(
                 f"stage {t}: committee size {len(committee)} exceeds k={instance.k}"
             )
-        s = score(instance, t, committee)
+        s = sum(row[c] for c in committee)  # ids were checked above
         if s < instance.x:
             violations.append(f"stage {t}: score {s} is below x={instance.x}")
     for t in range(1, instance.tau):

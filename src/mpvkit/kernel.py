@@ -31,6 +31,7 @@ from typing import Optional
 
 from .core import (
     CONSERVATIVE,
+    DEFAULT_BUDGET,
     Instance,
     PreconditionError,
     REVOLUTIONARY,
@@ -41,7 +42,7 @@ from .core import (
     _check_candidates,
     _integer,
 )
-from .oracle import DEFAULT_SEQUENCE_BUDGET, brute_force
+from .oracle import brute_force
 
 
 @dataclass
@@ -229,9 +230,7 @@ def to_weighted(instance: Instance) -> WeightedInstance:
     )
 
 
-def solve_weighted(
-    winstance: WeightedInstance, budget: int = DEFAULT_SEQUENCE_BUDGET
-) -> SolveReport:
+def solve_weighted(winstance: WeightedInstance, budget: int = DEFAULT_BUDGET) -> SolveReport:
     """:func:`~mpvkit.oracle.brute_force`, reported as ``"brute-force-weighted"``."""
     report = brute_force(winstance, budget=budget)
     report.algorithm = "brute-force-weighted"

@@ -24,12 +24,13 @@ from operator import add
 from .core import (
     BudgetExceededError,
     CONSERVATIVE,
+    DEFAULT_BUDGET,
     Instance,
     SolveReport,
+    _integer,
     _report,
 )
 
-DEFAULT_SEQUENCE_BUDGET = 10**8
 _SELECT = bytes.maketrans(b"01", b"\0\1")
 _LEX = str.maketrans("01", "10")
 
@@ -191,7 +192,7 @@ def _sequence_search(instance, budget, states):
         yield tuple(_decode(mask, pool) for mask in path)
 
 
-def brute_force(instance: Instance, budget: int = DEFAULT_SEQUENCE_BUDGET) -> SolveReport:
+def brute_force(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
     """Decide an instance by exhaustive stage-by-stage search.
 
     The witness, when one exists, is the lexicographically first valid
@@ -203,7 +204,8 @@ def brute_force(instance: Instance, budget: int = DEFAULT_SEQUENCE_BUDGET) -> So
     instance : Instance
     budget : int
         Maximum number of partial-sequence extensions before the search
-        gives up with :class:`BudgetExceededError`.
+        gives up with :class:`BudgetExceededError`; by default
+        :data:`~mpvkit.core.DEFAULT_BUDGET`, as for every other solver.
     """
     start = time.perf_counter()
     states = [0]
@@ -211,10 +213,9 @@ def brute_force(instance: Instance, budget: int = DEFAULT_SEQUENCE_BUDGET) -> So
     return _report("brute-force", start, witness, states[0])
 
 
-def enumerate_solutions(
-    instance: Instance, limit: int, budget: int = DEFAULT_SEQUENCE_BUDGET
-) -> list:
+def enumerate_solutions(instance: Instance, limit: int, budget: int = DEFAULT_BUDGET) -> list:
     """First ``limit`` valid committee sequences in lexicographic order."""
-    if not isinstance(limit, int) or limit < 0:
+    count = _integer(limit)
+    if count is None or count < 0:
         raise ValueError(f"limit must be a non-negative integer, got {limit!r}")
-    return list(islice(_sequence_search(instance, budget, [0]), limit))
+    return list(islice(_sequence_search(instance, budget, [0]), count))

@@ -37,8 +37,8 @@ from .core import (
 def _normalize_edges(edges, num_vertices):
     norm = []
     for edge in edges:
-        u, v = edge
-        if not (isinstance(u, int) and isinstance(v, int)):
+        u, v = map(_integer, edge)
+        if u is None or v is None:
             raise ValueError(f"edge endpoints must be integers, got {edge!r}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
@@ -63,11 +63,11 @@ class Graph:
     edges: tuple
 
     def __post_init__(self):
-        if not isinstance(self.num_vertices, int) or self.num_vertices < 0:
+        count = _integer(self.num_vertices)
+        if count is None or count < 0:
             raise ValueError(f"bad vertex count {self.num_vertices!r}")
-        object.__setattr__(
-            self, "edges", _normalize_edges(self.edges, self.num_vertices)
-        )
+        object.__setattr__(self, "num_vertices", count)
+        object.__setattr__(self, "edges", _normalize_edges(self.edges, count))
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,14 @@ class PartitionedGraph:
             raise ValueError("need at least two parts")
         seen = set()
         for part in parts:
-            for v in part:
-                if not isinstance(v, int) or v < 1:
-                    raise ValueError(f"bad vertex id {v!r}")
+            for given in part:
+                v = _integer(given)
+                if v is None or v < 1:
+                    raise ValueError(f"bad vertex id {given!r}")
                 if v in seen:
                     raise ValueError(f"vertex {v} appears in two parts")
                 seen.add(v)
+        parts = tuple(frozenset(map(_integer, p)) for p in parts)
         total = len(seen)
         if seen != set(range(1, total + 1)):
             raise ValueError(f"parts must cover exactly 1..{total}")
@@ -132,8 +134,9 @@ def sidon(b: int) -> SidonSet:
     determine ``{i, j}`` because the quadratic residue part determines
     ``i + j`` and ``i*j`` modulo the prime.
     """
-    if not isinstance(b, int) or b < 1:
-        raise ValueError(f"b must be a positive integer, got {b!r}")
+    given, b = b, _integer(b)
+    if b is None or b < 1:
+        raise ValueError(f"b must be a positive integer, got {given!r}")
     hat_b = b + 1
     while not all(hat_b % p for p in range(2, isqrt(hat_b) + 1)):
         hat_b += 1
@@ -154,8 +157,9 @@ def pad_half_vertex_cover(graph: Graph, r: int):
     is attached (covering it takes all but one of them); for
     ``r > |V|/2`` the graph gains ``2r - |V|`` isolated vertices.
     """
-    if not isinstance(r, int) or not 0 <= r <= graph.num_vertices:
-        raise ValueError(f"cover size {r!r} outside 0..{graph.num_vertices}")
+    given, r = r, _integer(r)
+    if r is None or not 0 <= r <= graph.num_vertices:
+        raise ValueError(f"cover size {given!r} outside 0..{graph.num_vertices}")
     nv = graph.num_vertices
     if 2 * r < nv:
         extra = nv - 2 * r + 2

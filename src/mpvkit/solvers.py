@@ -14,7 +14,9 @@
 Every solver returns a :class:`~mpvkit.core.SolveReport` whose witness,
 when present, passes :func:`~mpvkit.core.verify`. Searches that would
 exceed their state budget raise
-:class:`~mpvkit.core.BudgetExceededError` rather than guessing.
+:class:`~mpvkit.core.BudgetExceededError` rather than guessing. Every
+solver takes ``(instance, budget)``, and ``budget`` defaults to
+:data:`~mpvkit.core.DEFAULT_BUDGET`, as for brute force.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from math import comb, prod
 from .core import (
     BudgetExceededError,
     CONSERVATIVE,
+    DEFAULT_BUDGET,
     Instance,
     PreconditionError,
     REVOLUTIONARY,
@@ -37,8 +40,6 @@ from .core import (
     feasible_committee,
 )
 from .oracle import _decode, _feasible_masks, brute_force
-
-DEFAULT_STATE_BUDGET = 5 * 10**7
 
 # ---------------------------------------------------------------------------
 # decoupled stages
@@ -57,7 +58,7 @@ def _decoupled(instance: Instance) -> bool:
     return instance.tau == 1 or instance.ell == 0
 
 
-def solve_unconstrained(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> SolveReport:
+def solve_unconstrained(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
     """Solve the regimes where the transition constraint never binds.
 
     Applicable when ``tau == 1``, when the variant is conservative with
@@ -179,7 +180,7 @@ def _scan_masks(layer, prev, ok, states, budget):
     return hits, parents, states
 
 
-def solve_layered_k(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> SolveReport:
+def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
     """Layered reachability over explicit per-stage committees.
 
     Each stage contributes a layer whose nodes are the committees of size
@@ -270,7 +271,7 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> S
 # ---------------------------------------------------------------------------
 
 
-def solve_inout_ell(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> SolveReport:
+def solve_inout_ell(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
     """Layered reachability over committee-change witnesses (revolutionary).
 
     A node is a pair of disjoint candidate sets ``(X, Y)`` with
@@ -409,7 +410,7 @@ def _first_of_each(np, keys):
     return keys[runs], np.minimum.reduceat(order, runs)
 
 
-def solve_dp_tau(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> SolveReport:
+def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
     """Dynamic programming over per-stage size/difference/score profiles.
 
     Candidates are processed one at a time. A state records, for the
@@ -546,7 +547,7 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> Solv
 # ---------------------------------------------------------------------------
 
 
-def solve_auto(instance: Instance, budget: int = DEFAULT_STATE_BUDGET) -> SolveReport:
+def solve_auto(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
     """Route to the estimated-cheapest applicable solver.
 
     Greedy decoupling is used whenever its precondition holds, and a

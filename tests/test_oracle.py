@@ -14,7 +14,8 @@ from mpvkit import (
     random_instance,
     verify,
 )
-from mpvkit.oracle import DEFAULT_SEQUENCE_BUDGET, _decode, _feasible_masks
+from mpvkit.core import DEFAULT_BUDGET
+from mpvkit.oracle import _decode, _feasible_masks
 
 from conftest import e1, subsets_upto
 
@@ -192,8 +193,8 @@ def test_search_matches_the_closure_reference():
             abstain_probability=rng.choice((0.0, 0.2, 0.5)), seed=trial,
         )
         # a random budget, the default, and one short of what five solutions take
-        _, needed = _sequence_reference(inst, DEFAULT_SEQUENCE_BUDGET, 5)
-        for budget in {rng.randint(1, 300), DEFAULT_SEQUENCE_BUDGET, max(1, needed - 1)}:
+        _, needed = _sequence_reference(inst, DEFAULT_BUDGET, 5)
+        for budget in {rng.randint(1, 300), DEFAULT_BUDGET, max(1, needed - 1)}:
             expected = _sequence_reference(inst, budget, 1)
             got = _outcome(lambda: brute_force(inst, budget=budget))
             if isinstance(expected, str):
@@ -249,8 +250,8 @@ def test_neighbourhood_lookup_matches_the_closure_reference():
         # a lookup serves every stage after the first
         seen["lookup"] += ball <= 64 and inst.tau > 1
         seen["repeated"] += len(set(inst.counts)) < inst.tau
-        _, needed = _sequence_reference(inst, DEFAULT_SEQUENCE_BUDGET, 5)
-        for budget in (DEFAULT_SEQUENCE_BUDGET, rng.randint(1, max(1, needed)), max(1, needed - 1)):
+        _, needed = _sequence_reference(inst, DEFAULT_BUDGET, 5)
+        for budget in (DEFAULT_BUDGET, rng.randint(1, max(1, needed)), max(1, needed - 1)):
             expected = _sequence_reference(inst, budget, 1)
             got = _outcome(lambda: brute_force(inst, budget=budget))
             if isinstance(expected, str):
@@ -303,7 +304,7 @@ def test_lookup_stages_build_no_feasible_list(monkeypatch):
     # enumerated, even where a later stage repeats that row
     a, b = (1, 2, 2, 3), (2, 2, 3, 3)
     inst = Instance(variant="C", m=5, ballots=(a, b, a, a, b), k=2, ell=0, x=3)
-    (witness,), states = _sequence_reference(inst, DEFAULT_SEQUENCE_BUDGET, 1)
+    (witness,), states = _sequence_reference(inst, DEFAULT_BUDGET, 1)
     assert witness == (frozenset({2, 3}),) * 5
     calls = Counter()
 

@@ -1,7 +1,9 @@
 import itertools
 import random
+import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from mpvkit import core, formats
@@ -17,6 +19,7 @@ from mpvkit import (
     cmpv_normalize_half,
     cmpv_to_rmpv,
     emit_instance,
+    enumerate_solutions,
     kernel_mtau,
     kernel_ntau_cmpv,
     kernel_ntau_rmpv,
@@ -78,6 +81,52 @@ def test_partitioned_graph_validation():
         PartitionedGraph(parts=({1, 2}, {4}), edges=())  # hole
     with pytest.raises(ValueError):
         PartitionedGraph(parts=({1, 2}, {3}), edges=((1, 2),))  # intra-part edge
+
+
+# Entry points that read an integer argument, as (build, v, stored): build(v)
+# is valid, and stored(build(v)) lists the integers the result keeps.
+INTEGER_ENTRY_POINTS = {
+    "graph-count": (lambda v: Graph(v, ()), 4, lambda g: [g.num_vertices]),
+    "graph-endpoint": (lambda v: Graph(4, ((v, 3),)), 1, lambda g: list(g.edges[0])),
+    "parts-vertex": (
+        lambda v: PartitionedGraph(parts=({v, 2}, {3}), edges=((v, 3),)),
+        1,
+        lambda pg: [*pg.parts[0], *pg.edges[0]],
+    ),
+    "sidon": (sidon, 3, lambda s: [s.b, s.hat_b, *s.elements]),
+    "pad-cover": (
+        lambda v: pad_half_vertex_cover(Graph(4, ((1, 2), (3, 4))), v),
+        1,
+        lambda out: [out[1], out[0].num_vertices, *itertools.chain(*out[0].edges)],
+    ),
+    "enumerate-limit": (
+        lambda v: enumerate_solutions(Instance("R", 3, ((1, 1), (2, 2), (1, 3)), 1, 2, 1), v),
+        2,
+        lambda sols: [len(sols)],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["bool", "int64", "float", "str"])
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+def test_integer_arguments_follow_one_rule(entry, kind):
+    # the rule of core._integer: numpy integers are read and stored as int,
+    # bool is refused like a float or a string, and the error names the value
+    build, v, stored = INTEGER_ENTRY_POINTS[entry]
+    value = {"bool": True, "int64": np.int64(v), "float": float(v), "str": str(v)}[kind]
+    if kind == "int64":
+        got = build(value)
+        assert got == build(v)
+        assert [type(i) for i in stored(got)] == [int] * len(stored(got))
+    else:
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            build(value)
+
+
+def test_graphs_store_numpy_integers_as_int():
+    g = Graph(np.int64(4), ((np.int64(1), 2),))
+    assert g == Graph(4, ((1, 2),))
+    assert type(g.num_vertices) is int and type(g.edges[0][0]) is int
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +278,27 @@ def test_lift_ell1_shape_and_answers():
         assert brute_force(lifted).answer == brute_force(inst).answer, inst
     with pytest.raises(PreconditionError):
         lift_ell1(random_instance(2, 3, 2, 1, 1, 1, "C", seed=0))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="lift_ell1 turns some no instances into yes ones (ROADMAP item 1)",
+)
+def test_lift_ell1_agrees_on_every_small_two_agent_profile():
+    # the lift reads only counts, so each stage is an unordered agent pair
+    wrong, checked = [], 0
+    for m in (1, 2, 3):
+        pairs = list(itertools.combinations_with_replacement(range(m + 1), 2))
+        for tau in (1, 2, 3):
+            for profile in itertools.product(pairs, repeat=tau):
+                for k in range(1, m + 1):
+                    inst = Instance("C", m, profile, k, 0, 1)
+                    checked += 1
+                    if brute_force(inst).answer != brute_force(lift_ell1(inst)).answer:
+                        wrong.append((m, profile, k))
+    assert checked == 3885
+    assert not wrong, f"{len(wrong)} disagreements, first (m, stages, k) = {wrong[0]}"
 
 
 def test_lift_ell_2km2_shape_and_answers():

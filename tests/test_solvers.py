@@ -22,8 +22,7 @@ from mpvkit import (
 )
 
 from mpvkit import solvers
-from mpvkit.core import _change_out_of_reach
-from mpvkit.solvers import DEFAULT_STATE_BUDGET
+from mpvkit.core import DEFAULT_BUDGET, _change_out_of_reach
 
 from conftest import e1, subsets_upto
 
@@ -378,7 +377,7 @@ def test_inout_matches_three_pass_reference():
             n, m, tau, k, ell, rng.randint(1, n), "R", abstain_probability=0.2, seed=trial
         )
         seen.update(tau1=tau == 1, ell_over_m=ell > m, ell_over_2k=ell > 2 * k)
-        check(inst, rng.choice((rng.randint(1, 400), DEFAULT_STATE_BUDGET)))
+        check(inst, rng.choice((rng.randint(1, 400), DEFAULT_BUDGET)))
     # no arc passes the middle stage, so the arc scan's own count runs past
     # the up-front bound (2 * 24 + 24**2 = 624 for 24 witness pairs)
     inst = Instance(
@@ -507,7 +506,7 @@ def _dp_draws(trials, max_tau, max_m, max_k, min_tau=1, salt=0):
             rows = [list(row) for row in inst.counts]
             rows[rng.randrange(tau)][rng.randint(1, m)] = 2**63 + rng.randrange(2**64)
             inst = WeightedInstance(variant, m, rows, k, inst.ell, inst.x)
-        yield inst, rng.choice((rng.randint(1, 300), DEFAULT_STATE_BUDGET))
+        yield inst, rng.choice((rng.randint(1, 300), DEFAULT_BUDGET))
 
 
 def _check_dp_against_reference(draws):
