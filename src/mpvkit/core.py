@@ -238,13 +238,20 @@ def _spell(counts, n):
     """The canonical ballots of ``counts`` over ``n`` agents.
 
     At every stage agents ``1..total`` approve the candidates in id order,
-    each as often as its count, and the other agents abstain.
+    each as often as its count, and the other agents abstain. When
+    ``m < 256`` (at most 256 slots per row, as in :func:`_tally`) a row is
+    spelled as ``bytes``, one run per candidate, and converted to a tuple
+    of ints in one C pass; larger rows are spelled as tuples.
     """
     rows = []
     for row in counts:
-        runs = [(c,) * count for c, count in enumerate(row) if count]
-        spelled = tuple(chain.from_iterable(runs))
-        rows.append(spelled + (0,) * (n - len(spelled)))
+        if len(row) <= 256:
+            spelled = b"".join([bytes((c,)) * count for c, count in enumerate(row) if count])
+            rows.append(tuple(spelled + bytes(n - len(spelled))))
+        else:
+            runs = [(c,) * count for c, count in enumerate(row) if count]
+            spelled = tuple(chain.from_iterable(runs))
+            rows.append(spelled + (0,) * (n - len(spelled)))
     return tuple(rows)
 
 

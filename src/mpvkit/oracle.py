@@ -6,8 +6,9 @@ stage's score threshold, keeping a transition when one table of allowed
 symmetric-difference sizes admits it. Where that table admits only a
 small neighbourhood of the previous committee (``ell`` near 0
 conservative, near ``m`` revolutionary), that neighbourhood's committees
-are tested directly instead of listing each stage's feasible ones, and a
-tail found to hold no sequence is not searched again; ``stats["states"]``
+are tested directly instead of listing each stage's feasible ones, in one
+inline loop whose committees meet ``ell`` by construction, and a tail
+found to hold no sequence is not searched again; ``stats["states"]``
 still counts every extension of the full search. :func:`brute_force`
 reads its first sequence and :func:`enumerate_solutions` its first
 ``limit``. Exponential in every parameter, intended for desk-scale
@@ -84,30 +85,6 @@ def _decode(mask, pool):
     return frozenset(members)
 
 
-def _hits(verdicts, row, k, x, masks):
-    """Those of ``masks`` with at most ``k`` members scoring at least ``x``.
-
-    In :func:`_feasible_masks`'s order: ``bits[c]`` is ``"1"`` exactly
-    when candidate ``c`` (bit ``c - 1``) is a member, and with 0 and 1
-    swapped it sorts a committee before its extensions and otherwise by
-    the first differing candidate, a member first. ``verdicts`` keeps
-    these strings per count row, ``""`` for a score below ``x``.
-    """
-    hits = []
-    for mask in masks:
-        if mask.bit_count() <= k:
-            key = verdicts.get(mask)
-            if key is None:
-                bits = bin(mask << 1)[:1:-1]
-                feasible = sum(compress(row, bits.encode().translate(_SELECT))) >= x
-                key = verdicts[mask] = bits.translate(_LEX) if feasible else ""
-            if key:
-                hits.append(mask)
-    if len(hits) > 1:
-        hits.sort(key=verdicts.__getitem__)
-    return hits
-
-
 def _sequence_search(instance, budget, states):
     """Generate the valid committee sequences in lexicographic order.
 
@@ -122,10 +99,17 @@ def _sequence_search(instance, budget, states):
       around ``prev``'s complement over the ``m`` candidates, since
       ``|prev ^ c| >= ell`` exactly when ``|~prev ^ c| <= m - ell``. Every
       stage after the first takes this path when the ball holds at most
-      64 masks, enumerated once; :func:`_hits` tests those around ``prev``
-      directly and returns the feasible ones in the scan's order;
+      64 masks, enumerated once. The loop walks the ball around ``prev``
+      and keeps the committees of at most ``k`` members scoring at least
+      ``x``, sorted into the scan's order. Each of them meets ``ok`` by
+      construction, so none is tested again. Per count row, ``verdicts``
+      keeps one string per committee tested: ``bits[c]`` is ``"1"``
+      exactly when candidate ``c`` (bit ``c - 1``) is a member, and with
+      0 and 1 swapped it sorts a committee before its extensions and
+      otherwise by the first differing candidate, a member first; it is
+      ``""`` for a score below ``x``;
     * otherwise by a scan of the stage's feasible masks that tests each
-      committee. The first stage always scans.
+      committee against ``ok``. The first stage always scans.
 
     Each accepted extension counts in ``states[0]``, so a reader that stops
     after a few sequences pays only for the search up to them. A tail
@@ -170,10 +154,23 @@ def _sequence_search(instance, budget, states):
             return
         start, found, last = states[0], False, t + 1 == tau
         candidates = stages[t]
+        test = t and not lookup  # a lookup's successors meet ell by construction
         if t and lookup:
-            candidates = _hits(candidates, counts[t], k, x, map((prev ^ flip).__xor__, ball))
+            verdicts, row, centre, candidates = candidates, counts[t], prev ^ flip, []
+            for offset in ball:
+                committee = centre ^ offset
+                if committee.bit_count() <= k:
+                    key = verdicts.get(committee)
+                    if key is None:
+                        bits = bin(committee << 1)[:1:-1]
+                        feasible = sum(compress(row, bits.encode().translate(_SELECT))) >= x
+                        key = verdicts[committee] = bits.translate(_LEX) if feasible else ""
+                    if key:
+                        candidates.append(committee)
+            if len(candidates) > 1:
+                candidates.sort(key=verdicts.__getitem__)
         for committee in candidates:
-            if t and not ok[(prev ^ committee).bit_count()]:
+            if test and not ok[(prev ^ committee).bit_count()]:
                 continue
             states[0] += 1
             if states[0] > budget:

@@ -189,6 +189,35 @@ def test_counts_spell_into_canonical_ballots():
         Instance._of_counts("C", 2, [(0, 2, 1)], 3, 0, 0, 1)
 
 
+def test_spelling_matches_the_reference_across_the_bytes_boundary():
+    # rows of at most 256 slots (m <= 255) are spelled as bytes, longer rows
+    # (m >= 256) as tuples; both must give the plain ints of a chained spelling
+    rng = random.Random(23)
+    n = 40
+
+    def drawn(m, total):
+        row = [0] * (m + 1)
+        for _ in range(total):
+            row[rng.randint(1, m)] += 1
+        return tuple(row)
+
+    for m in (1, 9, 255, 256, 300):
+        counts = [
+            (0,) * (m + 1),  # every agent abstains
+            drawn(m, n),  # every agent approves
+            (0,) * m + (rng.randint(1, n),),  # one candidate, the highest id
+        ] + [drawn(m, rng.randint(0, n)) for _ in range(5)]
+        reference = tuple(
+            tuple(itertools.chain.from_iterable(map(itertools.repeat, range(m + 1), row)))
+            + (0,) * (n - sum(row))
+            for row in counts
+        )
+        inst = Instance._of_counts("C", m, counts, n, 2, 1, 1)
+        assert core._spell(inst.counts, n) == inst.ballots == reference, m
+        assert all(type(entry) is int for row in inst.ballots for entry in row)
+        assert Instance("C", m, inst.ballots, 2, 1, 1).counts == inst.counts
+
+
 def test_counts_built_instances_compare_without_spelling(monkeypatch):
     counts = [(0, 2, 0, 1), (0, 0, 0, 0)]
     given = Instance("C", 3, Instance._of_counts("C", 3, counts, 4, 2, 1, 1).ballots, 2, 1, 1)

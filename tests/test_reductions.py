@@ -563,6 +563,33 @@ def test_lift_ell_2km2_keeps_every_two_agent_answer():
     assert profiles == 9 + 9**2 + 9**3
 
 
+def test_and_compositions_keep_every_small_two_agent_pair_answer():
+    # every ordered pair of 2-agent inputs of one shape (m, tau, k), each
+    # stage an unordered agent pair, as the compositions read only counts
+    def groups(variant, shapes):
+        for m, ell, k in shapes:
+            stages = list(itertools.combinations_with_replacement(range(m + 1), 2))
+            for tau in (1, 2):
+                group = [
+                    Instance(variant, m, profile, k, ell, 1)
+                    for profile in itertools.product(stages, repeat=tau)
+                ]
+                yield [(inst, brute_force(inst).answer) for inst in group]
+
+    for variant, compose, shapes, expected in (
+        ("C", and_compose_cmpv, [(m, 1, k) for m in (1, 2) for k in range(1, m + 1)], 2754),
+        ("R", and_compose_rmpv, [(2, 2, 1)], 1332),
+    ):
+        wrong, answers = [], Counter()
+        for group in groups(variant, shapes):
+            for (a, yes_a), (b, yes_b) in itertools.product(group, repeat=2):
+                answers[yes_a and yes_b] += 1
+                if brute_force(compose((a, b))).answer != (yes_a and yes_b):
+                    wrong.append((a, b))
+        assert sum(answers.values()) == expected and min(answers.values()) > 0, (variant, answers)
+        assert not wrong, f"{variant}: {len(wrong)} disagreements, first {wrong[0]}"
+
+
 # ---------------------------------------------------------------------------
 # count rows against the ballot-building constructions
 # ---------------------------------------------------------------------------
