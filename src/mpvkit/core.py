@@ -13,7 +13,11 @@ Conventions used throughout the package:
 * candidates are numbered ``1..m``; ``0`` in a ballot means abstention,
 * stages are numbered ``1..tau``,
 * committees are ``frozenset`` objects, committee sequences are tuples of
-  frozensets of length ``tau``.
+  frozensets of length ``tau``,
+* inside the searches a committee is an int mask over a candidate pool,
+  where bit ``i`` stands for ``pool[i]``; :func:`_decode` is the only way
+  back to a ``frozenset``, so witnesses and every public function keep
+  frozensets.
 """
 
 from __future__ import annotations
@@ -425,17 +429,17 @@ class WeightedInstance(Instance):
 
 
 def _check_id(kind, value, high):
-    """Raise ``ValueError`` unless ``value`` is an integer (numpy's too) in ``1..high``."""
+    """``value`` as an ``int``, if it is an integer (numpy's too) in ``1..high``.
+
+    Anything else raises ``ValueError``.
+    """
     try:
         number = operator.index(value)
     except TypeError:
         raise ValueError(f"{kind} must be an integer, got {value!r}") from None
     if not 1 <= number <= high:
         raise ValueError(f"{kind} {value!r} outside 1..{high}")
-
-
-def _check_stage(instance, t):
-    _check_id("stage", t, instance.tau)
+    return number
 
 
 def _check_candidates(instance, committee):
@@ -450,11 +454,9 @@ def score(instance: Instance, t: int, committee: Iterable[int]) -> int:
     that is the number of agents whose approval lands in the committee.
     Raises ``ValueError`` for a stage or candidate id out of range.
     """
-    _check_stage(instance, t)
-    committee = frozenset(committee)
-    _check_candidates(instance, committee)
+    _check_id("stage", t, instance.tau)
     row = instance.counts[t - 1]
-    return sum(row[c] for c in committee)
+    return sum(row[_check_id("candidate", c, instance.m)] for c in frozenset(committee))
 
 
 def symdiff_size(a: Iterable[int], b: Iterable[int]) -> int:
@@ -519,18 +521,30 @@ def feasible_committee(
     a valid committee with the given inclusions/exclusions exists if and
     only if the greedy one is valid.
     """
-    _check_stage(instance, t)
-    required = frozenset(required)
-    forbidden = frozenset(forbidden)
-    _check_candidates(instance, required)
-    _check_candidates(instance, forbidden)
-    if required & forbidden:
-        raise ValueError(
-            f"required and forbidden overlap: {sorted(required & forbidden)}"
-        )
+    _check_id("stage", t, instance.tau)
+    required, forbidden = frozenset(required), frozenset(forbidden)
+    # masks with bit c - 1 for candidate c, built from the checked ids as plain
+    # ints (1 << np.int64(70) overflows); a loop costs nothing on an empty set
+    inside = outside = 0
+    for c in required:
+        inside |= 1 << _check_id("candidate", c, instance.m) - 1
+    for c in forbidden:
+        outside |= 1 << _check_id("candidate", c, instance.m) - 1
+    if inside & outside:
+        raise ValueError(f"required and forbidden overlap: {sorted(required & forbidden)}")
     row = instance.counts[t - 1]
-    added = _greedy_fill(row, _stage_order(row), instance.k, instance.x, required, forbidden)
+    added = _greedy_fill(row, _stage_order(row), instance.k, instance.x, inside, outside)
     return None if added is None else required | frozenset(added)
+
+
+def _decode(mask, pool):
+    """The committee of ``pool`` members whose positions are set in ``mask``."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(pool[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(members)
 
 
 def _stage_order(row):
@@ -541,24 +555,28 @@ def _stage_order(row):
 def _greedy_fill(row, order, k, x, required, forbidden):
     """The greedy step of :func:`feasible_committee` on a precomputed ``order``.
 
-    Returns the list of candidates added to ``required``, skipping
-    ``required`` and ``forbidden``, until the committee has ``k`` members
-    or ``order`` runs out; or ``None`` when its score misses ``x``.
-    ``required`` and ``forbidden`` are assumed disjoint and in range.
+    ``required`` and ``forbidden`` are int masks over the candidates
+    ``1..m``: bit ``c - 1`` stands for candidate ``c``. They are assumed
+    disjoint and in range. Returns the list of candidates added to
+    ``required``, in ``order`` and skipping both masks, until the
+    committee has ``k`` members or ``order`` runs out; or ``None`` when
+    ``required`` alone has more than ``k`` members or the committee's
+    score misses ``x``. It builds no ``frozenset``.
     """
-    if len(required) > k:
-        return None
-    added = []
-    room = k - len(required)
-    total = sum(row[c] for c in required)
+    room = k - required.bit_count()  # negative when required alone is too large
+    taken = required | forbidden
+    added, total = [], 0
+    while required:  # the score of required, one lowest bit at a time
+        low = required & -required
+        total += row[low.bit_length()]
+        required ^= low
     for c in order:
         if len(added) >= room:
             break
-        if c in required or c in forbidden:
-            continue
-        added.append(c)
-        total += row[c]
-    return added if total >= x else None
+        if not taken >> c - 1 & 1:
+            added.append(c)
+            total += row[c]
+    return added if room >= 0 and total >= x else None
 
 
 def _change_out_of_reach(instance) -> bool:

@@ -28,6 +28,7 @@ from .core import (
     DEFAULT_BUDGET,
     Instance,
     SolveReport,
+    _decode,
     _integer,
     _report,
 )
@@ -73,16 +74,6 @@ def _feasible_masks(row, pool, k, x):
     if k:
         rec(0, 0, k, 0)
     return out
-
-
-def _decode(mask, pool):
-    """The committee of ``pool`` members whose positions are set in ``mask``."""
-    members = []
-    while mask:
-        low = mask & -mask
-        members.append(pool[low.bit_length() - 1])
-        mask ^= low
-    return frozenset(members)
 
 
 def _sequence_search(instance, budget, states):

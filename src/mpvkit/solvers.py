@@ -34,12 +34,13 @@ from .core import (
     REVOLUTIONARY,
     SolveReport,
     _change_out_of_reach,
+    _decode,
     _greedy_fill,
     _report,
     _stage_order,
     feasible_committee,
 )
-from .oracle import _decode, _feasible_masks, brute_force
+from .oracle import _feasible_masks, brute_force
 
 # ---------------------------------------------------------------------------
 # decoupled stages
@@ -277,9 +278,12 @@ def solve_inout_ell(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     A node is a pair of disjoint candidate sets ``(X, Y)`` with
     ``|X| + |Y| == ell``, a witness of the change after some stage: the
     members of ``X`` sit in that stage's committee and leave, the members
-    of ``Y`` are new in the next one. A change of size at least ``ell``
-    always contains such an exact witness, and on any path ``X`` and ``Y``
-    embed into committees, so only pairs with both sides of size at most
+    of ``Y`` are new in the next one. Both sets are int masks over the
+    candidates ``1..m`` (bit ``c - 1`` for candidate ``c``), as
+    :func:`~mpvkit.core._greedy_fill` takes them, and the empty witness
+    is ``(0, 0)``. A change of size at least ``ell`` always contains such
+    an exact witness, and on any path ``X`` and ``Y`` embed into
+    committees, so only pairs with both sides of size at most
     ``min(k, ell)`` are materialized (none when ``ell > m`` or
     ``ell > 2k``, which answers no).
 
@@ -287,9 +291,10 @@ def solve_inout_ell(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     change before stage 1 and after stage ``tau``. Stage ``t`` links the
     reachable witnesses before it to the witnesses after it when they are
     disjoint side by side and stage ``t`` has a committee with what they
-    bring in and without what they take out, checked greedily. Each
-    linked witness keeps its first parent, and the committees of the
-    returned witness are rebuilt along that chain.
+    bring in and without what they take out, checked greedily on the
+    masks. Each linked witness keeps its first parent, and the committees
+    of the returned witness are rebuilt along that chain from the decoded
+    masks (:func:`~mpvkit.core._decode`).
 
     Budget counts nodes per change plus examined arcs, checked on every
     arc. Raises :class:`PreconditionError` for the conservative
@@ -313,24 +318,23 @@ def solve_inout_ell(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
             f"{node_count} witness pairs per layer exceed the budget of {budget}"
         )
 
-    nodes = []
-    for union in combinations(range(1, m + 1), ell):
-        uset = frozenset(union)
+    nodes = []  # (out_mask, in_mask), bit c - 1 for candidate c
+    for union in combinations(range(m), ell):
+        both = sum(1 << i for i in union)
         for jx in range(lo, cap + 1):
             for xs in combinations(union, jx):
-                outgoing = frozenset(xs)
-                nodes.append((outgoing, uset - outgoing))
+                outgoing = sum(1 << i for i in xs)
+                nodes.append((outgoing, both ^ outgoing))
 
-    empty = (frozenset(), frozenset())
     states = len(nodes) * (tau - 1)
-    reach = [(empty, None)]  # (witness, entry of the witness before it)
+    reach = [((0, 0), None)]  # (witness, entry of the witness before it)
     for t in range(1, tau + 1):
         if not reach:
             break
         row = instance.counts[t - 1]
         order = _stage_order(row)
         cur = []
-        for node in nodes if t < tau else (empty,):
+        for node in nodes if t < tau else [(0, 0)]:
             out2, in2 = node
             for entry in reach:
                 states += 1
@@ -352,8 +356,9 @@ def solve_inout_ell(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
             chain.append(entry[0])
             entry = entry[1]
         chain.reverse()
+        pool = range(1, m + 1)
         witness = tuple(
-            feasible_committee(instance, t, in1 | out2, out1 | in2)
+            feasible_committee(instance, t, _decode(in1 | out2, pool), _decode(out1 | in2, pool))
             for t, ((out1, in1), (out2, in2)) in enumerate(zip(chain, chain[1:]), start=1)
         )
     return _report("inout-ell", start, witness, states)

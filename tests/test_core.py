@@ -360,6 +360,15 @@ def test_score_range_checks(e1_cmpv):
     assert feasible_committee(e1_cmpv, np.int32(2), [np.int64(2)]) == feasible_committee(
         e1_cmpv, 2, [2]
     )
+    # ids past bit 63 of a committee mask: 1 << np.int64(69) would overflow
+    wide = Instance("C", 75, ((70, 70, 3, 72, 1), (75, 0, 70, 70, 2)), 3, 1, 3)
+    for t in (1, 2):
+        plain = feasible_committee(wide, t, {70}, {72})
+        assert plain is not None and 70 in plain and 72 not in plain
+        assert feasible_committee(wide, t, {np.int64(70)}, {np.int64(72)}) == plain
+        assert feasible_committee(wide, np.int64(t), required={np.int64(70)}) == (
+            feasible_committee(wide, t, required={70})
+        )
     assert verify(e1_cmpv, ({np.int64(1)}, {np.int16(2)}, {np.uint8(1)})) == []
     with pytest.raises(ValueError, match=r"candidate np.int64\(4\) outside 1..3"):
         score(e1_cmpv, 1, [np.int64(4)])
@@ -444,6 +453,31 @@ def test_feasible_committee_edge_cases(e1_cmpv):
     assert feasible_committee(e1_cmpv, 1, required={1, 2}) is None  # exceeds k
     with pytest.raises(ValueError):
         feasible_committee(e1_cmpv, 1, required={1}, forbidden={1})
+
+
+def test_feasible_committee_agrees_with_an_exhaustive_search():
+    rng = random.Random(2024)
+    for _ in range(400):
+        m, n, tau = rng.randint(1, 7), rng.randint(0, 6), rng.randint(1, 2)
+        rows = [[rng.randint(0, m) for _ in range(n)] for _ in range(tau)]
+        inst = Instance("C", m, rows, rng.randint(1, m), 0, rng.randint(1, max(1, n)))
+        ids = rng.sample(range(1, m + 1), rng.randint(0, m))
+        cut = rng.randint(0, len(ids))
+        required, forbidden = frozenset(ids[:cut]), frozenset(ids[cut:])
+        t = rng.randint(1, tau)
+        allowed = sorted(set(range(1, m + 1)) - required - forbidden)
+        exists = any(
+            len(required) + size <= inst.k
+            and score(inst, t, required.union(extra)) >= inst.x
+            for size in range(len(allowed) + 1)
+            for extra in itertools.combinations(allowed, size)
+        )
+        got = feasible_committee(inst, t, required, forbidden)
+        if exists:
+            assert required <= got and not got & forbidden, (inst, t, required, forbidden)
+            assert len(got) <= inst.k and score(inst, t, got) >= inst.x
+        else:
+            assert got is None, (inst, t, required, forbidden)
 
 
 def test_feasible_committee_prefers_low_ids_on_ties():
