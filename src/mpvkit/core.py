@@ -51,12 +51,19 @@ DEFAULT_BUDGET = 5 * 10**7
 
 
 class _Record:
-    """Base of the records below: ``repr`` and ``==`` over ``_fields``, as a
+    """Base of mpvkit's records: ``repr`` and ``==`` over ``_fields``, as a
     dataclass spells them. They are plain classes, so
     ``dataclasses.fields``, ``replace`` and ``is_dataclass`` do not apply.
+
+    A record's ``__init__`` has its public signature, checks and converts
+    its arguments, and hands the field values, in ``_fields`` order, to
+    this base ``__init__``.
     """
 
     _fields = ()
+
+    def __init__(self, *values):
+        self.__dict__.update(zip(self._fields, values, strict=True))
 
     def _values(self):
         return tuple(getattr(self, name) for name in self._fields)
@@ -72,13 +79,17 @@ class _Record:
 
 
 class _Frozen(_Record):
-    """A record whose attributes are set once, with ``object.__setattr__``."""
+    """A record whose attributes are set once, with ``object.__setattr__``,
+    and which hashes like the tuple of its fields."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 class TrivialVerdict(_Frozen):
@@ -87,11 +98,7 @@ class TrivialVerdict(_Frozen):
     _fields = ("answer", "reason")
 
     def __init__(self, answer: bool, reason: str):
-        object.__setattr__(self, "answer", answer)
-        object.__setattr__(self, "reason", reason)
-
-    def __hash__(self):
-        return hash(self._values())
+        super().__init__(answer, reason)
 
 
 class SolveReport(_Record):
@@ -116,10 +123,7 @@ class SolveReport(_Record):
     _fields = ("answer", "witness", "algorithm", "stats")
 
     def __init__(self, answer: bool, witness: tuple | None, algorithm: str, stats: dict):
-        self.answer = answer
-        self.witness = witness
-        self.algorithm = algorithm
-        self.stats = stats
+        super().__init__(answer, witness, algorithm, stats)
 
 
 def _report(algorithm, start, witness, states, **extra) -> SolveReport:
@@ -545,6 +549,21 @@ def _decode(mask, pool):
         members.append(pool[low.bit_length() - 1])
         mask ^= low
     return frozenset(members)
+
+
+def _approved(counts):
+    """The candidates that some stage's ``counts`` approve, in id order.
+
+    Dropping the others, the never-approved candidates, from a solution
+    keeps every score and shrinks sizes and symmetric differences, so a
+    conservative instance has a solution iff it has one among these.
+    Layered-k and dp-tau search conservative instances over them, and
+    the n-tau kernels keep them. The scan builds one tuple per candidate
+    column; a ``compress`` scan of the nonzero slots of each row is
+    faster on wide, sparse counts and slower on tall, dense ones, so
+    measure both before swapping them.
+    """
+    return [c for c, column in enumerate(zip(*counts)) if c and any(column)]
 
 
 def _stage_order(row):

@@ -26,8 +26,6 @@ weighted input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
 
 from .core import (
     CONSERVATIVE,
@@ -38,6 +36,8 @@ from .core import (
     SolveReport,
     TrivialVerdict,
     WeightedInstance,
+    _Record,
+    _approved,
     _change_out_of_reach,
     _check_candidates,
     _integer,
@@ -45,8 +45,7 @@ from .core import (
 from .oracle import brute_force
 
 
-@dataclass
-class KernelResult:
+class KernelResult(_Record):
     """Outcome of a candidate-count kernelization.
 
     Either ``verdict`` is set (the rule decided the instance outright) or
@@ -54,15 +53,25 @@ class KernelResult:
     which maps each reduced candidate id to the original id it stands
     for. ``gap`` marks revolutionary inputs with k > n whose candidate
     count landed strictly between n*tau and k*tau, where no further rule
-    applies.
+    applies. ``stage_fillers`` holds the never-approved ids that
+    :meth:`lift` re-adds at each stage after the revolutionary rescaling
+    rule, else ``None``.
+
+    Results compare by their fields and are not hashable.
     """
 
-    kind: str
-    instance: Optional[Instance] = None
-    verdict: Optional[TrivialVerdict] = None
-    id_map: Optional[dict] = None
-    gap: bool = False
-    stage_fillers: Optional[tuple] = field(default=None, repr=False)
+    _fields = ("kind", "instance", "verdict", "id_map", "gap", "stage_fillers")
+
+    def __init__(
+        self,
+        kind: str,
+        instance: Instance | None = None,
+        verdict: TrivialVerdict | None = None,
+        id_map: dict | None = None,
+        gap: bool = False,
+        stage_fillers: tuple | None = None,
+    ):
+        super().__init__(kind, instance, verdict, id_map, gap, stage_fillers)
 
     def lift(self, committees) -> tuple:
         """Translate a reduced-instance solution into an original-instance one.
@@ -94,7 +103,7 @@ class KernelResult:
 
 def _approved_candidates(instance):
     if instance._ballots is None:  # counts-built: read the count columns
-        return [c for c, column in enumerate(zip(*instance.counts)) if c and any(column)]
+        return _approved(instance.counts)
     return sorted({entry for row in instance.ballots for entry in row if entry})
 
 
@@ -189,8 +198,8 @@ def kernel_ntau_rmpv(instance: Instance) -> KernelResult:
     kind = "ntau-rmpv"
     if instance.k > instance.n:
         if m2 == instance.k * instance.tau:
+            # _fill_to adds the same lowest ids in the same order, so small <= keep
             small = _fill_to(approved, instance.m, instance.n * instance.tau)
-            small &= keep
             reserved = sorted(keep - small)
             chunk = instance.k - instance.n
             stage_fillers = tuple(

@@ -15,7 +15,6 @@ counts (see :class:`~mpvkit.core.Instance`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, isqrt
 
@@ -26,6 +25,7 @@ from .core import (
     REVOLUTIONARY,
     TrivialVerdict,
     VARIANTS,
+    _Frozen,
     _integer,
 )
 
@@ -50,8 +50,7 @@ def _normalize_edges(edges, num_vertices):
     return tuple(sorted(norm))
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Frozen):
     """Undirected graph on vertices ``1..num_vertices``.
 
     No self-loops or duplicate edges; edges normalize to ``(u, v)`` with
@@ -59,30 +58,26 @@ class Graph:
     constructions that spend one stage per edge.
     """
 
-    num_vertices: int
-    edges: tuple
+    _fields = ("num_vertices", "edges")
 
-    def __post_init__(self):
-        count = _integer(self.num_vertices)
+    def __init__(self, num_vertices: int, edges: tuple):
+        count = _integer(num_vertices)
         if count is None or count < 0:
-            raise ValueError(f"bad vertex count {self.num_vertices!r}")
-        object.__setattr__(self, "num_vertices", count)
-        object.__setattr__(self, "edges", _normalize_edges(self.edges, count))
+            raise ValueError(f"bad vertex count {num_vertices!r}")
+        super().__init__(count, _normalize_edges(edges, count))
 
 
-@dataclass(frozen=True)
-class PartitionedGraph:
+class PartitionedGraph(_Frozen):
     """Graph whose vertices ``1..h`` are partitioned into q >= 2 parts.
 
     Edges may only connect distinct parts. Parts are stored as
     frozensets; their union must be exactly ``1..h``.
     """
 
-    parts: tuple
-    edges: tuple
+    _fields = ("parts", "edges")
 
-    def __post_init__(self):
-        parts = tuple(frozenset(p) for p in self.parts)
+    def __init__(self, parts: tuple, edges: tuple):
+        parts = tuple(frozenset(p) for p in parts)
         if len(parts) < 2:
             raise ValueError("need at least two parts")
         seen = set()
@@ -98,13 +93,12 @@ class PartitionedGraph:
         total = len(seen)
         if seen != set(range(1, total + 1)):
             raise ValueError(f"parts must cover exactly 1..{total}")
-        object.__setattr__(self, "parts", parts)
-        edges = _normalize_edges(self.edges, total)
+        edges = _normalize_edges(edges, total)
         part_of = {v: i for i, part in enumerate(parts) for v in part}
         for u, v in edges:
             if part_of[u] == part_of[v]:
                 raise ValueError(f"edge ({u}, {v}) stays inside one part")
-        object.__setattr__(self, "edges", edges)
+        super().__init__(parts, edges)
 
     @property
     def num_vertices(self) -> int:
@@ -116,13 +110,13 @@ class PartitionedGraph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SidonSet:
+class SidonSet(_Frozen):
     """Integers whose pairwise sums (repetitions included) are all distinct."""
 
-    b: int
-    hat_b: int
-    elements: tuple
+    _fields = ("b", "hat_b", "elements")
+
+    def __init__(self, b: int, hat_b: int, elements: tuple):
+        super().__init__(b, hat_b, elements)
 
 
 def sidon(b: int) -> SidonSet:

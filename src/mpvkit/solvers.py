@@ -33,6 +33,7 @@ from .core import (
     PreconditionError,
     REVOLUTIONARY,
     SolveReport,
+    _approved,
     _change_out_of_reach,
     _decode,
     _greedy_fill,
@@ -192,9 +193,8 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     keeps the first compatible reachable committee of the previous stage
     as its parent, and the witness is the path to the first reachable
     committee of the last stage. For the conservative variant the
-    candidate pool shrinks to candidates approved at least once: dropping
-    never-approved candidates from a solution keeps scores, shrinks sizes,
-    and shrinks symmetric differences, so some solution avoids them.
+    candidate pool shrinks to the candidates approved at least once
+    (:func:`~mpvkit.core._approved`).
 
     When consecutive layers hold at most :data:`SCAN_PYTHON_MAX` committee
     pairs in all (up to the first empty layer), the arcs are scanned in
@@ -207,10 +207,7 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     """
     start = time.perf_counter()
     conservative = instance.variant == CONSERVATIVE
-    if conservative:
-        pool = [c for c, column in enumerate(zip(*instance.counts)) if c and any(column)]
-    else:
-        pool = list(range(1, instance.m + 1))
+    pool = _approved(instance.counts) if conservative else list(range(1, instance.m + 1))
     node_bound = sum(comb(len(pool), j) for j in range(min(instance.k, len(pool)) + 1))
     if node_bound * instance.tau > budget:
         raise BudgetExceededError(
@@ -418,16 +415,17 @@ def _first_of_each(np, keys):
 def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
     """Dynamic programming over per-stage size/difference/score profiles.
 
-    Candidates are processed one at a time. A state records, for the
-    partially built committees, every stage's current size, every
-    consecutive pair's current symmetric difference (conservative: kept
-    exact and pruned above ``ell``; revolutionary: clipped at ``ell``),
-    and every stage's score clipped at ``x``. Candidate ``c`` advances a
-    state by choosing the set of stages whose committee will contain
-    ``c`` (its fingerprint); the update depends only on that set and on
-    ``c``'s per-stage approval counts, so whole state batches advance at
-    once and runs of identical candidates only need their newly
-    discovered states reprocessed. The instance is a yes iff some final
+    Candidates are processed one at a time, for the conservative variant
+    only those approved at least once (:func:`~mpvkit.core._approved`).
+    A state records, for the partially built committees, every stage's
+    current size, every consecutive pair's current symmetric difference
+    (conservative: kept exact and pruned above ``ell``; revolutionary:
+    clipped at ``ell``), and every stage's score clipped at ``x``.
+    Candidate ``c`` advances a state by choosing the set of stages whose
+    committee will contain ``c`` (its fingerprint); the update depends
+    only on that set and on ``c``'s per-stage approval counts, so whole
+    state batches advance at once and runs of identical candidates only
+    need their newly discovered states reprocessed. The instance is a yes iff some final
     state has every score clipped at ``x`` (and, revolutionary, every
     difference clipped at ``ell``).
 
@@ -487,11 +485,8 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
     layer_maps = []  # (candidate, new keys sorted, parent keys, fingerprints)
     prev_col = None
     cols = list(zip(*instance.counts))
-    for c in range(1, m + 1):
+    for c in _approved(instance.counts) if conservative else range(1, m + 1):
         col = cols[c]
-        if conservative and not any(col):
-            # unapproved candidates only grow sizes and differences here
-            continue
         if col == prev_col:
             if frontier.size == 0:
                 continue

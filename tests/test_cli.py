@@ -85,9 +85,10 @@ def test_solve_budget_exit_code(tmp_path, capsys):
 def test_negative_budget_is_a_usage_error(e1_file, tmp_path, capsys):
     path = e1_file(variant="R", ell=2)
     for args in (["solve", path], ["bench", str(tmp_path)]):
-        assert run(args + ["--budget=-1"]) == 2
-        err = capsys.readouterr().err
-        assert "argument --budget: must be a non-negative integer, got '-1'" in err
+        for value in ("-1", "abc"):
+            assert run(args + [f"--budget={value}"]) == 2
+            err = capsys.readouterr().err
+            assert f"argument --budget: must be a non-negative integer, got '{value}'" in err
     # budget 0 is still a budget: layered-k runs out of it at once
     assert run(["solve", path, "--budget", "0"]) == 3
     assert "exceed the budget of 0" in capsys.readouterr().err
@@ -185,6 +186,21 @@ def test_kernelize_ntau_without_agents(tmp_path, capsys, variant):
     assert captured.err == ""
 
 
+def test_kernelize_notes_the_gap_on_stderr(tmp_path, capsys):
+    from mpvkit import Instance
+
+    # k = 3 > n = 1, and the 4 candidates sit strictly between n*tau = 2 and k*tau = 6
+    src = tmp_path / "gap.mpv"
+    src.write_text(emit_instance(Instance("R", 4, ((1,), (2,)), 3, 1, 1)))
+    assert run(["kernelize", str(src), "--target", "ntau"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "note: k exceeds n and the candidate count sits between n*stages and k*stages; "
+        "no reduction rule applies\n"
+    )
+    assert parse_instance(captured.out).m == 4
+
+
 def test_kernelize_mtau(e1_file, capsys):
     assert run(["kernelize", e1_file(variant="R", ell=2), "--target", "mtau"]) == 0
     out = capsys.readouterr().out
@@ -236,6 +252,16 @@ def test_transform_edgeless_verdict(tmp_path, capsys):
     src.write_text(emit_graph(Graph(2, ())))
     assert run(["transform", "--reduction", "vc-cmpv", str(src)]) == 0
     assert capsys.readouterr().out.startswith("YES")
+
+
+def test_transform_refuses_the_wrong_graph_kind(tmp_path, capsys):
+    plain, parted = tmp_path / "plain.graph", tmp_path / "parted.graph"
+    plain.write_text(emit_graph(Graph(2, ((1, 2),))))
+    parted.write_text(emit_graph(PartitionedGraph(({1}, {2}), ((1, 2),))))
+    assert run(["transform", "--reduction", "vc-cmpv", str(parted)]) == 2
+    assert capsys.readouterr().err == "error: vc-cmpv expects an unpartitioned graph\n"
+    assert run(["transform", "--reduction", "mcc-cmpv", str(plain)]) == 2
+    assert capsys.readouterr().err == "error: mcc-cmpv expects a graph with a parts section\n"
 
 
 def test_transform_chain(tmp_path, capsys):
@@ -352,6 +378,32 @@ def test_bench_skips_files_that_are_not_utf8(tmp_path, capsys):
     # solve still reports such a file as an input error
     assert run(["solve", str(bench_dir / "utf16.txt")]) == 2
     assert "utf-8" in capsys.readouterr().err
+
+
+def test_bench_usage_errors(tmp_path, capsys):
+    path = tmp_path / "yes.mpv"
+    path.write_text(emit_instance(e1(variant="R", ell=2)))
+    assert run(["bench", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {str(path)!r} is not a directory\n"
+    assert run(["bench", str(tmp_path), "--algorithms", "auto,magic"]) == 2
+    assert capsys.readouterr().err == "error: unknown algorithm 'magic'\n"
+
+
+def test_bench_rows_for_budget_and_refusal_and_no_subdirectories(tmp_path, capsys):
+    (tmp_path / "inst.mpv").write_text(emit_instance(e1(variant="C", ell=1)))
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "deeper.mpv").write_text(emit_instance(e1(variant="R", ell=2)))
+    args = ["bench", str(tmp_path), "--algorithms", "layered-k,greedy", "--budget", "0"]
+    assert run(args) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    # layered-k runs out of budget 0, greedy refuses an instance out of its
+    # regime, and the subdirectory is skipped
+    assert list(csv.reader(io.StringIO(captured.out)))[1:] == [
+        ["inst.mpv", "layered-k", "budget", "", ""],
+        ["inst.mpv", "greedy", "n/a", "", ""],
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +550,40 @@ def test_numpy_free_solves(tmp_path):
             code, out, loaded = _mpv("verify", str(path), str(sol))
             assert (code, out) == (0, "VALID\n"), name
             assert not loaded, name
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    # every record is a core._Record, so the package needs neither module
+    import ast
+
+    for path in sorted(Path(mpvkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            roots = {name.split(".")[0] for name in names}
+            assert not roots & {"dataclasses", "typing"}, (path.name, node.lineno)
+
+
+def test_generate_transform_and_kernelize_load_no_dataclasses(tmp_path):
+    # each loads the one module it runs, and neither dataclasses nor inspect
+    wide = tmp_path / "w.mpv"
+    args = ["--variant", "C", "--agents", "2", "--candidates", "20", "--stages", "2"]
+    args += ["--k", "2", "--ell", "1", "--x", "1", "--seed", "0", "-o", str(wide)]
+    code, _, loaded = _mpv("generate", *args)
+    assert (code, loaded) == (0, {"mpvkit.reductions"})
+    graph = tmp_path / "g.graph"
+    triangle = PartitionedGraph(({1, 2}, {3, 4}, {5, 6}), ((1, 3), (1, 5), (3, 5)))
+    graph.write_text(emit_graph(triangle))
+    code, out, loaded = _mpv("transform", "--reduction", "mcc-cmpv", str(graph))
+    assert (code, loaded) == (0, {"mpvkit.reductions"}) and out.startswith("mpv 1\n")
+    for target in ("ntau", "mtau"):
+        code, out, loaded = _mpv("kernelize", "--target", target, str(wide))
+        assert (code, loaded) == (0, {"mpvkit.kernel"}), target
+        assert out.startswith("mpv 1\n"), target
 
 
 def test_layered_solve_still_answers(e1_file):

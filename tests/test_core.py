@@ -110,6 +110,8 @@ def test_weighted_rows_must_have_zero_slot():
         WeightedInstance(variant="C", m=2, weights=((0, 3),), k=1, ell=0, x=1)
     with pytest.raises(ValueError):
         WeightedInstance(variant="C", m=2, weights=((0, True, 3),), k=1, ell=0, x=1)
+    with pytest.raises(ValueError, match="^an instance needs at least one stage$"):
+        WeightedInstance(variant="C", m=2, weights=(), k=1, ell=0, x=1)
 
 
 def test_trivial_verdict_is_frozen():
@@ -163,6 +165,75 @@ def test_records_keep_their_repr_equality_and_hash():
             delattr(record, name)
     report.algorithm = "renamed"  # a report stays mutable
     assert report.algorithm == "renamed"
+
+
+def test_graph_sidon_and_kernel_records_keep_their_behaviour():
+    # pinned when these records were still dataclasses, except that
+    # KernelResult's repr now shows stage_fillers, which its == compares
+    from mpvkit import Graph, KernelResult, PartitionedGraph, SidonSet, sidon
+
+    g = Graph(4, ((3, 1), (2, 4)))
+    assert repr(g) == "Graph(num_vertices=4, edges=((1, 3), (2, 4)))"
+    assert g == Graph(num_vertices=4, edges=[(4, 2), (1, 3)]) != Graph(5, ((1, 3), (2, 4)))
+    assert hash(g) == hash(Graph(num_vertices=4, edges=((1, 3), (2, 4))))
+    pg = PartitionedGraph(({1, 2}, {3}), ((3, 1),))
+    assert repr(pg) == (
+        "PartitionedGraph(parts=(frozenset({1, 2}), frozenset({3})), edges=((1, 3),))"
+    )
+    assert pg == PartitionedGraph(parts=[{2, 1}, frozenset({3})], edges=[(1, 3)])
+    assert pg != PartitionedGraph(({1}, {2, 3}), ((1, 3),))
+    assert hash(pg) == hash(PartitionedGraph(parts=({1, 2}, {3}), edges=((1, 3),)))
+    s = SidonSet(3, 5, (11, 24, 34))
+    assert repr(s) == "SidonSet(b=3, hat_b=5, elements=(11, 24, 34))"
+    assert s == sidon(3) == SidonSet(b=3, hat_b=5, elements=(11, 24, 34))
+    assert s != SidonSet(3, 5, (11, 24))
+    assert hash(s) == hash(sidon(3))
+    assert len({g, Graph(4, ((1, 3), (2, 4))), pg, s, sidon(3)}) == 3
+    # only the same class compares
+    assert g.__eq__((4, ((1, 3), (2, 4)))) is NotImplemented
+    assert Graph(3, ((1, 3),)) != PartitionedGraph(({1, 2}, {3}), ((1, 3),))
+    for record, name in ((g, "edges"), (pg, "parts"), (s, "b")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, 1)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+
+    messages = [
+        (lambda: Graph(-1, ()), "bad vertex count -1"),
+        (lambda: Graph(3, ((1, 2.0),)), "edge endpoints must be integers, got (1, 2.0)"),
+        (lambda: Graph(3, ((1, 1),)), "self-loop at vertex 1"),
+        (lambda: Graph(3, ((1, 4),)), "edge (1, 4) outside 1..3"),
+        (lambda: Graph(3, ((1, 2), (2, 1))), "duplicate edges"),
+        (lambda: PartitionedGraph(({1, 2},), ()), "need at least two parts"),
+        (lambda: PartitionedGraph(({0}, {1}), ()), "bad vertex id 0"),
+        (lambda: PartitionedGraph(({1}, {1}), ()), "vertex 1 appears in two parts"),
+        (lambda: PartitionedGraph(({1, 2}, {4}), ()), "parts must cover exactly 1..3"),
+        (lambda: PartitionedGraph(({1, 2}, {3}), ((2, 1),)), "edge (1, 2) stays inside one part"),
+        (lambda: sidon(0), "b must be a positive integer, got 0"),
+    ]
+    for build, message in messages:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    inst = Instance("C", 3, ((1, 2), (2, 0)), 2, 1, 1)
+    result = KernelResult("ntau-cmpv", inst, None, {1: 1, 2: 2, 3: 3})
+    assert (result.verdict, result.gap, result.stage_fillers) == (None, False, None)
+    assert result == KernelResult(
+        kind="ntau-cmpv", instance=inst, verdict=None, id_map={1: 1, 2: 2, 3: 3}, gap=False,
+        stage_fillers=None,
+    )
+    assert result != KernelResult("ntau-cmpv", inst, None, {1: 1, 2: 2, 3: 3}, False, ((4,),))
+    with pytest.raises(TypeError, match="unhashable type: 'KernelResult'"):
+        hash(result)
+    result.gap = True  # a kernel result stays mutable
+    assert result.gap is True
+    decided = KernelResult("ntau-rmpv", verdict=TrivialVerdict(False, "no agents"))
+    assert decided == KernelResult("ntau-rmpv", None, TrivialVerdict(False, "no agents"))
+    assert repr(decided) == (
+        "KernelResult(kind='ntau-rmpv', instance=None, verdict=TrivialVerdict(answer=False, "
+        "reason='no agents'), id_map=None, gap=False, stage_fillers=None)"
+    )
 
 
 def test_counts_spell_into_canonical_ballots():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,26 @@ def test_parse_errors_name_the_line(mutation, line):
     with pytest.raises(FormatError) as err:
         parse_instance(mutation(E1_TEXT))
     assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text,line,message",
+    [
+        ("", 1, "empty input"),
+        ("mpv 1\n", 2, "expected 'variant C' or 'variant R'"),
+        (E1_TEXT.replace("variant C", "variant"), 2, "expected 'variant C' or 'variant R'"),
+        ("mpv 1\nvariant C\nagents 2\ncandidates 3\n", 5, "missing 'stages' line"),
+        (
+            "mpv 1\nvariant C\ncandidates 3\nstages 1\nk 1\nell 0\nx 1\nweights 1: 1 2\n",
+            8,
+            "expected 3 weights, got 2",
+        ),
+    ],
+)
+def test_parse_errors_pin_line_and_message(text, line, message):
+    with pytest.raises(FormatError) as err:
+        parse_instance(text)
+    assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
 
 
 def test_bool_ballot_entries_round_trip():
@@ -360,13 +381,19 @@ def test_graph_errors():
         parse_graph("graph 4 2\n1 2\n1 2\n")  # duplicate edge
     with pytest.raises(FormatError):
         parse_graph("graph 4 0\nparts 2\n1 2\n3\n")  # vertex 4 in no part
-    # a vertex listed twice or outside 1..nv is reported on the part line that lists it
     for text, line, message in (
+        ("graph 3 2\n1 2\n", 3, "missing edge line"),
+        ("graph 3 1\n1 2 3\n", 2, "expected 'u v', got '1 2 3'"),
+        ("graph 3 1\n1 4\n", 2, "edge (1, 4) outside 1..3"),
+        ("graph 4 0\nparts 2\n1 2\n", 4, "missing part line"),
+        # PartitionedGraph's own errors name the 'parts' line, 2 + ne
+        ("graph 4 2\n1 2\n1 3\nparts 2\n1 2\n3 4\n", 4, "edge (1, 2) stays inside one part"),
+        # a vertex listed twice or outside 1..nv is reported on the part line that lists it
         ("graph 4 1\n1 3\nparts 2\n1 1 2\n3 4\n", 4, "vertex 1 listed twice"),
         ("graph 4 1\n1 3\nparts 2\n1 2\n3 2 4\n", 5, "vertex 2 listed twice"),
         ("graph 4 1\n1 2\nparts 2\n1 2\n3 99\n", 5, "vertex 99 outside 1..4"),
         ("graph 4 1\n1 2\nparts 2\n1 2\n0 3 4\n", 5, "vertex 0 outside 1..4"),
     ):
-        with pytest.raises(FormatError, match=message) as err:
+        with pytest.raises(FormatError, match=re.escape(message)) as err:
             parse_graph(text)
         assert err.value.line == line

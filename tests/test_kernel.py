@@ -75,6 +75,15 @@ def test_lift_rejects_ids_outside_the_reduced_instance():
     for bad in (10, 0):
         with pytest.raises(ValueError, match=rf"candidate {bad} outside 1..9"):
             result.lift((frozenset({1}), frozenset({bad}), frozenset({7})))
+    with pytest.raises(ValueError, match="^solution has 2 committees, instance has 3 stages$"):
+        result.lift(good[:2])
+
+
+def test_lift_refuses_a_decided_kernel():
+    result = kernel_ntau_rmpv(random_instance(1, 3, 2, 1, 3, 1, "R", seed=1))
+    assert result.verdict is not None
+    with pytest.raises(ValueError, match="^nothing to lift: the kernel decided the instance$"):
+        result.lift((frozenset(), frozenset()))
 
 
 def test_cmpv_kernel_noop_when_already_small(e1_cmpv):
