@@ -297,18 +297,19 @@ class Instance(_Frozen):
 
     An instance stores ``counts`` and ``n``, the number of agents. It
     keeps given ballots only: those passed to this constructor, those of
-    a ``profile`` file that :func:`~mpvkit.formats.parse_instance` reads
-    token by token, and those of :func:`~mpvkit.reductions.random_instance`.
-    The clique gadget, the normalizations, the lifts, the
-    AND-compositions and the n-tau kernels build their outputs from
-    counts and never tally or spell ballots, and so does a file read as
-    runs. The ballots of such an instance are the canonical spelling of
-    its counts: at every stage agents ``1..total`` approve the
-    candidates in id order, each as often as its count, and the rest
-    abstain. They are spelled when ``ballots`` is first read and cached
-    apart from given ballots, so the instance still counts as built
-    from counts: :func:`~mpvkit.formats.emit_instance` writes its rows
-    from the counts when they are long enough.
+    a file's ``profile`` rows, and those of
+    :func:`~mpvkit.reductions.random_instance`. The clique gadget, the
+    normalizations, the lifts, the AND-compositions and the n-tau
+    kernels build their outputs from counts and never tally or spell
+    ballots, and so does :func:`~mpvkit.formats.parse_instance` for a
+    file's ``weights`` rows under an ``agents`` line. The ballots of
+    such an instance are the canonical spelling of its counts: at every
+    stage agents ``1..total`` approve the candidates in id order, each
+    as often as its count, and the rest abstain. They are spelled when
+    ``ballots`` is first read and cached apart from given ballots, so
+    the instance still counts as built from counts:
+    :func:`~mpvkit.formats.emit_instance` writes its counts, not its
+    ballots.
 
     ``ballots`` and ``n`` exist only for ballot instances; on a weighted
     instance they raise :class:`PreconditionError`, and so does every
@@ -326,7 +327,7 @@ class Instance(_Frozen):
     _fields = ("variant", "m", "k", "ell", "x", "counts")
     # set by the constructors that have them; a weighted instance has neither
     _n = None
-    _ballots = None  # given ballots only; None marks canonical rows
+    _ballots = None  # given ballots only; None marks an instance built from counts
     _spelled = None  # the spelling of counts, once read
 
     def __init__(self, variant, m, ballots, k, ell, x):
@@ -397,30 +398,33 @@ class WeightedInstance(Instance):
     Replaces the agent/ballot layer of :class:`Instance` with explicit
     non-negative integer scores: ``weights[t-1][c]`` is the score candidate
     ``c`` contributes at stage ``t`` (index ``0`` of each row is unused and
-    must be 0). Weights may be arbitrarily large integers. The rows are the
-    instance's ``counts``.
+    must be 0). Weights may be arbitrarily large integers of any type
+    except ``bool`` and are stored as ``int``. The rows are the instance's
+    ``counts``.
     """
 
     def __init__(self, variant, m, weights, k, ell, x):
         _check_parameters(self, variant, m, k, ell, x)
-        rows = tuple(tuple(row) for row in weights)
-        if not rows:
-            raise ValueError("an instance needs at least one stage")
-        for t, row in enumerate(rows, start=1):
+        rows = []
+        for t, row in enumerate(weights, start=1):
+            row = tuple(row)
             if len(row) != self.m + 1:
                 raise ValueError(
                     f"stage {t}: weight row has {len(row)} entries, expected m+1={self.m + 1}"
                 )
             if row[0] != 0:
                 raise ValueError(f"stage {t}: weight slot 0 is reserved and must be 0")
-            for c, value in enumerate(row):
-                # bool is an int subclass but never a score
-                if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                    raise ValueError(
-                        f"stage {t}: weight for candidate {c} must be a non-negative "
-                        f"integer, got {value!r}"
-                    )
-        object.__setattr__(self, "counts", rows)
+            numbers = tuple(map(_integer, row))
+            if None in numbers or min(numbers) < 0:
+                c = next(c for c, w in enumerate(numbers) if w is None or w < 0)
+                raise ValueError(
+                    f"stage {t}: weight for candidate {c} must be a non-negative "
+                    f"integer, got {row[c]!r}"
+                )
+            rows.append(numbers)
+        if not rows:
+            raise ValueError("an instance needs at least one stage")
+        object.__setattr__(self, "counts", tuple(rows))
 
     @property
     def weights(self) -> tuple:

@@ -21,20 +21,18 @@ Instance files::
     profile 2: 2 2
     profile 3: 1 3
 
-A ``profile`` row is canonical when it is the spelling of its counts:
-each candidate's approvals in one run, candidates in id order,
-abstentions last. Instances built from counts (reductions, lifts,
-AND-compositions, n-tau kernels) have canonical rows. When a file has at
-least :data:`RUN_MIN` agents per candidate slot, such rows are written
-from the counts and read back run by run, giving an instance that
-stores counts only; any other row, and any row of a smaller file, goes
-through the per-token reader, and the ballots it gives are kept
-verbatim.
+An instance built from given ballots writes them as ``profile`` rows.
+An instance built from counts (reductions, lifts, AND-compositions,
+n-tau kernels) keeps its ``agents`` line but writes one ``weights t:
+c_1 .. c_m`` row of approval counts per stage instead, so its file
+stands for any number of agents; read back, it is again an instance
+built from counts, and each row must sum to at most the ``agents``
+value. Weighted files have the same ``weights`` rows
+(arbitrary-precision integers) and no ``agents`` line.
 
-Weighted files drop the ``agents`` line and replace profiles with
-``weights t: w_1 .. w_m`` rows (arbitrary-precision integers). Solution
-files are ``stage t: id id ..`` lines; graph files are ``graph nv ne``
-followed by ``ne`` edge lines and an optional ``parts q`` section.
+Solution files are ``stage t: id id ..`` lines; graph files are ``graph
+nv ne`` followed by ``ne`` edge lines and an optional ``parts q``
+section.
 """
 
 from __future__ import annotations
@@ -46,15 +44,6 @@ from .core import Instance, WeightedInstance
 # lists, so huge ``candidates`` or ``stages`` lines would exhaust memory.
 MAX_CANDIDATES = 100_000
 MAX_COUNTS = 10**7
-
-# Canonical rows (the spelling of their counts, which every counts-built
-# instance has) are written from counts and read back as runs once there
-# are at least this many agents per candidate slot, n >= RUN_MIN * (m + 1).
-# A run costs about 1 us in Python against about 0.1 us per entry for the
-# per-token reader; on a 2-vCPU Xeon an emit and parse round trip of
-# random canonical counts breaks even at 6 to 8 agents per slot for m up
-# to 36 and at about 10 for m = 120, and is 1.4 to 2.5 times as fast at 32.
-RUN_MIN = 8
 
 
 class FormatError(ValueError):
@@ -145,77 +134,32 @@ def emit_instance(instance) -> str:
     """
     _check_emittable(instance.m, instance.tau)
     lines = ["mpv 1", f"variant {instance.variant}"]
-    weighted = isinstance(instance, WeightedInstance)
-    if not weighted:
-        lines.append(f"agents {instance.n}")
+    if instance._n is not None:
+        lines.append(f"agents {instance._n}")
     lines.append(f"candidates {instance.m}")
     lines.append(f"stages {instance.tau}")
     lines.append(f"k {instance.k}")
     lines.append(f"ell {instance.ell}")
     lines.append(f"x {instance.x}")
-    if weighted:
-        for t, row in enumerate(instance.weights, start=1):
-            lines.append(f"weights {t}: " + " ".join(map(str, row[1:])))
+    if instance._ballots is None:  # built from counts, weighted or not
+        spec = " %d" * instance.m  # formats ints and numpy integers alike
+        for t, row in enumerate(instance.counts, start=1):
+            lines.append(f"weights {t}:" + spec % row[1:])
     else:
         # entries are 0..m (Instance checks them), so a table indexed by the
         # entry spells each one, also for bool and numpy integer entries
         names = [f" {c}" for c in range(instance.m + 1)]
-        n = instance.n
-        if instance._ballots is None and n >= RUN_MIN * (instance.m + 1):
-            rows = [_spell_runs(names, row, n) for row in instance.counts]
-        else:
-            rows = ["".join(map(names.__getitem__, row)) for row in instance.ballots]
-        lines += (f"profile {t}:{row}" for t, row in enumerate(rows, start=1))
+        for t, row in enumerate(instance._ballots, start=1):
+            lines.append(f"profile {t}:" + "".join(map(names.__getitem__, row)))
     return "\n".join(lines) + "\n"
-
-
-def _spell_runs(names, row, n):
-    """The ``profile`` entries of count ``row`` over ``n`` agents: one run
-    per candidate in id order, then the abstentions."""
-    return "".join(map(str.__mul__, names, row)) + names[0] * (n - sum(row))
-
-
-def _run_counts(lines, idx, tau, n, m):
-    """The count rows of ``profile`` lines that are all canonical, else None.
-
-    Each run is counted from its first token to the last place that token
-    occurs in a window after it, four times the row's length per candidate
-    slot; a longer run is counted window by window. A line is accepted
-    only if it is the ``profile t`` line that spells the counts so found
-    over ``n`` agents, so a wrong count or a non-canonical row (which the
-    per-token reader may still accept) returns None.
-    """
-    if len(lines) != idx + tau:
-        return None
-    names = [f" {c}" for c in range(m + 1)]
-    tokens = {f"{name} ": c for c, name in enumerate(names)}
-    counts = []
-    for t, line in enumerate(lines[idx:], start=1):
-        padded = line.partition(":")[2] + " "  # every token is ' c ', the last one too
-        window = 4 * len(padded) // (m + 1) + 8  # holds the longest token
-        row = [0] * (m + 1)
-        pos = 0
-        while pos < len(padded) - 1:
-            token = padded[pos : padded.find(" ", pos + 1) + 1]
-            c = tokens.get(token)
-            if c is None:
-                return None
-            size = len(token) - 1
-            last = padded.rfind(token, pos, pos + window) + size
-            row[c] += (last - pos) // size
-            pos = last
-        total, row[0] = sum(row), 0
-        if total != n or f"profile {t}:{_spell_runs(names, row, n)}" != line:
-            return None
-        counts.append(row)
-    return counts
 
 
 def parse_instance(text: str):
     """Parse instance text; returns Instance or WeightedInstance.
 
-    The presence of an ``agents`` line selects the ballot form; its
-    absence selects the weighted form.
+    ``profile`` rows give an instance with those ballots, ``weights``
+    rows under an ``agents`` line one built from counts, and ``weights``
+    rows without it a weighted instance.
     """
     lines = text.splitlines()
     if not lines:
@@ -229,10 +173,8 @@ def parse_instance(text: str):
     if variant not in ("C", "R"):
         raise FormatError(2, f"variant must be C or R, got {variant!r}")
     idx = 2
-    weighted = not (idx < len(lines) and lines[idx].startswith("agents"))
-    if weighted:
-        n = None
-    else:
+    n = None
+    if idx < len(lines) and lines[idx].startswith("agents"):
         n = _directive(lines, idx, "agents", minimum=0)
         idx += 1
     m = _directive(lines, idx, "candidates", minimum=1)
@@ -245,8 +187,8 @@ def parse_instance(text: str):
     ell = _directive(lines, idx + 3, "ell", minimum=0)
     x = _directive(lines, idx + 4, "x", minimum=1)
     idx += 5
-    if weighted:
-        weights = []
+    if n is None or idx < len(lines) and lines[idx].startswith("weights"):
+        counts = []
         for t in range(1, tau + 1):
             row, _ = _tagged_row(lines, idx, f"weights {t}")
             if len(row) != m:
@@ -254,14 +196,13 @@ def parse_instance(text: str):
             if min(row) < 0:
                 w = next(w for w in row if w < 0)
                 raise FormatError(idx + 1, f"negative weight {w}")
-            weights.append((0,) + tuple(row))
+            if n is not None and sum(row) > n:
+                raise FormatError(idx + 1, f"{sum(row)} approvals exceed {n} agents")
+            counts.append((0,) + tuple(row))
             idx += 1
         _no_trailing(lines, idx)
-        return WeightedInstance._of_counts(variant, m, weights, None, k, ell, x)
-    if n >= RUN_MIN * (m + 1):
-        counts = _run_counts(lines, idx, tau, n, m)
-        if counts is not None:
-            return Instance._of_counts(variant, m, counts, n, k, ell, x)
+        kind = WeightedInstance if n is None else Instance
+        return kind._of_counts(variant, m, counts, n, k, ell, x)
     ballots = []
     lookup = {str(c): c for c in range(m + 1)}
     for t in range(1, tau + 1):

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import mpvkit
+from mpvkit import core
 from mpvkit import (
+    Instance,
     brute_force,
     emit_graph,
     emit_instance,
@@ -306,6 +308,37 @@ def test_transform_and_compose(tmp_path, capsys):
     combined = parse_instance(out.read_text())
     assert combined.tau == 2 * 2 + 2
     capsys.readouterr()
+
+
+def test_count_row_files_stand_for_any_number_of_agents(tmp_path, monkeypatch, capsys):
+    # a file of count rows for 10**12 agents: no subcommand spells its ballots
+    def no_spelling(counts, n):
+        raise AssertionError("a subcommand spelled ballots")
+
+    monkeypatch.setattr(core, "_spell", no_spelling)
+    n, half = 10**12, 5 * 10**11
+    inst = Instance._of_counts("C", 4, [(0, half, 0, half, 0), (0, half, 0, 0, half)], n, 3, 1, n)
+    path, sol = tmp_path / "big.mpv", tmp_path / "big.sol"
+    path.write_text(emit_instance(inst))
+    assert path.read_text() == (
+        f"mpv 1\nvariant C\nagents {n}\ncandidates 4\nstages 2\nk 3\nell 1\nx {n}\n"
+        f"weights 1: {half} 0 {half} 0\nweights 2: {half} 0 0 {half}\n"
+    )
+    assert run(["solve", str(path), "--witness"]) == 0
+    out = capsys.readouterr().out
+    assert out == "YES\nstage 1: 1 3\nstage 2: 1 3 4\n"
+    sol.write_text(out.partition("\n")[2])
+    assert run(["verify", str(path), str(sol)]) == 0
+    assert capsys.readouterr().out == "VALID\n"
+    kernel, composed = tmp_path / "k.mpv", tmp_path / "and.mpv"
+    assert run(["kernelize", str(path), "--target", "ntau", "-o", str(kernel)]) == 0
+    assert parse_instance(kernel.read_text()) == inst
+    args = ["transform", "--reduction", "and-cmpv", str(path), str(path), "-o", str(composed)]
+    assert run(args) == 0
+    back = parse_instance(composed.read_text())
+    assert (back.n, back._ballots) == (2 * n, None)
+    assert run(["solve", str(composed)]) == 0
+    assert capsys.readouterr() == ("YES\n", "")
 
 
 def test_generate_is_seeded(tmp_path):

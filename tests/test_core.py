@@ -114,6 +114,22 @@ def test_weighted_rows_must_have_zero_slot():
         WeightedInstance(variant="C", m=2, weights=(), k=1, ell=0, x=1)
 
 
+def test_weighted_rows_take_numpy_integers_and_store_ints():
+    plain = WeightedInstance("C", 2, [[0, 3, 1]], 1, 0, 1)
+    for dtype in (np.int64, np.uint8, np.int32):
+        w = WeightedInstance("C", 2, [[0, dtype(3), 1]], 1, 0, 1)
+        assert w == plain and hash(w) == hash(plain)
+        assert [type(c) for c in w.counts[0]] == [int, int, int]
+    big = WeightedInstance("C", 2, [np.array([0, 2**62, 5])], 1, 0, 1)
+    assert big.counts == ((0, 2**62, 5),) and type(big.counts[0][1]) is int
+    for bad in (True, np.bool_(True), 1.0, np.float64(3), "3", None, -1, np.int64(-2)):
+        with pytest.raises(ValueError) as err:
+            WeightedInstance("C", 2, [[0, 1, 1], [0, bad, 1]], 1, 0, 1)
+        assert str(err.value) == (
+            f"stage 2: weight for candidate 1 must be a non-negative integer, got {bad!r}"
+        )
+
+
 def test_trivial_verdict_is_frozen():
     v = TrivialVerdict(False, "because")
     assert v.answer is False

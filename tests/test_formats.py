@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpvkit import core, formats
+from mpvkit import core
 from mpvkit import (
     FormatError,
     Graph,
@@ -127,6 +127,56 @@ def test_parse_errors_pin_line_and_message(text, line, message):
     assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
 
 
+COUNT_TEXT = E1_TEXT.replace("agents 2", "agents 3").replace(
+    "profile 1: 1 1\nprofile 2: 2 2\nprofile 3: 1 3\n",
+    "weights 1: 2 0 0\nweights 2: 0 2 0\nweights 3: 1 0 1\n",
+)
+
+
+def test_count_rows_under_agents_give_a_counts_built_instance(monkeypatch):
+    def no_ballots(*args):
+        raise AssertionError("count rows were tallied or spelled")
+
+    monkeypatch.setattr(core, "_tally", no_ballots)
+    monkeypatch.setattr(core, "_spell", no_ballots)
+    inst = parse_instance(COUNT_TEXT)
+    assert type(inst) is Instance and inst._ballots is None and inst.n == 3
+    counts = [(0, 2, 0, 0), (0, 0, 2, 0), (0, 1, 0, 1)]
+    assert inst == Instance._of_counts("C", 3, counts, 3, 1, 2, 1)
+    assert emit_instance(inst) == COUNT_TEXT
+    huge = parse_instance(COUNT_TEXT.replace("agents 3", "agents 1000000000000"))
+    assert huge.n == 10**12 and huge.counts == inst.counts
+
+
+@pytest.mark.parametrize(
+    "old,new,line,message",
+    [
+        ("weights 1: 2 0 0", "weights 1: 2 1 1", 9, "4 approvals exceed 3 agents"),
+        ("weights 3: 1 0 1", "weights 3: 0 0 4", 11, "4 approvals exceed 3 agents"),
+        ("weights 2: 0 2 0", "weights 2: 0 -2 0", 10, "negative weight -2"),
+        ("weights 3: 1 0 1", "weights 3: 1 0", 11, "expected 3 weights, got 2"),
+        ("weights 3: 1 0 1", "weights 3: 1 0 1 0", 11, "expected 3 weights, got 4"),
+        (
+            "weights 2: 0 2 0", "profile 2: 2 2 0",
+            10, "expected 'weights 2: ...', got 'profile 2: 2 2 0'",
+        ),
+        (
+            "weights 1: 2 0 0", "profile 1: 1 1 0",
+            10, "expected 'profile 2: ...', got 'weights 2: 0 2 0'",
+        ),
+    ],
+    ids=[
+        "sum-first-row", "sum-last-row", "negative", "short", "long", "profile-after",
+        "profile-first",
+    ],
+)
+def test_count_rows_are_checked(old, new, line, message):
+    assert old in COUNT_TEXT
+    with pytest.raises(FormatError) as err:
+        parse_instance(COUNT_TEXT.replace(old, new))
+    assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+
 def test_bool_ballot_entries_round_trip():
     inst = Instance("C", 2, ((True, 0), (1, 2)), 1, 0, 1)
     text = emit_instance(inst)
@@ -222,17 +272,22 @@ def _counts_built(rng, m, n, tau):
     return Instance._of_counts(rng.choice("CR"), m, rows, n, 2, 1, 3)
 
 
-def test_canonical_rows_round_trip_as_runs():
+def test_counts_built_instances_round_trip_as_count_rows():
     rng = random.Random(20)
     for trial in range(80):
         m = rng.randint(11, 14)
-        n = formats.RUN_MIN * (m + 1) + rng.choice((-9, -1, 0, 1, 37, 400))
+        n = 8 * (m + 1) + rng.choice((-9, -1, 0, 1, 37, 400))
         built = _counts_built(rng, m, n, rng.randint(2, 5))
         text = emit_instance(built)
+        assert f"\nagents {n}\n" in text and "profile" not in text
+        rows = [
+            f"weights {t}: " + " ".join(map(str, row[1:])) for t, row in enumerate(built.counts, 1)
+        ]
+        assert text.endswith("\n".join(rows) + "\n")
         spelled = Instance(built.variant, m, built.ballots, built.k, built.ell, built.x)
-        assert text == emit_instance(spelled)
+        assert "weights" not in emit_instance(spelled)  # given ballots keep profile rows
         back = parse_instance(text)
-        assert (back._ballots is None) == (n >= formats.RUN_MIN * (m + 1))
+        assert back._ballots is None and type(back) is Instance
         assert (back.counts, back.n, back.ballots) == (built.counts, n, built.ballots)
         assert back == built == spelled and emit_instance(back) == text
 
@@ -243,38 +298,47 @@ _ROW3 = " 0" * 110
 
 
 def _long_text(rows=(_ROW1, _ROW2, _ROW3), tail=""):
-    # 110 agents and 12 candidates, over RUN_MIN agents per candidate slot
+    # 110 agents and 12 candidates
     head = "mpv 1\nvariant C\nagents 110\ncandidates 12\nstages 3\nk 2\nell 1\nx 40\n"
     return head + "".join(f"profile {t}:{row}\n" for t, row in enumerate(rows, 1)) + tail
 
 
-def test_long_canonical_rows_are_read_as_runs():
+def test_long_canonical_profile_rows_keep_their_ballots():
     inst = parse_instance(_long_text())
-    assert inst._ballots is None
+    assert inst._ballots is not None
+    assert inst.ballots[0] == (1,) * 30 + (10,) * 40 + (11,) * 30 + (0,) * 10
     assert inst.counts[0] == (0, 30) + (0,) * 8 + (40, 30, 0)
     assert inst.counts[1] == (0, 0, 50) + (0,) * 9 + (60,) and inst.counts[2] == (0,) * 13
     assert emit_instance(inst) == _long_text()
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text,error",
     [
-        _long_text((" 11" * 30 + " 10" * 40 + " 1" * 30 + " 0" * 10, _ROW2, _ROW3)),
-        _long_text((" 1" * 20 + " 10" * 40 + " 1" * 10 + " 11" * 30 + " 0" * 10, _ROW2, _ROW3)),
-        _long_text((" 1" * 30 + " 0" * 10 + " 10" * 40 + " 11" * 30, _ROW2, _ROW3)),
-        _long_text((" 01" + _ROW1[2:], _ROW2, _ROW3)),
-        _long_text((_ROW1, " +2" + _ROW2[2:], _ROW3)),
-        _long_text((_ROW1.replace(" 10", " 1_0", 1), _ROW2, _ROW3)),
-        _long_text((_ROW1.replace(" 10", "  10", 1), _ROW2, _ROW3)),
-        _long_text((_ROW1 + " ", _ROW2, _ROW3)),
-        _long_text((_ROW1.replace(" 11", "\t11", 1), _ROW2, _ROW3)),
-        _long_text((_ROW1[:-2], _ROW2, _ROW3)),
-        _long_text((_ROW1 + " 0", _ROW2, _ROW3)),
-        _long_text((_ROW1, _ROW2 + " 12", _ROW3)),
-        _long_text((_ROW1[:-2] + " 13", _ROW2, _ROW3)),
-        _long_text((_ROW1, _ROW2)),
-        _long_text(tail="profile 4: 1\n"),
-        _long_text().replace("profile 2:", "profile 5:"),
+        (_long_text((" 11" * 30 + " 10" * 40 + " 1" * 30 + " 0" * 10, _ROW2, _ROW3)), None),
+        (
+            _long_text(
+                (" 1" * 20 + " 10" * 40 + " 1" * 10 + " 11" * 30 + " 0" * 10, _ROW2, _ROW3)
+            ),
+            None,
+        ),
+        (_long_text((" 1" * 30 + " 0" * 10 + " 10" * 40 + " 11" * 30, _ROW2, _ROW3)), None),
+        (_long_text((" 01" + _ROW1[2:], _ROW2, _ROW3)), None),
+        (_long_text((_ROW1, " +2" + _ROW2[2:], _ROW3)), None),
+        (_long_text((_ROW1.replace(" 10", " 1_0", 1), _ROW2, _ROW3)), None),
+        (_long_text((_ROW1.replace(" 10", "  10", 1), _ROW2, _ROW3)), None),
+        (_long_text((_ROW1 + " ", _ROW2, _ROW3)), None),
+        (_long_text((_ROW1.replace(" 11", "\t11", 1), _ROW2, _ROW3)), None),
+        (_long_text((_ROW1[:-2], _ROW2, _ROW3)), (9, "expected 110 ballot entries, got 109")),
+        (_long_text((_ROW1 + " 0", _ROW2, _ROW3)), (9, "expected 110 ballot entries, got 111")),
+        (_long_text((_ROW1, _ROW2 + " 12", _ROW3)), (10, "expected 110 ballot entries, got 111")),
+        (_long_text((_ROW1[:-2] + " 13", _ROW2, _ROW3)), (9, "ballot entry 13 outside 0..12")),
+        (_long_text((_ROW1, _ROW2)), (11, "missing 'profile 3' line")),
+        (_long_text(tail="profile 4: 1\n"), (12, "unexpected trailing line 'profile 4: 1'")),
+        (
+            _long_text().replace("profile 2:", "profile 5:"),
+            (10, f"expected 'profile 2: ...', got 'profile 5:{_ROW2}'"),
+        ),
     ],
     ids=[
         "descending-ids", "split-run", "zeros-mid-row", "leading-zero", "plus-sign",
@@ -282,22 +346,18 @@ def test_long_canonical_rows_are_read_as_runs():
         "long-row-without-abstentions", "out-of-range", "missing-line", "trailing-line", "wrong-stage",
     ],
 )
-def test_long_rows_that_are_not_canonical_read_as_token_rows(monkeypatch, text):
+def test_long_rows_that_are_not_canonical_read_as_token_rows(text, error):
     # the per-token reader's instance, kept with its ballots, or its error
-    outcomes = []
-    for run_min in (10**9, formats.RUN_MIN):  # the per-token reader only, then both
-        monkeypatch.setattr(formats, "RUN_MIN", run_min)
-        try:
-            outcomes.append(parse_instance(text))
-        except FormatError as exc:
-            outcomes.append(exc)
-    tokens, runs = outcomes
-    if isinstance(tokens, FormatError):
-        assert isinstance(runs, FormatError)
-        assert (str(runs), runs.line) == (str(tokens), tokens.line)
-    else:
-        assert runs._ballots is not None and runs.ballots == tokens.ballots
-        assert runs == tokens
+    if error is not None:
+        with pytest.raises(FormatError) as err:
+            parse_instance(text)
+        assert (err.value.line, str(err.value)) == (error[0], f"line {error[0]}: {error[1]}")
+        return
+    inst = parse_instance(text)
+    rows = [line.partition(":")[2].split() for line in text.splitlines()[8:]]
+    ballots = tuple(tuple(int(token) for token in row) for row in rows)
+    assert inst._ballots is not None and inst.ballots == ballots
+    assert inst == Instance("C", 12, ballots, 2, 1, 40)
 
 
 def test_negative_weight_message_names_the_first():

@@ -222,7 +222,7 @@ def test_ntau_kernels_read_the_counts_of_a_counts_built_input(monkeypatch):
 
     monkeypatch.setattr(core, "_spell", no_spelling)
     inputs = _counts_built_inputs()
-    assert inputs[2]._ballots is None  # read as runs
+    assert inputs[2]._ballots is None  # read from its count rows
     for inst, want in zip(inputs, expected):
         got = _NTAU[inst.variant](inst)
         assert (got.kind, got.id_map, got.gap, got.stage_fillers) == (
