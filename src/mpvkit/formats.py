@@ -37,6 +37,8 @@ section.
 
 from __future__ import annotations
 
+from operator import index
+
 from .core import Instance, WeightedInstance
 
 
@@ -78,15 +80,12 @@ def _directive(lines, idx, name, minimum=None):
     return _int_field(idx + 1, name, parts[1], minimum)
 
 
-def _tagged_row(lines, idx, tag, lookup=None):
+def _tagged_row(lines, idx, tag):
     """Split a 'tag t: a b c' line into integer entries.
 
-    Returns the entries and whether every token was found in ``lookup``,
-    a table from canonical tokens to their values. Without a table the
-    tokens go through ``int`` in one pass. A token missing from the table,
-    or one ``int`` refuses, sends the whole row through the per-token
-    loop, which accepts whatever ``int`` accepts (``01``, ``+2``, ``1_0``)
-    and names the line of the first bad token.
+    Every token goes through ``int`` in one pass, so ``01``, ``+2`` and
+    ``1_0`` are read too; if ``int`` refuses one, the per-token loop
+    names the line of the first bad token.
     """
     if idx >= len(lines):
         raise FormatError(len(lines) + 1, f"missing '{tag}' line")
@@ -94,11 +93,16 @@ def _tagged_row(lines, idx, tag, lookup=None):
     if not sep or head != tag:
         raise FormatError(idx + 1, f"expected '{tag}: ...', got {lines[idx]!r}")
     tokens = rest.split()
-    in_table = lookup is not None
     try:
-        return list(map(lookup.__getitem__ if in_table else int, tokens)), in_table
-    except (KeyError, ValueError):
-        return [_int_field(idx + 1, "entry", tok) for tok in tokens], False
+        return list(map(int, tokens))
+    except ValueError:
+        return [_int_field(idx + 1, "entry", tok) for tok in tokens]
+
+
+def _spelled(tag, rows):
+    """One 'tag t: a b c' line per row, every entry written with ``%d``,
+    so ``bool`` and numpy integers are written as integers."""
+    return [f"{tag} {t}:" + " %d" * len(row) % tuple(row) for t, row in enumerate(rows, start=1)]
 
 
 def _no_trailing(lines, idx):
@@ -142,15 +146,9 @@ def emit_instance(instance) -> str:
     lines.append(f"ell {instance.ell}")
     lines.append(f"x {instance.x}")
     if instance._ballots is None:  # built from counts, weighted or not
-        spec = " %d" * instance.m  # formats ints and numpy integers alike
-        for t, row in enumerate(instance.counts, start=1):
-            lines.append(f"weights {t}:" + spec % row[1:])
+        lines += _spelled("weights", (row[1:] for row in instance.counts))
     else:
-        # entries are 0..m (Instance checks them), so a table indexed by the
-        # entry spells each one, also for bool and numpy integer entries
-        names = [f" {c}" for c in range(instance.m + 1)]
-        for t, row in enumerate(instance._ballots, start=1):
-            lines.append(f"profile {t}:" + "".join(map(names.__getitem__, row)))
+        lines += _spelled("profile", instance._ballots)
     return "\n".join(lines) + "\n"
 
 
@@ -190,7 +188,7 @@ def parse_instance(text: str):
     if n is None or idx < len(lines) and lines[idx].startswith("weights"):
         counts = []
         for t in range(1, tau + 1):
-            row, _ = _tagged_row(lines, idx, f"weights {t}")
+            row = _tagged_row(lines, idx, f"weights {t}")
             if len(row) != m:
                 raise FormatError(idx + 1, f"expected {m} weights, got {len(row)}")
             if min(row) < 0:
@@ -204,15 +202,13 @@ def parse_instance(text: str):
         kind = WeightedInstance if n is None else Instance
         return kind._of_counts(variant, m, counts, n, k, ell, x)
     ballots = []
-    lookup = {str(c): c for c in range(m + 1)}
     for t in range(1, tau + 1):
-        row, in_table = _tagged_row(lines, idx, f"profile {t}", lookup)
+        row = _tagged_row(lines, idx, f"profile {t}")
         if len(row) != n:
             raise FormatError(idx + 1, f"expected {n} ballot entries, got {len(row)}")
-        if not in_table:  # every table value is in 0..m already
-            for e in row:
-                if not 0 <= e <= m:
-                    raise FormatError(idx + 1, f"ballot entry {e} outside 0..{m}")
+        if row and (min(row) < 0 or max(row) > m):
+            e = next(e for e in row if not 0 <= e <= m)
+            raise FormatError(idx + 1, f"ballot entry {e} outside 0..{m}")
         ballots.append(tuple(row))
         idx += 1
     _no_trailing(lines, idx)
@@ -225,11 +221,13 @@ def parse_instance(text: str):
 
 
 def emit_solution(committees) -> str:
-    """Serialize a committee sequence, ids sorted within each stage."""
-    lines = []
-    for t, committee in enumerate(committees, start=1):
-        lines.append(f"stage {t}:" + "".join(f" {c}" for c in sorted(committee)))
-    return "\n".join(lines) + "\n"
+    """Serialize a committee sequence, ids sorted within each stage.
+
+    Ids go through ``operator.index``, so a float id raises ``TypeError``
+    instead of being written as the integer ``%d`` would truncate it to.
+    """
+    rows = (sorted(map(index, committee)) for committee in committees)
+    return "\n".join(_spelled("stage", rows)) + "\n"
 
 
 def parse_solution(text: str, instance) -> tuple:
@@ -237,7 +235,7 @@ def parse_solution(text: str, instance) -> tuple:
     lines = text.splitlines()
     committees = []
     for t in range(1, instance.tau + 1):
-        row, _ = _tagged_row(lines, t - 1, f"stage {t}")
+        row = _tagged_row(lines, t - 1, f"stage {t}")
         seen = set()
         for c in row:
             if not 1 <= c <= instance.m:

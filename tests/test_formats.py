@@ -21,6 +21,7 @@ from mpvkit import (
     parse_solution,
     random_instance,
     to_weighted,
+    verify,
 )
 
 from conftest import e1
@@ -393,6 +394,26 @@ def test_solution_empty_committees(e1_rmpv):
     text = emit_solution(seq)
     assert "stage 1:\n" in text
     assert parse_solution(text, e1_rmpv) == seq
+
+
+def test_bool_and_numpy_ids_are_written_as_integers(e1_rmpv):
+    # verify and Instance take True as candidate 1, so the file must say 1
+    seq = ({True, 2}, {np.int64(3), np.int8(1)}, {True, np.int32(3)})
+    text = emit_solution(seq)
+    assert text == "stage 1: 1 2\nstage 2: 1 3\nstage 3: 1 3\n"
+    back = parse_solution(text, e1_rmpv)
+    assert back == tuple(map(frozenset, seq))
+    assert all(type(c) is int for committee in back for c in committee)
+
+
+@pytest.mark.parametrize("bad", [2.5, 1.0, np.True_, "1"], ids=["2.5", "1.0", "np-bool", "str"])
+def test_ids_verify_refuses_are_not_written(e1_rmpv, bad):
+    # %d would write 2.5 as 2 and np.True_ as 1; verify refuses both
+    seq = ({bad}, {1}, {1})
+    with pytest.raises(ValueError):
+        verify(e1_rmpv, seq)
+    with pytest.raises(TypeError):
+        emit_solution(seq)
 
 
 def test_solution_errors(e1_rmpv):

@@ -1,16 +1,29 @@
 """Every solver against a reference that shares no code with the oracle.
 
-The box holds every instance with 2 agents, ``m <= 2`` candidates and
-``tau <= 3`` stages, each stage an unordered pair of ballot entries in
-``0..m``, with ``k`` in ``1..m``, ``ell`` in ``0..min(2k, m)``, ``x`` in
-``{1, 2}`` and both variants: 6,504 instances.
+A box holds every instance with ``agents`` agents, ``m`` candidates and
+``tau`` stages in the given ranges, each stage an unordered tuple of
+ballot entries in ``0..m``, with ``k`` in ``1..m``, ``ell`` in
+``0..min(2k, m)``, ``x`` in ``{1, 2}`` and both variants. The solvers run
+on two boxes of 2 agents: ``m <= 2``, ``tau <= 3`` (6,504 instances) and
+``m <= 3``, ``tau <= 2`` (5,944). The n-tau kernels run on a box of 1
+agent, ``m <= 5``, ``tau <= 2`` (7,744), where ``m > n * tau`` lets them
+act. Brute force's scan path, taken when a stage's ball of successors
+holds more than 64 committees, needs ``m >= 7`` and gets a pinned case
+and a seeded sweep.
 """
 
+import random
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
+
+import pytest
 
 from mpvkit import (
     Instance,
     brute_force,
+    kernel_ntau_cmpv,
+    kernel_ntau_rmpv,
+    random_instance,
     solve_auto,
     solve_dp_tau,
     solve_inout_ell,
@@ -36,19 +49,24 @@ def _reference(inst):
     return bool(reach)
 
 
-def _box():
-    for m in (1, 2):
-        pairs = list(combinations_with_replacement(range(m + 1), 2))
-        for tau in (1, 2, 3):
-            for rows in product(pairs, repeat=tau):
+def _box(agents, ms, taus):
+    for m in ms:
+        stages = list(combinations_with_replacement(range(m + 1), agents))
+        for tau in taus:
+            for rows in product(stages, repeat=tau):
                 for k in range(1, m + 1):
                     for ell, x, variant in product(range(min(2 * k, m) + 1), (1, 2), "CR"):
                         yield Instance(variant, m, rows, k, ell, x)
 
 
-def test_every_solver_matches_the_reference_on_the_small_box():
+@pytest.mark.parametrize(
+    "ms, taus, size",
+    [((1, 2), (1, 2, 3), (6504, 1762)), ((1, 2, 3), (1, 2), (5944, 2944))],
+    ids=["m2-tau3", "m3-tau2"],
+)
+def test_every_solver_matches_the_reference_on_the_small_box(ms, taus, size):
     count = yes = 0
-    for inst in _box():
+    for inst in _box(2, ms, taus):
         count += 1
         expected = _reference(inst)
         yes += expected
@@ -60,4 +78,47 @@ def test_every_solver_matches_the_reference_on_the_small_box():
             assert report.answer == expected, (solver.__name__, inst)
             if expected:
                 assert verify(inst, report.witness) == [], (solver.__name__, inst)
-    assert (count, yes) == (6504, 1762)
+    assert (count, yes) == size
+
+
+def test_ntau_kernels_keep_the_answer_on_the_one_agent_box():
+    kinds = Counter()
+    shrunk = 0
+    for inst in _box(1, range(1, 6), (1, 2)):
+        kernel = kernel_ntau_cmpv if inst.variant == "C" else kernel_ntau_rmpv
+        result = kernel(inst)
+        kinds["gap" if result.gap else result.kind] += 1
+        expected = _reference(inst)
+        assert result.verdict is None, inst  # ell <= 2k and n = 1: no rule decides
+        shrunk += result.instance.m < inst.m
+        report = brute_force(result.instance)
+        assert report.answer == expected, (result.kind, inst)
+        if expected:
+            assert verify(inst, result.lift(report.witness)) == [], (result.kind, inst)
+    assert shrunk == 5428
+    assert kinds == {"ntau-cmpv": 3872, "ntau-rmpv": 702, "ntau-rmpv-rescaled": 1118, "gap": 2052}
+
+
+def test_brute_force_scan_path_meets_ell_exactly():
+    # the ball of radius 4 over 7 candidates holds 99 > 64 committees, so
+    # stage 2 is scanned, and {3, 6} -> {2, 4} changes exactly ell = 4
+    inst = Instance("C", 7, ((3, 6, 0), (2, 4, 7)), 2, 4, 2)
+    report = brute_force(inst)
+    assert report.answer and _reference(inst)
+    assert report.witness == (frozenset({3, 6}), frozenset({2, 4}))
+
+
+def test_brute_force_scan_path_matches_the_reference():
+    rng = random.Random(7)
+    yes = 0
+    for seed in range(200):
+        m, ell = rng.randint(7, 9), rng.randint(2, 4)
+        n, tau, k, x = rng.randint(2, 3), rng.randint(2, 3), rng.randint(1, 3), rng.randint(1, 2)
+        inst = random_instance(n, m, tau, k, ell, x, "C", abstain_probability=0.3, seed=seed)
+        expected = _reference(inst)
+        yes += expected
+        report = brute_force(inst)
+        assert report.answer == expected, inst
+        if expected:
+            assert verify(inst, report.witness) == [], inst
+    assert 0 < yes < 200
