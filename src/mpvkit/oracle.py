@@ -37,6 +37,20 @@ _SELECT = bytes.maketrans(b"01", b"\0\1")
 _LEX = str.maketrans("01", "10")
 
 
+def _best_sums(weights, k):
+    """``best[r][i]``: the sum of the ``r`` largest of ``weights[i:]``, for ``r <= k``.
+
+    All of them when there are fewer; ``best[r][len(weights)]`` is 0. Each
+    entry is the larger of ``best[r][i + 1]`` and ``weights[i] +
+    best[r - 1][i + 1]``, and none grows with ``i``.
+    """
+    best = [[0] * (len(weights) + 1)]
+    for r in range(1, k + 1):
+        taking = list(map(add, weights, best[-1][1:]))
+        best.append(list(accumulate(reversed(taking), max))[::-1] + [0])
+    return best
+
+
 def _feasible_masks(row, pool, k, x):
     """Committees of at most ``k`` members of ``pool`` scoring at least ``x``.
 
@@ -45,18 +59,13 @@ def _feasible_masks(row, pool, k, x):
     The list is in lexicographic order of the committees' sorted position
     tuples, a prefix first. A committee with ``left`` free seats stops
     extending at position ``i`` once even the ``left`` largest counts of
-    ``pool[i:]`` cannot lift its score to ``x``; that bound never grows
-    with ``i``, so no later position can either.
+    ``pool[i:]`` cannot lift its score to ``x`` (:func:`_best_sums`); that
+    bound never grows with ``i``, so no later position can either.
     """
     weights = [row[c] for c in pool]
     n = len(weights)
     k = min(k, n)
-    # best[r][i]: sum of the r largest weights in pool[i:] (all of them if
-    # fewer): the larger of best[r][i + 1] and weights[i] + best[r - 1][i + 1]
-    best = [[0] * (n + 1)]
-    for r in range(1, k + 1):
-        taking = list(map(add, weights, best[-1][1:]))
-        best.append(list(accumulate(reversed(taking), max))[::-1] + [0])
+    best = _best_sums(weights, k)
 
     out = [0] if x <= 0 else []
 

@@ -41,7 +41,7 @@ from .core import (
     _stage_order,
     feasible_committee,
 )
-from .oracle import _feasible_masks, brute_force
+from .oracle import _best_sums, _feasible_masks, brute_force
 
 # ---------------------------------------------------------------------------
 # decoupled stages
@@ -93,14 +93,19 @@ def solve_unconstrained(instance: Instance, budget: int = DEFAULT_BUDGET) -> Sol
 # ---------------------------------------------------------------------------
 
 
-# Layered-k scans arcs in plain Python while consecutive layers hold at
-# most this many committee pairs in all. On a 2-vCPU Xeon the Python scan
-# costs about 100 ns per pair, so its worst case here is about 0.8 ms,
-# against 155 ms or more for numpy's cold import.
+# Layered-k's cap on plain Python, for both of its counts: it enumerates
+# committees in Python while its pool has at most this many committees of
+# at most k members, and scans arcs in Python while, in addition,
+# consecutive layers hold at most this many committee pairs in all. On a
+# 2-vCPU Xeon the Python scan costs about 100 ns per pair and the
+# enumeration about 0.6 us per committee listed, so the worst cases here
+# are about 0.8 ms per scan and 5 ms per stage, against 155 ms or more for
+# numpy's cold import.
 SCAN_PYTHON_MAX = 1 << 13
 
-# array elements one numpy call builds in the arc scan and in dp-tau's
-# expansion, so temporaries stay bounded on large inputs
+# array elements one numpy call builds in the arc scan, in layered-k's
+# numpy pass and in dp-tau's expansion, so temporaries stay bounded on
+# large inputs
 _CALL_ELEMENTS = 1 << 18
 
 
@@ -115,6 +120,98 @@ def _layer_array(np, masks, words):
     for j in range(words):
         out[:, j] = [mask >> (64 * j) & 0xFFFF_FFFF_FFFF_FFFF for mask in masks]
     return out
+
+
+def _feasible_layers(counts, pool, k, x):
+    """Every stage's :func:`~mpvkit.oracle._feasible_masks`, built in one numpy pass.
+
+    Returns one ``(size, words)`` uint64 array per row of ``counts``, in the
+    layout of :func:`_layer_array` and with the rows in
+    :func:`~mpvkit.oracle._feasible_masks`'s order, or ``None``, before
+    importing numpy, when the pass's int64 arithmetic could overflow.
+
+    The pass goes level by level over a frontier of committee prefixes of
+    every stage at once: ``(stage, score, next position, key)``. A prefix
+    with ``left`` free seats extends over the positions from its next one
+    up to the first ``i`` whose :func:`~mpvkit.oracle._best_sums` entry
+    ``best[left][i]`` falls below ``x - score``; that bound never grows
+    with ``i``, so one ``searchsorted`` over every stage's bounds, offset
+    per stage, finds all the stops. A child is a committee when it scores
+    at least ``x``, and stays a prefix when ``left > 1`` and its score
+    plus ``best[left - 1]`` after it reaches ``x``. The key spells a stage
+    and its committee's sorted positions as digits ``position + 1`` in
+    base ``len(pool) + 1``, most significant first and 0 past the last
+    member, so one sort of the keys gives the stages in order, each in
+    lexicographic order, a prefix first; the masks are read off the
+    sorted keys' digits.
+
+    ``x`` is clipped to ``0 <= x <= top + 1``, where ``top`` is the
+    largest top-``k`` sum of any stage, which keeps every committee's
+    verdict. ``None`` is returned unless ``tau * (len(pool) + 1)**k``,
+    the keys' range, and ``tau * (top + 2)``, the offset bounds' range,
+    are below ``2**63``. Each numpy call builds fewer than
+    ``_CALL_ELEMENTS + len(pool)`` children.
+    """
+    n, k, tau = len(pool), min(k, len(pool)), len(counts)
+    weights = [[row[c] for c in pool] for row in counts]
+    # at least one seat, so that no weight exceeds top either
+    best = [_best_sums(row, max(k, 1)) for row in weights]
+    top = max(sums[-1][0] for sums in best)
+    span = (n + 1) ** k  # keys of one stage
+    if tau * max(span, top + 2) >= 2**63:
+        return None
+    import numpy as np
+
+    x = min(max(x, 0), top + 1)
+    weights = np.array(weights, dtype=np.int64).ravel()  # stage t's at t * n
+    best = np.array(best, dtype=np.int64).transpose(1, 0, 2)  # (left, stage, position)
+    stage = np.arange(tau)
+    # ladders[left]: x - min(best, x) ascends along each stage's positions,
+    # and stage t's run is offset by t * (x + 1) above stage t - 1's
+    ladders = (x - np.minimum(best[:, :, :n], x) + (stage * (x + 1))[:, None]).reshape(len(best), -1)
+    after = best[:, :, 1:].reshape(len(best), -1)  # best past each index into weights
+    # a prefix: its stage, score, key, and next position as an index into weights
+    score = np.zeros(tau, dtype=np.int64)
+    key = stage * span
+    start = stage * n
+    keys = [key[: tau if x == 0 else 0]]  # the empty committee scores 0
+    for left in range(k, 0, -1):
+        digit = (n + 1) ** (left - 1)
+        stop = ladders[left].searchsorted(stage * (x + 1) + np.minimum(score, x), side="right")
+        children = np.maximum(stop - start, 0)
+        # a child at index i has key base + i * digit, its position + 1 as digit
+        base = key - (stage * n - 1) * digit
+        # blocks of whole prefixes, each with fewer than _CALL_ELEMENTS + n children
+        ends = children.cumsum()
+        cut = range(_CALL_ELEMENTS, int(children.sum()), _CALL_ELEMENTS)
+        cuts = [0, *ends.searchsorted(cut, side="right"), ends.size]
+        kept = []
+        for a, b in zip(cuts, cuts[1:]):
+            count = children[a:b]
+            at = np.arange(count.sum()) - np.repeat(count.cumsum() - count - start[a:b], count)
+            s = np.repeat(score[a:b], count) + weights[at]
+            c = np.repeat(base[a:b], count) + at * digit
+            keys.append(c[s >= x])
+            if left > 1:
+                go = s + after[left - 1][at] >= x
+                kept.append((at[go], s[go], c[go]))
+        if not kept:
+            break
+        at, score, key = map(np.concatenate, zip(*kept))
+        stage, start = at // n, at + 1
+    keys = np.sort(np.concatenate(keys))
+    # bits[d]: the mask of position d - 1, and bits[0] no member
+    words = max(1, -(-n // 64))
+    bits = np.zeros((n + 1, words), dtype=np.uint64)
+    pos = np.arange(n)
+    bits[pos + 1, pos >> 6] = np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64))
+    # each committee's mask from its key's digits, the last member first
+    masks = np.zeros((keys.size, words), dtype=np.uint64)
+    rest = keys % span
+    for _ in range(k):
+        rest, digit = np.divmod(rest, n + 1)
+        masks |= bits[digit]
+    return np.split(masks, keys.searchsorted(np.arange(1, tau) * span))
 
 
 def _scan_arcs(np, layer, reach, conservative, ell, states, budget):
@@ -196,11 +293,28 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     candidate pool shrinks to the candidates approved at least once
     (:func:`~mpvkit.core._approved`).
 
-    When consecutive layers hold at most :data:`SCAN_PYTHON_MAX` committee
-    pairs in all (up to the first empty layer), the arcs are scanned in
-    plain Python and numpy is never imported; larger instances scan them
-    with numpy (:func:`_scan_arcs`). Both scans return the same witness,
-    states and budget errors.
+    The layers are enumerated in one of two ways, with the same committees
+    in the same order: lexicographic in their sorted pool positions, a
+    prefix first, which fixes the parents and so the witness.
+
+    * When the pool has at most :data:`SCAN_PYTHON_MAX` committees of at
+      most ``k`` members, stage by stage in plain Python
+      (:func:`~mpvkit.oracle._feasible_masks`).
+    * Above that, as uint64 arrays in one numpy pass over all stages
+      (:func:`_feasible_layers`), whose scores and keys are int64. ``x``
+      is clipped to ``0 <= x <= top + 1``, where ``top`` is the largest
+      top-``k`` stage sum, which keeps every verdict. An instance whose
+      ``tau * (top + 2)`` or ``tau * (len(pool) + 1)**k`` does not fit
+      int64 (such as one with weights of ``2**70``) is enumerated in
+      plain Python instead.
+
+    When the layers were enumerated in plain Python and consecutive layers
+    hold at most :data:`SCAN_PYTHON_MAX` committee pairs in all (up to the
+    first empty layer), the arcs are scanned in plain Python and numpy is
+    never imported; otherwise they are scanned with numpy
+    (:func:`_scan_arcs`) and the witness is decoded from the arrays' rows.
+    Both paths return the same witness, states, layer sizes and budget
+    errors.
 
     Budget counts layer nodes plus examined arcs. ``stats["layer_sizes"]``
     holds the number of feasible committees at each stage.
@@ -214,15 +328,19 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
             f"{node_bound} committees per layer over {instance.tau} stages "
             f"exceed the budget of {budget}"
         )
-    masks = [_feasible_masks(row, pool, instance.k, instance.x) for row in instance.counts]
-    layer_sizes = list(map(len, masks))
+    layers = None
+    if node_bound > SCAN_PYTHON_MAX:
+        layers = _feasible_layers(instance.counts, pool, instance.k, instance.x)
+    if layers is None:
+        masks = [_feasible_masks(row, pool, instance.k, instance.x) for row in instance.counts]
+    layer_sizes = list(map(len, masks if layers is None else layers))
     states = sum(layer_sizes)
     pairs = 0
     for size, after in zip(layer_sizes, layer_sizes[1:]):
         if not size:
             break
         pairs += size * after
-    in_python = pairs <= SCAN_PYTHON_MAX
+    in_python = layers is None and pairs <= SCAN_PYTHON_MAX
     if in_python:
         # ok[d]: whether committees at symmetric difference d may follow each other
         ell = instance.ell
@@ -230,8 +348,9 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     else:
         import numpy as np
 
-        words = max(1, -(-len(pool) // 64))
-        layers = [_layer_array(np, layer, words) for layer in masks]
+        if layers is None:
+            words = max(1, -(-len(pool) // 64))
+            layers = [_layer_array(np, layer, words) for layer in masks]
 
     # reach[t]: layer-t positions of the committees reachable through stage t,
     # in layer order; links[t - 1][j]: reach[t - 1] index of reach[t][j]'s parent
@@ -257,7 +376,11 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
         chain = []
         j = 0
         for t in range(instance.tau - 1, -1, -1):
-            chain.append(_decode(masks[t][reach[t][j]], pool))
+            if in_python:
+                mask = masks[t][reach[t][j]]
+            else:  # the array row's words, low word first
+                mask = sum(int(word) << 64 * w for w, word in enumerate(layers[t][reach[t][j]]))
+            chain.append(_decode(mask, pool))
             if t:
                 j = links[t - 1][j]
         witness = tuple(reversed(chain))

@@ -585,6 +585,39 @@ def test_numpy_free_solves(tmp_path):
             assert not loaded, name
 
 
+def test_layered_k_loads_numpy_only_above_the_python_cap(tmp_path, monkeypatch):
+    # a revolutionary file's 40 candidates are all in layered-k's pool: k = 2
+    # makes a committee space of 821, within SCAN_PYTHON_MAX, and k = 3
+    # makes 10,701, which the numpy pass lists; both files' layers hold few
+    # committee pairs
+    from math import comb
+
+    from mpvkit import emit_solution, solve_layered_k, solvers
+
+    cap = solvers.SCAN_PYTHON_MAX
+    args = ["--variant", "R", "--agents", "6", "--candidates", "40", "--stages", "3"]
+    args += ["--ell", "2", "--x", "3", "--seed", "0"]
+    for k, space in ((2, 821), (3, 10_701)):
+        path = tmp_path / f"k{k}.mpv"
+        assert _mpv("generate", *args, "--k", str(k), "-o", str(path))[0] == 0
+        inst = parse_instance(path.read_text())
+        assert sum(comb(40, j) for j in range(k + 1)) == space
+        with monkeypatch.context() as patch:  # the plain-Python path, in process
+            patch.setattr(solvers, "SCAN_PYTHON_MAX", 10**12)
+            rep = solve_layered_k(inst)
+        sizes = rep.stats["layer_sizes"]
+        assert sum(a * b for a, b in zip(sizes, sizes[1:])) <= cap
+        code, out, loaded = _mpv("solve", "--witness", "--algorithm", "layered-k", str(path))
+        assert ("numpy" in loaded) == (space > cap), k
+        assert code == (0 if rep.answer else 1), k
+        assert out == ("YES\n" + emit_solution(rep.witness) if rep.answer else "NO\n"), k
+        if rep.answer:
+            sol = tmp_path / f"k{k}.sol"
+            sol.write_text(out.split("\n", 1)[1])
+            assert _mpv("verify", str(path), str(sol))[:2] == (0, "VALID\n"), k
+    assert rep.answer  # the numpy pass's witness went through mpv verify
+
+
 def test_no_module_imports_dataclasses_or_typing():
     # every record is a core._Record, so the package needs neither module
     import ast

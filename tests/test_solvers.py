@@ -23,6 +23,7 @@ from mpvkit import (
 
 from mpvkit import solvers
 from mpvkit.core import DEFAULT_BUDGET, _change_out_of_reach
+from mpvkit.oracle import _feasible_masks
 
 from conftest import e1, subsets_upto
 
@@ -142,24 +143,37 @@ def test_reports_carry_stats():
     assert rep.algorithm == "inout-ell"
 
 
-# layered-k's arc scan: plain Python up to SCAN_PYTHON_MAX committee pairs, numpy above
-_SCAN_CAPS = {"python": 10**12, "numpy": 0}
+def _unexpected_path(*args):
+    raise AssertionError("layered-k took the other path")
 
 
-def _unexpected_scan(*args):
-    raise AssertionError("layered-k took the other scan path")
+def _overflowing(*args):
+    """:func:`solvers._feasible_layers`'s answer when int64 could overflow."""
+    return None
+
+
+# layered-k's three paths, each as the SCAN_PYTHON_MAX that forces it and
+# the stand-ins it puts in place of solvers functions: plain Python, up to
+# SCAN_PYTHON_MAX committees in the pool and committee pairs; Python-listed
+# layers scanned with numpy, when only the pairs exceed it or the numpy
+# pass would overflow int64; and the numpy pass with the numpy scan
+_SCAN_PATHS = {
+    "python": (10**12, {"_scan_arcs": _unexpected_path, "_feasible_layers": _unexpected_path}),
+    "numpy scan": (0, {"_scan_masks": _unexpected_path, "_feasible_layers": _overflowing}),
+    "numpy": (0, {"_scan_masks": _unexpected_path, "_feasible_masks": _unexpected_path}),
+}
 
 
 def _on_each_scan_path(monkeypatch):
-    """Force layered-k onto each scan path in turn, yielding the path's name.
+    """Force layered-k onto each path in turn, yielding the path's name.
 
-    The other path's scan fails if it is called.
+    The other paths' enumeration and scan fail if they are called.
     """
-    for path, cap in _SCAN_CAPS.items():
+    for path, (cap, replaced) in _SCAN_PATHS.items():
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "SCAN_PYTHON_MAX", cap)
-            other = "_scan_arcs" if path == "python" else "_scan_masks"
-            patch.setattr(solvers, other, _unexpected_scan)
+            for name, stand_in in replaced.items():
+                patch.setattr(solvers, name, stand_in)
             yield path
 
 
@@ -168,7 +182,7 @@ def test_budget_raises(monkeypatch):
     with pytest.raises(BudgetExceededError):
         solve_layered_k(inst, budget=5)
     # the arc scan spends exactly its reported states: one fewer raises,
-    # with the same count and message on both scan paths
+    # with the same count and message on every path
     states = solve_layered_k(inst).stats["states"]
     for path in _on_each_scan_path(monkeypatch):
         assert solve_layered_k(inst, budget=states).stats["states"] == states, path
@@ -590,6 +604,97 @@ def test_layered_pool_over_64_candidates(monkeypatch):
         expected = (frozenset({70, 100}), frozenset({100, 129}), frozenset({129, 130}))
         assert rep.witness == expected, path
         assert verify(lone, rep.witness) == []
+
+
+def _rows(layer):
+    """A layer array's rows as int masks, low word first."""
+    return [sum(int(word) << 64 * j for j, word in enumerate(row)) for row in layer]
+
+
+def test_feasible_layers_match_feasible_masks(monkeypatch):
+    # the numpy pass lists each stage's committees in _feasible_masks's order,
+    # also in blocks of 5 children, which cut every level into many blocks
+    # and leave some empty
+    rng = random.Random(8)
+    seen = Counter()
+    for trial in range(300):
+        monkeypatch.setattr(solvers, "_CALL_ELEMENTS", 5 if trial % 2 else 1 << 18)
+        n = rng.choice((0, 1, 5, 14, 64, 70))
+        m = n + rng.randint(0, 2)
+        pool = sorted(rng.sample(range(1, m + 1), n))
+        k = rng.choice((0, 1, 2, n, n + 1)) if n <= 5 else rng.randint(0, 3 if n <= 14 else 2)
+        high = rng.choice((0, 1, 4, 2**40))
+        counts = [
+            (0, *(rng.randint(0, high) if rng.random() < 0.6 else 0 for _ in range(m)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        x = rng.choice((-3, 0, 1, rng.randint(1, 3 * high + 1), 10**30))
+        layers = solvers._feasible_layers(counts, pool, k, x)
+        expected = [_feasible_masks(row, pool, k, x) for row in counts]
+        assert [_rows(layer) for layer in layers] == expected, (pool, k, x, counts)
+        words = max(1, -(-n // 64))
+        assert all(layer.dtype == "uint64" and layer.shape[1:] == (words,) for layer in layers)
+        seen["x <= 0"] += x <= 0
+        seen["k = 0"] += k == 0
+        seen["k >= pool"] += 0 < n <= k
+        seen["empty pool"] += n == 0
+        seen["zero rows"] += any(not any(row) for row in counts)
+        seen["pool > 64"] += n > 64
+        seen["committees"] += sum(map(len, expected)) > 0
+    assert min(seen.values()) >= 15, seen
+
+
+# (spec, witness, states, layer sizes) of solve_layered_k on the ROADMAP's
+# named instances, whose committee spaces exceed SCAN_PYTHON_MAX
+_NAMED_LAYERED = [
+    (("C", 30, 60, 5, 4, 2, 7, 6), None, 367_938, [1745, 205, 595, 1745, 1089]),
+    (
+        ("R", 40, 40, 8, 3, 2, 6, 5),
+        ((1, 2, 12), (1, 3, 6), (1, 3, 12), (1, 2, 20), (1, 2, 8), (1, 6, 9), (1, 11, 16), (1, 4, 7)),
+        12_320,
+        [956, 522, 999, 615, 906, 922, 690, 1028],
+    ),
+    (
+        ("C", 40, 40, 8, 3, 2, 6, 5),
+        ((3, 11, 12), (3, 11, 27), (11, 12, 27), (11, 27, 28), (7, 11, 28), (7, 9, 11), (4, 7, 11), (1, 4, 7)),
+        1_503_436,
+        [956, 522, 999, 615, 906, 922, 690, 1028],
+    ),
+]
+
+
+def test_layered_pins_the_named_instances_on_every_path(monkeypatch):
+    for (variant, n, m, tau, k, ell, x, seed), witness, states, sizes in _NAMED_LAYERED:
+        inst = random_instance(n, m, tau, k, ell, x, variant, seed=seed)
+        expected = (witness and tuple(map(frozenset, witness)), states, sizes)
+        rep = solve_layered_k(inst)
+        assert (rep.witness, rep.stats["states"], rep.stats["layer_sizes"]) == expected
+        for path in _on_each_scan_path(monkeypatch):
+            rep = solve_layered_k(inst)
+            assert (rep.witness, rep.stats["states"], rep.stats["layer_sizes"]) == expected, path
+
+
+def test_layered_weights_beyond_int64_match_the_python_path(monkeypatch):
+    # 40 candidates and k = 3: a committee space of 10,701, above
+    # SCAN_PYTHON_MAX; scores of 2**70 would wrap to 0 in int64, and
+    # top-3 sums of 3 * 2**61 per stage leave no room for the offset bounds,
+    # so both take plain Python, while 2**40 stays in numpy and x = 2**80
+    # is clipped there to one above the largest top-3 sum
+    rng = random.Random(2)
+    for high, x, in_numpy in ((2**70, 2**71, False), (2**61, 2**62, False), (2**40, 2**80, True)):
+        rows = [(0, *(rng.choice((0, 0, high, 3 * high // 2)) for _ in range(40))) for _ in range(3)]
+        inst = WeightedInstance("R", 40, rows, 3, 2, x)
+        layers = solvers._feasible_layers(inst.counts, range(1, 41), 3, x)
+        assert (layers is not None) == in_numpy, high
+        rep = solve_layered_k(inst)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "SCAN_PYTHON_MAX", 10**12)
+            python = solve_layered_k(inst)
+        got = (rep.answer, rep.witness, rep.stats["states"], rep.stats["layer_sizes"])
+        assert got == (python.answer, python.witness, python.stats["states"], python.stats["layer_sizes"])
+        assert rep.answer == (x < 2**80), high
+        if rep.answer:
+            assert verify(inst, rep.witness) == []
 
 
 # ---------------------------------------------------------------------------
