@@ -41,7 +41,7 @@ from .core import (
     _stage_order,
     feasible_committee,
 )
-from .oracle import _best_sums, _feasible_masks, brute_force
+from .oracle import _feasible_masks, brute_force
 
 # ---------------------------------------------------------------------------
 # decoupled stages
@@ -122,54 +122,71 @@ def _layer_array(np, masks, words):
     return out
 
 
+def _stage_weights(counts, pool, k):
+    """Each stage's weights over ``pool``, and ``top``: the largest sum of
+    ``max(k, 1)`` weights of one stage.
+
+    At least one seat, so that no weight exceeds ``top`` either.
+    """
+    weights = [[row[c] for c in pool] for row in counts]
+    return weights, max(sum(sorted(row, reverse=True)[: max(k, 1)]) for row in weights)
+
+
 def _feasible_layers(counts, pool, k, x):
     """Every stage's :func:`~mpvkit.oracle._feasible_masks`, built in one numpy pass.
 
     Returns one ``(size, words)`` uint64 array per row of ``counts``, in the
     layout of :func:`_layer_array` and with the rows in
     :func:`~mpvkit.oracle._feasible_masks`'s order, or ``None``, before
-    importing numpy, when the pass's int64 arithmetic could overflow.
+    importing numpy, when no stage reaches ``x`` or the pass's int64
+    arithmetic could overflow.
 
     The pass goes level by level over a frontier of committee prefixes of
     every stage at once: ``(stage, score, next position, key)``. A prefix
     with ``left`` free seats extends over the positions from its next one
-    up to the first ``i`` whose :func:`~mpvkit.oracle._best_sums` entry
-    ``best[left][i]`` falls below ``x - score``; that bound never grows
+    up to the first ``i`` whose entry ``best[left][i]``, the sum of the
+    ``left`` largest weights from ``i`` on (:func:`~mpvkit.oracle._best_sums`,
+    here built in numpy), falls below ``x - score``; that bound never grows
     with ``i``, so one ``searchsorted`` over every stage's bounds, offset
     per stage, finds all the stops. A child is a committee when it scores
     at least ``x``, and stays a prefix when ``left > 1`` and its score
-    plus ``best[left - 1]`` after it reaches ``x``. The key spells a stage
-    and its committee's sorted positions as digits ``position + 1`` in
-    base ``len(pool) + 1``, most significant first and 0 past the last
-    member, so one sort of the keys gives the stages in order, each in
-    lexicographic order, a prefix first; the masks are read off the
-    sorted keys' digits.
+    plus ``best[left - 1]`` after it reaches ``x``. At the last level a
+    prefix that scores below ``x`` extends only over its stage's
+    nonzero-weight positions, since a zero-weight child would score below
+    ``x`` too. The key spells a stage and its committee's sorted positions
+    as digits ``position + 1`` in base ``len(pool) + 1``, most significant
+    first and 0 past the last member, so one sort of the keys gives the
+    stages in order, each in lexicographic order, a prefix first; the
+    masks are read off the sorted keys' digits.
 
-    ``x`` is clipped to ``0 <= x <= top + 1``, where ``top`` is the
-    largest top-``k`` sum of any stage, which keeps every committee's
-    verdict. ``None`` is returned unless ``tau * (len(pool) + 1)**k``,
-    the keys' range, and ``tau * (top + 2)``, the offset bounds' range,
-    are below ``2**63``. Each numpy call builds fewer than
-    ``_CALL_ELEMENTS + len(pool)`` children.
+    ``top`` is the largest top-``k`` sum of any stage, taken from sorted
+    rows before numpy is imported (:func:`_stage_weights`). ``None`` is
+    returned when ``x > top``, so that every layer is empty, and unless
+    ``tau * (len(pool) + 1)**k``, the keys' range, and ``tau * (top + 2)``,
+    the offset bounds' range, are below ``2**63``. A negative ``x`` is
+    clipped to 0, which keeps every committee's verdict. Each numpy call
+    builds fewer than ``_CALL_ELEMENTS + len(pool)`` children.
     """
     n, k, tau = len(pool), min(k, len(pool)), len(counts)
-    weights = [[row[c] for c in pool] for row in counts]
-    # at least one seat, so that no weight exceeds top either
-    best = [_best_sums(row, max(k, 1)) for row in weights]
-    top = max(sums[-1][0] for sums in best)
+    weights, top = _stage_weights(counts, pool, k)
     span = (n + 1) ** k  # keys of one stage
-    if tau * max(span, top + 2) >= 2**63:
+    if x > top or tau * max(span, top + 2) >= 2**63:
         return None
     import numpy as np
 
-    x = min(max(x, 0), top + 1)
-    weights = np.array(weights, dtype=np.int64).ravel()  # stage t's at t * n
-    best = np.array(best, dtype=np.int64).transpose(1, 0, 2)  # (left, stage, position)
+    x = max(x, 0)
+    weights = np.array(weights, dtype=np.int64)
+    # best[left][t][i]: the sum of the left largest of stage t's weights[i:]
+    best = np.zeros((k + 1, tau, n + 1), dtype=np.int64)
+    for left in range(1, k + 1):
+        taking = weights + best[left - 1, :, 1:]
+        best[left, :, :n] = np.maximum.accumulate(taking[:, ::-1], axis=1)[:, ::-1]
+    weights = weights.ravel()  # stage t's at t * n
     stage = np.arange(tau)
     # ladders[left]: x - min(best, x) ascends along each stage's positions,
     # and stage t's run is offset by t * (x + 1) above stage t - 1's
-    ladders = (x - np.minimum(best[:, :, :n], x) + (stage * (x + 1))[:, None]).reshape(len(best), -1)
-    after = best[:, :, 1:].reshape(len(best), -1)  # best past each index into weights
+    ladders = (x - np.minimum(best[:, :, :n], x) + (stage * (x + 1))[:, None]).reshape(k + 1, -1)
+    after = best[:, :, 1:].reshape(k + 1, -1)  # best past each index into weights
     # a prefix: its stage, score, key, and next position as an index into weights
     score = np.zeros(tau, dtype=np.int64)
     key = stage * span
@@ -178,6 +195,15 @@ def _feasible_layers(counts, pool, k, x):
     for left in range(k, 0, -1):
         digit = (n + 1) ** (left - 1)
         stop = ladders[left].searchsorted(stage * (x + 1) + np.minimum(score, x), side="right")
+        # the children's indices into weights: at the last level a prefix
+        # below x takes them from table's nonzero run, any other from its
+        # identity run after that
+        table = None
+        if left == 1:
+            nonzero = np.flatnonzero(weights)
+            table = np.concatenate([nonzero, np.arange(weights.size)])
+            low = score < x
+            start, stop = (np.where(low, nonzero.searchsorted(v), v + nonzero.size) for v in (start, stop))
         children = np.maximum(stop - start, 0)
         # a child at index i has key base + i * digit, its position + 1 as digit
         base = key - (stage * n - 1) * digit
@@ -189,6 +215,8 @@ def _feasible_layers(counts, pool, k, x):
         for a, b in zip(cuts, cuts[1:]):
             count = children[a:b]
             at = np.arange(count.sum()) - np.repeat(count.cumsum() - count - start[a:b], count)
+            if table is not None:
+                at = table[at]
             s = np.repeat(score[a:b], count) + weights[at]
             c = np.repeat(base[a:b], count) + at * digit
             keys.append(c[s >= x])
@@ -221,16 +249,18 @@ def _scan_arcs(np, layer, reach, conservative, ell, states, budget):
     ``reach`` whose symmetric difference with ``layer[i]`` respects ``ell``
     (``-1`` when none does), and ``states`` grows by the arcs a row-by-row
     scan with early exit examines: ``parents[i] + 1`` per hit and
-    ``len(reach)`` per miss. Columns go in blocks of doubling width and only
-    rows without a hit move on, so cheap hits stay cheap. The running count
-    is a lower bound on the final one, so the budget error is raised as soon
-    as it passes ``budget``, exactly when the row-by-row scan would raise.
+    ``len(reach)`` per miss. Every row is first tested against ``reach[0]``
+    alone, where many rows find their parent; the columns after it go in
+    blocks of 64 and then of doubling width, and only rows without a hit
+    move on, so cheap hits stay cheap. The running count is a lower bound
+    on the final one, so the budget error is raised as soon as it passes
+    ``budget``, exactly when the row-by-row scan would raise.
     ``np`` is the numpy module, imported by the calling solver.
     """
     words = layer.shape[1]
     parents = np.full(layer.shape[0], -1, dtype=np.int64)
     pending = np.arange(layer.shape[0])
-    lo, width = 0, 64
+    lo, width = 0, 1
     while pending.size and lo < reach.shape[0]:
         hi = min(reach.shape[0], lo + width)
         block = reach[lo:hi]
@@ -249,8 +279,50 @@ def _scan_arcs(np, layer, reach, conservative, ell, states, budget):
             if states > budget:
                 raise BudgetExceededError(f"arc scan exceeded the budget of {budget}")
         pending = np.concatenate(missed)
-        lo, width = hi, min(2 * width, _CALL_ELEMENTS)
+        lo, width = hi, min(max(2 * width, 64), _CALL_ELEMENTS)
     return parents, states
+
+
+def _parentless(np, layer, weights, k, ell, x):
+    """Rows of ``layer`` that no committee scoring at least ``x`` under
+    ``weights`` can precede in the conservative variant.
+
+    Returns a boolean array over the rows. A parent ``b`` of a committee
+    ``a`` of ``s`` members drops some ``r <= min(ell, s)`` of them and adds
+    at most ``j(s) = max over r of min(ell - r, k - s + r)`` others, since
+    ``|a ^ b| <= ell`` and ``|b| <= k``; that maximum is ``min(ell, k - s +
+    min(ell, s), (ell + k - s) // 2)``. Weights are non-negative, so ``b``
+    scores at most ``a``'s own score plus the sum ``T[j(s)]`` of the
+    ``j(s)`` largest ``weights``, and a row where that falls below ``x``
+    has no parent. Members are read off each word's value, lowest first,
+    with negation, subtraction and popcount, which do not depend on byte
+    order, in blocks of ``_CALL_ELEMENTS`` rows, so that every temporary
+    holds at most that many entries. The caller keeps every sum in int64
+    and ``x`` clipped to ``top + 1``. ``np`` is the numpy module, imported
+    by the calling solver.
+    """
+    n, words = weights.size, layer.shape[1]
+    k = min(k, n)
+    # added[s]: T[j(s)], by committee size s
+    tops = np.concatenate([[0], np.sort(weights)[::-1][:k].cumsum()])
+    added = tops[[min(ell, k - s + min(ell, s), (ell + k - s) // 2) for s in range(k + 1)]]
+    # table[w][i]: the weight of bit i of word w, and 0 at i = 64 for no member
+    table = np.zeros((words, 65), dtype=np.int64)
+    pos = np.arange(n)
+    table[pos >> 6, pos & 63] = weights
+    one = np.uint64(1)
+    out = np.empty(len(layer), dtype=bool)
+    for a in range(0, len(layer), _CALL_ELEMENTS):
+        block = layer[a : a + _CALL_ELEMENTS]
+        bound = added[np.bitwise_count(block).sum(axis=1, dtype=np.intp)]
+        for w in range(words):
+            mask = block[:, w]
+            for _ in range(min(k, 64)):
+                low = mask & -mask  # the lowest member, or 0
+                bound += table[w][np.bitwise_count(low - one)]
+                mask = mask ^ low
+        out[a : a + _CALL_ELEMENTS] = bound < x
+    return out
 
 
 def _scan_masks(layer, prev, ok, states, budget):
@@ -301,20 +373,31 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
       most ``k`` members, stage by stage in plain Python
       (:func:`~mpvkit.oracle._feasible_masks`).
     * Above that, as uint64 arrays in one numpy pass over all stages
-      (:func:`_feasible_layers`), whose scores and keys are int64. ``x``
-      is clipped to ``0 <= x <= top + 1``, where ``top`` is the largest
-      top-``k`` stage sum, which keeps every verdict. An instance whose
-      ``tau * (top + 2)`` or ``tau * (len(pool) + 1)**k`` does not fit
-      int64 (such as one with weights of ``2**70``) is enumerated in
-      plain Python instead.
+      (:func:`_feasible_layers`), whose scores and keys are int64. A
+      negative ``x`` is clipped to 0, which keeps every verdict. An
+      instance where ``x`` exceeds ``top``, the largest top-``k`` stage
+      sum, so that every layer is empty, or whose ``tau * (top + 2)`` or
+      ``tau * (len(pool) + 1)**k`` does not fit int64 (such as one with
+      weights of ``2**70``), is enumerated in plain Python instead, before
+      numpy is imported.
 
     When the layers were enumerated in plain Python and consecutive layers
     hold at most :data:`SCAN_PYTHON_MAX` committee pairs in all (up to the
     first empty layer), the arcs are scanned in plain Python and numpy is
     never imported; otherwise they are scanned with numpy
     (:func:`_scan_arcs`) and the witness is decoded from the arrays' rows.
-    Both paths return the same witness, states, layer sizes and budget
-    errors.
+    Before a conservative numpy scan against more than 64 reachable
+    committees, one scan block's width, a score bound rules out the
+    committees that no feasible committee of the previous stage can
+    precede (:func:`_parentless`): within ``ell``, a parent of a committee
+    of ``s`` members adds at most ``j(s)`` others, so it scores at most
+    the committee's own previous-stage score plus the previous stage's
+    ``j(s)`` largest weights, which is sound because weights are
+    non-negative. A committee ruled out is not scanned and counts as the
+    full miss the scan would find. The bound's sums are int64 and ``x`` is
+    clipped to ``0 <= x <= top + 1``; it is skipped where ``tau * (top +
+    2)`` does not fit. All paths return the same witness, states, layer
+    sizes and budget errors.
 
     Budget counts layer nodes plus examined arcs. ``stats["layer_sizes"]``
     holds the number of feasible committees at each stage.
@@ -351,6 +434,13 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
         if layers is None:
             words = max(1, -(-len(pool) // 64))
             layers = [_layer_array(np, layer, words) for layer in masks]
+        # the score bound's int64 stage weights and x, clipped as in the
+        # numpy pass, where the pass's guard on scores holds
+        weights = None
+        if conservative:
+            rows, top = _stage_weights(instance.counts, pool, instance.k)
+            if instance.tau * (top + 2) < 2**63:
+                weights, x = np.array(rows, dtype=np.int64), min(max(instance.x, 0), top + 1)
 
     # reach[t]: layer-t positions of the committees reachable through stage t,
     # in layer order; links[t - 1][j]: reach[t - 1] index of reach[t][j]'s parent
@@ -363,11 +453,20 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
             prev = [masks[t - 1][i] for i in reach[-1]]
             hits, parents, states = _scan_masks(masks[t], prev, ok, states, budget)
         else:
+            prev = layers[0] if t == 1 else layers[t - 1][reach[-1]]
+            rows = np.arange(len(layers[t]))
+            if weights is not None and len(prev) > 64:
+                # a committee the bound rules out is a miss over all of prev
+                ruled_out = _parentless(np, layers[t], weights[t - 1], instance.k, instance.ell, x)
+                states += int(ruled_out.sum()) * len(prev)
+                if states > budget:
+                    raise BudgetExceededError(f"arc scan exceeded the budget of {budget}")
+                rows = np.flatnonzero(~ruled_out)
             parents, states = _scan_arcs(
-                np, layers[t], layers[t - 1][reach[-1]], conservative, instance.ell, states, budget
+                np, layers[t][rows], prev, conservative, instance.ell, states, budget
             )
-            hits = np.flatnonzero(parents >= 0)
-            parents = parents[hits]
+            hits = rows[parents >= 0]
+            parents = parents[parents >= 0]
         reach.append(hits)
         links.append(parents)
 

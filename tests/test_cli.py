@@ -588,18 +588,20 @@ def test_numpy_free_solves(tmp_path):
 def test_layered_k_loads_numpy_only_above_the_python_cap(tmp_path, monkeypatch):
     # a revolutionary file's 40 candidates are all in layered-k's pool: k = 2
     # makes a committee space of 821, within SCAN_PYTHON_MAX, and k = 3
-    # makes 10,701, which the numpy pass lists; both files' layers hold few
-    # committee pairs
+    # makes 10,701, which the numpy pass lists unless no stage reaches x:
+    # the seed's top-3 stage sums are all 3, so x = 4 is listed, empty, in
+    # plain Python; every file's layers hold few committee pairs
     from math import comb
 
     from mpvkit import emit_solution, solve_layered_k, solvers
 
     cap = solvers.SCAN_PYTHON_MAX
     args = ["--variant", "R", "--agents", "6", "--candidates", "40", "--stages", "3"]
-    args += ["--ell", "2", "--x", "3", "--seed", "0"]
-    for k, space in ((2, 821), (3, 10_701)):
-        path = tmp_path / f"k{k}.mpv"
-        assert _mpv("generate", *args, "--k", str(k), "-o", str(path))[0] == 0
+    args += ["--ell", "2", "--seed", "0"]
+    answers = []
+    for k, x, space, in_numpy in ((2, 3, 821, False), (3, 3, 10_701, True), (3, 4, 10_701, False)):
+        path = tmp_path / f"k{k}-x{x}.mpv"
+        assert _mpv("generate", *args, "--k", str(k), "--x", str(x), "-o", str(path))[0] == 0
         inst = parse_instance(path.read_text())
         assert sum(comb(40, j) for j in range(k + 1)) == space
         with monkeypatch.context() as patch:  # the plain-Python path, in process
@@ -608,14 +610,17 @@ def test_layered_k_loads_numpy_only_above_the_python_cap(tmp_path, monkeypatch):
         sizes = rep.stats["layer_sizes"]
         assert sum(a * b for a, b in zip(sizes, sizes[1:])) <= cap
         code, out, loaded = _mpv("solve", "--witness", "--algorithm", "layered-k", str(path))
-        assert ("numpy" in loaded) == (space > cap), k
-        assert code == (0 if rep.answer else 1), k
-        assert out == ("YES\n" + emit_solution(rep.witness) if rep.answer else "NO\n"), k
+        assert ("numpy" in loaded) == in_numpy, (k, x)
+        assert code == (0 if rep.answer else 1), (k, x)
+        assert out == ("YES\n" + emit_solution(rep.witness) if rep.answer else "NO\n"), (k, x)
         if rep.answer:
-            sol = tmp_path / f"k{k}.sol"
+            sol = tmp_path / f"k{k}-x{x}.sol"
             sol.write_text(out.split("\n", 1)[1])
-            assert _mpv("verify", str(path), str(sol))[:2] == (0, "VALID\n"), k
-    assert rep.answer  # the numpy pass's witness went through mpv verify
+            assert _mpv("verify", str(path), str(sol))[:2] == (0, "VALID\n"), (k, x)
+        answers.append(rep.answer)
+    # the numpy pass's witness went through mpv verify, and x = 4 is a NO
+    # with empty layers
+    assert answers[1:] == [True, False] and (rep.stats["states"], sizes) == (0, [0, 0, 0])
 
 
 def test_no_module_imports_dataclasses_or_typing():

@@ -152,15 +152,24 @@ def _overflowing(*args):
     return None
 
 
+def _listed_empty(row, pool, k, x):
+    """:func:`_feasible_masks` where the numpy pass leaves it only the
+    layers of an instance whose stages all stay below ``x``."""
+    masks = _feasible_masks(row, pool, k, x)
+    assert not masks, "layered-k took the other path"
+    return masks
+
+
 # layered-k's three paths, each as the SCAN_PYTHON_MAX that forces it and
 # the stand-ins it puts in place of solvers functions: plain Python, up to
 # SCAN_PYTHON_MAX committees in the pool and committee pairs; Python-listed
 # layers scanned with numpy, when only the pairs exceed it or the numpy
-# pass would overflow int64; and the numpy pass with the numpy scan
+# pass would overflow int64; and the numpy pass with the numpy scan, which
+# leaves to Python only the empty layers of an x that no stage reaches
 _SCAN_PATHS = {
     "python": (10**12, {"_scan_arcs": _unexpected_path, "_feasible_layers": _unexpected_path}),
     "numpy scan": (0, {"_scan_masks": _unexpected_path, "_feasible_layers": _overflowing}),
-    "numpy": (0, {"_scan_masks": _unexpected_path, "_feasible_masks": _unexpected_path}),
+    "numpy": (0, {"_scan_masks": _unexpected_path, "_feasible_masks": _listed_empty}),
 }
 
 
@@ -631,6 +640,12 @@ def test_feasible_layers_match_feasible_masks(monkeypatch):
         x = rng.choice((-3, 0, 1, rng.randint(1, 3 * high + 1), 10**30))
         layers = solvers._feasible_layers(counts, pool, k, x)
         expected = [_feasible_masks(row, pool, k, x) for row in counts]
+        # no stage reaches an x above every top-k sum: None, before numpy
+        top = max(sum(sorted((row[c] for c in pool), reverse=True)[: max(min(k, n), 1)]) for row in counts)
+        seen["x > top"] += x > top
+        if x > top:
+            assert layers is None and not any(expected), (pool, k, x, counts)
+            continue
         assert [_rows(layer) for layer in layers] == expected, (pool, k, x, counts)
         words = max(1, -(-n // 64))
         assert all(layer.dtype == "uint64" and layer.shape[1:] == (words,) for layer in layers)
@@ -678,10 +693,11 @@ def test_layered_weights_beyond_int64_match_the_python_path(monkeypatch):
     # 40 candidates and k = 3: a committee space of 10,701, above
     # SCAN_PYTHON_MAX; scores of 2**70 would wrap to 0 in int64, and
     # top-3 sums of 3 * 2**61 per stage leave no room for the offset bounds,
-    # so both take plain Python, while 2**40 stays in numpy and x = 2**80
-    # is clipped there to one above the largest top-3 sum
+    # so both take plain Python, as does x = 2**80, above every stage's
+    # top-3 sum, while 2**40 with x = 2**41 stays in numpy
     rng = random.Random(2)
-    for high, x, in_numpy in ((2**70, 2**71, False), (2**61, 2**62, False), (2**40, 2**80, True)):
+    cases = ((2**70, 2**71, False), (2**61, 2**62, False), (2**40, 2**80, False), (2**40, 2**41, True))
+    for high, x, in_numpy in cases:
         rows = [(0, *(rng.choice((0, 0, high, 3 * high // 2)) for _ in range(40))) for _ in range(3)]
         inst = WeightedInstance("R", 40, rows, 3, 2, x)
         layers = solvers._feasible_layers(inst.counts, range(1, 41), 3, x)
@@ -695,6 +711,61 @@ def test_layered_weights_beyond_int64_match_the_python_path(monkeypatch):
         assert rep.answer == (x < 2**80), high
         if rep.answer:
             assert verify(inst, rep.witness) == []
+
+
+def test_layered_conservative_weights_beyond_int64_skip_the_score_bound(monkeypatch):
+    # the conservative twin: weights of 2**70 list their layers in Python,
+    # but 1,904,290 states' worth of pairs take the numpy scan, where the
+    # score bound's int64 sums would overflow, so it is skipped
+    rng = random.Random(1)
+    rows = [(0, *(rng.choice([0, 0, 1, 2]) * 2**70 for _ in range(40))) for _ in range(3)]
+    inst = WeightedInstance("C", 40, rows, 3, 2, 2**71)
+    assert solvers._feasible_layers(inst.counts, range(1, 41), 3, inst.x) is None
+    rep = solve_layered_k(inst)
+    assert (rep.answer, rep.stats["states"], rep.stats["layer_sizes"]) == (True, 1_904_290, [4651, 4899, 3959])
+    assert verify(inst, rep.witness) == []
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "SCAN_PYTHON_MAX", 10**12)
+        python = solve_layered_k(inst)
+    assert (rep.witness, rep.stats["states"]) == (python.witness, python.stats["states"])
+
+
+def test_score_bound_rules_out_only_parentless_committees(monkeypatch):
+    # every committee the conservative score bound flags has no committee
+    # within ell among the previous stage's feasible ones, pair by pair;
+    # every other trial reads the rows in blocks of 3
+    import numpy as np
+
+    rng = random.Random(29)
+    seen = Counter()
+    for trial in range(400):
+        monkeypatch.setattr(solvers, "_CALL_ELEMENTS", 3 if trial % 2 else 1 << 18)
+        n = rng.choice((1, 4, 9, 20, 70))
+        k = rng.choice((1, 2, n, n + 1)) if n <= 9 else rng.randint(1, 3 if n <= 20 else 2)
+        ell, high = rng.randint(0, 4), rng.choice((1, 3, 9))
+        zeros = rng.choice((0.2, 0.8))  # the share of zero weights
+        prev_row, row = (
+            (0, *(rng.randint(1, high) if rng.random() > zeros else 0 for _ in range(n))) for _ in range(2)
+        )
+        x = rng.choice((-1, 0, rng.randint(1, 2 * high), rng.randint(1, k * high)))
+        pool = range(1, n + 1)
+        prev, layer = (_feasible_masks(r, pool, k, x) for r in (prev_row, row))
+        words = max(1, -(-n // 64))
+        flagged = solvers._parentless(
+            np, solvers._layer_array(np, layer, words), np.array(prev_row[1:], dtype=np.int64), k, ell, x
+        )
+        assert flagged.shape == (len(layer),)
+        for a, ruled_out in zip(layer, flagged.tolist()):
+            if ruled_out:
+                assert all((a ^ b).bit_count() > ell for b in prev), (prev_row, row, k, ell, x, a)
+        seen["flagged"] += int(flagged.sum())
+        seen["kept"] += len(layer) - int(flagged.sum())
+        seen["x <= 0"] += x <= 0
+        seen["k >= pool"] += k >= n
+        seen["zero-heavy"] += zeros > 0.5
+        seen["pool > 64"] += n > 64
+        seen[f"ell {ell}"] += 1
+    assert min(seen.values()) >= 15, seen
 
 
 # ---------------------------------------------------------------------------
