@@ -283,46 +283,55 @@ def _scan_arcs(np, layer, reach, conservative, ell, states, budget):
     return parents, states
 
 
-def _parentless(np, layer, weights, k, ell, x):
-    """Rows of ``layer`` that no committee scoring at least ``x`` under
-    ``weights`` can precede in the conservative variant.
+def _parentless(np, layers, weights, k, ell, x):
+    """Rows of each of ``layers`` that no committee scoring at least ``x``
+    under the matching row of ``weights`` can precede in the conservative
+    variant.
 
-    Returns a boolean array over the rows. A parent ``b`` of a committee
-    ``a`` of ``s`` members drops some ``r <= min(ell, s)`` of them and adds
-    at most ``j(s) = max over r of min(ell - r, k - s + r)`` others, since
-    ``|a ^ b| <= ell`` and ``|b| <= k``; that maximum is ``min(ell, k - s +
-    min(ell, s), (ell + k - s) // 2)``. Weights are non-negative, so ``b``
-    scores at most ``a``'s own score plus the sum ``T[j(s)]`` of the
-    ``j(s)`` largest ``weights``, and a row where that falls below ``x``
-    has no parent. Members are read off each word's value, lowest first,
+    Returns one boolean array over the rows of each layer. A parent ``b``
+    of a committee ``a`` of ``s`` members drops some ``r <= min(ell, s)``
+    of them and adds at most ``j(s) = max over r of min(ell - r, k - s +
+    r)`` others, since ``|a ^ b| <= ell`` and ``|b| <= k``; that maximum is
+    ``min(ell, k - s + min(ell, s), (ell + k - s) // 2)``. Weights are
+    non-negative, so ``b`` scores at most ``a``'s own score plus the sum
+    ``T[j(s)]`` of the ``j(s)`` largest weights, and a row where that
+    falls below ``x`` has no parent. All layers' rows are read in one pass,
+    each offset into its own layer's row of a weight table, in blocks of
+    ``_CALL_ELEMENTS`` rows, so that every temporary holds at most that
+    many entries. Members are read off each word's value, lowest first,
     with negation, subtraction and popcount, which do not depend on byte
-    order, in blocks of ``_CALL_ELEMENTS`` rows, so that every temporary
-    holds at most that many entries. The caller keeps every sum in int64
-    and ``x`` clipped to ``top + 1``. ``np`` is the numpy module, imported
-    by the calling solver.
+    order. The caller keeps every sum in int64 and ``x`` clipped to ``top
+    + 1``. ``np`` is the numpy module, imported by the calling solver.
     """
-    n, words = weights.size, layer.shape[1]
-    k = min(k, n)
-    # added[s]: T[j(s)], by committee size s
-    tops = np.concatenate([[0], np.sort(weights)[::-1][:k].cumsum()])
-    added = tops[[min(ell, k - s + min(ell, s), (ell + k - s) // 2) for s in range(k + 1)]]
-    # table[w][i]: the weight of bit i of word w, and 0 at i = 64 for no member
-    table = np.zeros((words, 65), dtype=np.int64)
+    stages, n = weights.shape
+    words, k = layers[0].shape[1], min(k, n)
+    # added[i][s]: T[j(s)] of layer i, by committee size s
+    tops = np.zeros((stages, k + 1), dtype=np.int64)
+    tops[:, 1:] = np.sort(weights, axis=1)[:, ::-1][:, :k].cumsum(axis=1)
+    added = tops[:, [min(ell, k - s + min(ell, s), (ell + k - s) // 2) for s in range(k + 1)]]
+    # table[(i * words + w) * 65 + b]: the weight of bit b of word w in layer
+    # i, and 0 at b = 64 for no member
+    table = np.zeros((stages, words, 65), dtype=np.int64)
     pos = np.arange(n)
-    table[pos >> 6, pos & 63] = weights
+    table[:, pos >> 6, pos & 63] = weights
+    table = table.ravel()
+    sizes = [len(layer) for layer in layers]
+    rows, stage = np.concatenate(layers), np.arange(stages).repeat(sizes)
     one = np.uint64(1)
-    out = np.empty(len(layer), dtype=bool)
-    for a in range(0, len(layer), _CALL_ELEMENTS):
-        block = layer[a : a + _CALL_ELEMENTS]
-        bound = added[np.bitwise_count(block).sum(axis=1, dtype=np.intp)]
+    out = np.empty(len(rows), dtype=bool)
+    for a in range(0, len(rows), _CALL_ELEMENTS):
+        block, at = rows[a : a + _CALL_ELEMENTS], stage[a : a + _CALL_ELEMENTS]
+        bound = added[at, np.bitwise_count(block).sum(axis=1, dtype=np.intp)]
+        at = at * (words * 65)
         for w in range(words):
             mask = block[:, w]
             for _ in range(min(k, 64)):
                 low = mask & -mask  # the lowest member, or 0
-                bound += table[w][np.bitwise_count(low - one)]
+                bound += table[at + np.bitwise_count(low - one)]
                 mask = mask ^ low
+            at += 65
         out[a : a + _CALL_ELEMENTS] = bound < x
-    return out
+    return np.split(out, np.cumsum(sizes[:-1]))
 
 
 def _scan_masks(layer, prev, ok, states, budget):
@@ -394,7 +403,11 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     the committee's own previous-stage score plus the previous stage's
     ``j(s)`` largest weights, which is sound because weights are
     non-negative. A committee ruled out is not scanned and counts as the
-    full miss the scan would find. The bound's sums are int64 and ``x`` is
+    full miss the scan would find. Stage 1 is bounded alone, since it
+    scans all of layer 0; the first later stage that needs the bound
+    computes it in one call for itself and every later stage whose
+    previous layer holds more than 64 committees, each used only if its
+    own scan is that wide. The bound's sums are int64 and ``x`` is
     clipped to ``0 <= x <= top + 1``; it is skipped where ``tau * (top +
     2)`` does not fit. All paths return the same witness, states, layer
     sizes and budget errors.
@@ -436,7 +449,7 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
             layers = [_layer_array(np, layer, words) for layer in masks]
         # the score bound's int64 stage weights and x, clipped as in the
         # numpy pass, where the pass's guard on scores holds
-        weights = None
+        weights, ruled = None, {}  # ruled: the bound's verdicts by stage
         if conservative:
             rows, top = _stage_weights(instance.counts, pool, instance.k)
             if instance.tau * (top + 2) < 2**63:
@@ -456,8 +469,19 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
             prev = layers[0] if t == 1 else layers[t - 1][reach[-1]]
             rows = np.arange(len(layers[t]))
             if weights is not None and len(prev) > 64:
+                if t not in ruled:
+                    # stage 1 scans all of layer 0 and is bounded alone; a later
+                    # stage that needs the bound bounds every stage after it
+                    # whose previous layer is wide enough, in one call
+                    later = range(t, instance.tau) if t > 1 else [1]
+                    batch = [u for u in later if layer_sizes[u - 1] > 64]
+                    flags = _parentless(
+                        np, [layers[u] for u in batch], weights[[u - 1 for u in batch]],
+                        instance.k, instance.ell, x,
+                    )
+                    ruled.update(zip(batch, flags))
                 # a committee the bound rules out is a miss over all of prev
-                ruled_out = _parentless(np, layers[t], weights[t - 1], instance.k, instance.ell, x)
+                ruled_out = ruled[t]
                 states += int(ruled_out.sum()) * len(prev)
                 if states > budget:
                     raise BudgetExceededError(f"arc scan exceeded the budget of {budget}")
@@ -596,13 +620,13 @@ def _unpack(packed, radii, mult):
 
 
 def _expand(np, touched, room, packed, kept):
-    """Keys of the ``kept`` (fingerprint, source) pairs, in that order.
+    """Keys of the ``kept`` (row, source) pairs, in that order.
 
-    The key of pair ``(f, s)`` is ``packed[s] + touched[f] @ room[s]``.
-    Blocks of whole fingerprint rows are multiplied at once, each of at
-    most ``_CALL_ELEMENTS`` keys; when one row's sources exceed that, the
-    row is split over several blocks. ``np`` is the numpy module, imported
-    by the calling solver.
+    The key of pair ``(r, s)`` is ``packed[s] + touched[r] @ room[s]``.
+    Blocks of whole table rows are multiplied at once, each of at most
+    ``_CALL_ELEMENTS`` keys; when one row's sources exceed that, the row
+    is split over several blocks. ``np`` is the numpy module, imported by
+    the calling solver.
     """
     width = min(packed.size, _CALL_ELEMENTS)
     rows = max(1, _CALL_ELEMENTS // packed.size)
@@ -634,38 +658,162 @@ def _first_of_each(np, keys):
     return keys[runs], np.minimum.reduceat(order, runs)
 
 
+def _twin_rows(tau, s, k, dtop, conservative, cap):
+    """The nonzero profile increments that ``s`` twins can add, or ``None``
+    when there are more than ``cap``.
+
+    Twins are candidates with equal count columns. A row is ``(sizes,
+    changes)``: ``sizes[t]`` of the twins sit in stage ``t + 1``'s
+    committee, and ``changes[t]`` of them in exactly one of stages ``t + 1``
+    and ``t + 2``. Stages with ``a`` and ``b`` twins share between
+    ``max(0, a + b - s)`` and ``min(a, b)`` of them, so their change has
+    the parity of ``a + b`` and lies between ``|a - b|`` and ``min(a + b,
+    2s - a - b)``, and each pair of stages can take any such change
+    whatever the others take. Sizes go up to ``min(s, k)``; a conservative
+    change above ``dtop = min(ell, 2k)`` is dropped, and a revolutionary
+    one is clipped at ``dtop = ell``. Past ``s = k + ceil(dtop / 2)`` the
+    rows no longer depend on ``s``.
+
+    Rows ascend in ``(sizes[tau - 1], sizes[tau - 2], changes[tau - 2], ...,
+    sizes[0], changes[0])``, stages from the last, each size followed by
+    the change to the stage after it. A lone candidate's change follows
+    from its sizes, so its rows ascend in its fingerprint, the stage
+    bitmask of the committees it sits in. The rows are built in that
+    order, one stage at a time from the last.
+    """
+    top = min(s, k)
+    # a conservative change of at most dtop needs sizes at most dtop apart
+    apart = dtop if conservative else top
+    rows = [((b,), ()) for b in range(top + 1)]
+    for _ in range(tau - 1):
+        # every row grows, at least by keeping its size, so a stage past cap
+        # rows is past it at the end too
+        if len(rows) > cap + 1:
+            return None
+        grown = []
+        for sizes, changes in rows:
+            b = sizes[0]
+            for a in range(max(0, b - apart), min(top, b + apart) + 1):
+                most = min(a + b, 2 * s - a - b)
+                if conservative:
+                    span = range(abs(a - b), min(most, dtop) + 1, 2)
+                else:
+                    span = [*range(abs(a - b), min(most + 1, dtop), 2)] + [dtop] * (most >= dtop)
+                grown += [((a, *sizes), (d, *changes)) for d in span]
+        rows = grown
+    if len(rows) > cap + 1:
+        return None
+    return rows[1:]  # the first is the zero increment
+
+
+def _twin_table(np, rows, tau, j, conservative, mult):
+    """The arrays with which one step takes :func:`_twin_rows`' ``rows``.
+
+    Returns ``(touched, guards, bits, at, need, clip, scale, hi, base)``
+    over levels: a level is a size ``1..j`` of one stage (``j = min(s,
+    k)``), or a change ``1..d`` of one pair of stages, ``d`` the largest
+    that occurs. Row ``r`` takes level ``l`` when ``touched[r, l]`` is 1.
+
+    * The sizes and conservative changes are pruned: a level needs
+      ``need[l]`` of room in profile column ``at[l]``, and ``guards[r]``
+      has bit ``i`` set when row ``r`` takes the ``i``-th of them;
+      ``bits`` holds these bits in the smallest type that fits them
+      (Python ints past 64).
+    * A level adds ``min(hi[l], room)`` of column ``clip[l]``, times
+      ``scale[l]`` (that column's key multiplier), plus ``base[l]``. A
+      change adds itself to its own column, and a size adds itself to its
+      size column, in ``base``, and its clipped score to its score
+      column; ``hi``'s first ``tau * j`` entries, the scores, are set per
+      group, since they depend on the twins' counts.
+
+    For one candidate there is one level per size and change column, so
+    ``touched`` is the fingerprints' step table.
+    """
+    # levels by profile column, sizes then changes; a column's level v adds v
+    d = max((max(changes, default=0) for _, changes in rows), default=0)
+    at = [t for t in range(tau) for _ in range(j)]
+    at += [t for t in range(tau, 2 * tau - 1) for _ in range(d)]
+    need = [*range(1, j + 1)] * tau + [*range(1, d + 1)] * (tau - 1)
+    starts = [t * j - 1 for t in range(tau)] + [tau * j + t * d - 1 for t in range(tau - 1)]
+    pruned = len(at) if conservative else tau * j
+    index, levels, guards = [], [], []
+    for r, (sizes, changes) in enumerate(rows):
+        taken = [start + v for start, v in zip(starts, sizes + changes) if v]
+        index += [r] * len(taken)
+        levels += taken
+        guards.append(sum(1 << level for level in taken if level < pruned))
+    touched = np.zeros((len(rows), len(at)), dtype=np.int64)
+    touched[index, levels] = 1
+    dtype = np.min_scalar_type((1 << pruned) - 1)
+    bits = np.array([1 << i for i in range(pruned)], dtype=dtype)
+    clip = np.array([t + 2 * tau - 1 if t < tau else t for t in at], dtype=np.intp)
+    base = np.array([v * int(mult[t]) if t < tau else 0 for t, v in zip(at, need)], dtype=np.int64)
+    need = np.array(need, dtype=np.int64)
+    hi = need.copy()  # the size levels' scores are set per group
+    at = np.array(at[:pruned], dtype=np.intp)
+    return touched, np.array(guards, dtype=dtype), bits, at, need[:pruned], clip, mult[clip], hi, base
+
+
 def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
     """Dynamic programming over per-stage size/difference/score profiles.
 
-    Candidates are processed one at a time, for the conservative variant
-    only those approved at least once (:func:`~mpvkit.core._approved`).
-    A state records, for the partially built committees, every stage's
-    current size, every consecutive pair's current symmetric difference
-    (conservative: kept exact and pruned above ``ell``; revolutionary:
-    clipped at ``ell``), and every stage's score clipped at ``x``.
-    Candidate ``c`` advances a state by choosing the set of stages whose
-    committee will contain ``c`` (its fingerprint); the update depends
-    only on that set and on ``c``'s per-stage approval counts, so whole
-    state batches advance at once and runs of identical candidates only
-    need their newly discovered states reprocessed. The instance is a yes iff some final
-    state has every score clipped at ``x`` (and, revolutionary, every
-    difference clipped at ``ell``).
+    Candidates are processed in groups of twins, candidates whose count
+    columns are equal; for the conservative variant only those approved
+    at least once (:func:`~mpvkit.core._approved`). A state records, for
+    the partially built committees, every stage's current size, every
+    consecutive pair's current symmetric difference (conservative: kept
+    exact and pruned above ``ell``; revolutionary: clipped at ``ell``),
+    and every stage's score clipped at ``x``. The instance is a yes iff
+    some final state has every score clipped at ``x`` (and, revolutionary,
+    every difference clipped at ``ell``).
+
+    Groups go in the order of their least id, and members in ascending
+    id. A group of ``s`` twins has a table of every nonzero increment
+    ``s`` twins can add (:func:`_twin_rows`): sizes ``j_t`` up to
+    ``min(s, k)``, changes ``d_t`` between ``|j_t - j_{t+1}|`` and
+    ``min(j_t + j_{t+1}, 2s - j_t - j_{t+1})`` with the parity of ``j_t +
+    j_{t+1}`` (conservative: dropped above ``min(ell, 2k)``; revolutionary:
+    clipped at ``ell``), and the score steps ``j_t`` times the column's
+    count. For one candidate the table is its fingerprints, the sets of
+    stages whose committee will contain it. A group takes its table in
+    one step over every seen state when the table has at most ``s *
+    (2**tau - 1)`` rows and rows times seen states fit one
+    ``_CALL_ELEMENTS`` block; otherwise its members step one at a time
+    with the one-candidate table, the first over every seen state and
+    each next one over the states its predecessor found new, since only
+    those can lead anywhere new. The states reached do not depend on the
+    order or grouping of the candidates: sizes, conservative differences
+    and clipped scores only grow, so pruning and clipping the sum of a
+    group's steps equals doing so step by step. So ``stats["states"]``,
+    the answer and whether the budget runs out are those of one step per
+    candidate.
 
     States are packed into int64 keys, and the seen keys are kept sorted.
-    Each candidate expands its sources by every fingerprint at once. A
-    step's clipped value in a column is ``min(step, top - source)``, so a
-    new key is its source's key plus one entry of a (fingerprint, source)
-    matrix product. The product is built in blocks of whole fingerprint
-    rows of at most ``_CALL_ELEMENTS`` keys (a row whose sources exceed
-    that is split), and each block keeps only its unpruned pairs, so no
-    temporary grows with fingerprints times sources times profile width.
-    The kept keys, in (fingerprint, parent) order, are sorted once; each
-    run of equal keys keeps its least position, and ``np.searchsorted``
-    against the seen keys drops the old ones. So a state first reached by
-    several steps keeps the one with the smallest fingerprint (as a stage
-    bitmask), then the smallest parent key, and the run is deterministic.
-    Budget counts distinct states discovered; each candidate's new states
-    are counted before they are stored.
+    Each step expands its sources by every table row at once. A row takes
+    one level of each size and change column it adds to, the value it
+    adds there (:func:`_twin_table`); a size level also adds its score.
+    A step's clipped value at a level is ``min(value, top - source)``,
+    and a step is pruned when it takes a size or conservative change its
+    source has no room for, tested as a bitmask. So a new key
+    is its source's key plus one entry of a (row, source) matrix product,
+    built in blocks of whole rows of at most ``_CALL_ELEMENTS`` keys (a
+    row whose sources exceed that is split), and each block keeps only its
+    unpruned pairs. The kept keys, in (row, parent) order, are sorted
+    once; each run of equal keys keeps its least position, and
+    ``np.searchsorted`` against the seen keys drops the old ones. So a
+    state first reached by several rows of a step keeps the first row
+    (for one candidate, the smallest fingerprint as a stage bitmask),
+    then the smallest parent key, and the run is deterministic. Budget
+    counts distinct states discovered; each step's new states are
+    counted before they are stored.
+
+    The witness is rebuilt from each step's row: stage 1 takes the
+    group's first ``j_1`` members, and stage ``t + 1`` keeps the first
+    ``(j_t + j_{t+1} - d_t) / 2`` members of stage ``t`` and adds the
+    first members not in stage ``t``. A revolutionary change at ``ell``
+    may have been clipped, so it takes the largest change the twins
+    allow, which is at least ``ell``. Witnesses of instances without
+    twins are those of one step per candidate.
     """
     start = time.perf_counter()
     tau, k, m, x, ell = instance.tau, instance.k, instance.m, instance.x, instance.ell
@@ -678,7 +826,8 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
         return _report("dp-tau", start, None, 0)
 
     # each profile entry's largest value: sizes, differences, scores
-    top = [k] * tau + [min(ell, 2 * k) if conservative else ell] * (tau - 1) + [x] * tau
+    dtop = min(ell, 2 * k) if conservative else ell
+    top = [k] * tau + [dtop] * (tau - 1) + [x] * tau
     capacity = prod(v + 1 for v in top)
     if capacity > 2**62:
         raise BudgetExceededError(
@@ -689,62 +838,72 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
     top = np.array(top, dtype=np.int64)
     radii = top + 1
     mult = np.cumprod(np.concatenate(([1], radii[:-1])))
-    # sizes (and conservative differences) beyond top are pruned, the rest clipped
-    pruned = 2 * tau - 1 if conservative else tau
     goal = [0] * tau + [0 if conservative else ell] * (tau - 1) + [x] * tau
 
-    # row f - 1 is fingerprint f: the size, difference and score columns it steps
-    members = np.arange(1, 1 << tau)[:, None] >> np.arange(tau) & 1
-    touched = np.hstack([members, members[:, 1:] ^ members[:, :-1], members])
-    values = np.ones(3 * tau - 1, dtype=np.int64)  # score steps are set per candidate
-    # pruned columns as bitmasks in the smallest type that holds them, which keeps
-    # the (fingerprint, source) temporary small; capacity >= 4**tau, so tau <= 31
-    bits = (1 << np.arange(pruned)).astype(np.min_scalar_type((1 << pruned) - 1))
-    guards = (touched[:, :pruned] @ bits).astype(bits.dtype)
-
-    seen = np.zeros(1, dtype=np.int64)  # packed key 0 is the empty profile
-    frontier = seen
-    layer_maps = []  # (candidate, new keys sorted, parent keys, fingerprints)
-    prev_col = None
+    groups = {}  # count column: its twins, in id order
     cols = list(zip(*instance.counts))
     for c in _approved(instance.counts) if conservative else range(1, m + 1):
-        col = cols[c]
-        if col == prev_col:
-            if frontier.size == 0:
-                continue
-            sources_packed = frontier
-        else:
-            sources_packed = seen
-            prev_col = col
-            # scores are clipped at x next, and this keeps big weights out of int64
-            values[2 * tau - 1 :] = [min(v, x) for v in col]
-        sources = _unpack(sources_packed, radii, mult)
+        groups.setdefault(cols[c], []).append(c)
+    full, limit = (1 << tau) - 1, k + (dtop + 1) // 2  # one candidate's fingerprints
+    # table rows by group size, where groups past limit twins share those of
+    # limit; tried: the largest row count a size was cut off at
+    rows_of, tried, tables = {1: _twin_rows(tau, 1, k, dtop, conservative, full)}, {}, {}
 
-        # a step is pruned when it touches a pruned column already at top
-        kept = (guards[:, None] & ((sources[:, :pruned] == top[:pruned]) @ bits)) == 0
-        # a column's clipped step is min(value, top - source), so every key is
-        # its source's key plus one entry of a (fingerprint, source) product
-        room = top - sources
-        np.minimum(room, values, out=room)
-        room *= mult
-        keys, first = _first_of_each(np, _expand(np, touched, room, sources_packed, kept))
-        fresh = seen.take(seen.searchsorted(keys), mode="clip") != keys
-        frontier = keys[fresh]
-        if frontier.size:
-            # checked before the new states are stored, which can take more
-            # memory than the budget allows
-            if seen.size + frontier.size > budget:
-                raise BudgetExceededError(
-                    f"{seen.size + frontier.size} profiles exceed the budget of {budget}"
-                )
-            # kept pairs ascend in (fingerprint row, source) order, so the first
-            # occurrence of a key is its smallest fingerprint, then parent
-            pairs = kept.ravel().nonzero()[0][first[fresh]]
-            fps, parents = np.divmod(pairs, sources_packed.size)
-            layer_maps.append((c, frontier, sources_packed[parents], fps + 1))
-            # seen and frontier are sorted runs, which a stable sort merges
-            seen = np.concatenate((seen, frontier))
-            seen.sort(kind="stable")
+    seen = np.zeros(1, dtype=np.int64)  # packed key 0 is the empty profile
+    layer_maps = []  # (members, new keys sorted, parent keys, row numbers, rows)
+    for col, group in groups.items():
+        key = min(len(group), limit)
+        cap = min(len(group) * full, _CALL_ELEMENTS // seen.size)
+        if key not in rows_of and tried.get(key, -1) < cap:
+            rows = _twin_rows(tau, key, k, dtop, conservative, cap)
+            if rows is None:
+                tried[key] = cap
+            else:
+                rows_of[key] = rows
+        rows = rows_of.get(key)
+        if rows is None or len(rows) > cap:
+            key, rows, steps = 1, rows_of[1], [[c] for c in group]
+        else:
+            steps = [group]
+        if key not in tables:
+            tables[key] = _twin_table(np, rows, tau, min(key, k), conservative, mult)
+        touched, guards, bits, at, need, clip, scale, hi, base = tables[key]
+        # size j of stage t scores min(j * count, x); clipping each count at
+        # x first keeps big weights out of int64
+        j = min(key, k)
+        hi[: tau * j] = [min(i * min(v, x), x) for v in col for i in range(1, j + 1)]
+
+        sources_packed = seen
+        for members in steps:
+            if sources_packed.size == 0:
+                break
+            room = top - _unpack(sources_packed, radii, mult)
+            # a step is pruned when it takes a pruned level its source has no room for
+            kept = (guards[:, None] & ((room[:, at] < need) @ bits)) == 0
+            # a level's clipped step is min(value, top - source), so every key
+            # is its source's key plus one entry of a (row, source) product
+            gain = np.minimum(room[:, clip], hi)
+            gain *= scale
+            gain += base
+            keys, first = _first_of_each(np, _expand(np, touched, gain, sources_packed, kept))
+            fresh = seen.take(seen.searchsorted(keys), mode="clip") != keys
+            frontier = keys[fresh]
+            if frontier.size:
+                # checked before the new states are stored, which can take more
+                # memory than the budget allows
+                if seen.size + frontier.size > budget:
+                    raise BudgetExceededError(
+                        f"{seen.size + frontier.size} profiles exceed the budget of {budget}"
+                    )
+                # kept pairs ascend in (row, source) order, so the first
+                # occurrence of a key is its first row, then smallest parent
+                pairs = kept.ravel().nonzero()[0][first[fresh]]
+                picked, parents = np.divmod(pairs, sources_packed.size)
+                layer_maps.append((members, frontier, sources_packed[parents], picked, rows))
+                # seen and frontier are sorted runs, which a stable sort merges
+                seen = np.concatenate((seen, frontier))
+                seen.sort(kind="stable")
+            sources_packed = frontier
 
     hits = np.flatnonzero((_unpack(seen, radii, mult) >= goal).all(1))
     if hits.size == 0:
@@ -752,12 +911,19 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
 
     target = int(seen[hits[0]])
     committees = [set() for _ in range(tau)]
-    for c, keys, parents, fps in reversed(layer_maps):
+    for members, keys, parents, picked, rows in reversed(layer_maps):
         pos = int(np.searchsorted(keys, target))
         if pos < keys.size and keys[pos] == target:
-            for t in range(tau):
-                if fps[pos] >> t & 1:
-                    committees[t].add(c)
+            s, (sizes, changes) = len(members), rows[picked[pos]]
+            stage = members[: sizes[0]]
+            committees[0].update(stage)
+            for t in range(1, tau):
+                a, b, d = sizes[t - 1], sizes[t], changes[t - 1]
+                if not conservative and d == ell:
+                    d = min(a + b, 2 * s - a - b)  # maybe clipped: the largest the twins allow
+                keep = (a + b - d) // 2
+                stage = sorted(stage[:keep] + [c for c in members if c not in stage][: b - keep])
+                committees[t].update(stage)
             target = int(parents[pos])
     assert target == 0
     witness = tuple(frozenset(s) for s in committees)

@@ -297,6 +297,38 @@ def test_acceptance_04_dp_matches_dense_table():
     print(f"criterion 4: PASS ({checked} two-stage instances)")
 
 
+def test_acceptance_04b_dp_groups_twins_exactly():
+    # few agents and many abstentions make most candidates twins (equal
+    # count columns), which dp-tau steps a group at a time; the states it
+    # reaches must not depend on which ids the twins carry
+    rng = random.Random("acceptance-twins")
+    seen = {"yes": 0, "no": 0, "searched twins": 0}
+    for trial in range(800):
+        variant = "CR"[trial % 2]
+        n, k = rng.randint(1, 4), rng.randint(1, 3)
+        inst = random_instance(
+            n, rng.randint(2, 8), rng.randint(1, 4), k, rng.randint(0, 2 * k),
+            rng.randint(1, (n + 1) // 2), variant, abstain_probability=rng.choice([0.4, 0.6]),
+            seed=trial + 4400,
+        )
+        truth = brute_force(inst).answer
+        dp = solve_dp_tau(inst)
+        for rep in (dp, solve_auto(inst)):
+            assert rep.answer == truth, (inst, rep.algorithm)
+            if rep.answer:
+                assert verify(inst, rep.witness) == [], (inst, rep.algorithm)
+        ids = list(range(1, inst.m + 1))
+        rng.shuffle(ids)
+        ballots = tuple(tuple(ids[c - 1] if c else 0 for c in row) for row in inst.ballots)
+        relabelled = solve_dp_tau(Instance(variant, inst.m, ballots, inst.k, inst.ell, inst.x))
+        assert (relabelled.answer, relabelled.stats["states"]) == (dp.answer, dp.stats["states"]), inst
+        cols = [col for col in list(zip(*inst.counts))[1:] if variant == "R" or any(col)]
+        seen["searched twins"] += len(set(cols)) < len(cols) and dp.stats["states"] > 0
+        seen["yes" if truth else "no"] += 1
+    assert min(seen.values()) >= 150, seen
+    print(f"criterion 4b: PASS (800 instances, {seen})")
+
+
 # ---------------------------------------------------------------------------
 # 5. reductions, lifts, and compositions
 # ---------------------------------------------------------------------------

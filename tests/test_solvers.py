@@ -413,8 +413,20 @@ def test_inout_matches_three_pass_reference():
     assert min(seen[case] for case in cases) >= 10, seen
 
 
-def _dp_reference(inst, budget):
-    """solve_dp_tau's search with one delta per fingerprint and lexsort dedup.
+def _dp_reference(inst, budget, bound=1 << 18, tally=None):
+    """solve_dp_tau's search, with group tables summed from fingerprints
+    and lexsort dedup.
+
+    Candidates go in groups of twins, equal count columns, in the order of
+    their least id. A group's table holds every nonzero (sizes, changes)
+    sum of its members' fingerprints, with sizes over k and conservative
+    changes over min(ell, 2k) dropped and revolutionary changes clipped at
+    ell, in ascending (sizes[-1], sizes[-2], changes[-1], ..., sizes[0],
+    changes[0]). A group steps at once when its table has at most
+    s * (2**tau - 1) rows and rows times seen profiles are at most
+    ``bound``; otherwise its members step one by one with the fingerprint
+    table, each over the profiles its predecessor found new. ``tally``
+    counts the group steps and the groups split into members.
 
     Returns (witness, states), or the message of the budget error the
     search raises.
@@ -436,30 +448,38 @@ def _dp_reference(inst, budget):
     def unpack(keys):
         return keys[:, None] // mult % radii
 
-    seen = frontier = np.zeros(1, dtype=np.int64)
-    layer_maps = []
-    prev_col = None
-    for c in range(1, m + 1):
-        col = tuple(inst.counts[t][c] for t in range(tau))
-        if conservative and not any(col):
-            continue
-        if col == prev_col:
-            if frontier.size == 0:
-                continue
-            sources_packed = frontier
-        else:
-            sources_packed, prev_col = seen, col
+    fingerprints = [
+        (tuple(f >> t & 1 for t in range(tau)), tuple((f >> t ^ f >> (t + 1)) & 1 for t in range(tau - 1)))
+        for f in range(1, 1 << tau)
+    ]
+    zero = ((0,) * tau, (0,) * (tau - 1))
+
+    def table(s):
+        sums = {zero}
+        for _ in range(s):
+            grown = set(sums)
+            for sizes, changes in sums:
+                for f_sizes, f_changes in fingerprints:
+                    new_sizes = tuple(a + b for a, b in zip(sizes, f_sizes))
+                    new_changes = tuple(a + b for a, b in zip(changes, f_changes))
+                    if max(new_sizes) > k or conservative and max(new_changes, default=0) > dcap:
+                        continue
+                    if not conservative:
+                        new_changes = tuple(min(d, ell) for d in new_changes)
+                    grown.add((new_sizes, new_changes))
+            sums = grown
+        sums.discard(zero)
+        return sorted(
+            sums,
+            key=lambda row: (row[0][-1], *(v for t in reversed(range(tau - 1)) for v in (row[0][t], row[1][t]))),
+        )
+
+    def step(rows, col, sources_packed):
         sources = unpack(sources_packed)
-        packed_parts, parent_parts, f_parts = [], [], []
-        for f in range(1, 1 << tau):
-            delta = np.zeros(3 * tau - 1, dtype=np.int64)
-            for t in range(tau):
-                if f >> t & 1:
-                    delta[t] = 1
-                    delta[2 * tau - 1 + t] = min(col[t], x)
-                if t + 1 < tau and (f >> t & 1) != (f >> (t + 1) & 1):
-                    delta[tau + t] = 1
-            new = sources + delta
+        packed_parts, parent_parts, row_parts = [], [], []
+        for i, (sizes, changes) in enumerate(rows):
+            scores = [j * min(v, x) for j, v in zip(sizes, col)]
+            new = sources + np.array([*sizes, *changes, *scores], dtype=np.int64)
             mask = (new[:, :tau] <= k).all(axis=1)
             if conservative:
                 mask &= (new[:, tau : 2 * tau - 1] <= ell).all(axis=1)
@@ -469,22 +489,50 @@ def _dp_reference(inst, budget):
             np.minimum(new[:, 2 * tau - 1 :], x, out=new[:, 2 * tau - 1 :])
             packed_parts.append(new @ mult)
             parent_parts.append(sources_packed[mask])
-            f_parts.append(np.full(new.shape[0], f, dtype=np.int64))
+            row_parts.append(np.full(new.shape[0], i, dtype=np.int64))
         packed = np.concatenate(packed_parts)
         parent = np.concatenate(parent_parts)
-        fps = np.concatenate(f_parts)
-        order = np.lexsort((parent, fps, packed))
-        packed, parent, fps = packed[order], parent[order], fps[order]
+        picked = np.concatenate(row_parts)
+        order = np.lexsort((parent, picked, packed))
+        packed, parent, picked = packed[order], parent[order], picked[order]
         first = np.ones(packed.size, dtype=bool)
         first[1:] = packed[1:] != packed[:-1]
-        packed, parent, fps = packed[first], parent[first], fps[first]
+        packed, parent, picked = packed[first], parent[first], picked[first]
         fresh = ~np.isin(packed, seen)
-        frontier = packed[fresh]
-        if frontier.size:
-            layer_maps.append((c, frontier, parent[fresh], fps[fresh]))
-            seen = np.union1d(seen, frontier)
-            if seen.size > budget:
-                return f"{seen.size} profiles exceed the budget of {budget}"
+        return packed[fresh], parent[fresh], picked[fresh]
+
+    groups = {}
+    for c in range(1, m + 1):
+        col = tuple(inst.counts[t][c] for t in range(tau))
+        if conservative and not any(col):
+            continue
+        groups.setdefault(col, []).append(c)
+    tables = {1: table(1)}
+    seen = np.zeros(1, dtype=np.int64)
+    layer_maps = []
+    for col, members in groups.items():
+        s = len(members)
+        if s not in tables:
+            tables[s] = table(s)
+        if s > 1 and len(tables[s]) <= s * ((1 << tau) - 1) and len(tables[s]) * seen.size <= bound:
+            plan = [(members, tables[s])]
+            if tally is not None:
+                tally["group step"] += 1
+        else:
+            plan = [([c], tables[1]) for c in members]
+            if tally is not None:
+                tally["split group"] += s > 1
+        sources = seen
+        for group, rows in plan:
+            if sources.size == 0:
+                break
+            new, parent, picked = step(rows, col, sources)
+            if new.size:
+                layer_maps.append((group, new, parent, picked, rows))
+                seen = np.union1d(seen, new)
+                if seen.size > budget:
+                    return f"{seen.size} profiles exceed the budget of {budget}"
+            sources = new
 
     final = unpack(seen)
     ok = (final[:, 2 * tau - 1 :] == x).all(axis=1)
@@ -494,20 +542,27 @@ def _dp_reference(inst, budget):
     if hits.size == 0:
         return None, int(seen.size)
     target = int(seen[hits[0]])
-    chosen = {}
-    for c, keys, parents, fs in reversed(layer_maps):
+    committees = [set() for _ in range(tau)]
+    for group, keys, parents, picked, rows in reversed(layer_maps):
         if target == 0:
             break
         pos = int(np.searchsorted(keys, target))
         if pos < keys.size and int(keys[pos]) == target:
-            chosen[c] = int(fs[pos])
+            # stage 1 takes the first members; each next stage keeps the first
+            # shared ones of the stage before and adds the first others
+            sizes, changes = rows[picked[pos]]
+            stage = group[: sizes[0]]
+            committees[0].update(stage)
+            for t in range(1, tau):
+                a, b, d = sizes[t - 1], sizes[t], changes[t - 1]
+                if not conservative and d == ell:
+                    # maybe clipped: the largest change the twins allow
+                    d = max(a + b - 2 * i for i in range(max(0, a + b - len(group)), min(a, b) + 1))
+                shared = (a + b - d) // 2
+                stage = sorted(stage[:shared] + [c for c in group if c not in stage][: b - shared])
+                committees[t].update(stage)
             target = int(parents[pos])
     assert target == 0
-    committees = [set() for _ in range(tau)]
-    for c, f in chosen.items():
-        for t in range(tau):
-            if f >> t & 1:
-                committees[t].add(c)
     return tuple(frozenset(s) for s in committees), int(seen.size)
 
 
@@ -532,14 +587,21 @@ def _dp_draws(trials, max_tau, max_m, max_k, min_tau=1, salt=0):
         yield inst, rng.choice((rng.randint(1, 300), DEFAULT_BUDGET))
 
 
-def _check_dp_against_reference(draws):
+def _check_dp_against_reference(draws, bound=1 << 18):
     """Witness, states or budget message of every draw equal _dp_reference's."""
     seen = Counter()
     for inst, budget in draws:
         seen["weighted"] += isinstance(inst, WeightedInstance)
         cols = [tuple(row[c] for row in inst.counts) for c in range(1, inst.m + 1)]
-        seen["repeated"] += any(a == b and any(a) for a, b in zip(cols, cols[1:]))
-        expected = _dp_reference(inst, budget)
+        if inst.variant == "C":
+            cols = [col for col in cols if any(col)]
+        seen["repeated"] += any(a == b for a, b in zip(cols, cols[1:]))
+        # twins apart: a column that comes back after another one
+        seen["non-adjacent"] += any(a != b and a in cols[:i] for i, (a, b) in enumerate(zip(cols[1:], cols), 1))
+        tally = Counter()
+        expected = _dp_reference(inst, budget, bound, tally)
+        seen["group step"] += tally["group step"] > 0
+        seen["split group"] += tally["split group"] > 0
         if isinstance(expected, str):
             seen["budget"] += 1
             with pytest.raises(BudgetExceededError) as err:
@@ -555,7 +617,8 @@ def _check_dp_against_reference(draws):
 
 def test_dp_matches_fingerprint_reference():
     seen = _check_dp_against_reference(_dp_draws(600, 4, 7, 3))
-    assert min(seen[case] for case in ("weighted", "repeated", "budget", "yes", "no")) >= 20, seen
+    cases = ("weighted", "repeated", "non-adjacent", "group step", "split group", "budget", "yes", "no")
+    assert min(seen[case] for case in cases) >= 20, seen
 
 
 def test_dp_matches_fingerprint_reference_over_five_stages():
@@ -566,8 +629,9 @@ def test_dp_matches_fingerprint_reference_over_five_stages():
 
 @pytest.mark.parametrize("bound, every", [(1, 10), (7, 5)])
 def test_dp_expansion_in_small_blocks_matches_reference(monkeypatch, bound, every):
-    # a bound of 1 makes every key its own block; 7 groups whole fingerprint
-    # rows when the sources are few and splits each row when they are many
+    # a bound of 1 makes every key its own block; 7 groups whole table rows
+    # when the sources are few and splits each row when they are many. Both
+    # send groups of twins whose table exceeds the bound member by member
     monkeypatch.setattr(solvers, "_CALL_ELEMENTS", bound)
     expand, shapes = solvers._expand, Counter()
 
@@ -579,9 +643,49 @@ def test_dp_expansion_in_small_blocks_matches_reference(monkeypatch, bound, ever
         return expand(np, touched, room, packed, kept)
 
     monkeypatch.setattr(solvers, "_expand", counted)
-    seen = _check_dp_against_reference(itertools.islice(_dp_draws(600, 4, 7, 3), 0, None, every))
-    assert min(seen[case] for case in ("budget", "yes", "no")) >= 3, seen
+    draws = itertools.islice(_dp_draws(700, 4, 7, 3), 0, None, every)
+    seen = _check_dp_against_reference(draws, bound)
+    assert min(seen[case] for case in ("budget", "yes", "no", "split group")) >= 3, seen
     assert shapes["split rows"] >= 20 and shapes["several rows"] >= 20, (seen, shapes)
+
+
+@pytest.mark.parametrize("bound", [8, 32])
+def test_dp_states_do_not_depend_on_candidate_order(monkeypatch, bound):
+    # with a small block, whether a group of twins steps at once or member
+    # by member depends on the states the groups before it left, so new
+    # candidate ids can change the path; the states reached must not change
+    monkeypatch.setattr(solvers, "_CALL_ELEMENTS", bound)
+    expand, shapes = solvers._expand, []
+
+    def counted(np, touched, room, packed, kept):
+        shapes.append(touched.shape)
+        return expand(np, touched, room, packed, kept)
+
+    monkeypatch.setattr(solvers, "_expand", counted)
+    rng = random.Random(30)
+    seen = Counter()
+    for trial in range(300):
+        variant, n, k = "CR"[trial % 2], rng.randint(1, 3), rng.randint(1, 2)
+        inst = random_instance(
+            n, rng.randint(6, 10), rng.randint(2, 3), k, rng.randint(0, 2 * k), 1, variant,
+            abstain_probability=0.4, seed=trial + 3000,
+        )
+        ids = list(range(1, inst.m + 1))
+        rng.shuffle(ids)
+        ballots = tuple(tuple(ids[c - 1] if c else 0 for c in row) for row in inst.ballots)
+        relabelled = Instance(variant, inst.m, ballots, inst.k, inst.ell, inst.x)
+        reports, paths = [], []
+        for case in (inst, relabelled):
+            shapes.clear()
+            reports.append(solve_dp_tau(case))
+            paths.append(sorted(shapes))
+        base, other = reports
+        assert (other.answer, other.stats["states"]) == (base.answer, base.stats["states"]), (inst, ids)
+        if other.answer:
+            assert verify(relabelled, other.witness) == [], (inst, ids)
+        seen["paths differ"] += paths[0] != paths[1]
+        seen["yes" if base.answer else "no"] += 1
+    assert min(seen.values()) >= 25, seen
 
 
 def test_layered_dense_layers_agree_with_brute_force():
@@ -733,7 +837,8 @@ def test_layered_conservative_weights_beyond_int64_skip_the_score_bound(monkeypa
 def test_score_bound_rules_out_only_parentless_committees(monkeypatch):
     # every committee the conservative score bound flags has no committee
     # within ell among the previous stage's feasible ones, pair by pair;
-    # every other trial reads the rows in blocks of 3
+    # each trial bounds one to three stages in one call, and every other
+    # trial reads the rows in blocks of 3, which then span stages
     import numpy as np
 
     rng = random.Random(29)
@@ -744,26 +849,33 @@ def test_score_bound_rules_out_only_parentless_committees(monkeypatch):
         k = rng.choice((1, 2, n, n + 1)) if n <= 9 else rng.randint(1, 3 if n <= 20 else 2)
         ell, high = rng.randint(0, 4), rng.choice((1, 3, 9))
         zeros = rng.choice((0.2, 0.8))  # the share of zero weights
-        prev_row, row = (
-            (0, *(rng.randint(1, high) if rng.random() > zeros else 0 for _ in range(n))) for _ in range(2)
+        stages = rng.randint(1, 3)
+        prev_rows, rows = (
+            [(0, *(rng.randint(1, high) if rng.random() > zeros else 0 for _ in range(n))) for _ in range(stages)]
+            for _ in range(2)
         )
         x = rng.choice((-1, 0, rng.randint(1, 2 * high), rng.randint(1, k * high)))
         pool = range(1, n + 1)
-        prev, layer = (_feasible_masks(r, pool, k, x) for r in (prev_row, row))
         words = max(1, -(-n // 64))
-        flagged = solvers._parentless(
-            np, solvers._layer_array(np, layer, words), np.array(prev_row[1:], dtype=np.int64), k, ell, x
+        layers = [_feasible_masks(row, pool, k, x) for row in rows]
+        flags = solvers._parentless(
+            np, [solvers._layer_array(np, layer, words) for layer in layers],
+            np.array([row[1:] for row in prev_rows], dtype=np.int64), k, ell, x,
         )
-        assert flagged.shape == (len(layer),)
-        for a, ruled_out in zip(layer, flagged.tolist()):
-            if ruled_out:
-                assert all((a ^ b).bit_count() > ell for b in prev), (prev_row, row, k, ell, x, a)
-        seen["flagged"] += int(flagged.sum())
-        seen["kept"] += len(layer) - int(flagged.sum())
+        assert len(flags) == stages
+        for prev_row, layer, flagged in zip(prev_rows, layers, flags):
+            assert flagged.shape == (len(layer),)
+            prev = _feasible_masks(prev_row, pool, k, x)
+            for a, ruled_out in zip(layer, flagged.tolist()):
+                if ruled_out:
+                    assert all((a ^ b).bit_count() > ell for b in prev), (prev_row, layer, k, ell, x, a)
+            seen["flagged"] += int(flagged.sum())
+            seen["kept"] += len(layer) - int(flagged.sum())
         seen["x <= 0"] += x <= 0
         seen["k >= pool"] += k >= n
         seen["zero-heavy"] += zeros > 0.5
         seen["pool > 64"] += n > 64
+        seen["several stages"] += stages > 1
         seen[f"ell {ell}"] += 1
     assert min(seen.values()) >= 15, seen
 
