@@ -628,6 +628,8 @@ def _expand(np, touched, room, packed, kept):
     is split over several blocks. ``np`` is the numpy module, imported by
     the calling solver.
     """
+    if touched.shape[0] * packed.size <= _CALL_ELEMENTS:  # one block
+        return (touched @ room.T + packed)[kept]
     width = min(packed.size, _CALL_ELEMENTS)
     rows = max(1, _CALL_ELEMENTS // packed.size)
     keys = np.empty(np.count_nonzero(kept), dtype=np.int64)
@@ -729,29 +731,22 @@ def _twin_table(np, rows, tau, j, conservative, mult):
     For one candidate there is one level per size and change column, so
     ``touched`` is the fingerprints' step table.
     """
-    # levels by profile column, sizes then changes; a column's level v adds v
-    d = max((max(changes, default=0) for _, changes in rows), default=0)
-    at = [t for t in range(tau) for _ in range(j)]
-    at += [t for t in range(tau, 2 * tau - 1) for _ in range(d)]
-    need = [*range(1, j + 1)] * tau + [*range(1, d + 1)] * (tau - 1)
-    starts = [t * j - 1 for t in range(tau)] + [tau * j + t * d - 1 for t in range(tau - 1)]
-    pruned = len(at) if conservative else tau * j
-    index, levels, guards = [], [], []
-    for r, (sizes, changes) in enumerate(rows):
-        taken = [start + v for start, v in zip(starts, sizes + changes) if v]
-        index += [r] * len(taken)
-        levels += taken
-        guards.append(sum(1 << level for level in taken if level < pruned))
-    touched = np.zeros((len(rows), len(at)), dtype=np.int64)
-    touched[index, levels] = 1
-    dtype = np.min_scalar_type((1 << pruned) - 1)
-    bits = np.array([1 << i for i in range(pruned)], dtype=dtype)
-    clip = np.array([t + 2 * tau - 1 if t < tau else t for t in at], dtype=np.intp)
-    base = np.array([v * int(mult[t]) if t < tau else 0 for t, v in zip(at, need)], dtype=np.int64)
-    need = np.array(need, dtype=np.int64)
+    # level l adds need[l] to column at[l]: per size column the sizes 1..j,
+    # per change column the changes 1..d
+    steps = np.array([sizes + changes for sizes, changes in rows], dtype=np.int64)
+    steps = steps.reshape(len(rows), 2 * tau - 1)
+    d = int(steps[:, tau:].max(initial=0))
+    widths = [j] * tau + [d] * (tau - 1)
+    at = np.arange(2 * tau - 1).repeat(widths)
+    need = np.array([v for w in widths for v in range(1, w + 1)], dtype=np.int64)
+    touched = (steps[:, at] == need).astype(np.int64)
+    pruned = at.size if conservative else tau * j
+    bits = np.array([1 << i for i in range(pruned)], dtype=np.min_scalar_type((1 << pruned) - 1))
+    guards = (touched[:, :pruned] @ bits).astype(bits.dtype)
+    clip = np.where(at < tau, at + 2 * tau - 1, at)
+    base = np.where(at < tau, need * mult[at], 0)
     hi = need.copy()  # the size levels' scores are set per group
-    at = np.array(at[:pruned], dtype=np.intp)
-    return touched, np.array(guards, dtype=dtype), bits, at, need[:pruned], clip, mult[clip], hi, base
+    return touched, guards, bits, at[:pruned], need[:pruned], clip, mult[clip], hi, base
 
 
 def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
@@ -821,7 +816,7 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
 
     # a stage whose best k candidates miss x, or a change out of reach, is a no outright
     if _change_out_of_reach(instance) or any(
-        feasible_committee(instance, t) is None for t in range(1, tau + 1)
+        sum(sorted(row[1:], reverse=True)[:k]) < x for row in instance.counts
     ):
         return _report("dp-tau", start, None, 0)
 
