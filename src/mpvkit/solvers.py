@@ -283,55 +283,46 @@ def _scan_arcs(np, layer, reach, conservative, ell, states, budget):
     return parents, states
 
 
-def _parentless(np, layers, weights, k, ell, x):
-    """Rows of each of ``layers`` that no committee scoring at least ``x``
-    under the matching row of ``weights`` can precede in the conservative
-    variant.
+def _parentless(np, layer, weights, k, ell, x):
+    """Rows of ``layer`` that no committee scoring at least ``x`` under
+    ``weights`` can precede in the conservative variant.
 
-    Returns one boolean array over the rows of each layer. A parent ``b``
-    of a committee ``a`` of ``s`` members drops some ``r <= min(ell, s)``
-    of them and adds at most ``j(s) = max over r of min(ell - r, k - s +
-    r)`` others, since ``|a ^ b| <= ell`` and ``|b| <= k``; that maximum is
-    ``min(ell, k - s + min(ell, s), (ell + k - s) // 2)``. Weights are
-    non-negative, so ``b`` scores at most ``a``'s own score plus the sum
-    ``T[j(s)]`` of the ``j(s)`` largest weights, and a row where that
-    falls below ``x`` has no parent. All layers' rows are read in one pass,
-    each offset into its own layer's row of a weight table, in blocks of
-    ``_CALL_ELEMENTS`` rows, so that every temporary holds at most that
-    many entries. Members are read off each word's value, lowest first,
+    Returns a boolean array over the rows. A parent ``b`` of a committee
+    ``a`` of ``s`` members drops some ``r <= min(ell, s)`` of them and adds
+    at most ``j(s) = max over r of min(ell - r, k - s + r)`` others, since
+    ``|a ^ b| <= ell`` and ``|b| <= k``; that maximum is ``min(ell, k - s +
+    min(ell, s), (ell + k - s) // 2)``. Weights are non-negative, so ``b``
+    scores at most ``a``'s own score plus the sum ``T[j(s)]`` of the
+    ``j(s)`` largest ``weights``, and a row where that falls below ``x``
+    has no parent. Members are read off each word's value, lowest first,
     with negation, subtraction and popcount, which do not depend on byte
-    order. The caller keeps every sum in int64 and ``x`` clipped to ``top
-    + 1``. ``np`` is the numpy module, imported by the calling solver.
+    order, in blocks of ``_CALL_ELEMENTS`` rows, so that every temporary
+    holds at most that many entries. The caller keeps every sum in int64
+    and ``x`` clipped to ``top + 1``. ``np`` is the numpy module, imported
+    by the calling solver.
     """
-    stages, n = weights.shape
-    words, k = layers[0].shape[1], min(k, n)
-    # added[i][s]: T[j(s)] of layer i, by committee size s
-    tops = np.zeros((stages, k + 1), dtype=np.int64)
-    tops[:, 1:] = np.sort(weights, axis=1)[:, ::-1][:, :k].cumsum(axis=1)
-    added = tops[:, [min(ell, k - s + min(ell, s), (ell + k - s) // 2) for s in range(k + 1)]]
-    # table[(i * words + w) * 65 + b]: the weight of bit b of word w in layer
-    # i, and 0 at b = 64 for no member
-    table = np.zeros((stages, words, 65), dtype=np.int64)
+    n, words = weights.size, layer.shape[1]
+    k = min(k, n)
+    # added[s]: T[j(s)], by committee size s
+    tops = np.concatenate([[0], np.sort(weights)[::-1][:k].cumsum()])
+    added = tops[[min(ell, k - s + min(ell, s), (ell + k - s) // 2) for s in range(k + 1)]]
+    # table[w][i]: the weight of bit i of word w, and 0 at i = 64 for no member
+    table = np.zeros((words, 65), dtype=np.int64)
     pos = np.arange(n)
-    table[:, pos >> 6, pos & 63] = weights
-    table = table.ravel()
-    sizes = [len(layer) for layer in layers]
-    rows, stage = np.concatenate(layers), np.arange(stages).repeat(sizes)
+    table[pos >> 6, pos & 63] = weights
     one = np.uint64(1)
-    out = np.empty(len(rows), dtype=bool)
-    for a in range(0, len(rows), _CALL_ELEMENTS):
-        block, at = rows[a : a + _CALL_ELEMENTS], stage[a : a + _CALL_ELEMENTS]
-        bound = added[at, np.bitwise_count(block).sum(axis=1, dtype=np.intp)]
-        at = at * (words * 65)
+    out = np.empty(len(layer), dtype=bool)
+    for a in range(0, len(layer), _CALL_ELEMENTS):
+        block = layer[a : a + _CALL_ELEMENTS]
+        bound = added[np.bitwise_count(block).sum(axis=1, dtype=np.intp)]
         for w in range(words):
             mask = block[:, w]
             for _ in range(min(k, 64)):
                 low = mask & -mask  # the lowest member, or 0
-                bound += table[at + np.bitwise_count(low - one)]
+                bound += table[w][np.bitwise_count(low - one)]
                 mask = mask ^ low
-            at += 65
         out[a : a + _CALL_ELEMENTS] = bound < x
-    return np.split(out, np.cumsum(sizes[:-1]))
+    return out
 
 
 def _scan_masks(layer, prev, ok, states, budget):
@@ -403,11 +394,7 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     the committee's own previous-stage score plus the previous stage's
     ``j(s)`` largest weights, which is sound because weights are
     non-negative. A committee ruled out is not scanned and counts as the
-    full miss the scan would find. Stage 1 is bounded alone, since it
-    scans all of layer 0; the first later stage that needs the bound
-    computes it in one call for itself and every later stage whose
-    previous layer holds more than 64 committees, each used only if its
-    own scan is that wide. The bound's sums are int64 and ``x`` is
+    full miss the scan would find. The bound's sums are int64 and ``x`` is
     clipped to ``0 <= x <= top + 1``; it is skipped where ``tau * (top +
     2)`` does not fit. All paths return the same witness, states, layer
     sizes and budget errors.
@@ -449,7 +436,7 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
             layers = [_layer_array(np, layer, words) for layer in masks]
         # the score bound's int64 stage weights and x, clipped as in the
         # numpy pass, where the pass's guard on scores holds
-        weights, ruled = None, {}  # ruled: the bound's verdicts by stage
+        weights = None
         if conservative:
             rows, top = _stage_weights(instance.counts, pool, instance.k)
             if instance.tau * (top + 2) < 2**63:
@@ -469,19 +456,8 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
             prev = layers[0] if t == 1 else layers[t - 1][reach[-1]]
             rows = np.arange(len(layers[t]))
             if weights is not None and len(prev) > 64:
-                if t not in ruled:
-                    # stage 1 scans all of layer 0 and is bounded alone; a later
-                    # stage that needs the bound bounds every stage after it
-                    # whose previous layer is wide enough, in one call
-                    later = range(t, instance.tau) if t > 1 else [1]
-                    batch = [u for u in later if layer_sizes[u - 1] > 64]
-                    flags = _parentless(
-                        np, [layers[u] for u in batch], weights[[u - 1 for u in batch]],
-                        instance.k, instance.ell, x,
-                    )
-                    ruled.update(zip(batch, flags))
                 # a committee the bound rules out is a miss over all of prev
-                ruled_out = ruled[t]
+                ruled_out = _parentless(np, layers[t], weights[t - 1], instance.k, instance.ell, x)
                 states += int(ruled_out.sum()) * len(prev)
                 if states > budget:
                     raise BudgetExceededError(f"arc scan exceeded the budget of {budget}")

@@ -837,8 +837,7 @@ def test_layered_conservative_weights_beyond_int64_skip_the_score_bound(monkeypa
 def test_score_bound_rules_out_only_parentless_committees(monkeypatch):
     # every committee the conservative score bound flags has no committee
     # within ell among the previous stage's feasible ones, pair by pair;
-    # each trial bounds one to three stages in one call, and every other
-    # trial reads the rows in blocks of 3, which then span stages
+    # every other trial reads the rows in blocks of 3
     import numpy as np
 
     rng = random.Random(29)
@@ -849,33 +848,26 @@ def test_score_bound_rules_out_only_parentless_committees(monkeypatch):
         k = rng.choice((1, 2, n, n + 1)) if n <= 9 else rng.randint(1, 3 if n <= 20 else 2)
         ell, high = rng.randint(0, 4), rng.choice((1, 3, 9))
         zeros = rng.choice((0.2, 0.8))  # the share of zero weights
-        stages = rng.randint(1, 3)
-        prev_rows, rows = (
-            [(0, *(rng.randint(1, high) if rng.random() > zeros else 0 for _ in range(n))) for _ in range(stages)]
-            for _ in range(2)
+        prev_row, row = (
+            (0, *(rng.randint(1, high) if rng.random() > zeros else 0 for _ in range(n))) for _ in range(2)
         )
         x = rng.choice((-1, 0, rng.randint(1, 2 * high), rng.randint(1, k * high)))
         pool = range(1, n + 1)
+        prev, layer = (_feasible_masks(r, pool, k, x) for r in (prev_row, row))
         words = max(1, -(-n // 64))
-        layers = [_feasible_masks(row, pool, k, x) for row in rows]
-        flags = solvers._parentless(
-            np, [solvers._layer_array(np, layer, words) for layer in layers],
-            np.array([row[1:] for row in prev_rows], dtype=np.int64), k, ell, x,
+        flagged = solvers._parentless(
+            np, solvers._layer_array(np, layer, words), np.array(prev_row[1:], dtype=np.int64), k, ell, x
         )
-        assert len(flags) == stages
-        for prev_row, layer, flagged in zip(prev_rows, layers, flags):
-            assert flagged.shape == (len(layer),)
-            prev = _feasible_masks(prev_row, pool, k, x)
-            for a, ruled_out in zip(layer, flagged.tolist()):
-                if ruled_out:
-                    assert all((a ^ b).bit_count() > ell for b in prev), (prev_row, layer, k, ell, x, a)
-            seen["flagged"] += int(flagged.sum())
-            seen["kept"] += len(layer) - int(flagged.sum())
+        assert flagged.shape == (len(layer),)
+        for a, ruled_out in zip(layer, flagged.tolist()):
+            if ruled_out:
+                assert all((a ^ b).bit_count() > ell for b in prev), (prev_row, row, k, ell, x, a)
+        seen["flagged"] += int(flagged.sum())
+        seen["kept"] += len(layer) - int(flagged.sum())
         seen["x <= 0"] += x <= 0
         seen["k >= pool"] += k >= n
         seen["zero-heavy"] += zeros > 0.5
         seen["pool > 64"] += n > 64
-        seen["several stages"] += stages > 1
         seen[f"ell {ell}"] += 1
     assert min(seen.values()) >= 15, seen
 
