@@ -660,27 +660,30 @@ def _twin_rows(tau, s, k, dtop, conservative, cap):
     order, one stage at a time from the last.
     """
     top = min(s, k)
-    # a conservative change of at most dtop needs sizes at most dtop apart
-    apart = dtop if conservative else top
+    # span[a][b]: the changes of stages with a and b twins
+    span = [[None] * (top + 1) for _ in range(top + 1)]
+    for a in range(top + 1):
+        for b in range(top + 1):
+            most = min(a + b, 2 * s - a - b)
+            if conservative:
+                span[a][b] = range(abs(a - b), min(most, dtop) + 1, 2)
+            else:
+                span[a][b] = [*range(abs(a - b), min(most + 1, dtop), 2)] + [dtop] * (most >= dtop)
+    # count the rows first, by the size of their first stage, so that a
+    # table past cap is never listed
+    count = [1] * (top + 1)
+    for _ in range(tau - 1):
+        count = [sum(count[b] * len(span[a][b]) for b in range(top + 1)) for a in range(top + 1)]
+    if sum(count) - 1 > cap:
+        return None
     rows = [((b,), ()) for b in range(top + 1)]
     for _ in range(tau - 1):
-        # every row grows, at least by keeping its size, so a stage past cap
-        # rows is past it at the end too
-        if len(rows) > cap + 1:
-            return None
-        grown = []
-        for sizes, changes in rows:
-            b = sizes[0]
-            for a in range(max(0, b - apart), min(top, b + apart) + 1):
-                most = min(a + b, 2 * s - a - b)
-                if conservative:
-                    span = range(abs(a - b), min(most, dtop) + 1, 2)
-                else:
-                    span = [*range(abs(a - b), min(most + 1, dtop), 2)] + [dtop] * (most >= dtop)
-                grown += [((a, *sizes), (d, *changes)) for d in span]
-        rows = grown
-    if len(rows) > cap + 1:
-        return None
+        rows = [
+            ((a, *sizes), (d, *changes))
+            for sizes, changes in rows
+            for a in range(top + 1)
+            for d in span[a][sizes[0]]
+        ]
     return rows[1:]  # the first is the zero increment
 
 
@@ -816,22 +819,17 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
     for c in _approved(instance.counts) if conservative else range(1, m + 1):
         groups.setdefault(cols[c], []).append(c)
     full, limit = (1 << tau) - 1, k + (dtop + 1) // 2  # one candidate's fingerprints
-    # table rows by group size, where groups past limit twins share those of
-    # limit; tried: the largest row count a size was cut off at
-    rows_of, tried, tables = {1: _twin_rows(tau, 1, k, dtop, conservative, full)}, {}, {}
+    # table rows by group size, where groups past limit twins share those of limit
+    rows_of, tables = {1: _twin_rows(tau, 1, k, dtop, conservative, full)}, {}
 
     seen = np.zeros(1, dtype=np.int64)  # packed key 0 is the empty profile
     layer_maps = []  # (members, new keys sorted, parent keys, row numbers, rows)
     for col, group in groups.items():
         key = min(len(group), limit)
         cap = min(len(group) * full, _CALL_ELEMENTS // seen.size)
-        if key not in rows_of and tried.get(key, -1) < cap:
-            rows = _twin_rows(tau, key, k, dtop, conservative, cap)
-            if rows is None:
-                tried[key] = cap
-            else:
-                rows_of[key] = rows
-        rows = rows_of.get(key)
+        rows = rows_of.get(key) or _twin_rows(tau, key, k, dtop, conservative, cap)
+        if rows is not None:
+            rows_of[key] = rows
         if rows is None or len(rows) > cap:
             key, rows, steps = 1, rows_of[1], [[c] for c in group]
         else:
