@@ -657,7 +657,8 @@ def _twin_rows(tau, s, k, dtop, conservative, cap):
     the change to the stage after it. A lone candidate's change follows
     from its sizes, so its rows ascend in its fingerprint, the stage
     bitmask of the committees it sits in. The rows are built in that
-    order, one stage at a time from the last.
+    order, one stage at a time from the last, and counted first, so that
+    a table past ``cap`` is never listed.
     """
     top = min(s, k)
     # span[a][b]: the changes of stages with a and b twins
@@ -669,8 +670,7 @@ def _twin_rows(tau, s, k, dtop, conservative, cap):
                 span[a][b] = range(abs(a - b), min(most, dtop) + 1, 2)
             else:
                 span[a][b] = [*range(abs(a - b), min(most + 1, dtop), 2)] + [dtop] * (most >= dtop)
-    # count the rows first, by the size of their first stage, so that a
-    # table past cap is never listed
+    # count[a]: the rows so far whose first stage has a twins
     count = [1] * (top + 1)
     for _ in range(tau - 1):
         count = [sum(count[b] * len(span[a][b]) for b in range(top + 1)) for a in range(top + 1)]
@@ -819,7 +819,7 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
     for c in _approved(instance.counts) if conservative else range(1, m + 1):
         groups.setdefault(cols[c], []).append(c)
     full, limit = (1 << tau) - 1, k + (dtop + 1) // 2  # one candidate's fingerprints
-    # table rows by group size, where groups past limit twins share those of limit
+    # table rows by group size; groups of more than limit twins share those of limit
     rows_of, tables = {1: _twin_rows(tau, 1, k, dtop, conservative, full)}, {}
 
     seen = np.zeros(1, dtype=np.int64)  # packed key 0 is the empty profile
