@@ -27,6 +27,7 @@ import time
 from array import array
 from collections.abc import Iterable
 from itertools import chain
+from math import comb
 
 CONSERVATIVE = "C"
 REVOLUTIONARY = "R"
@@ -602,6 +603,12 @@ def _greedy_fill(row, order, k, x, required, forbidden):
     return added if room >= 0 and total >= x else None
 
 
+def _committees(n, k):
+    """The number of committees of at most ``k`` members drawn from ``n``
+    candidates, the empty one included; 0 when ``k`` is negative."""
+    return sum(comb(n, j) for j in range(min(k, n) + 1))
+
+
 def _change_out_of_reach(instance) -> bool:
     """Whether a revolutionary instance is a no because ``ell > 2k``.
 
@@ -612,3 +619,20 @@ def _change_out_of_reach(instance) -> bool:
     return (
         instance.variant == REVOLUTIONARY and instance.tau >= 2 and instance.ell > 2 * instance.k
     )
+
+
+def _hopeless(instance):
+    """Why ``instance`` is a no without any search, or ``None``.
+
+    A score is a sum of per-candidate counts, so a stage whose ``k``
+    largest counts sum below ``x`` has no feasible committee: the first
+    such stage is returned (counting from 1). Otherwise 0 is returned
+    when :func:`_change_out_of_reach` holds, and ``None`` when neither
+    rule fires. Slot 0 of a count row is 0, so it never lifts a top-``k``
+    sum.
+    """
+    k, x = instance.k, instance.x
+    for t, row in enumerate(instance.counts, start=1):
+        if sum(sorted(row, reverse=True)[:k]) < x:
+            return t
+    return 0 if _change_out_of_reach(instance) else None

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import time
 from itertools import accumulate, compress, islice
-from math import comb
 from operator import add
 
 from .core import (
@@ -28,6 +27,7 @@ from .core import (
     DEFAULT_BUDGET,
     Instance,
     SolveReport,
+    _committees,
     _decode,
     _integer,
     _report,
@@ -124,7 +124,7 @@ def _sequence_search(instance, budget, states):
     large to enumerate within it.
     """
     m, k, ell, x, tau = instance.m, instance.k, instance.ell, instance.x, instance.tau
-    pool_size = sum(comb(m, j) for j in range(min(k, m) + 1))
+    pool_size = _committees(m, k)
     if pool_size > budget or pool_size * tau > 8 * budget:
         raise BudgetExceededError(
             f"enumerating {pool_size} committees per stage exceeds the budget of {budget}"
@@ -136,7 +136,7 @@ def _sequence_search(instance, budget, states):
     # successors of prev lie within radius of prev ^ flip; a lookup takes at
     # most 64 masks, and a ball of radius 7 holds at least 2**7 of them
     radius, flip = (ell, 0) if conservative else (m - ell, (1 << m) - 1)
-    ball_size = sum(comb(m, j) for j in range(min(radius, m, 7) + 1))
+    ball_size = _committees(m, min(radius, 7))
     lookup = tau > 1 and ball_size <= 64
     ball = _feasible_masks([0] * (m + 1), pool, radius, 0) if lookup and radius >= 0 else []
     counts = instance.counts  # stages with equal rows share a feasible list or verdicts

@@ -34,9 +34,10 @@ from .core import (
     REVOLUTIONARY,
     SolveReport,
     _approved,
-    _change_out_of_reach,
+    _committees,
     _decode,
     _greedy_fill,
+    _hopeless,
     _report,
     _stage_order,
     feasible_committee,
@@ -69,8 +70,10 @@ def solve_unconstrained(instance: Instance, budget: int = DEFAULT_BUDGET) -> Sol
     (:func:`~mpvkit.core.feasible_committee`), which maximizes the stage
     score. Raises :class:`PreconditionError` outside these regimes.
 
-    The work is one greedy pass per stage, so ``budget`` (accepted like
-    every solver's) never runs out.
+    The answer is :func:`~mpvkit.core._hopeless`'s: in these regimes it
+    is yes exactly when no stage's ``k`` largest counts sum below ``x``,
+    and only then are the committees built. The work is one pass per
+    stage, so ``budget`` (accepted like every solver's) never runs out.
     """
     if not _decoupled(instance):
         raise PreconditionError(
@@ -78,13 +81,9 @@ def solve_unconstrained(instance: Instance, budget: int = DEFAULT_BUDGET) -> Sol
             "or revolutionary ell == 0"
         )
     start = time.perf_counter()
-    committees = []
-    for t in range(1, instance.tau + 1):
-        committee = feasible_committee(instance, t)
-        if committee is None:
-            break
-        committees.append(committee)
-    witness = tuple(committees) if len(committees) == instance.tau else None
+    witness = None
+    if _hopeless(instance) is None:
+        witness = tuple(feasible_committee(instance, t) for t in range(1, instance.tau + 1))
     return _report("greedy", start, witness, instance.tau)
 
 
@@ -405,7 +404,7 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     start = time.perf_counter()
     conservative = instance.variant == CONSERVATIVE
     pool = _approved(instance.counts) if conservative else list(range(1, instance.m + 1))
-    node_bound = sum(comb(len(pool), j) for j in range(min(instance.k, len(pool)) + 1))
+    node_bound = _committees(len(pool), instance.k)
     if node_bound * instance.tau > budget:
         raise BudgetExceededError(
             f"{node_bound} committees per layer over {instance.tau} stages "
@@ -731,6 +730,12 @@ def _twin_table(np, rows, tau, j, conservative, mult):
 def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
     """Dynamic programming over per-stage size/difference/score profiles.
 
+    An instance that :func:`~mpvkit.core._hopeless` answers is a no
+    before any search and before numpy is imported, with ``states`` 0
+    and ``stats["stage"]`` naming the rule that fired: the first stage
+    whose ``k`` largest counts sum below ``x``, or 0 for a revolutionary
+    ``ell > 2k`` over at least two stages.
+
     Candidates are processed in groups of twins, candidates whose count
     columns are equal; for the conservative variant only those approved
     at least once (:func:`~mpvkit.core._approved`). A state records, for
@@ -793,11 +798,9 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
     tau, k, m, x, ell = instance.tau, instance.k, instance.m, instance.x, instance.ell
     conservative = instance.variant == CONSERVATIVE
 
-    # a stage whose best k candidates miss x, or a change out of reach, is a no outright
-    if _change_out_of_reach(instance) or any(
-        sum(sorted(row[1:], reverse=True)[:k]) < x for row in instance.counts
-    ):
-        return _report("dp-tau", start, None, 0)
+    stage = _hopeless(instance)
+    if stage is not None:
+        return _report("dp-tau", start, None, 0, stage=stage)
 
     # each profile entry's largest value: sizes, differences, scores
     dtop = min(ell, 2 * k) if conservative else ell
@@ -907,9 +910,13 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
 def solve_auto(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
     """Route to the estimated-cheapest applicable solver.
 
-    Greedy decoupling is used whenever its precondition holds, and a
-    revolutionary instance with ``ell > 2k`` over at least two stages goes
-    to :func:`solve_dp_tau`, whose prechecks answer it no. Otherwise
+    Greedy decoupling is used whenever its precondition holds. Any other
+    instance that :func:`~mpvkit.core._hopeless` answers without search,
+    because some stage's ``k`` largest counts sum below ``x`` or a
+    revolutionary ``ell > 2k`` spans at least two stages, goes to
+    :func:`solve_dp_tau`, which answers it no with ``states`` 0 and the
+    stage in ``stats["stage"]`` (0 for ``ell > 2k``). Otherwise every
+    stage reaches ``x``, so ``x`` is at most the largest stage total, and
     the candidates are ranked by crude state estimates (layered
     ``tau * m**k``, profile DP
     ``(k+1)**tau * (dcap+1)**(tau-1) * (x+1)**tau * m``, change witnesses
@@ -921,25 +928,17 @@ def solve_auto(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
     tau, k, m, x, ell = instance.tau, instance.k, instance.m, instance.x, instance.ell
     if _decoupled(instance):
         return solve_unconstrained(instance)
-    if _change_out_of_reach(instance):
+    if _hopeless(instance) is not None:
         return solve_dp_tau(instance, budget=budget)
 
     dcap = min(ell, 2 * k)
-    # no stage score exceeds the largest stage total
-    x_eff = min(x, max(map(sum, instance.counts)))
     entries = [
         (tau * m**k, "layered-k", solve_layered_k),
-        (
-            (k + 1) ** tau * (dcap + 1) ** (tau - 1) * (x_eff + 1) ** tau * m,
-            "dp-tau",
-            solve_dp_tau,
-        ),
+        ((k + 1) ** tau * (dcap + 1) ** (tau - 1) * (x + 1) ** tau * m, "dp-tau", solve_dp_tau),
     ]
     if instance.variant == REVOLUTIONARY:
         entries.append((tau * m ** (2 * ell), "inout-ell", solve_inout_ell))
-    entries.append(
-        (sum(comb(m, j) for j in range(min(k, m) + 1)) ** tau, "brute-force", brute_force)
-    )
+    entries.append((_committees(m, k) ** tau, "brute-force", brute_force))
     # stable: equal estimates keep the order above
     entries.sort(key=lambda e: e[0])
 

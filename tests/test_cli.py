@@ -623,6 +623,24 @@ def test_layered_k_loads_numpy_only_above_the_python_cap(tmp_path, monkeypatch):
     assert answers[1:] == [True, False] and (rep.stats["states"], sizes) == (0, [0, 0, 0])
 
 
+def test_solve_answers_a_short_stage_without_numpy(tmp_path):
+    # 40 candidates with k = 3 make a committee space of 10,701, which
+    # layered-k would list in its numpy pass; but stage 1's three largest
+    # counts sum to 3 < x = 4, so solve_auto answers no before any search
+    from math import comb
+
+    path = tmp_path / "short.mpv"
+    args = ["--variant", "R", "--agents", "6", "--candidates", "40", "--stages", "3"]
+    args += ["--k", "3", "--ell", "2", "--x", "4", "--seed", "2", "-o", str(path)]
+    assert _mpv("generate", *args)[0] == 0
+    inst = parse_instance(path.read_text())
+    assert [sum(sorted(row, reverse=True)[:3]) for row in inst.counts] == [3, 4, 4]
+    assert sum(comb(40, j) for j in range(4)) == 10_701
+    code, out, loaded = _mpv("solve", "--witness", str(path))
+    assert (code, out) == (1, "NO\n")
+    assert not loaded
+
+
 def test_no_module_imports_dataclasses_or_typing():
     # every record is a core._Record, so the package needs neither module
     import ast

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpvkit import (
     BudgetExceededError,
@@ -22,7 +23,7 @@ from mpvkit import (
 )
 
 from mpvkit import solvers
-from mpvkit.core import DEFAULT_BUDGET, _change_out_of_reach
+from mpvkit.core import DEFAULT_BUDGET, _change_out_of_reach, _hopeless
 from mpvkit.oracle import _feasible_masks
 
 from conftest import e1, subsets_upto
@@ -887,9 +888,100 @@ def test_auto_uses_greedy_when_decoupled():
 def test_auto_answers_ell_beyond_2k_without_search():
     rep = solve_auto(e1("R", ell=3))
     assert (rep.answer, rep.algorithm, rep.stats["states"]) == (False, "dp-tau", 0)
+    assert rep.stats["stage"] == 0
     # ell = 2k is still reachable, so the rule must not fire there
     rep = solve_auto(e1("R", ell=2))
     assert rep.answer is True and rep.algorithm != "dp-tau"
+
+
+@pytest.mark.parametrize("variant", ["C", "R"])
+def test_auto_answers_a_short_middle_stage_without_search(variant):
+    # stages 2 and 3 have no candidate approved twice, so with k = 1 their
+    # best committee scores 1 < x; stage 2 is the first short one
+    ballots = ((1, 1), (0, 2), (1, 2), (2, 2))
+    inst = Instance(variant=variant, m=2, ballots=ballots, k=1, ell=1, x=2)
+    assert not solvers._decoupled(inst)
+    rep = solve_auto(inst)
+    assert (rep.answer, rep.algorithm, rep.stats["states"]) == (False, "dp-tau", 0)
+    assert rep.stats["stage"] == 2
+    assert brute_force(inst).answer is False
+
+
+def _top_sums(inst):
+    """Each stage's best score over committees of at most k members, by listing them."""
+    committees = list(itertools.combinations(range(1, inst.m + 1), min(inst.k, inst.m)))
+    return [max(sum(row[c] for c in committee) for committee in committees) for row in inst.counts]
+
+
+def _hopeless_reference(inst):
+    short = [t for t, best in enumerate(_top_sums(inst), start=1) if best < inst.x]
+    if short:
+        return short[0]
+    if inst.variant == "R" and inst.tau >= 2 and inst.ell > 2 * inst.k:
+        return 0
+    return None
+
+
+def test_hopeless_matches_listed_committees():
+    rng = random.Random(31)
+    seen = Counter()
+    for trial in range(600):
+        variant, tau = rng.choice("CR"), rng.randint(1, 4)
+        n, m, k = rng.choice((0, 1, 2, 3, 5)), rng.randint(1, 6), rng.randint(1, 4)
+        ell = rng.choice((0, 1, 2 * k, 2 * k + 1, rng.randint(0, 2 * k + 2)))
+        inst = random_instance(
+            n, m, tau, k, ell, rng.randint(1, max(1, n)), variant,
+            abstain_probability=rng.choice((0, 0.2)), seed=trial,
+        )
+        if trial % 4 == 0:
+            scale = 2**70
+            rows = [[w * scale for w in row] for row in inst.counts]
+            inst = WeightedInstance(variant, m, rows, k, ell, inst.x * scale - rng.randint(0, 1))
+            seen["2**70"] += 1
+        rule = _hopeless(inst)
+        assert rule == _hopeless_reference(inst), inst
+        if rule is not None:
+            assert brute_force(inst).answer is False, inst
+        if solvers._decoupled(inst):
+            assert solve_unconstrained(inst).answer == (rule is None), inst
+            seen["decoupled"] += 1
+        seen["k >= m"] += k >= m
+        seen["no agents"] += n == 0
+        seen["stage" if rule else "none" if rule is None else "ell > 2k"] += 1
+    assert min(seen.values()) >= 25, seen
+
+
+@st.composite
+def _small_instances(draw):
+    """A small instance of either variant, from ballots, from counts or weighted."""
+    variant = draw(st.sampled_from("CR"))
+    m, tau, k = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ell = draw(st.integers(0, 2 * k + 1))
+    build = draw(st.sampled_from(("ballots", "counts", "weights")))
+    if build == "ballots":
+        n = draw(st.integers(0, 3))
+        row = st.lists(st.integers(0, m), min_size=n, max_size=n)
+        ballots = draw(st.lists(row, min_size=tau, max_size=tau))
+        return Instance(variant, m, ballots, k, ell, draw(st.integers(1, n + 1)))
+    row = st.lists(st.integers(0, 2), min_size=m, max_size=m)
+    counts = [[0, *row] for row in draw(st.lists(row, min_size=tau, max_size=tau))]
+    if build == "counts":
+        n = max(map(sum, counts)) + draw(st.integers(0, 1))
+        return Instance._of_counts(variant, m, counts, n, k, ell, draw(st.integers(1, n + 1)))
+    scale = draw(st.sampled_from((1, 2**70)))
+    weights = [[w * scale for w in row] for row in counts]
+    return WeightedInstance(variant, m, weights, k, ell, draw(st.integers(1, 5)) * scale)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_small_instances())
+def test_auto_agrees_with_brute_force_on_small_instances(inst):
+    rep = solve_auto(inst)
+    assert rep.answer == brute_force(inst).answer
+    if rep.answer:
+        assert verify(inst, rep.witness) == []
+    if _hopeless(inst) is not None:
+        assert rep.answer is False
 
 
 def test_auto_reports_all_failures_when_budget_too_small():
