@@ -451,9 +451,22 @@ def _check_id(kind, value, high):
     return number
 
 
-def _check_candidates(instance, committee):
-    for c in committee:
-        _check_id("candidate", c, instance.m)
+def _sequence(instance, committees):
+    """``committees`` as a tuple of frozensets, one per stage of ``instance``.
+
+    This is the structural check of a solution, shared by :func:`verify`
+    and every map that reads one. A committee count other than ``tau``
+    raises ``ValueError``, and so does a member that is not a candidate id
+    in ``1..m`` (:func:`_check_id`), in that order. The members are kept as
+    given, so a numpy integer stays one.
+    """
+    seq = tuple(map(frozenset, committees))
+    if len(seq) != instance.tau:
+        raise ValueError(f"solution has {len(seq)} committees, instance has {instance.tau} stages")
+    for committee in seq:
+        for c in committee:
+            _check_id("candidate", c, instance.m)
+    return seq
 
 
 def score(instance: Instance, t: int, committee: Iterable[int]) -> int:
@@ -478,17 +491,10 @@ def verify(instance: Instance, committees) -> list:
 
     Returns a list of human-readable violation strings, empty when the
     sequence is a valid solution. Structural problems (wrong number of
-    stages, candidate ids out of range) raise ``ValueError`` instead of
-    being reported as violations.
+    stages, candidate ids out of range) raise ``ValueError`` from
+    :func:`_sequence` instead of being reported as violations.
     """
-    seq = [frozenset(c) for c in committees]
-    if len(seq) != instance.tau:
-        raise ValueError(
-            f"solution has {len(seq)} committees, instance has {instance.tau} stages"
-        )
-    for committee in seq:
-        _check_candidates(instance, committee)
-
+    seq = _sequence(instance, committees)
     violations = []
     for t, (committee, row) in enumerate(zip(seq, instance.counts), start=1):
         if len(committee) > instance.k:
@@ -573,7 +579,8 @@ def _approved(counts):
 
 def _stage_order(row):
     """Candidate ids by decreasing stage score, ties broken towards the lower id."""
-    return sorted(range(1, len(row)), key=lambda c: (-row[c], c))
+    # sorted stays stable under reverse=True, so equal counts keep id order
+    return sorted(range(1, len(row)), key=row.__getitem__, reverse=True)
 
 
 def _greedy_fill(row, order, k, x, required, forbidden):

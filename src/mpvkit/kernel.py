@@ -39,8 +39,8 @@ from .core import (
     _Record,
     _approved,
     _change_out_of_reach,
-    _check_candidates,
     _integer,
+    _sequence,
 )
 from .oracle import brute_force
 
@@ -79,20 +79,17 @@ class KernelResult(_Record):
         Maps candidate ids through ``id_map`` and, after the revolutionary
         rescaling rule, re-adds the reserved never-approved fillers
         (pairwise disjoint across stages) that restore the original
-        committee size and change bounds. A candidate id outside
-        ``1..m'`` of the reduced instance raises ``ValueError``.
+        committee size and change bounds. A kernel that decided the
+        instance has nothing to lift and raises ``ValueError``; so does a
+        sequence that is not one of the reduced instance's, checked by
+        :func:`~mpvkit.core._sequence` as :func:`~mpvkit.core.verify`
+        checks it: a committee count other than ``tau``, or a candidate id
+        outside ``1..m'``.
         """
         if self.verdict is not None:
             raise ValueError("nothing to lift: the kernel decided the instance")
-        committees = tuple(frozenset(c) for c in committees)
-        if len(committees) != self.instance.tau:
-            raise ValueError(
-                f"solution has {len(committees)} committees, "
-                f"instance has {self.instance.tau} stages"
-            )
-        for committee in committees:
-            _check_candidates(self.instance, committee)
-        lifted = [frozenset(self.id_map[c] for c in committee) for committee in committees]
+        seq = _sequence(self.instance, committees)
+        lifted = [frozenset(self.id_map[c] for c in committee) for committee in seq]
         if self.stage_fillers is not None:
             lifted = [
                 committee | frozenset(fillers)

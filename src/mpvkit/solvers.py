@@ -121,24 +121,18 @@ def _layer_array(np, masks, words):
     return out
 
 
-def _stage_weights(counts, pool, k):
-    """Each stage's weights over ``pool``, and ``top``: the largest sum of
-    ``max(k, 1)`` weights of one stage.
-
-    At least one seat, so that no weight exceeds ``top`` either.
-    """
-    weights = [[row[c] for c in pool] for row in counts]
-    return weights, max(sum(sorted(row, reverse=True)[: max(k, 1)]) for row in weights)
-
-
-def _feasible_layers(counts, pool, k, x):
+def _feasible_layers(weights, top, k, x):
     """Every stage's :func:`~mpvkit.oracle._feasible_masks`, built in one numpy pass.
 
-    Returns one ``(size, words)`` uint64 array per row of ``counts``, in the
-    layout of :func:`_layer_array` and with the rows in
-    :func:`~mpvkit.oracle._feasible_masks`'s order, or ``None``, before
-    importing numpy, when no stage reaches ``x`` or the pass's int64
-    arithmetic could overflow.
+    ``weights`` holds each stage's counts over the candidate pool, one
+    list of ``n`` per stage, as :func:`solve_layered_k` projects them, and
+    ``top`` is the largest sum of ``max(k, 1)`` of one stage's weights: at
+    least one seat, so that no weight exceeds ``top`` either. The pass
+    reads both and computes neither. Returns one ``(size, words)`` uint64
+    array per stage, in the layout of :func:`_layer_array` and with the
+    rows in :func:`~mpvkit.oracle._feasible_masks`'s order, or ``None``,
+    before importing numpy, when no stage reaches ``x`` or the pass's
+    int64 arithmetic could overflow.
 
     The pass goes level by level over a frontier of committee prefixes of
     every stage at once: ``(stage, score, next position, key)``. A prefix
@@ -153,21 +147,19 @@ def _feasible_layers(counts, pool, k, x):
     prefix that scores below ``x`` extends only over its stage's
     nonzero-weight positions, since a zero-weight child would score below
     ``x`` too. The key spells a stage and its committee's sorted positions
-    as digits ``position + 1`` in base ``len(pool) + 1``, most significant
+    as digits ``position + 1`` in base ``n + 1``, most significant
     first and 0 past the last member, so one sort of the keys gives the
     stages in order, each in lexicographic order, a prefix first; the
     masks are read off the sorted keys' digits.
 
-    ``top`` is the largest top-``k`` sum of any stage, taken from sorted
-    rows before numpy is imported (:func:`_stage_weights`). ``None`` is
-    returned when ``x > top``, so that every layer is empty, and unless
-    ``tau * (len(pool) + 1)**k``, the keys' range, and ``tau * (top + 2)``,
-    the offset bounds' range, are below ``2**63``. A negative ``x`` is
-    clipped to 0, which keeps every committee's verdict. Each numpy call
-    builds fewer than ``_CALL_ELEMENTS + len(pool)`` children.
+    ``None`` is returned when ``x > top``, so that every layer is empty,
+    and unless ``tau * (n + 1)**k``, the keys' range, and ``tau * (top +
+    2)``, the offset bounds' range, are below ``2**63``. A negative ``x``
+    is clipped to 0, which keeps every committee's verdict. Each numpy
+    call builds fewer than ``_CALL_ELEMENTS + n`` children.
     """
-    n, k, tau = len(pool), min(k, len(pool)), len(counts)
-    weights, top = _stage_weights(counts, pool, k)
+    n, tau = len(weights[0]), len(weights)
+    k = min(k, n)
     span = (n + 1) ** k  # keys of one stage
     if x > top or tau * max(span, top + 2) >= 2**63:
         return None
@@ -296,11 +288,12 @@ def _parentless(np, layer, weights, k, ell, x):
     has no parent. Members are read off each word's value, lowest first,
     with negation, subtraction and popcount, which do not depend on byte
     order, in blocks of ``_CALL_ELEMENTS`` rows, so that every temporary
-    holds at most that many entries. The caller keeps every sum in int64
-    and ``x`` clipped to ``top + 1``. ``np`` is the numpy module, imported
-    by the calling solver.
+    holds at most that many entries. ``weights`` is the previous stage's
+    row of :func:`solve_layered_k`'s projected counts, a list over the
+    pool (an int64 array works too), and the caller keeps every sum in
+    int64. ``np`` is the numpy module, imported by the calling solver.
     """
-    n, words = weights.size, layer.shape[1]
+    n, words = len(weights), layer.shape[1]
     k = min(k, n)
     # added[s]: T[j(s)], by committee size s
     tops = np.concatenate([[0], np.sort(weights)[::-1][:k].cumsum()])
@@ -372,8 +365,7 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
       most ``k`` members, stage by stage in plain Python
       (:func:`~mpvkit.oracle._feasible_masks`).
     * Above that, as uint64 arrays in one numpy pass over all stages
-      (:func:`_feasible_layers`), whose scores and keys are int64. A
-      negative ``x`` is clipped to 0, which keeps every verdict. An
+      (:func:`_feasible_layers`), whose scores and keys are int64. An
       instance where ``x`` exceeds ``top``, the largest top-``k`` stage
       sum, so that every layer is empty, or whose ``tau * (top + 2)`` or
       ``tau * (len(pool) + 1)**k`` does not fit int64 (such as one with
@@ -393,10 +385,17 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     the committee's own previous-stage score plus the previous stage's
     ``j(s)`` largest weights, which is sound because weights are
     non-negative. A committee ruled out is not scanned and counts as the
-    full miss the scan would find. The bound's sums are int64 and ``x`` is
-    clipped to ``0 <= x <= top + 1``; it is skipped where ``tau * (top +
+    full miss the scan would find. The bound's sums are int64 and the
+    bound runs with ``1 <= x <= top``; it is skipped where ``tau * (top +
     2)`` does not fit. All paths return the same witness, states, layer
     sizes and budget errors.
+
+    The numpy pass and the score bound read one table: each stage's counts
+    projected onto the pool, with ``top``, built at most once per solve.
+    It is built before the layers are listed, when the pool has more than
+    :data:`SCAN_PYTHON_MAX` committees or a conservative instance may have
+    more than that many committee pairs (at most ``(tau - 1) * c**2`` for
+    ``c`` committees in the pool), and not at all otherwise.
 
     Budget counts layer nodes plus examined arcs. ``stats["layer_sizes"]``
     holds the number of feasible committees at each stage.
@@ -410,9 +409,17 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
             f"{node_bound} committees per layer over {instance.tau} stages "
             f"exceed the budget of {budget}"
         )
+    # each stage's counts over pool, and top, the largest sum of k of one
+    # stage's, read by the numpy pass and the conservative score bound; on
+    # Python-listed layers the bound runs only above SCAN_PYTHON_MAX
+    # committee pairs, and there are at most (tau - 1) * node_bound**2
+    pairs_bound = (instance.tau - 1) * node_bound**2
+    if node_bound > SCAN_PYTHON_MAX or conservative and pairs_bound > SCAN_PYTHON_MAX:
+        weights = [[row[c] for c in pool] for row in instance.counts]
+        top = max(sum(sorted(row, reverse=True)[: instance.k]) for row in weights)
     layers = None
     if node_bound > SCAN_PYTHON_MAX:
-        layers = _feasible_layers(instance.counts, pool, instance.k, instance.x)
+        layers = _feasible_layers(weights, top, instance.k, instance.x)
     if layers is None:
         masks = [_feasible_masks(row, pool, instance.k, instance.x) for row in instance.counts]
     layer_sizes = list(map(len, masks if layers is None else layers))
@@ -433,13 +440,8 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
         if layers is None:
             words = max(1, -(-len(pool) // 64))
             layers = [_layer_array(np, layer, words) for layer in masks]
-        # the score bound's int64 stage weights and x, clipped as in the
-        # numpy pass, where the pass's guard on scores holds
-        weights = None
-        if conservative:
-            rows, top = _stage_weights(instance.counts, pool, instance.k)
-            if instance.tau * (top + 2) < 2**63:
-                weights, x = np.array(rows, dtype=np.int64), min(max(instance.x, 0), top + 1)
+        # the score bound's sums fit int64 where the numpy pass's guard on scores holds
+        bounded = conservative and instance.tau * (top + 2) < 2**63
 
     # reach[t]: layer-t positions of the committees reachable through stage t,
     # in layer order; links[t - 1][j]: reach[t - 1] index of reach[t][j]'s parent
@@ -454,9 +456,11 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
         else:
             prev = layers[0] if t == 1 else layers[t - 1][reach[-1]]
             rows = np.arange(len(layers[t]))
-            if weights is not None and len(prev) > 64:
+            if bounded and len(prev) > 64:
                 # a committee the bound rules out is a miss over all of prev
-                ruled_out = _parentless(np, layers[t], weights[t - 1], instance.k, instance.ell, x)
+                ruled_out = _parentless(
+                    np, layers[t], weights[t - 1], instance.k, instance.ell, instance.x
+                )
                 states += int(ruled_out.sum()) * len(prev)
                 if states > budget:
                     raise BudgetExceededError(f"arc scan exceeded the budget of {budget}")

@@ -79,6 +79,32 @@ def test_lift_rejects_ids_outside_the_reduced_instance():
         result.lift(good[:2])
 
 
+@pytest.mark.parametrize(
+    "committees, message",
+    [
+        (({1}, {4}), "solution has 2 committees, instance has 3 stages"),
+        (({1}, {4}, {7}, {1}), "solution has 4 committees, instance has 3 stages"),
+        (({1}, {0}, {7}), "candidate 0 outside 1..9"),
+        (({1}, {10}, {7}), "candidate 10 outside 1..9"),
+        (({1}, {np.int64(10)}, {7}), f"candidate {np.int64(10)!r} outside 1..9"),
+        (({1}, {4.0}, {7}), "candidate must be an integer, got 4.0"),
+        (({1}, {"4"}, {7}), "candidate must be an integer, got '4'"),
+    ],
+    ids=["too-few", "too-many", "id-0", "id-m+1", "numpy-id", "float", "string"],
+)
+def test_verify_and_lift_reject_a_malformed_sequence_alike(committees, message):
+    # lift reads a reduced-instance solution through the same check as verify
+    inst = Instance(
+        variant="C", m=20, ballots=((1, 2, 3), (4, 5, 6), (7, 8, 9)), k=2, ell=1, x=1
+    )
+    result = kernel_ntau_cmpv(inst)
+    assert result.instance.m == 9
+    for check in (lambda c: verify(result.instance, c), result.lift):
+        with pytest.raises(ValueError) as err:
+            check(committees)
+        assert str(err.value) == message
+
+
 def test_lift_refuses_a_decided_kernel():
     result = kernel_ntau_rmpv(random_instance(1, 3, 2, 1, 3, 1, "R", seed=1))
     assert result.verdict is not None

@@ -725,6 +725,14 @@ def _rows(layer):
     return [sum(int(word) << 64 * j for j, word in enumerate(row)) for row in layer]
 
 
+def _pass_inputs(counts, pool, k):
+    """:func:`solvers._feasible_layers`'s ``weights`` and ``top``: each
+    stage's counts over ``pool``, and the largest sum of ``max(k, 1)`` of
+    one stage's."""
+    weights = [[row[c] for c in pool] for row in counts]
+    return weights, max(sum(sorted(row, reverse=True)[: max(k, 1)]) for row in weights)
+
+
 def test_feasible_layers_match_feasible_masks(monkeypatch):
     # the numpy pass lists each stage's committees in _feasible_masks's order,
     # also in blocks of 5 children, which cut every level into many blocks
@@ -743,10 +751,10 @@ def test_feasible_layers_match_feasible_masks(monkeypatch):
             for _ in range(rng.randint(1, 4))
         ]
         x = rng.choice((-3, 0, 1, rng.randint(1, 3 * high + 1), 10**30))
-        layers = solvers._feasible_layers(counts, pool, k, x)
+        weights, top = _pass_inputs(counts, pool, k)
+        layers = solvers._feasible_layers(weights, top, k, x)
         expected = [_feasible_masks(row, pool, k, x) for row in counts]
         # no stage reaches an x above every top-k sum: None, before numpy
-        top = max(sum(sorted((row[c] for c in pool), reverse=True)[: max(min(k, n), 1)]) for row in counts)
         seen["x > top"] += x > top
         if x > top:
             assert layers is None and not any(expected), (pool, k, x, counts)
@@ -805,7 +813,7 @@ def test_layered_weights_beyond_int64_match_the_python_path(monkeypatch):
     for high, x, in_numpy in cases:
         rows = [(0, *(rng.choice((0, 0, high, 3 * high // 2)) for _ in range(40))) for _ in range(3)]
         inst = WeightedInstance("R", 40, rows, 3, 2, x)
-        layers = solvers._feasible_layers(inst.counts, range(1, 41), 3, x)
+        layers = solvers._feasible_layers(*_pass_inputs(inst.counts, range(1, 41), 3), 3, x)
         assert (layers is not None) == in_numpy, high
         rep = solve_layered_k(inst)
         with monkeypatch.context() as patch:
@@ -825,7 +833,7 @@ def test_layered_conservative_weights_beyond_int64_skip_the_score_bound(monkeypa
     rng = random.Random(1)
     rows = [(0, *(rng.choice([0, 0, 1, 2]) * 2**70 for _ in range(40))) for _ in range(3)]
     inst = WeightedInstance("C", 40, rows, 3, 2, 2**71)
-    assert solvers._feasible_layers(inst.counts, range(1, 41), 3, inst.x) is None
+    assert solvers._feasible_layers(*_pass_inputs(inst.counts, range(1, 41), 3), 3, inst.x) is None
     rep = solve_layered_k(inst)
     assert (rep.answer, rep.stats["states"], rep.stats["layer_sizes"]) == (True, 1_904_290, [4651, 4899, 3959])
     assert verify(inst, rep.witness) == []
