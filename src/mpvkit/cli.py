@@ -147,12 +147,7 @@ def _cmd_transform(args) -> int:
     reduction = getattr(reductions, _REDUCTIONS[name])
     texts = [Path(p).read_text() for p in args.inputs]
     if name in ("vc-cmpv", "mcc-cmpv"):
-        graph = parse_graph(texts[0])
-        if name == "vc-cmpv" and isinstance(graph, reductions.PartitionedGraph):
-            raise ValueError("vc-cmpv expects an unpartitioned graph")
-        if name == "mcc-cmpv" and not isinstance(graph, reductions.PartitionedGraph):
-            raise ValueError("mcc-cmpv expects a graph with a parts section")
-        result = reduction(graph)
+        result = reduction(parse_graph(texts[0]))
     elif name.startswith("and-"):
         result = reduction([parse_instance(text) for text in texts])
     else:

@@ -147,7 +147,10 @@ def _integer(value):
 
     ``bool`` is an int subclass but never a size or a weight, so it is
     refused; numpy integers and anything else ``operator.index`` takes
-    are fine.
+    are fine. Its callers are :func:`_natural`, which every bounded
+    integer argument goes through, and the two checks of integer rows:
+    :class:`WeightedInstance`'s weights and
+    :func:`~mpvkit.kernel.shrink_weights`' signed weights.
     """
     if isinstance(value, bool):
         return None
@@ -157,17 +160,30 @@ def _integer(value):
         return None
 
 
+def _natural(name, value, low):
+    """``value`` as an ``int``, if it is an integer (:func:`_integer`) >= ``low``.
+
+    This is the one rule of every integer argument with a lower bound:
+    instance parameters, graph sizes and vertex ids, generator sizes,
+    ``limit``, ``N`` and every solver's ``budget``. Anything else raises
+    ``ValueError(f"{name} must be a positive integer, got {value!r}")``
+    for ``low`` 1, with "a non-negative integer" for ``low`` 0 and "an
+    integer >= low" above 1.
+    """
+    number = _integer(value)
+    if number is None or number < low:
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(low)
+        raise ValueError(f"{name} must be {kind or f'an integer >= {low}'}, got {value!r}")
+    return number
+
+
 def _check_parameters(instance, variant, m, k, ell, x):
     """Validate and store the parameters every instance shares."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     object.__setattr__(instance, "variant", variant)
     for name, value, low in (("m", m, 1), ("k", k, 1), ("ell", ell, 0), ("x", x, 1)):
-        number = _integer(value)
-        if number is None or number < low:
-            kind = "positive" if low else "non-negative"
-            raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
-        object.__setattr__(instance, name, number)
+        object.__setattr__(instance, name, _natural(name, value, low))
 
 
 # Ballot profiles with at most this many entries (stages x agents) are

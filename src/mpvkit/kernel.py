@@ -40,6 +40,7 @@ from .core import (
     _approved,
     _change_out_of_reach,
     _integer,
+    _natural,
     _sequence,
 )
 from .oracle import brute_force
@@ -410,10 +411,11 @@ def shrink_weights(w, N: int):
       vector ``b`` with ``sum(|b[i]|) <= N - 1``.
 
     In particular non-negative inputs stay non-negative and zeros stay
-    zero (take ``b`` a unit vector). Raises ``ValueError`` for ``N < 2``
-    and for an ``N`` or weight that is not an integer: ``bool`` is
-    refused, numpy integers and anything else ``operator.index`` takes
-    are stored as ``int``.
+    zero (take ``b`` a unit vector). ``N`` follows the integer rule of
+    :func:`~mpvkit.core._natural` with bound 2, and a weight may be any
+    integer: ``bool`` is refused, numpy integers and anything else
+    ``operator.index`` takes are stored as ``int``; anything else raises
+    ``ValueError``.
 
     The construction normalizes by the largest modulus, replaces the
     normalized vector by a nearby rational point with one small
@@ -423,9 +425,7 @@ def shrink_weights(w, N: int):
     dominate: short inner products with the residual are too small to
     flip them.
     """
-    number = _integer(N)
-    if number is None or number < 2:
-        raise ValueError(f"N must be an integer >= 2, got {N!r}")
+    number = _natural("N", N, 2)
     vec = []
     for v in w:
         weight = _integer(v)

@@ -29,7 +29,7 @@ from .core import (
     SolveReport,
     _committees,
     _decode,
-    _integer,
+    _natural,
     _report,
 )
 
@@ -119,10 +119,12 @@ def _sequence_search(instance, budget, states):
     ``states`` and every budget error stay those of the full search. The
     search holds the feasible lists of the scan stages only, at most 64
     verdicts per committee a lookup visits, and at most one dead count
-    per committee of stage ``t - 1``. An extension past ``budget`` raises
+    per committee of stage ``t - 1``. ``budget`` is checked by
+    :func:`~mpvkit.core._natural` first. An extension past it raises
     :class:`BudgetExceededError`, as does, up front, a stage pool too
     large to enumerate within it.
     """
+    budget = _natural("budget", budget, 0)
     m, k, ell, x, tau = instance.m, instance.k, instance.ell, instance.x, instance.tau
     pool_size = _committees(m, k)
     if pool_size > budget or pool_size * tau > 8 * budget:
@@ -202,7 +204,9 @@ def brute_force(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport
     budget : int
         Maximum number of partial-sequence extensions before the search
         gives up with :class:`BudgetExceededError`; by default
-        :data:`~mpvkit.core.DEFAULT_BUDGET`, as for every other solver.
+        :data:`~mpvkit.core.DEFAULT_BUDGET`, and checked before the
+        search like every other solver's (a non-negative integer, see
+        :func:`~mpvkit.core._natural`).
     """
     start = time.perf_counter()
     states = [0]
@@ -211,8 +215,11 @@ def brute_force(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport
 
 
 def enumerate_solutions(instance: Instance, limit: int, budget: int = DEFAULT_BUDGET) -> list:
-    """First ``limit`` valid committee sequences in lexicographic order."""
-    count = _integer(limit)
-    if count is None or count < 0:
-        raise ValueError(f"limit must be a non-negative integer, got {limit!r}")
+    """First ``limit`` valid committee sequences in lexicographic order.
+
+    ``limit`` and ``budget`` are non-negative integers
+    (:func:`~mpvkit.core._natural`). The budget is checked when the search
+    starts, so ``limit=0``, which starts none, checks no budget.
+    """
+    count = _natural("limit", limit, 0)
     return list(islice(_sequence_search(instance, budget, [0]), count))

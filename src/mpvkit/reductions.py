@@ -24,9 +24,8 @@ from .core import (
     PreconditionError,
     REVOLUTIONARY,
     TrivialVerdict,
-    VARIANTS,
     _Frozen,
-    _integer,
+    _natural,
 )
 
 # ---------------------------------------------------------------------------
@@ -37,12 +36,10 @@ from .core import (
 def _normalize_edges(edges, num_vertices):
     norm = []
     for edge in edges:
-        u, v = map(_integer, edge)
-        if u is None or v is None:
-            raise ValueError(f"edge endpoints must be integers, got {edge!r}")
+        u, v = (_natural("edge endpoint", end, 1) for end in edge)
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        if not (1 <= u <= num_vertices and 1 <= v <= num_vertices):
+        if max(u, v) > num_vertices:
             raise ValueError(f"edge {edge!r} outside 1..{num_vertices}")
         norm.append((u, v) if u < v else (v, u))
     if len(set(norm)) != len(norm):
@@ -61,9 +58,7 @@ class Graph(_Frozen):
     _fields = ("num_vertices", "edges")
 
     def __init__(self, num_vertices: int, edges: tuple):
-        count = _integer(num_vertices)
-        if count is None or count < 0:
-            raise ValueError(f"bad vertex count {num_vertices!r}")
+        count = _natural("num_vertices", num_vertices, 0)
         super().__init__(count, _normalize_edges(edges, count))
 
 
@@ -77,19 +72,16 @@ class PartitionedGraph(_Frozen):
     _fields = ("parts", "edges")
 
     def __init__(self, parts: tuple, edges: tuple):
-        parts = tuple(frozenset(p) for p in parts)
+        parts = tuple(parts)
         if len(parts) < 2:
             raise ValueError("need at least two parts")
+        parts = tuple(frozenset(_natural("vertex id", v, 1) for v in p) for p in parts)
         seen = set()
         for part in parts:
-            for given in part:
-                v = _integer(given)
-                if v is None or v < 1:
-                    raise ValueError(f"bad vertex id {given!r}")
+            for v in part:
                 if v in seen:
                     raise ValueError(f"vertex {v} appears in two parts")
                 seen.add(v)
-        parts = tuple(frozenset(map(_integer, p)) for p in parts)
         total = len(seen)
         if seen != set(range(1, total + 1)):
             raise ValueError(f"parts must cover exactly 1..{total}")
@@ -128,9 +120,7 @@ def sidon(b: int) -> SidonSet:
     determine ``{i, j}`` because the quadratic residue part determines
     ``i + j`` and ``i*j`` modulo the prime.
     """
-    given, b = b, _integer(b)
-    if b is None or b < 1:
-        raise ValueError(f"b must be a positive integer, got {given!r}")
+    b = _natural("b", b, 1)
     hat_b = b + 1
     while not all(hat_b % p for p in range(2, isqrt(hat_b) + 1)):
         hat_b += 1
@@ -151,10 +141,9 @@ def pad_half_vertex_cover(graph: Graph, r: int):
     is attached (covering it takes all but one of them); for
     ``r > |V|/2`` the graph gains ``2r - |V|`` isolated vertices.
     """
-    given, r = r, _integer(r)
-    if r is None or not 0 <= r <= graph.num_vertices:
-        raise ValueError(f"cover size {given!r} outside 0..{graph.num_vertices}")
-    nv = graph.num_vertices
+    given, r, nv = r, _natural("cover size", r, 0), graph.num_vertices
+    if r > nv:
+        raise ValueError(f"cover size {given!r} outside 0..{nv}")
     if 2 * r < nv:
         extra = nv - 2 * r + 2
         clique = combinations(range(nv + 1, nv + extra + 1), 2)
@@ -172,8 +161,11 @@ def vc_to_cmpv(graph: Graph):
     one committee of size ``k = |V|/2`` across all stages, so the
     instance is a yes iff the graph has a vertex cover of that size.
     Edgeless graphs short-circuit to a direct yes verdict because a
-    faithful instance would need zero stages.
+    faithful instance would need zero stages. A :class:`PartitionedGraph`
+    raises :class:`PreconditionError`.
     """
+    if not isinstance(graph, Graph):
+        raise PreconditionError("vc_to_cmpv expects an unpartitioned graph")
     if graph.num_vertices % 2:
         raise PreconditionError("the vertex count must be even")
     if not graph.edges:
@@ -326,8 +318,11 @@ def mcc_to_cmpv(pgraph: PartitionedGraph) -> Instance:
     per pair, which is possible iff the graph has a multicolored clique.
 
     A part pair without edges yields an all-abstain edge-selection
-    stage, making the instance correctly a no.
+    stage, making the instance correctly a no. A plain :class:`Graph`
+    raises :class:`PreconditionError`.
     """
+    if not isinstance(pgraph, PartitionedGraph):
+        raise PreconditionError("mcc_to_cmpv expects a partitioned graph")
     parts = pgraph.parts
     q = len(parts)
     for i, part in enumerate(parts, start=1):
@@ -467,24 +462,19 @@ def random_instance(
     each stage and otherwise approves a uniformly random candidate.
     Randomness comes from Python's Mersenne Twister (``random.Random``)
     seeded with ``seed``. ``n``, ``m``, ``tau``, ``k``, ``ell`` and ``x``
-    accept any integer type except ``bool``; anything else raises
-    ``ValueError``.
+    follow the integer rule of :func:`~mpvkit.core._natural`: any
+    integer type except ``bool``, with ``n`` and ``ell`` at least 0 and
+    the others at least 1. ``n``, ``m`` and ``tau`` are checked here and
+    drawn with as ``int``; ``variant``, ``k``, ``ell`` and ``x`` are
+    checked by :class:`~mpvkit.core.Instance`, before the draw.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if not 0.0 <= abstain_probability <= 1.0:
         raise ValueError(f"abstain_probability {abstain_probability!r} outside [0, 1]")
-    for name, value in (("n", n), ("m", m), ("tau", tau), ("k", k), ("ell", ell), ("x", x)):
-        if _integer(value) is None:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if n < 0 or m < 1 or tau < 1 or k < 1 or ell < 0 or x < 1:
-        raise ValueError("parameters out of range")
+    n, m, tau = _natural("n", n, 0), _natural("m", m, 1), _natural("tau", tau, 1)
     rng = random.Random(seed)
-    rows = []
-    for _ in range(tau):
-        row = tuple(
-            0 if rng.random() < abstain_probability else rng.randint(1, m)
-            for _ in range(n)
-        )
-        rows.append(row)
-    return Instance(variant=variant, m=m, ballots=tuple(rows), k=k, ell=ell, x=x)
+    # a generator, so Instance checks its parameters before anything is drawn
+    rows = (
+        tuple(0 if rng.random() < abstain_probability else rng.randint(1, m) for _ in range(n))
+        for _ in range(tau)
+    )
+    return Instance(variant=variant, m=m, ballots=rows, k=k, ell=ell, x=x)

@@ -16,7 +16,10 @@ when present, passes :func:`~mpvkit.core.verify`. Searches that would
 exceed their state budget raise
 :class:`~mpvkit.core.BudgetExceededError` rather than guessing. Every
 solver takes ``(instance, budget)``, and ``budget`` defaults to
-:data:`~mpvkit.core.DEFAULT_BUDGET`, as for brute force.
+:data:`~mpvkit.core.DEFAULT_BUDGET`, as for brute force. Before any work
+the budget is checked by the integer rule of :func:`~mpvkit.core._natural`:
+any integer type but ``bool``, at least 0; a float (``inf`` too), ``None``
+or a string raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .core import (
     _decode,
     _greedy_fill,
     _hopeless,
+    _natural,
     _report,
     _stage_order,
     feasible_committee,
@@ -73,8 +77,9 @@ def solve_unconstrained(instance: Instance, budget: int = DEFAULT_BUDGET) -> Sol
     The answer is :func:`~mpvkit.core._hopeless`'s: in these regimes it
     is yes exactly when no stage's ``k`` largest counts sum below ``x``,
     and only then are the committees built. The work is one pass per
-    stage, so ``budget`` (accepted like every solver's) never runs out.
+    stage, so ``budget`` (checked like every solver's) never runs out.
     """
+    _natural("budget", budget, 0)
     if not _decoupled(instance):
         raise PreconditionError(
             "greedy decoupling needs tau == 1, conservative ell >= 2k, "
@@ -397,9 +402,11 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     more than that many committee pairs (at most ``(tau - 1) * c**2`` for
     ``c`` committees in the pool), and not at all otherwise.
 
-    Budget counts layer nodes plus examined arcs. ``stats["layer_sizes"]``
-    holds the number of feasible committees at each stage.
+    Budget, checked first like every solver's, counts layer nodes plus
+    examined arcs. ``stats["layer_sizes"]`` holds the number of feasible
+    committees at each stage.
     """
+    budget = _natural("budget", budget, 0)
     start = time.perf_counter()
     conservative = instance.variant == CONSERVATIVE
     pool = _approved(instance.counts) if conservative else list(range(1, instance.m + 1))
@@ -518,16 +525,18 @@ def solve_inout_ell(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     of the returned witness are rebuilt along that chain from the decoded
     masks (:func:`~mpvkit.core._decode`).
 
-    Budget counts nodes per change plus examined arcs, checked on every
-    arc. Raises :class:`PreconditionError` for the conservative
-    variant; ``tau == 1`` and ``ell == 0`` delegate to the greedy solver.
+    Budget, checked first like every solver's, counts nodes per change
+    plus examined arcs, checked on every arc. Raises
+    :class:`PreconditionError` for the conservative variant; ``tau == 1``
+    and ``ell == 0`` delegate to the greedy solver with the same budget.
     """
+    budget = _natural("budget", budget, 0)
     if instance.variant != REVOLUTIONARY:
         raise PreconditionError(
             "change-witness search applies to the revolutionary variant only"
         )
     if _decoupled(instance):
-        return solve_unconstrained(instance)
+        return solve_unconstrained(instance, budget)
 
     start = time.perf_counter()
     m, k, ell, x, tau = instance.m, instance.k, instance.ell, instance.x, instance.tau
@@ -786,9 +795,9 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
     ``np.searchsorted`` against the seen keys drops the old ones. So a
     state first reached by several rows of a step keeps the first row
     (for one candidate, the smallest fingerprint as a stage bitmask),
-    then the smallest parent key, and the run is deterministic. Budget
-    counts distinct states discovered; each step's new states are
-    counted before they are stored.
+    then the smallest parent key, and the run is deterministic. Budget,
+    checked first like every solver's, counts distinct states discovered;
+    each step's new states are counted before they are stored.
 
     The witness is rebuilt from each step's row: stage 1 takes the
     group's first ``j_1`` members, and stage ``t + 1`` keeps the first
@@ -798,6 +807,7 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
     allow, which is at least ``ell``. Witnesses of instances without
     twins are those of one step per candidate.
     """
+    budget = _natural("budget", budget, 0)
     start = time.perf_counter()
     tau, k, m, x, ell = instance.tau, instance.k, instance.m, instance.x, instance.ell
     conservative = instance.variant == CONSERVATIVE
@@ -927,11 +937,12 @@ def solve_auto(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
     ``tau * m**(2 ell)`` for the revolutionary variant, brute force as the
     last resort) and tried in that order; a solver that raises
     :class:`BudgetExceededError` hands over to the next one. When every
-    attempt fails the raised budget error lists all estimates.
+    attempt fails the raised budget error lists all estimates. ``budget``
+    goes to every solver tried, and the first one checks it.
     """
     tau, k, m, x, ell = instance.tau, instance.k, instance.m, instance.x, instance.ell
     if _decoupled(instance):
-        return solve_unconstrained(instance)
+        return solve_unconstrained(instance, budget)
     if _hopeless(instance) is not None:
         return solve_dp_tau(instance, budget=budget)
 

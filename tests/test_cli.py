@@ -261,9 +261,9 @@ def test_transform_refuses_the_wrong_graph_kind(tmp_path, capsys):
     plain.write_text(emit_graph(Graph(2, ((1, 2),))))
     parted.write_text(emit_graph(PartitionedGraph(({1}, {2}), ((1, 2),))))
     assert run(["transform", "--reduction", "vc-cmpv", str(parted)]) == 2
-    assert capsys.readouterr().err == "error: vc-cmpv expects an unpartitioned graph\n"
+    assert capsys.readouterr().err == "error: vc_to_cmpv expects an unpartitioned graph\n"
     assert run(["transform", "--reduction", "mcc-cmpv", str(plain)]) == 2
-    assert capsys.readouterr().err == "error: mcc-cmpv expects a graph with a parts section\n"
+    assert capsys.readouterr().err == "error: mcc_to_cmpv expects a partitioned graph\n"
 
 
 def test_transform_chain(tmp_path, capsys):

@@ -79,6 +79,104 @@ def test_accepts_numpy_integer_parameters():
     assert all(type(v) is int for v in (inst.m, inst.k, inst.ell, inst.x))
 
 
+def _instance(cls, **change):
+    """A one-stage, one-candidate instance of ``cls`` with ``change`` applied."""
+    p = {"m": 1, "k": 1, "ell": 0, "x": 1, **change}
+    rows = ((1,),) if cls is Instance else ((0, 1),)
+    return cls("C", p["m"], rows, p["k"], p["ell"], p["x"])
+
+
+def _budget_case(solver, variant, ell):
+    """``solver``'s budget on ``e1(variant, k=1, ell=ell)``: the answer,
+    witness, algorithm and states it gives."""
+
+    def call(budget):
+        report = solver(e1(variant, k=1, ell=ell), budget=budget)
+        return report.answer, report.witness, report.algorithm, report.stats["states"]
+
+    return call
+
+
+def _integer_arguments():
+    """(name, lower bound, a valid value, call) for every public integer argument.
+
+    ``call(value)`` passes ``value`` as that argument and returns what the
+    entry point stored or computed with it.
+    """
+    from mpvkit import (
+        Graph,
+        PartitionedGraph,
+        brute_force,
+        enumerate_solutions,
+        pad_half_vertex_cover,
+        random_instance,
+        shrink_weights,
+        sidon,
+        solve_auto,
+        solve_dp_tau,
+        solve_inout_ell,
+        solve_layered_k,
+        solve_unconstrained,
+    )
+
+    graph = Graph(4, ((1, 2),))
+    cases = []
+    for cls in (Instance, WeightedInstance):
+        for name, low, good in (("m", 1, 1), ("k", 1, 2), ("ell", 0, 3), ("x", 1, 1)):
+            call = lambda v, cls=cls, name=name: _instance(cls, **{name: v})
+            cases.append((f"{cls.__name__}.{name}", name, low, good, call))
+    sizes = {"n": (0, 4), "m": (1, 3), "tau": (1, 2), "k": (1, 2), "ell": (0, 1), "x": (1, 2)}
+    for name, (low, good) in sizes.items():
+        call = lambda v, name=name: random_instance(
+            **{"n": 4, "m": 3, "tau": 2, "k": 1, "ell": 0, "x": 1, name: v}, variant="C", seed=5
+        )
+        cases.append((f"random_instance.{name}", name, low, good, call))
+    cases += [
+        ("enumerate_solutions.limit", "limit", 0, 2, lambda v: enumerate_solutions(e1(), v)),
+        ("sidon.b", "b", 1, 3, lambda v: sidon(v)),
+        ("Graph.num_vertices", "num_vertices", 0, 4, lambda v: Graph(v, ())),
+        ("Graph.edge_endpoint", "edge endpoint", 1, 1, lambda v: Graph(2, ((v, 2),))),
+        ("PartitionedGraph.vertex", "vertex id", 1, 1, lambda v: PartitionedGraph(({v}, {2}), ())),
+        ("pad_half_vertex_cover.r", "cover size", 0, 2, lambda v: pad_half_vertex_cover(graph, v)),
+        ("shrink_weights.N", "N", 2, 3, lambda v: shrink_weights((3, 10), v)),
+    ]
+    # each solver on an instance it applies to; a budget of 2**62 as an
+    # int64 would overflow in brute force's 8 * budget
+    solvers = [
+        ("brute_force", brute_force, "C", 1),
+        ("solve_unconstrained", solve_unconstrained, "C", 2),
+        ("solve_layered_k", solve_layered_k, "C", 1),
+        ("solve_inout_ell", solve_inout_ell, "R", 1),
+        ("solve_inout_ell.decoupled", solve_inout_ell, "R", 0),
+        ("solve_dp_tau", solve_dp_tau, "C", 1),
+        ("solve_auto", solve_auto, "C", 1),
+        ("solve_auto.decoupled", solve_auto, "C", 2),
+    ]
+    for id_, solver, variant, ell in solvers:
+        cases.append((f"{id_}.budget", "budget", 0, 2**62, _budget_case(solver, variant, ell)))
+    cases.append((
+        "enumerate_solutions.budget", "budget", 0, 2**62,
+        lambda v: enumerate_solutions(e1(), 1, budget=v),
+    ))
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name, low, good, call", _integer_arguments())
+def test_every_integer_argument_follows_one_rule(name, low, good, call):
+    kind = {0: "a non-negative integer", 1: "a positive integer"}.get(low, f"an integer >= {low}")
+    for bad in (True, 2.5, float("inf"), "2", None, low - 1):
+        with pytest.raises(ValueError) as info:
+            call(bad)
+        assert str(info.value) == f"{name} must be {kind}, got {bad!r}"
+    try:  # the bound itself is allowed, though a budget of 0 may run out
+        call(low)
+    except core.BudgetExceededError:
+        assert name == "budget"
+    # a numpy integer is taken and stored or used as int: the outcome has
+    # no numpy scalar in its repr
+    assert repr(call(np.int64(good))) == repr(call(good))
+
+
 def test_instances_hash_and_compare():
     assert e1() == e1()
     assert e1() != e1(x=1, ell=0)
@@ -215,13 +313,13 @@ def test_graph_sidon_and_kernel_records_keep_their_behaviour():
             delattr(record, name)
 
     messages = [
-        (lambda: Graph(-1, ()), "bad vertex count -1"),
-        (lambda: Graph(3, ((1, 2.0),)), "edge endpoints must be integers, got (1, 2.0)"),
+        (lambda: Graph(-1, ()), "num_vertices must be a non-negative integer, got -1"),
+        (lambda: Graph(3, ((1, 2.0),)), "edge endpoint must be a positive integer, got 2.0"),
         (lambda: Graph(3, ((1, 1),)), "self-loop at vertex 1"),
         (lambda: Graph(3, ((1, 4),)), "edge (1, 4) outside 1..3"),
         (lambda: Graph(3, ((1, 2), (2, 1))), "duplicate edges"),
         (lambda: PartitionedGraph(({1, 2},), ()), "need at least two parts"),
-        (lambda: PartitionedGraph(({0}, {1}), ()), "bad vertex id 0"),
+        (lambda: PartitionedGraph(({0}, {1}), ()), "vertex id must be a positive integer, got 0"),
         (lambda: PartitionedGraph(({1}, {1}), ()), "vertex 1 appears in two parts"),
         (lambda: PartitionedGraph(({1, 2}, {4}), ()), "parts must cover exactly 1..3"),
         (lambda: PartitionedGraph(({1, 2}, {3}), ((2, 1),)), "edge (1, 2) stays inside one part"),

@@ -522,6 +522,15 @@ def test_mcc_rejects_empty_part():
         mcc_to_cmpv(PartitionedGraph(parts=({1}, frozenset(), {2}), edges=((1, 2),)))
 
 
+def test_graph_constructions_refuse_the_other_graph_kind():
+    # each construction checks the graph kind itself, so a plain Graph is not
+    # read for parts and a PartitionedGraph is not taken as a vertex-cover input
+    with pytest.raises(PreconditionError, match="^mcc_to_cmpv expects a partitioned graph$"):
+        mcc_to_cmpv(Graph(4, ((1, 2),)))
+    with pytest.raises(PreconditionError, match="^vc_to_cmpv expects an unpartitioned graph$"):
+        vc_to_cmpv(PartitionedGraph(({1}, {2}), ((1, 2),)))
+
+
 # ---------------------------------------------------------------------------
 # fidelity on every small input
 # ---------------------------------------------------------------------------
@@ -818,10 +827,12 @@ def test_random_instance_validation():
         random_instance(2, 3, 2, 1, 0, 1, "Z", seed=1)
     with pytest.raises(ValueError):
         random_instance(2, 3, 2, 1, 0, 1, "C", abstain_probability=1.5, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^m must be a positive integer, got 0$"):
         random_instance(2, 0, 2, 1, 0, 1, "C", seed=1)
     sizes = dict(n=2, m=3, tau=2, k=1, ell=0, x=1)
     for name in sizes:
+        kind = "a non-negative integer" if name in ("n", "ell") else "a positive integer"
         for bad in (2.0, True, "2", None):
-            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            with pytest.raises(ValueError) as info:
                 random_instance(**{**sizes, name: bad}, variant="C", seed=1)
+            assert str(info.value) == f"{name} must be {kind}, got {bad!r}"
