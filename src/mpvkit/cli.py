@@ -14,7 +14,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
-from .core import BudgetExceededError, DEFAULT_BUDGET, TrivialVerdict, verify
+from .core import BudgetExceededError, DEFAULT_BUDGET, TrivialVerdict, _natural, verify
 from .formats import (
     FormatError,
     _check_emittable,
@@ -74,14 +74,11 @@ _BUDGET_HELP = "state exploration budget, in the solver's own unit (default: %(d
 
 
 def _budget(text):
-    """``--budget`` value: a non-negative integer."""
+    """``--budget`` value: a non-negative integer, by :func:`~mpvkit.core._natural`'s rule."""
     try:
-        value = int(text)
+        return _natural("budget", int(text), 0)
     except ValueError:
-        value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Reference brute-force search used to validate the faster solvers.
 
-One generator yields the valid committee sequences in lexicographic
-order: depth first, stage by stage, over the committees that meet the
-stage's score threshold, keeping a transition when one table of allowed
-symmetric-difference sizes admits it. Where that table admits only a
-small neighbourhood of the previous committee (``ell`` near 0
-conservative, near ``m`` revolutionary), that neighbourhood's committees
-are tested directly instead of listing each stage's feasible ones, in one
-inline loop whose committees meet ``ell`` by construction, and a tail
-found to hold no sequence is not searched again; ``stats["states"]``
-still counts every extension of the full search. :func:`brute_force`
-reads its first sequence and :func:`enumerate_solutions` its first
-``limit``. Exponential in every parameter, intended for desk-scale
-instances and as a test oracle.
+One search checks its arguments and then returns a generator of the
+valid committee sequences in lexicographic order: depth first, stage by
+stage, over the committees that meet the stage's score threshold,
+keeping a transition when one table of allowed symmetric-difference
+sizes admits it. Where that table admits only a small neighbourhood of
+the previous committee (``ell`` near 0 conservative, near ``m``
+revolutionary), that neighbourhood's committees are tested directly
+instead of listing each stage's feasible ones, in one inline loop whose
+committees meet ``ell`` by construction, and a tail found to hold no
+sequence is not searched again; ``stats["states"]`` still counts every
+extension of the full search. :func:`brute_force` reads its first
+sequence and :func:`enumerate_solutions` its first ``limit``.
+Exponential in every parameter, intended for desk-scale instances and as
+a test oracle.
 """
 
 from __future__ import annotations
@@ -51,18 +52,20 @@ def _best_sums(weights, k):
     return best
 
 
-def _feasible_masks(row, pool, k, x):
-    """Committees of at most ``k`` members of ``pool`` scoring at least ``x``.
+def _feasible_masks(weights, k, x):
+    """Committees of at most ``k`` members scoring at least ``x`` under ``weights``.
 
-    Each committee is an int bitmask over pool positions: bit ``i`` stands
-    for ``pool[i]``, and its score is the sum of ``row[c]`` over members.
-    The list is in lexicographic order of the committees' sorted position
-    tuples, a prefix first. A committee with ``left`` free seats stops
-    extending at position ``i`` once even the ``left`` largest counts of
-    ``pool[i:]`` cannot lift its score to ``x`` (:func:`_best_sums`); that
-    bound never grows with ``i``, so no later position can either.
+    ``weights`` is one stage's counts projected onto a candidate pool,
+    ``weights[i]`` the count of ``pool[i]``: the form every search lists
+    its stages from. Each committee is an int bitmask over pool positions,
+    bit ``i`` standing for ``pool[i]``, and its score is the sum of its
+    members' weights. The list is in lexicographic order of the
+    committees' sorted position tuples, a prefix first. A committee with
+    ``left`` free seats stops extending at position ``i`` once even the
+    ``left`` largest of ``weights[i:]`` cannot lift its score to ``x``
+    (:func:`_best_sums`); that bound never grows with ``i``, so no later
+    position can either.
     """
-    weights = [row[c] for c in pool]
     n = len(weights)
     k = min(k, n)
     best = _best_sums(weights, k)
@@ -86,7 +89,8 @@ def _feasible_masks(row, pool, k, x):
 
 
 def _sequence_search(instance, budget, states):
-    """Generate the valid committee sequences in lexicographic order.
+    """Check the arguments and return a generator of the valid committee
+    sequences in lexicographic order.
 
     A committee extends a partial sequence when ``ok[d]`` holds for its
     symmetric difference ``d`` with the committee before it (``d <= ell``
@@ -119,10 +123,15 @@ def _sequence_search(instance, budget, states):
     ``states`` and every budget error stay those of the full search. The
     search holds the feasible lists of the scan stages only, at most 64
     verdicts per committee a lookup visits, and at most one dead count
-    per committee of stage ``t - 1``. ``budget`` is checked by
-    :func:`~mpvkit.core._natural` first. An extension past it raises
-    :class:`BudgetExceededError`, as does, up front, a stage pool too
-    large to enumerate within it.
+    per committee of stage ``t - 1``.
+
+    The checks and the stage lists run when this function is called, not
+    when the generator is first read, so a reader that takes no sequence
+    is refused like any other: ``budget`` is checked by
+    :func:`~mpvkit.core._natural` first, and a stage pool too large to
+    enumerate within it raises :class:`BudgetExceededError`. Each stage
+    is listed from ``row[1:]``, its counts over the pool ``1..m``. An
+    extension past the budget raises :class:`BudgetExceededError` too.
     """
     budget = _natural("budget", budget, 0)
     m, k, ell, x, tau = instance.m, instance.k, instance.ell, instance.x, instance.tau
@@ -140,9 +149,9 @@ def _sequence_search(instance, budget, states):
     radius, flip = (ell, 0) if conservative else (m - ell, (1 << m) - 1)
     ball_size = _committees(m, min(radius, 7))
     lookup = tau > 1 and ball_size <= 64
-    ball = _feasible_masks([0] * (m + 1), pool, radius, 0) if lookup and radius >= 0 else []
+    ball = _feasible_masks([0] * m, radius, 0) if lookup and radius >= 0 else []
     counts = instance.counts  # stages with equal rows share a feasible list or verdicts
-    lists = {row: _feasible_masks(row, pool, k, x) for row in set(counts[: 1 if lookup else tau])}
+    lists = {row: _feasible_masks(row[1:], k, x) for row in set(counts[: 1 if lookup else tau])}
     verdicts = {row: {} for row in counts}
     stages = [verdicts[row] if t and lookup else lists[row] for t, row in enumerate(counts)]
     dead = [{} for _ in range(tau)]
@@ -187,8 +196,7 @@ def _sequence_search(instance, budget, states):
         if not found:
             dead[t][prev] = states[0] - start
 
-    for path in paths(0, 0):
-        yield tuple(_decode(mask, pool) for mask in path)
+    return (tuple(_decode(mask, pool) for mask in path) for path in paths(0, 0))
 
 
 def brute_force(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
@@ -197,6 +205,10 @@ def brute_force(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport
     The witness, when one exists, is the lexicographically first valid
     committee sequence (committees compared as sorted tuples, stage by
     stage), so repeated runs and independent implementations agree on it.
+    Each stage is listed by :func:`_feasible_masks` from its counts over
+    the candidates ``1..m`` (``row[1:]``), the form in which layered-k
+    lists its stages over its own pool. The budget and the stage pool's
+    size are checked before any search.
 
     Parameters
     ----------
@@ -218,8 +230,9 @@ def enumerate_solutions(instance: Instance, limit: int, budget: int = DEFAULT_BU
     """First ``limit`` valid committee sequences in lexicographic order.
 
     ``limit`` and ``budget`` are non-negative integers
-    (:func:`~mpvkit.core._natural`). The budget is checked when the search
-    starts, so ``limit=0``, which starts none, checks no budget.
+    (:func:`~mpvkit.core._natural`). Both are checked before any
+    sequence is read, so ``limit=0`` refuses a bad budget, or a stage pool
+    too large for it, like any other limit.
     """
     count = _natural("limit", limit, 0)
     return list(islice(_sequence_search(instance, budget, [0]), count))

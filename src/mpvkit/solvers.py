@@ -129,8 +129,9 @@ def _layer_array(np, masks, words):
 def _feasible_layers(weights, top, k, x):
     """Every stage's :func:`~mpvkit.oracle._feasible_masks`, built in one numpy pass.
 
-    ``weights`` holds each stage's counts over the candidate pool, one
-    list of ``n`` per stage, as :func:`solve_layered_k` projects them, and
+    ``weights`` is :func:`solve_layered_k`'s stage table, each stage's
+    counts over the candidate pool, one list of ``n`` per stage, the rows
+    that :func:`~mpvkit.oracle._feasible_masks` lists one at a time, and
     ``top`` is the largest sum of ``max(k, 1)`` of one stage's weights: at
     least one seat, so that no weight exceeds ``top`` either. The pass
     reads both and computes neither. Returns one ``(size, words)`` uint64
@@ -294,7 +295,7 @@ def _parentless(np, layer, weights, k, ell, x):
     with negation, subtraction and popcount, which do not depend on byte
     order, in blocks of ``_CALL_ELEMENTS`` rows, so that every temporary
     holds at most that many entries. ``weights`` is the previous stage's
-    row of :func:`solve_layered_k`'s projected counts, a list over the
+    row of :func:`solve_layered_k`'s stage table, a list over the
     pool (an int64 array works too), and the caller keeps every sum in
     int64. ``np`` is the numpy module, imported by the calling solver.
     """
@@ -395,12 +396,11 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     2)`` does not fit. All paths return the same witness, states, layer
     sizes and budget errors.
 
-    The numpy pass and the score bound read one table: each stage's counts
-    projected onto the pool, with ``top``, built at most once per solve.
-    It is built before the layers are listed, when the pool has more than
-    :data:`SCAN_PYTHON_MAX` committees or a conservative instance may have
-    more than that many committee pairs (at most ``(tau - 1) * c**2`` for
-    ``c`` committees in the pool), and not at all otherwise.
+    Both listings and the score bound read one stage table, built once per
+    solve right after the up-front refusal: each stage's counts projected
+    onto the pool, one list per stage. ``top`` is computed at most once
+    per solve, and only where it is read: before the numpy pass, and
+    before the first conservative numpy scan of Python-listed layers.
 
     Budget, checked first like every solver's, counts layer nodes plus
     examined arcs. ``stats["layer_sizes"]`` holds the number of feasible
@@ -416,19 +416,15 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
             f"{node_bound} committees per layer over {instance.tau} stages "
             f"exceed the budget of {budget}"
         )
-    # each stage's counts over pool, and top, the largest sum of k of one
-    # stage's, read by the numpy pass and the conservative score bound; on
-    # Python-listed layers the bound runs only above SCAN_PYTHON_MAX
-    # committee pairs, and there are at most (tau - 1) * node_bound**2
-    pairs_bound = (instance.tau - 1) * node_bound**2
-    if node_bound > SCAN_PYTHON_MAX or conservative and pairs_bound > SCAN_PYTHON_MAX:
-        weights = [[row[c] for c in pool] for row in instance.counts]
-        top = max(sum(sorted(row, reverse=True)[: instance.k]) for row in weights)
-    layers = None
+    # the stage table, read by both listings and the score bound; top, the
+    # largest sum of k of one stage's, only where it is read
+    weights = [[row[c] for c in pool] for row in instance.counts]
+    top = layers = None
     if node_bound > SCAN_PYTHON_MAX:
+        top = max(sum(sorted(row, reverse=True)[: instance.k]) for row in weights)
         layers = _feasible_layers(weights, top, instance.k, instance.x)
     if layers is None:
-        masks = [_feasible_masks(row, pool, instance.k, instance.x) for row in instance.counts]
+        masks = [_feasible_masks(row, instance.k, instance.x) for row in weights]
     layer_sizes = list(map(len, masks if layers is None else layers))
     states = sum(layer_sizes)
     pairs = 0
@@ -447,6 +443,8 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
         if layers is None:
             words = max(1, -(-len(pool) // 64))
             layers = [_layer_array(np, layer, words) for layer in masks]
+        if conservative and top is None:
+            top = max(sum(sorted(row, reverse=True)[: instance.k]) for row in weights)
         # the score bound's sums fit int64 where the numpy pass's guard on scores holds
         bounded = conservative and instance.tau * (top + 2) < 2**63
 
@@ -938,8 +936,10 @@ def solve_auto(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
     last resort) and tried in that order; a solver that raises
     :class:`BudgetExceededError` hands over to the next one. When every
     attempt fails the raised budget error lists all estimates. ``budget``
-    goes to every solver tried, and the first one checks it.
+    is checked first (:func:`~mpvkit.core._natural`), before any routing
+    work, and then goes to every solver tried.
     """
+    budget = _natural("budget", budget, 0)
     tau, k, m, x, ell = instance.tau, instance.k, instance.m, instance.x, instance.ell
     if _decoupled(instance):
         return solve_unconstrained(instance, budget)

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from mpvkit import Instance
+from mpvkit.oracle import _feasible_masks
 
 # Running fixture used throughout: two agents, three candidates, three
 # stages. Stage 1 both approve c1, stage 2 both approve c2, stage 3
@@ -25,6 +28,38 @@ def subsets_upto(candidates, k):
 
     grow([], 0)
     return out
+
+
+def feasible_masks(row, pool, k, x):
+    """:func:`~mpvkit.oracle._feasible_masks` of a count row over ``pool``.
+
+    Projects ``row`` onto ``pool`` (``row[c]`` for each ``c`` in order),
+    the one form in which the searches list a stage.
+    """
+    return _feasible_masks([row[c] for c in pool], k, x)
+
+
+def brute_cover(graph, r):
+    """Whether ``graph`` has a vertex cover of at most ``r`` vertices."""
+    if not graph.edges:
+        return True
+    verts = range(1, graph.num_vertices + 1)
+    for size in range(r + 1):
+        for sub in itertools.combinations(verts, size):
+            s = set(sub)
+            if all(u in s or v in s for u, v in graph.edges):
+                return True
+    return False
+
+
+def brute_clique(pg):
+    """Whether partitioned graph ``pg`` has a clique with one vertex per part."""
+    eset = set(pg.edges)
+    for combo in itertools.product(*[sorted(p) for p in pg.parts]):
+        if all((min(a, b), max(a, b)) in eset
+               for a, b in itertools.combinations(combo, 2)):
+            return True
+    return False
 
 
 def e1(variant="C", k=1, ell=2, x=1):

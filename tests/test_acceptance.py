@@ -43,6 +43,8 @@ from mpvkit import (
 )
 from mpvkit.cli import run
 
+from conftest import brute_clique, brute_cover
+
 
 # ---------------------------------------------------------------------------
 # shared corpus and reference oracles
@@ -105,27 +107,6 @@ def dense_pair_oracle(inst):
                 return True
             if inst.variant == "R" and d >= inst.ell:
                 return True
-    return False
-
-
-def brute_cover(graph, r):
-    if not graph.edges:
-        return True
-    verts = range(1, graph.num_vertices + 1)
-    for size in range(r + 1):
-        for sub in itertools.combinations(verts, size):
-            s = set(sub)
-            if all(u in s or v in s for u, v in graph.edges):
-                return True
-    return False
-
-
-def brute_clique(pg):
-    eset = set(pg.edges)
-    for combo in itertools.product(*[sorted(p) for p in pg.parts]):
-        if all((min(a, b), max(a, b)) in eset
-               for a, b in itertools.combinations(combo, 2)):
-            return True
     return False
 
 

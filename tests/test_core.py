@@ -137,7 +137,17 @@ def _integer_arguments():
         ("Graph.num_vertices", "num_vertices", 0, 4, lambda v: Graph(v, ())),
         ("Graph.edge_endpoint", "edge endpoint", 1, 1, lambda v: Graph(2, ((v, 2),))),
         ("PartitionedGraph.vertex", "vertex id", 1, 1, lambda v: PartitionedGraph(({v}, {2}), ())),
+        (
+            "PartitionedGraph.edge_endpoint", "edge endpoint", 1, 1,
+            lambda v: PartitionedGraph(({1, 2}, {3}), ((v, 3),)),
+        ),
         ("pad_half_vertex_cover.r", "cover size", 0, 2, lambda v: pad_half_vertex_cover(graph, v)),
+        # a cover size below half the vertices: the output graph is padded
+        # with vertices and edges computed from it
+        (
+            "pad_half_vertex_cover.r.padded", "cover size", 0, 1,
+            lambda v: pad_half_vertex_cover(Graph(4, ((1, 2), (3, 4))), v),
+        ),
         ("shrink_weights.N", "N", 2, 3, lambda v: shrink_weights((3, 10), v)),
     ]
     # each solver on an instance it applies to; a budget of 2**62 as an
@@ -158,6 +168,11 @@ def _integer_arguments():
         "enumerate_solutions.budget", "budget", 0, 2**62,
         lambda v: enumerate_solutions(e1(), 1, budget=v),
     ))
+    # limit 0 reads no sequence, and checks the budget all the same
+    cases.append((
+        "enumerate_solutions.budget.limit0", "budget", 0, 2**62,
+        lambda v: enumerate_solutions(e1(), 0, budget=v),
+    ))
     return [pytest.param(*case[1:], id=case[0]) for case in cases]
 
 
@@ -172,6 +187,10 @@ def test_every_integer_argument_follows_one_rule(name, low, good, call):
         call(low)
     except core.BudgetExceededError:
         assert name == "budget"
+
+
+@pytest.mark.parametrize("name, low, good, call", _integer_arguments())
+def test_every_integer_argument_takes_numpy_integers_as_int(name, low, good, call):
     # a numpy integer is taken and stored or used as int: the outcome has
     # no numpy scalar in its repr
     assert repr(call(np.int64(good))) == repr(call(good))

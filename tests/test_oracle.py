@@ -17,7 +17,7 @@ from mpvkit import (
 from mpvkit.core import DEFAULT_BUDGET
 from mpvkit.oracle import _decode, _feasible_masks
 
-from conftest import e1, subsets_upto
+from conftest import e1, feasible_masks, subsets_upto
 
 
 def test_subset_order_is_lexicographic():
@@ -57,7 +57,7 @@ def test_feasible_masks_match_filtered_subsets(m, pool_size, k, scale):
         )
         assert [tuple(sorted(s)) for s in subsets_upto(pool, k)] == reference
         for x in (1, scale, 3 * scale, 7 * scale, 20 * scale):
-            got = [_decode(mask, pool) for mask in _feasible_masks(row, pool, k, x)]
+            got = [_decode(mask, pool) for mask in feasible_masks(row, pool, k, x)]
             assert got == [s for s in subsets_upto(pool, k) if sum(row[c] for c in s) >= x]
             assert got == [frozenset(c) for c in reference if sum(row[i] for i in c) >= x]
 
@@ -116,6 +116,12 @@ def test_budget_exhaustion():
     )
     with pytest.raises(BudgetExceededError):
         brute_force(inst, budget=10)
+    # its 163 committees per stage are refused before any sequence is
+    # read, so at limit 0 too
+    for limit in (0, 1):
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_solutions(inst, limit, budget=10)
+        assert str(err.value) == "enumerating 163 committees per stage exceeds the budget of 10"
 
 
 def test_empty_committee_allowed_when_x_reachable():
@@ -136,7 +142,7 @@ def _sequence_reference(instance, budget, max_solutions):
     if pool_size > budget or pool_size * tau > 8 * budget:
         return f"enumerating {pool_size} committees per stage exceeds the budget of {budget}"
     pool = range(1, m + 1)
-    feasible = [_feasible_masks(row, pool, k, x) for row in instance.counts]
+    feasible = [feasible_masks(row, pool, k, x) for row in instance.counts]
 
     solutions = []
     prefix = []
@@ -205,7 +211,10 @@ def test_search_matches_the_closure_reference():
                 assert (got.answer, got.witness, got.stats["states"]) == (
                     witness is not None, witness, expected[1]
                 ), (inst, budget)
-            assert enumerate_solutions(inst, 0, budget=budget) == []
+            # limit 0 reads no sequence, but a pool too large is refused up front
+            refused = isinstance(expected, str) and expected.startswith("enumerating")
+            got = _outcome(lambda: enumerate_solutions(inst, 0, budget=budget))
+            assert got == (expected if refused else []), (inst, budget)
             for limit in range(1, 6):
                 expected = _sequence_reference(inst, budget, limit)
                 if isinstance(expected, str):
@@ -308,14 +317,14 @@ def test_lookup_stages_build_no_feasible_list(monkeypatch):
     assert witness == (frozenset({2, 3}),) * 5
     calls = Counter()
 
-    def counted(row, pool, k, x):
-        calls[tuple(row), k, x] += 1
-        return _feasible_masks(row, pool, k, x)
+    def counted(weights, k, x):
+        calls[tuple(weights), k, x] += 1
+        return _feasible_masks(weights, k, x)
 
     monkeypatch.setattr("mpvkit.oracle._feasible_masks", counted)
     rep = brute_force(inst)
     assert (rep.witness, rep.stats["states"]) == (witness, states)
-    assert calls == {(inst.counts[0], 2, 3): 1, ((0,) * 6, 0, 0): 1}
+    assert calls == {(inst.counts[0][1:], 2, 3): 1, ((0,) * 5, 0, 0): 1}
 
 
 def test_brute_force_keeps_the_14_edge_clique_gadget_answers():

@@ -1,9 +1,7 @@
 import itertools
 import random
-import re
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from mpvkit import core
@@ -19,7 +17,6 @@ from mpvkit import (
     cmpv_normalize_half,
     cmpv_to_rmpv,
     emit_instance,
-    enumerate_solutions,
     kernel_mtau,
     kernel_ntau_cmpv,
     kernel_ntau_rmpv,
@@ -36,6 +33,7 @@ from mpvkit import (
     verify,
 )
 
+from conftest import brute_clique, brute_cover
 from test_acceptance import (
     all_partitioned_graphs,
     and_patterns,
@@ -83,52 +81,6 @@ def test_partitioned_graph_validation():
         PartitionedGraph(parts=({1, 2}, {3}), edges=((1, 2),))  # intra-part edge
 
 
-# Entry points that read an integer argument, as (build, v, stored): build(v)
-# is valid, and stored(build(v)) lists the integers the result keeps.
-INTEGER_ENTRY_POINTS = {
-    "graph-count": (lambda v: Graph(v, ()), 4, lambda g: [g.num_vertices]),
-    "graph-endpoint": (lambda v: Graph(4, ((v, 3),)), 1, lambda g: list(g.edges[0])),
-    "parts-vertex": (
-        lambda v: PartitionedGraph(parts=({v, 2}, {3}), edges=((v, 3),)),
-        1,
-        lambda pg: [*pg.parts[0], *pg.edges[0]],
-    ),
-    "sidon": (sidon, 3, lambda s: [s.b, s.hat_b, *s.elements]),
-    "pad-cover": (
-        lambda v: pad_half_vertex_cover(Graph(4, ((1, 2), (3, 4))), v),
-        1,
-        lambda out: [out[1], out[0].num_vertices, *itertools.chain(*out[0].edges)],
-    ),
-    "enumerate-limit": (
-        lambda v: enumerate_solutions(Instance("R", 3, ((1, 1), (2, 2), (1, 3)), 1, 2, 1), v),
-        2,
-        lambda sols: [len(sols)],
-    ),
-}
-
-
-@pytest.mark.parametrize("kind", ["bool", "int64", "float", "str"])
-@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
-def test_integer_arguments_follow_one_rule(entry, kind):
-    # the rule of core._integer: numpy integers are read and stored as int,
-    # bool is refused like a float or a string, and the error names the value
-    build, v, stored = INTEGER_ENTRY_POINTS[entry]
-    value = {"bool": True, "int64": np.int64(v), "float": float(v), "str": str(v)}[kind]
-    if kind == "int64":
-        got = build(value)
-        assert got == build(v)
-        assert [type(i) for i in stored(got)] == [int] * len(stored(got))
-    else:
-        with pytest.raises(ValueError, match=re.escape(repr(value))):
-            build(value)
-
-
-def test_graphs_store_numpy_integers_as_int():
-    g = Graph(np.int64(4), ((np.int64(1), 2),))
-    assert g == Graph(4, ((1, 2),))
-    assert type(g.num_vertices) is int and type(g.edges[0][0]) is int
-
-
 # ---------------------------------------------------------------------------
 # Sidon sets
 # ---------------------------------------------------------------------------
@@ -161,18 +113,6 @@ def test_sidon_rejects_bad_b():
 # ---------------------------------------------------------------------------
 # vertex cover
 # ---------------------------------------------------------------------------
-
-
-def brute_cover(graph, r):
-    if not graph.edges:
-        return True
-    verts = range(1, graph.num_vertices + 1)
-    for size in range(r + 1):
-        for sub in itertools.combinations(verts, size):
-            s = set(sub)
-            if all(u in s or v in s for u, v in graph.edges):
-                return True
-    return False
 
 
 def test_pad_half_vertex_cover():
@@ -393,15 +333,6 @@ def test_and_compose_rmpv_validation():
 # ---------------------------------------------------------------------------
 # multicolored clique
 # ---------------------------------------------------------------------------
-
-
-def brute_clique(pg):
-    eset = set(pg.edges)
-    for combo in itertools.product(*[sorted(p) for p in pg.parts]):
-        if all((min(a, b), max(a, b)) in eset
-               for a, b in itertools.combinations(combo, 2)):
-            return True
-    return False
 
 
 def test_mcc_structure():

@@ -26,7 +26,7 @@ from mpvkit import solvers
 from mpvkit.core import DEFAULT_BUDGET, _change_out_of_reach, _hopeless
 from mpvkit.oracle import _feasible_masks
 
-from conftest import e1, subsets_upto
+from conftest import e1, feasible_masks, subsets_upto
 
 EXACT_SOLVERS = [solve_layered_k, solve_dp_tau, solve_auto]
 
@@ -153,10 +153,10 @@ def _overflowing(*args):
     return None
 
 
-def _listed_empty(row, pool, k, x):
+def _listed_empty(weights, k, x):
     """:func:`_feasible_masks` where the numpy pass leaves it only the
     layers of an instance whose stages all stay below ``x``."""
-    masks = _feasible_masks(row, pool, k, x)
+    masks = _feasible_masks(weights, k, x)
     assert not masks, "layered-k took the other path"
     return masks
 
@@ -753,7 +753,7 @@ def test_feasible_layers_match_feasible_masks(monkeypatch):
         x = rng.choice((-3, 0, 1, rng.randint(1, 3 * high + 1), 10**30))
         weights, top = _pass_inputs(counts, pool, k)
         layers = solvers._feasible_layers(weights, top, k, x)
-        expected = [_feasible_masks(row, pool, k, x) for row in counts]
+        expected = [feasible_masks(row, pool, k, x) for row in counts]
         # no stage reaches an x above every top-k sum: None, before numpy
         seen["x > top"] += x > top
         if x > top:
@@ -800,6 +800,43 @@ def test_layered_pins_the_named_instances_on_every_path(monkeypatch):
         for path in _on_each_scan_path(monkeypatch):
             rep = solve_layered_k(inst)
             assert (rep.witness, rep.stats["states"], rep.stats["layer_sizes"]) == expected, path
+
+
+def test_layered_lists_and_bounds_from_one_stage_table(monkeypatch):
+    # on every path, the listing (the numpy pass, _feasible_masks stage by
+    # stage, or both) and the conservative score bound read the row objects
+    # of one table: each stage's counts over the pool, built once per solve
+    inst = random_instance(12, 18, 4, 3, 1, 3, "C", seed=0)
+    pool = solvers._approved(inst.counts)
+    for path in _on_each_scan_path(monkeypatch):
+        listed, bounded = [], []
+        layers, masks, parentless = (
+            getattr(solvers, name) for name in ("_feasible_layers", "_feasible_masks", "_parentless")
+        )
+
+        def listing_layers(weights, top, k, x):
+            listed.extend(weights)
+            return layers(weights, top, k, x)
+
+        def listing_masks(weights, k, x):
+            listed.append(weights)
+            return masks(weights, k, x)
+
+        def bounding(np, layer, weights, k, ell, x):
+            bounded.append(weights)
+            return parentless(np, layer, weights, k, ell, x)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_feasible_layers", listing_layers)
+            patch.setattr(solvers, "_feasible_masks", listing_masks)
+            patch.setattr(solvers, "_parentless", bounding)
+            rep = solve_layered_k(inst)
+        assert rep.answer and verify(inst, rep.witness) == [], path
+        table = list({id(row): row for row in listed}.values())
+        assert table == [[row[c] for c in pool] for row in inst.counts], path
+        assert all(any(row is own for own in table) for row in bounded), path
+        # Python-listed layers with few pairs take no bound; both numpy scans do
+        assert bool(bounded) == (path != "python"), path
 
 
 def test_layered_weights_beyond_int64_match_the_python_path(monkeypatch):
@@ -862,7 +899,7 @@ def test_score_bound_rules_out_only_parentless_committees(monkeypatch):
         )
         x = rng.choice((-1, 0, rng.randint(1, 2 * high), rng.randint(1, k * high)))
         pool = range(1, n + 1)
-        prev, layer = (_feasible_masks(r, pool, k, x) for r in (prev_row, row))
+        prev, layer = (feasible_masks(r, pool, k, x) for r in (prev_row, row))
         words = max(1, -(-n // 64))
         flagged = solvers._parentless(
             np, solvers._layer_array(np, layer, words), np.array(prev_row[1:], dtype=np.int64), k, ell, x
@@ -884,6 +921,19 @@ def test_score_bound_rules_out_only_parentless_committees(monkeypatch):
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
+
+
+def test_auto_checks_the_budget_before_routing(monkeypatch):
+    # the budget rule runs first: neither routing test is reached
+    def unexpected(*args):
+        raise AssertionError("solve_auto routed before checking its budget")
+
+    monkeypatch.setattr(solvers, "_decoupled", unexpected)
+    monkeypatch.setattr(solvers, "_hopeless", unexpected)
+    for budget in (-1, 1.5, None):
+        with pytest.raises(ValueError) as err:
+            solve_auto(e1("C", ell=1), budget=budget)
+        assert str(err.value) == f"budget must be a non-negative integer, got {budget!r}"
 
 
 def test_auto_uses_greedy_when_decoupled():
