@@ -125,13 +125,15 @@ def _sequence_search(instance, budget, states):
     verdicts per committee a lookup visits, and at most one dead count
     per committee of stage ``t - 1``.
 
-    The checks and the stage lists run when this function is called, not
-    when the generator is first read, so a reader that takes no sequence
-    is refused like any other: ``budget`` is checked by
-    :func:`~mpvkit.core._natural` first, and a stage pool too large to
-    enumerate within it raises :class:`BudgetExceededError`. Each stage
-    is listed from ``row[1:]``, its counts over the pool ``1..m``. An
-    extension past the budget raises :class:`BudgetExceededError` too.
+    The checks run when this function is called, not when the generator
+    is first read, so a reader that takes no sequence is refused like any
+    other: ``budget`` is checked by :func:`~mpvkit.core._natural` first,
+    and a stage pool too large to enumerate within it raises
+    :class:`BudgetExceededError`. The stage lists and the ball are built
+    on the generator's first read, so a reader that takes no sequence
+    lists nothing. Each stage is listed from ``row[1:]``, its counts over
+    the pool ``1..m``. An extension past the budget raises
+    :class:`BudgetExceededError` too.
     """
     budget = _natural("budget", budget, 0)
     m, k, ell, x, tau = instance.m, instance.k, instance.ell, instance.x, instance.tau
@@ -149,11 +151,8 @@ def _sequence_search(instance, budget, states):
     radius, flip = (ell, 0) if conservative else (m - ell, (1 << m) - 1)
     ball_size = _committees(m, min(radius, 7))
     lookup = tau > 1 and ball_size <= 64
-    ball = _feasible_masks([0] * m, radius, 0) if lookup and radius >= 0 else []
-    counts = instance.counts  # stages with equal rows share a feasible list or verdicts
-    lists = {row: _feasible_masks(row[1:], k, x) for row in set(counts[: 1 if lookup else tau])}
-    verdicts = {row: {} for row in counts}
-    stages = [verdicts[row] if t and lookup else lists[row] for t, row in enumerate(counts)]
+    counts = instance.counts
+    ball, stages = [], []  # filled on the first read
     dead = [{} for _ in range(tau)]
 
     def paths(t, prev):  # the valid tails from stage t on, after committee prev
@@ -196,7 +195,17 @@ def _sequence_search(instance, budget, states):
         if not found:
             dead[t][prev] = states[0] - start
 
-    return (tuple(_decode(mask, pool) for mask in path) for path in paths(0, 0))
+    def sequences():
+        if lookup and radius >= 0:
+            ball.extend(_feasible_masks([0] * m, radius, 0))
+        # stages with equal rows share a feasible list or verdicts
+        lists = {row: _feasible_masks(row[1:], k, x) for row in set(counts[: 1 if lookup else tau])}
+        verdicts = {row: {} for row in counts}
+        stages.extend(verdicts[row] if t and lookup else lists[row] for t, row in enumerate(counts))
+        for path in paths(0, 0):
+            yield tuple(_decode(mask, pool) for mask in path)
+
+    return sequences()
 
 
 def brute_force(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
@@ -232,7 +241,8 @@ def enumerate_solutions(instance: Instance, limit: int, budget: int = DEFAULT_BU
     ``limit`` and ``budget`` are non-negative integers
     (:func:`~mpvkit.core._natural`). Both are checked before any
     sequence is read, so ``limit=0`` refuses a bad budget, or a stage pool
-    too large for it, like any other limit.
+    too large for it, like any other limit, and otherwise returns ``[]``
+    without listing any stage.
     """
     count = _natural("limit", limit, 0)
     return list(islice(_sequence_search(instance, budget, [0]), count))

@@ -93,6 +93,69 @@ def solve_unconstrained(instance: Instance, budget: int = DEFAULT_BUDGET) -> Sol
 
 
 # ---------------------------------------------------------------------------
+# layered reachability, shared by layered-k and in/out-ell
+# ---------------------------------------------------------------------------
+
+
+def _first_links(layer, prev, linked, states, budget):
+    """First linked ``prev`` node for every node of ``layer``, in plain Python.
+
+    Returns ``(hits, parents, states)``: ``hits`` lists the positions in
+    ``layer`` that have a linked node in ``prev``, and ``parents[i]`` is
+    the first such position in ``prev`` for ``layer[hits[i]]``, where
+    ``b`` links to ``a`` when ``linked(b, a)`` holds. ``states`` grows
+    like :func:`_scan_arcs`'s, by the pairs a scan with early exit
+    examines, and the budget error is raised after the first node's scan
+    that takes it past ``budget``. ``states`` only grows, so that is
+    exactly when a check on every pair would raise, with the same message.
+    """
+    hits, parents = [], []
+    for i, a in enumerate(layer):
+        for j, b in enumerate(prev):
+            if linked(b, a):
+                hits.append(i)
+                parents.append(j)
+                states += j + 1
+                break
+        else:
+            states += len(prev)
+        if states > budget:
+            raise BudgetExceededError(f"arc scan exceeded the budget of {budget}")
+    return hits, parents, states
+
+
+def _path(layers, scan, states):
+    """Layered reachability in which each node keeps its first reachable parent.
+
+    Every node of ``layers[0]`` is reachable. For each later layer ``t``,
+    ``scan(t, reached, states)`` takes the positions of layer ``t - 1``'s
+    reachable nodes, in layer order, and returns ``(hits, parents,
+    states)``: the positions in layer ``t`` of the nodes with a reachable
+    parent, in layer order, and for each the index into ``reached`` of
+    its first one (:func:`_first_links` for a plain-Python scan), with
+    ``states`` grown by the scan's work. The loop stops at the first
+    empty reach set. Returns ``(path, states)``, where ``path`` lists the
+    nodes, one per layer, of the path to the first reachable node of the
+    last layer, walked back along the parent links, or is ``None``.
+    """
+    reach, links = [range(len(layers[0]))], []
+    for t in range(1, len(layers)):
+        if not len(reach[-1]):
+            break
+        hits, parents, states = scan(t, reach[-1], states)
+        reach.append(hits)
+        links.append(parents)
+    if not len(reach[-1]):
+        return None, states
+    path, j = [], 0
+    for t in range(len(layers) - 1, -1, -1):
+        path.append(layers[t][reach[t][j]])
+        if t:
+            j = links[t - 1][j]
+    return path[::-1], states
+
+
+# ---------------------------------------------------------------------------
 # small committee bound: one layer of committees per stage
 # ---------------------------------------------------------------------------
 
@@ -101,10 +164,11 @@ def solve_unconstrained(instance: Instance, budget: int = DEFAULT_BUDGET) -> Sol
 # committees in Python while its pool has at most this many committees of
 # at most k members, and scans arcs in Python while, in addition,
 # consecutive layers hold at most this many committee pairs in all. On a
-# 2-vCPU Xeon the Python scan costs about 100 ns per pair and the
-# enumeration about 0.6 us per committee listed, so the worst cases here
-# are about 0.8 ms per scan and 5 ms per stage, against 155 ms or more for
-# numpy's cold import.
+# 2-vCPU Xeon the Python scan (_first_links, with one call of its link
+# test per pair) costs about 70 ns per pair examined and the enumeration
+# about 0.6 us per committee listed, so the worst cases here are about
+# 0.6 ms per scan and 5 ms per stage, against 155 ms or more for numpy's
+# cold import.
 SCAN_PYTHON_MAX = 1 << 13
 
 # array elements one numpy call builds in the arc scan, in layered-k's
@@ -323,32 +387,6 @@ def _parentless(np, layer, weights, k, ell, x):
     return out
 
 
-def _scan_masks(layer, prev, ok, states, budget):
-    """First compatible ``prev`` mask for every mask of ``layer``, in plain Python.
-
-    Returns ``(hits, parents, states)``: ``hits`` lists the positions in
-    ``layer`` that have a compatible mask in ``prev``, and ``parents[i]``
-    is the first such position in ``prev`` for ``layer[hits[i]]``. A pair
-    is compatible when ``ok[(a ^ b).bit_count()]`` holds. ``states`` grows
-    like :func:`_scan_arcs`'s, and the budget error is raised after the
-    first row that takes it past ``budget``, so both scans raise on the
-    same instances with the same message.
-    """
-    hits, parents = [], []
-    for i, a in enumerate(layer):
-        for j, b in enumerate(prev):
-            if ok[(a ^ b).bit_count()]:
-                hits.append(i)
-                parents.append(j)
-                states += j + 1
-                break
-        else:
-            states += len(prev)
-        if states > budget:
-            raise BudgetExceededError(f"arc scan exceeded the budget of {budget}")
-    return hits, parents, states
-
-
 def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
     """Layered reachability over explicit per-stage committees.
 
@@ -356,12 +394,12 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     at most ``k`` that meet the stage's score threshold, enumerated under
     a score bound as bitmasks over the candidate pool; consecutive layers
     are connected when the symmetric difference respects ``ell``. The
-    instance is a yes iff a path crosses all layers. A reachable committee
-    keeps the first compatible reachable committee of the previous stage
-    as its parent, and the witness is the path to the first reachable
-    committee of the last stage. For the conservative variant the
-    candidate pool shrinks to the candidates approved at least once
-    (:func:`~mpvkit.core._approved`).
+    instance is a yes iff a path crosses all layers. The reachability is
+    :func:`_path`'s: a reachable committee keeps the first compatible
+    reachable committee of the previous stage as its parent, and the
+    witness is the path to the first reachable committee of the last
+    stage. For the conservative variant the candidate pool shrinks to the
+    candidates approved at least once (:func:`~mpvkit.core._approved`).
 
     The layers are enumerated in one of two ways, with the same committees
     in the same order: lexicographic in their sorted pool positions, a
@@ -380,9 +418,12 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
 
     When the layers were enumerated in plain Python and consecutive layers
     hold at most :data:`SCAN_PYTHON_MAX` committee pairs in all (up to the
-    first empty layer), the arcs are scanned in plain Python and numpy is
-    never imported; otherwise they are scanned with numpy
-    (:func:`_scan_arcs`) and the witness is decoded from the arrays' rows.
+    first empty layer), the arcs are scanned in plain Python
+    (:func:`_first_links`, linking committees whose symmetric difference
+    respects ``ell``) and numpy is never imported; otherwise they are
+    scanned with numpy (:func:`_scan_arcs`) and the witness is decoded
+    from the arrays' rows. One scan function serves :func:`_path` on
+    every path.
     Before a conservative numpy scan against more than 64 reachable
     committees, one scan block's width, a score bound rules out the
     committees that no feasible committee of the previous stage can
@@ -419,20 +460,19 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     # the stage table, read by both listings and the score bound; top, the
     # largest sum of k of one stage's, only where it is read
     weights = [[row[c] for c in pool] for row in instance.counts]
-    top = layers = None
+    top = layers = masks = None
     if node_bound > SCAN_PYTHON_MAX:
         top = max(sum(sorted(row, reverse=True)[: instance.k]) for row in weights)
         layers = _feasible_layers(weights, top, instance.k, instance.x)
     if layers is None:
-        masks = [_feasible_masks(row, instance.k, instance.x) for row in weights]
-    layer_sizes = list(map(len, masks if layers is None else layers))
-    states = sum(layer_sizes)
+        layers = masks = [_feasible_masks(row, instance.k, instance.x) for row in weights]
+    layer_sizes = list(map(len, layers))
     pairs = 0
     for size, after in zip(layer_sizes, layer_sizes[1:]):
         if not size:
             break
         pairs += size * after
-    in_python = layers is None and pairs <= SCAN_PYTHON_MAX
+    in_python = masks is not None and pairs <= SCAN_PYTHON_MAX
     if in_python:
         # ok[d]: whether committees at symmetric difference d may follow each other
         ell = instance.ell
@@ -440,7 +480,7 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     else:
         import numpy as np
 
-        if layers is None:
+        if masks is not None:
             words = max(1, -(-len(pool) // 64))
             layers = [_layer_array(np, layer, words) for layer in masks]
         if conservative and top is None:
@@ -448,49 +488,31 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
         # the score bound's sums fit int64 where the numpy pass's guard on scores holds
         bounded = conservative and instance.tau * (top + 2) < 2**63
 
-    # reach[t]: layer-t positions of the committees reachable through stage t,
-    # in layer order; links[t - 1][j]: reach[t - 1] index of reach[t][j]'s parent
-    reach = [range(layer_sizes[0])]
-    links = []
-    for t in range(1, instance.tau):
-        if not len(reach[-1]):
-            break
+    def scan(t, reached, states):
         if in_python:
-            prev = [masks[t - 1][i] for i in reach[-1]]
-            hits, parents, states = _scan_masks(masks[t], prev, ok, states, budget)
-        else:
-            prev = layers[0] if t == 1 else layers[t - 1][reach[-1]]
-            rows = np.arange(len(layers[t]))
-            if bounded and len(prev) > 64:
-                # a committee the bound rules out is a miss over all of prev
-                ruled_out = _parentless(
-                    np, layers[t], weights[t - 1], instance.k, instance.ell, instance.x
-                )
-                states += int(ruled_out.sum()) * len(prev)
-                if states > budget:
-                    raise BudgetExceededError(f"arc scan exceeded the budget of {budget}")
-                rows = np.flatnonzero(~ruled_out)
-            parents, states = _scan_arcs(
-                np, layers[t][rows], prev, conservative, instance.ell, states, budget
+            prev = [layers[t - 1][i] for i in reached]
+            linked = lambda b, a: ok[(a ^ b).bit_count()]
+            return _first_links(layers[t], prev, linked, states, budget)
+        prev = layers[0] if t == 1 else layers[t - 1][reached]
+        rows = np.arange(len(layers[t]))
+        if bounded and len(prev) > 64:
+            # a committee the bound rules out is a miss over all of prev
+            ruled_out = _parentless(
+                np, layers[t], weights[t - 1], instance.k, instance.ell, instance.x
             )
-            hits = rows[parents >= 0]
-            parents = parents[parents >= 0]
-        reach.append(hits)
-        links.append(parents)
+            states += int(ruled_out.sum()) * len(prev)
+            if states > budget:
+                raise BudgetExceededError(f"arc scan exceeded the budget of {budget}")
+            rows = np.flatnonzero(~ruled_out)
+        parents, states = _scan_arcs(
+            np, layers[t][rows], prev, conservative, instance.ell, states, budget
+        )
+        return rows[parents >= 0], parents[parents >= 0], states
 
-    witness = None
-    if len(reach) == instance.tau and len(reach[-1]):
-        chain = []
-        j = 0
-        for t in range(instance.tau - 1, -1, -1):
-            if in_python:
-                mask = masks[t][reach[t][j]]
-            else:  # the array row's words, low word first
-                mask = sum(int(word) << 64 * w for w, word in enumerate(layers[t][reach[t][j]]))
-            chain.append(_decode(mask, pool))
-            if t:
-                j = links[t - 1][j]
-        witness = tuple(reversed(chain))
+    path, states = _path(layers, scan, sum(layer_sizes))
+    if path is not None and not in_python:  # the array rows' words, low word first
+        path = [sum(int(word) << 64 * w for w, word in enumerate(row)) for row in path]
+    witness = None if path is None else tuple(_decode(mask, pool) for mask in path)
     return _report("layered-k", start, witness, states, layer_sizes=layer_sizes)
 
 
@@ -514,17 +536,21 @@ def solve_inout_ell(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     ``min(k, ell)`` are materialized (none when ``ell > m`` or
     ``ell > 2k``, which answers no).
 
-    One loop runs over stages ``1..tau``, with the empty witness as the
-    change before stage 1 and after stage ``tau``. Stage ``t`` links the
-    reachable witnesses before it to the witnesses after it when they are
-    disjoint side by side and stage ``t`` has a committee with what they
-    bring in and without what they take out, checked greedily on the
-    masks. Each linked witness keeps its first parent, and the committees
-    of the returned witness are rebuilt along that chain from the decoded
-    masks (:func:`~mpvkit.core._decode`).
+    The search is :func:`_path`'s over ``tau + 1`` layers: the empty
+    witness as the change before stage 1, every node for each change
+    between stages, and the empty witness as the change after stage
+    ``tau``. Stage ``t`` links the reachable witnesses before it to the
+    witnesses after it (:func:`_first_links`) when they are disjoint side
+    by side and stage ``t`` has a committee with what they bring in and
+    without what they take out, checked greedily on the masks. Each
+    linked witness keeps its first parent, and the committees of the
+    returned witness are rebuilt along that path from the decoded masks
+    (:func:`~mpvkit.core._decode`).
 
     Budget, checked first like every solver's, counts nodes per change
-    plus examined arcs, checked on every arc. Raises
+    plus examined arcs, checked after each node's scan, as layered-k's.
+    The up-front bound assumes every arc between middle layers is
+    examined; it is what caps the node list's memory. Raises
     :class:`PreconditionError` for the conservative variant; ``tau == 1``
     and ``ell == 0`` delegate to the greedy solver with the same budget.
     """
@@ -555,40 +581,29 @@ def solve_inout_ell(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
                 outgoing = sum(1 << i for i in xs)
                 nodes.append((outgoing, both ^ outgoing))
 
-    states = len(nodes) * (tau - 1)
-    reach = [((0, 0), None)]  # (witness, entry of the witness before it)
-    for t in range(1, tau + 1):
-        if not reach:
-            break
+    layers = [[(0, 0)], *[nodes] * (tau - 1), [(0, 0)]]
+
+    def scan(t, reached, states):
         row = instance.counts[t - 1]
         order = _stage_order(row)
-        cur = []
-        for node in nodes if t < tau else [(0, 0)]:
-            out2, in2 = node
-            for entry in reach:
-                states += 1
-                if states > budget:
-                    raise BudgetExceededError(f"arc scan exceeded the budget of {budget}")
-                out1, in1 = entry[0]
-                if out1 & out2 or in1 & in2:
-                    continue
-                if _greedy_fill(row, order, k, x, in1 | out2, out1 | in2) is not None:
-                    cur.append((node, entry))
-                    break
-        reach = cur
 
+        def linked(before, after):
+            (out1, in1), (out2, in2) = before, after
+            return not (out1 & out2 or in1 & in2) and (
+                _greedy_fill(row, order, k, x, in1 | out2, out1 | in2) is not None
+            )
+
+        prev = [layers[t - 1][i] for i in reached]
+        return _first_links(layers[t], prev, linked, states, budget)
+
+    # every node counts once per change
+    path, states = _path(layers, scan, len(nodes) * (tau - 1))
     witness = None
-    if reach:
-        chain = []
-        entry = reach[0]
-        while entry is not None:
-            chain.append(entry[0])
-            entry = entry[1]
-        chain.reverse()
+    if path is not None:
         pool = range(1, m + 1)
         witness = tuple(
             feasible_committee(instance, t, _decode(in1 | out2, pool), _decode(out1 | in2, pool))
-            for t, ((out1, in1), (out2, in2)) in enumerate(zip(chain, chain[1:]), start=1)
+            for t, ((out1, in1), (out2, in2)) in enumerate(zip(path, path[1:]), start=1)
         )
     return _report("inout-ell", start, witness, states)
 

@@ -327,6 +327,25 @@ def test_lookup_stages_build_no_feasible_list(monkeypatch):
     assert calls == {(inst.counts[0][1:], 2, 3): 1, ((0,) * 5, 0, 0): 1}
 
 
+def test_limit_zero_lists_no_stage(monkeypatch):
+    # the checks run on the call and the listing on the first read: with
+    # every listing failing, limit 0 returns [] on a lookup instance (ell
+    # 0, a ball of one committee) and a scan one (a ball of 99), and a bad
+    # budget still raises first
+    def unexpected(*args):
+        raise AssertionError("a stage was listed")
+
+    monkeypatch.setattr("mpvkit.oracle._feasible_masks", unexpected)
+    lookup = e1("C", k=1, ell=0, x=1)
+    scan = Instance("C", 7, ((3, 6, 0), (2, 4, 7)), 2, 4, 2)
+    for inst in (lookup, scan):
+        assert enumerate_solutions(inst, 0) == []
+        with pytest.raises(ValueError, match="budget must be a non-negative integer, got -5"):
+            enumerate_solutions(inst, 0, budget=-5)
+        with pytest.raises(AssertionError, match="a stage was listed"):
+            enumerate_solutions(inst, 1)
+
+
 def test_brute_force_keeps_the_14_edge_clique_gadget_answers():
     # answers, witnesses and states of the search that listed every
     # stage's feasible committees, on mcc_to_cmpv of the 14-edge 3+3+3

@@ -5,7 +5,10 @@ A box holds every instance with ``agents`` agents, ``m`` candidates and
 ballot entries in ``0..m``, with ``k`` in ``1..m``, ``ell`` in
 ``0..min(2k, m)``, ``x`` in ``{1, 2}`` and both variants. The solvers run
 on two boxes of 2 agents: ``m <= 2``, ``tau <= 3`` (6,504 instances) and
-``m <= 3``, ``tau <= 2`` (5,944). The n-tau kernels run on a box of 1
+``m <= 3``, ``tau <= 2`` (5,944). The full box, ``m <= 3``, ``tau <= 3``
+(55,344), takes about half a minute: it is marked ``full_box``, which the
+pytest settings in ``pyproject.toml`` deselect, and CI's ``small-box``
+job runs it with ``-m full_box``. The n-tau kernels run on a box of 1
 agent, ``m <= 5``, ``tau <= 2`` (7,744), where ``m > n * tau`` lets them
 act. Brute force's scan path, taken when a stage's ball of successors
 holds more than 64 committees, needs ``m >= 7`` and gets a pinned case
@@ -61,8 +64,13 @@ def _box(agents, ms, taus):
 
 @pytest.mark.parametrize(
     "ms, taus, size",
-    [((1, 2), (1, 2, 3), (6504, 1762)), ((1, 2, 3), (1, 2), (5944, 2944))],
-    ids=["m2-tau3", "m3-tau2"],
+    [
+        pytest.param((1, 2), (1, 2, 3), (6504, 1762), id="m2-tau3"),
+        pytest.param((1, 2, 3), (1, 2), (5944, 2944), id="m3-tau2"),
+        pytest.param(
+            (1, 2, 3), (1, 2, 3), (55344, 21124), id="m3-tau3", marks=pytest.mark.full_box
+        ),
+    ],
 )
 def test_every_solver_matches_the_reference_on_the_small_box(ms, taus, size):
     count = yes = 0

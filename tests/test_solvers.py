@@ -169,8 +169,8 @@ def _listed_empty(weights, k, x):
 # leaves to Python only the empty layers of an x that no stage reaches
 _SCAN_PATHS = {
     "python": (10**12, {"_scan_arcs": _unexpected_path, "_feasible_layers": _unexpected_path}),
-    "numpy scan": (0, {"_scan_masks": _unexpected_path, "_feasible_layers": _overflowing}),
-    "numpy": (0, {"_scan_masks": _unexpected_path, "_feasible_masks": _listed_empty}),
+    "numpy scan": (0, {"_first_links": _unexpected_path, "_feasible_layers": _overflowing}),
+    "numpy": (0, {"_first_links": _unexpected_path, "_feasible_masks": _listed_empty}),
 }
 
 
@@ -213,8 +213,8 @@ def test_budget_raises(monkeypatch):
 
 
 def test_no_answer_reports_more_states_than_its_budget():
-    # in/out-ell checks every arc, the first and last stage's too: one
-    # state fewer than an answer needs raises
+    # in/out-ell checks the budget after each node's scan, the first and
+    # last stage's too: one state fewer than an answer needs raises
     for s in range(300):
         inst = random_instance(4, 6, 2 + s % 3, 2, 1, 2, "R", seed=s)
         with pytest.raises(BudgetExceededError):
