@@ -547,10 +547,24 @@ def solve_inout_ell(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     returned witness are rebuilt along that path from the decoded masks
     (:func:`~mpvkit.core._decode`).
 
+    Before it tests pairs, each scan rules out the witnesses stage ``t``
+    cannot host alone: an after-witness ``(X, Y)`` whose ``X`` no
+    committee of stage ``t`` can hold without ``Y``, and a before-witness
+    whose ``Y`` none can hold without ``X``. A committee for a link holds
+    what both sides need, so it hosts each side alone, and the greedy
+    check is exact because counts are non-negative; a ruled-out witness
+    therefore links to nothing, and the rule-out changes no answer,
+    witness or count. Ruled-out after-witnesses are skipped, and the
+    ruled-out before-witnesses stay in the scanned list (so first parents
+    keep their positions) but fail before any pair test.
+
     Budget, checked first like every solver's, counts nodes per change
     plus examined arcs, checked after each node's scan, as layered-k's.
-    The up-front bound assumes every arc between middle layers is
-    examined; it is what caps the node list's memory. Raises
+    A ruled-out after-witness counts as a miss over every reachable
+    before-witness, as layered-k's score bound does, and the budget is
+    checked once they are counted. The up-front bound assumes every arc
+    between middle layers is examined; it is what caps the node list's
+    memory. When no witness exists, the answer is no with no work. Raises
     :class:`PreconditionError` for the conservative variant; ``tau == 1``
     and ``ell == 0`` delegate to the greedy solver with the same budget.
     """
@@ -572,6 +586,8 @@ def solve_inout_ell(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
         raise BudgetExceededError(
             f"{node_count} witness pairs per layer exceed the budget of {budget}"
         )
+    if not node_count:  # ell > m or ell > 2k: no witness, so no path
+        return _report("inout-ell", start, None, 0)
 
     nodes = []  # (out_mask, in_mask), bit c - 1 for candidate c
     for union in combinations(range(m), ell):
@@ -587,14 +603,26 @@ def solve_inout_ell(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
         row = instance.counts[t - 1]
         order = _stage_order(row)
 
+        def hosts(required, forbidden):
+            return _greedy_fill(row, order, k, x, required, forbidden) is not None
+
         def linked(before, after):
             (out1, in1), (out2, in2) = before, after
-            return not (out1 & out2 or in1 & in2) and (
-                _greedy_fill(row, order, k, x, in1 | out2, out1 | in2) is not None
+            return before not in dead and not (out1 & out2 or in1 & in2) and hosts(
+                in1 | out2, out1 | in2
             )
 
         prev = [layers[t - 1][i] for i in reached]
-        return _first_links(layers[t], prev, linked, states, budget)
+        # a witness stage t cannot host alone links to nothing: a miss over all of prev
+        dead = {(out1, in1) for out1, in1 in prev if not hosts(in1, out1)}
+        rows = [i for i, (out2, in2) in enumerate(layers[t]) if hosts(out2, in2)]
+        states += (len(layers[t]) - len(rows)) * len(prev)
+        if states > budget:
+            raise BudgetExceededError(f"arc scan exceeded the budget of {budget}")
+        hits, parents, states = _first_links(
+            [layers[t][i] for i in rows], prev, linked, states, budget
+        )
+        return [rows[i] for i in hits], parents, states
 
     # every node counts once per change
     path, states = _path(layers, scan, len(nodes) * (tau - 1))

@@ -377,21 +377,30 @@ def _inout_reference(inst, budget):
     return tuple(committees), states
 
 
+def _check_inout(inst, budget):
+    """Assert that solve_inout_ell at ``budget`` gives _inout_reference's
+    result, (witness, states) or a budget error's message, and return it."""
+    expected = _inout_reference(inst, budget)
+    if isinstance(expected, str):
+        with pytest.raises(BudgetExceededError) as err:
+            solve_inout_ell(inst, budget=budget)
+        assert str(err.value) == expected, (inst, budget)
+        return expected
+    rep = solve_inout_ell(inst, budget=budget)
+    assert (rep.witness, rep.stats["states"]) == expected, (inst, budget)
+    assert rep.answer == (rep.witness is not None)
+    return expected
+
+
 def test_inout_matches_three_pass_reference():
     seen = Counter()
 
     def check(inst, budget):
-        expected = _inout_reference(inst, budget)
+        expected = _check_inout(inst, budget)
         if isinstance(expected, str):
             seen["scan" if expected.startswith("arc scan") else "bound"] += 1
-            with pytest.raises(BudgetExceededError) as err:
-                solve_inout_ell(inst, budget=budget)
-            assert str(err.value) == expected, (inst, budget)
-            return
-        seen["yes" if expected[0] else "no"] += 1
-        rep = solve_inout_ell(inst, budget=budget)
-        assert (rep.witness, rep.stats["states"]) == expected, (inst, budget)
-        assert rep.answer == (rep.witness is not None)
+        else:
+            seen["yes" if expected[0] else "no"] += 1
 
     rng = random.Random(7)
     for trial in range(400):
@@ -1010,10 +1019,12 @@ def test_hopeless_matches_listed_committees():
 
 
 @st.composite
-def _small_instances(draw):
-    """A small instance of either variant, from ballots, from counts or weighted."""
-    variant = draw(st.sampled_from("CR"))
-    m, tau, k = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+def _small_instances(draw, variants="CR", max_m=4, max_tau=3):
+    """A small instance of a variant in ``variants``, from ballots, from
+    counts or weighted, with ``m <= max_m``, ``tau <= max_tau`` and ``k <= 3``."""
+    variant = draw(st.sampled_from(variants))
+    m, tau = draw(st.integers(1, max_m)), draw(st.integers(1, max_tau))
+    k = draw(st.integers(1, 3))
     ell = draw(st.integers(0, 2 * k + 1))
     build = draw(st.sampled_from(("ballots", "counts", "weights")))
     if build == "ballots":
@@ -1063,7 +1074,7 @@ def test_auto_on_weird_corners():
     assert solve_dp_tau(inst).answer is False
 
 
-def test_inout_handles_zero_splits():
+def test_inout_handles_zero_splits(monkeypatch):
     # ell > 2k: no in/out split exists, immediate no
     inst = Instance(variant="R", m=4, ballots=((1, 2), (3, 4)), k=1, ell=3, x=1)
     rep = solve_inout_ell(inst)
@@ -1072,6 +1083,27 @@ def test_inout_handles_zero_splits():
     inst = Instance(variant="R", m=1, ballots=((1,), (1,)), k=2, ell=3, x=1)
     assert solve_inout_ell(inst).answer is False
     assert brute_force(inst).answer is False
+
+    # no witness is listed at all: comb(72, 5) unions would take seconds
+    def no_listing(*args):
+        raise AssertionError("listed witnesses with no split")
+
+    monkeypatch.setattr(solvers, "combinations", no_listing)
+    inst = random_instance(3, 72, 5, 2, 5, 3, "R", abstain_probability=0.2, seed=2450)
+    rep = solve_inout_ell(inst, budget=0)
+    assert (rep.answer, rep.witness, rep.stats["states"]) == (False, None, 0)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_small_instances(variants="R", max_m=6, max_tau=5))
+def test_inout_rule_out_matches_reference_and_brute_force(inst):
+    # the witnesses a stage cannot host alone change no answer, witness,
+    # count or budget error; at budget states the up-front bound may refuse
+    witness, states = _check_inout(inst, DEFAULT_BUDGET)
+    assert (witness is not None) == brute_force(inst).answer, inst
+    _check_inout(inst, states)
+    if states:
+        _check_inout(inst, states - 1)
 
 
 def test_exhaustive_tiny_grid():
