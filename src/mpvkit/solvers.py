@@ -740,13 +740,14 @@ def _twin_rows(tau, s, k, dtop, conservative, cap):
     return rows[1:]  # the first is the zero increment
 
 
-def _twin_table(np, rows, tau, j, conservative, mult):
+def _twin_table(np, rows, tau, j, conservative):
     """The arrays with which one step takes :func:`_twin_rows`' ``rows``.
 
-    Returns ``(touched, guards, bits, at, need, clip, scale, hi, base)``
+    Returns ``(touched, guards, bits, at, need, clip, levels, values)``
     over levels: a level is a size ``1..j`` of one stage (``j = min(s,
     k)``), or a change ``1..d`` of one pair of stages, ``d`` the largest
-    that occurs. Row ``r`` takes level ``l`` when ``touched[r, l]`` is 1.
+    that occurs. Level ``l`` adds ``values[l]`` to profile column
+    ``levels[l]``, and row ``r`` takes it when ``touched[r, l]`` is 1.
 
     * The sizes and conservative changes are pruned: a level needs
       ``need[l]`` of room in profile column ``at[l]``, and ``guards[r]``
@@ -757,8 +758,11 @@ def _twin_table(np, rows, tau, j, conservative, mult):
       ``scale[l]`` (that column's key multiplier), plus ``base[l]``. A
       change adds itself to its own column, and a size adds itself to its
       size column, in ``base``, and its clipped score to its score
-      column; ``hi``'s first ``tau * j`` entries, the scores, are set per
-      group, since they depend on the twins' counts.
+      column. ``scale`` and ``base`` hold the key multipliers, and
+      ``hi``'s first ``tau * j`` entries, the scores, are set per group,
+      since they depend on the twins' counts; so :func:`solve_dp_tau`
+      builds these three per solve from ``clip``, ``levels`` and
+      ``values``.
 
     For one candidate there is one level per size and change column, so
     ``touched`` is the fingerprints' step table.
@@ -776,9 +780,37 @@ def _twin_table(np, rows, tau, j, conservative, mult):
     bits = np.array([1 << i for i in range(pruned)], dtype=np.min_scalar_type((1 << pruned) - 1))
     guards = (touched[:, :pruned] @ bits).astype(bits.dtype)
     clip = np.where(at < tau, at + 2 * tau - 1, at)
-    base = np.where(at < tau, need * mult[at], 0)
-    hi = need.copy()  # the size levels' scores are set per group
-    return touched, guards, bits, at[:pruned], need[:pruned], clip, mult[clip], hi, base
+    return touched, guards, bits, at[:pruned], need[:pruned], clip, at, need
+
+
+# (tau, s, k, dtop, conservative): (rows, *_twin_table(...)), arrays read-only, oldest first
+_TWINS = {}
+
+
+def _twins(np, tau, s, k, dtop, conservative, cap):
+    """``s`` twins' rows and :func:`_twin_table`, as one tuple, or ``None``
+    when the rows number more than ``cap``.
+
+    A shape that is not kept is counted first and listed only when its
+    count fits ``cap``. Tables of at most ``_CALL_ELEMENTS >> 6``
+    ``touched`` entries are then kept for the process, the last 64 shapes
+    built, with read-only arrays and rows as a tuple. A kept table is
+    returned whatever ``cap``, so the caller compares its rows with the
+    cap.
+    """
+    table = _TWINS.get((tau, s, k, dtop, conservative))
+    if table is None:
+        rows = _twin_rows(tau, s, k, dtop, conservative, cap)
+        if rows is None:
+            return None
+        table = (tuple(rows), *_twin_table(np, rows, tau, min(s, k), conservative))
+        if table[1].size <= _CALL_ELEMENTS >> 6:
+            for array in table[1:]:
+                array.setflags(False)  # write=False; positional, which parses in a third of the time
+            _TWINS[tau, s, k, dtop, conservative] = table
+            for old in [*_TWINS][:-64]:  # a list, so that a concurrent solve cannot break the walk
+                _TWINS.pop(old, None)
+    return table
 
 
 def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
@@ -820,6 +852,21 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
     group's steps equals doing so step by step. So ``stats["states"]``,
     the answer and whether the budget runs out are those of one step per
     candidate.
+
+    A table's rows and the arrays that do not depend on ``x`` are a
+    function of its shape ``(tau, s, k, dtop, variant)``, with ``s`` the
+    group size capped at ``k + ceil(dtop / 2)`` and ``dtop`` the change
+    top above, so the process keeps them (:func:`_twins`): tables of at
+    most ``_CALL_ELEMENTS >> 6`` (4,096) step-table entries, the last 64
+    shapes built, oldest evicted first. That retains at most
+    ``_CALL_ELEMENTS`` int64 step-table entries (2 MiB) after a solve.
+    Kept arrays are read-only and kept rows are tuples. Larger tables, such
+    as one candidate's at ``tau >= 9``, are built per solve. The first
+    solve of a shape builds its table, and every group still compares its
+    table's row count with its cap before it steps at once. What depends
+    on the key multipliers, and so on ``x``, is built per solve:
+    :func:`_twin_table`'s ``scale`` and ``base``, and a fresh ``hi``, into
+    which each group writes its scores.
 
     States are packed into int64 keys, and the seen keys are kept sorted.
     Each step expands its sources by every table row at once. A row takes
@@ -877,24 +924,28 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
     for c in _approved(instance.counts) if conservative else range(1, m + 1):
         groups.setdefault(cols[c], []).append(c)
     full, limit = (1 << tau) - 1, k + (dtop + 1) // 2  # one candidate's fingerprints
-    # table rows by group size; groups of more than limit twins share those of limit
-    rows_of, tables = {1: _twin_rows(tau, 1, k, dtop, conservative, full)}, {}
+    # this solve's tables by group size; groups of more than limit twins share those of limit
+    tables = {}
+
+    def table(s, cap):
+        # _twins' table, then this solve's scale, hi and base
+        if s not in tables:
+            if (shared := _twins(np, tau, s, k, dtop, conservative, cap)) is None:
+                return None
+            *shared, clip, levels, values = shared
+            base = np.where(levels < tau, values * mult[levels], 0)
+            tables[s] = (*shared, clip, mult[clip], values.copy(), base)
+        return tables[s]
 
     seen = np.zeros(1, dtype=np.int64)  # packed key 0 is the empty profile
     layer_maps = []  # (members, new keys sorted, parent keys, row numbers, rows)
     for col, group in groups.items():
         key = min(len(group), limit)
         cap = min(len(group) * full, _CALL_ELEMENTS // seen.size)
-        rows = rows_of.get(key) or _twin_rows(tau, key, k, dtop, conservative, cap)
-        if rows is not None:
-            rows_of[key] = rows
-        if rows is None or len(rows) > cap:
-            key, rows, steps = 1, rows_of[1], [[c] for c in group]
-        else:
-            steps = [group]
-        if key not in tables:
-            tables[key] = _twin_table(np, rows, tau, min(key, k), conservative, mult)
-        touched, guards, bits, at, need, clip, scale, hi, base = tables[key]
+        got, steps = table(key, cap), [group]
+        if got is None or len(got[0]) > cap:
+            key, got, steps = 1, table(1, full), [[c] for c in group]
+        rows, touched, guards, bits, at, need, clip, scale, hi, base = got
         # size j of stage t scores min(j * count, x); clipping each count at
         # x first keeps big weights out of int64
         j = min(key, k)

@@ -439,6 +439,27 @@ def test_bench_rows_for_budget_and_refusal_and_no_subdirectories(tmp_path, capsy
     ]
 
 
+def test_bench_dp_tau_matches_separate_solves(tmp_path):
+    # mpv bench solves a directory in one process, in which dp-tau keeps the
+    # twin tables of each shape it builds: three files share one shape
+    # (C, tau 3, k 2, ell 1) and one has another (R, tau 2, k 1, ell 1)
+    for n, m, tau, k, variant, seed in [(6, 8, 3, 2, "C", s) for s in range(3)] + [(5, 6, 2, 1, "R", 0)]:
+        inst = random_instance(n, m, tau, k, 1, 1, variant, seed=seed)
+        tight = min(sum(sorted(row[1:])[-k:]) for row in inst.counts)
+        inst = Instance(variant, m, inst.ballots, k, 1, tight)
+        (tmp_path / f"{variant}{tau}-{seed}.mpv").write_text(emit_instance(inst))
+    proc = _fresh_python("-m", "mpvkit.cli", "bench", str(tmp_path), "--algorithms", "dp-tau")
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.reader(io.StringIO(proc.stdout)))[1:]
+    assert len(rows) == 4 and {row[2] for row in rows} == {"yes", "no"}, rows
+    for name, _, answer, states, _ in rows:
+        # a process of its own answers at the budget of the states bench
+        # counted and runs out one below it
+        solve = ("-m", "mpvkit.cli", "solve", "--algorithm", "dp-tau", str(tmp_path / name), "--budget")
+        assert _fresh_python(*solve, states).returncode == (0 if answer == "yes" else 1), name
+        assert _fresh_python(*solve, str(int(states) - 1)).returncode == 3, name
+
+
 # ---------------------------------------------------------------------------
 # numpy stays off the start-up path
 # ---------------------------------------------------------------------------

@@ -698,6 +698,148 @@ def test_dp_states_do_not_depend_on_candidate_order(monkeypatch, bound):
     assert min(seen.values()) >= 25, seen
 
 
+def _dp_cache_items():
+    """Seeded dp-tau (instance, budget) draws whose twin tables share shapes.
+
+    Each draw of tau, k and agents gives three instances per variant: two
+    with equal ell and different x, and one whose larger ell gives another
+    change top; the third revolutionary one carries a weight beyond int64.
+    x is 1 or the tightest the stages allow, so that no instance is a no
+    before search.
+    """
+    rng = random.Random(40)
+    for trial in range(8):
+        tau, k, n, m = rng.randint(2, 4), rng.randint(1, 2), rng.randint(2, 3), rng.randint(5, 8)
+        low, high = rng.randint(0, k), rng.randint(k + 1, 2 * k)
+        for variant in "CR":
+            for i, ell in enumerate((low, low, high)):
+                inst = random_instance(n, m, tau, k, ell, 1, variant, seed=10 * trial + i)
+                tight = min(sum(sorted(row[1:])[-k:]) for row in inst.counts)
+                inst = Instance(variant, m, inst.ballots, k, ell, (tight, 1, tight)[i])
+                if i == 2 and variant == "R":
+                    rows = [list(row) for row in inst.counts]
+                    rows[rng.randrange(tau)][rng.randint(1, m)] = 2**63 + rng.randrange(2**64)
+                    inst = WeightedInstance(variant, m, rows, k, ell, inst.x)
+                yield inst, rng.choice((rng.randint(1, 30), DEFAULT_BUDGET, DEFAULT_BUDGET))
+
+
+def _counting_twin_builds(monkeypatch):
+    """Count the twin tables listed and built, and record each expansion's table shape.
+
+    Returns ``(builds, outcome)``: ``outcome(inst, budget)`` solves with
+    dp-tau and gives the answer, witness, states and stage, or the budget
+    message, with the step tables' shapes in order.
+    """
+    builds, path = Counter(), []
+
+    def counted(name):
+        build = getattr(solvers, name)
+
+        def call(*args):
+            out = build(*args)
+            if out is not None:  # None: _twin_rows counted past its cap and listed nothing
+                builds[name] += 1
+            return out
+
+        monkeypatch.setattr(solvers, name, call)
+
+    counted("_twin_rows")
+    counted("_twin_table")
+    expand = solvers._expand
+
+    def traced(np, touched, room, packed, kept):
+        path.append(touched.shape)
+        return expand(np, touched, room, packed, kept)
+
+    monkeypatch.setattr(solvers, "_expand", traced)
+
+    def outcome(inst, budget):
+        path.clear()
+        try:
+            rep = solve_dp_tau(inst, budget)
+        except BudgetExceededError as err:
+            return str(err), tuple(path)
+        return rep.answer, rep.witness, rep.stats["states"], rep.stats.get("stage"), tuple(path)
+
+    return builds, outcome
+
+
+def test_dp_twin_tables_cold_and_warm_agree(monkeypatch):
+    # tables are kept by (tau, s, k, dtop, variant) across solves; a cold
+    # solve builds its own, and a warm one must take the kept ones and still
+    # build x's arrays itself
+    monkeypatch.setattr(solvers, "_TWINS", {})
+    builds, outcome = _counting_twin_builds(monkeypatch)
+    items = list(_dp_cache_items())
+
+    def cold():
+        out = []
+        for inst, budget in items:
+            solvers._TWINS.clear()
+            out.append(outcome(inst, budget))
+        return out
+
+    expected = cold()
+    for (inst, budget), out in zip(items, expected):  # the cold solves are right
+        assert (out[0] if isinstance(out[0], str) else out[1:3]) == _dp_reference(inst, budget), inst
+    solvers._TWINS.clear()
+    assert [outcome(inst, budget) for inst, budget in items] == expected
+    shapes = set(solvers._TWINS)
+    builds.clear()
+    assert [outcome(inst, budget) for inst, budget in reversed(items)][::-1] == expected
+    assert not builds, builds
+    # a block of 8 keys keeps no table (8 >> 6 is 0), and a table kept from
+    # the default block steps at once only when its rows fit the block; a
+    # budget of 3,000 keeps the many small blocks few
+    monkeypatch.setattr(solvers, "_CALL_ELEMENTS", 8)
+    items = [(inst, min(budget, 3000)) for inst, budget in items]
+    assert [outcome(inst, budget) for inst, budget in items] == cold()
+    assert not solvers._TWINS
+
+    seen = Counter("budget" if isinstance(out[0], str) else out[0] for out in expected)
+    seen["weighted"] = sum(isinstance(inst, WeightedInstance) for inst, _ in items)
+    xs = Counter((inst.variant, inst.tau, inst.k, inst.ell, inst.x) for inst, _ in items)
+    seen["x differs"] = len(xs) - len({key[:4] for key in xs})
+    # shapes kept for both variants, or for two change tops of one variant's tau and k
+    seen["both variants"] = sum((*shape[:4], not shape[4]) in shapes for shape in shapes)
+    seen["two change tops"] = len(shapes) - len({shape[:3] + shape[4:] for shape in shapes})
+    seen["group steps"] = sum(shape[1] > 1 for shape in shapes)
+    assert min(seen.values()) >= 2, seen
+
+
+def test_dp_twin_tables_kept_are_bounded_and_read_only(monkeypatch):
+    # a sweep over more than 64 shapes, with one candidate's tables at tau 9
+    # (511 rows x 17 levels) and 10, which are too large to keep
+    monkeypatch.setattr(solvers, "_TWINS", {})
+    built = []
+    twin_table = solvers._twin_table
+
+    def recorded(np, rows, tau, j, conservative):
+        table = twin_table(np, rows, tau, j, conservative)
+        built.append(((tau, table[0].size), table[0]))
+        return table
+
+    monkeypatch.setattr(solvers, "_twin_table", recorded)
+    rng = random.Random(41)
+    # two candidates, or one at tau 9 and 10, keep the profiles few
+    draws = [(tau, k, ell, 2) for tau in range(2, 7) for k in (1, 2, 3) for ell in range(2 * k + 1)]
+    for tau, k, ell, m in draws + [(9, 1, 1, 1), (10, 1, 1, 1)]:
+        for variant in "CR":
+            solve_dp_tau(random_instance(2, m, tau, k, ell, 1, variant, seed=rng.randrange(10**6)))
+    kept = solvers._TWINS
+    assert len(kept) <= 64
+    assert sum(table[1].size for table in kept.values()) <= 1 << 18
+    for shape, table in kept.items():
+        assert isinstance(table[0], tuple), shape
+        assert not any(array.flags.writeable for array in table[1:]), shape
+    # the last 64 tables built that fit 4,096 entries, oldest evicted first
+    small = [touched for (tau, size), touched in built if size <= 1 << 12]
+    assert len(small) > 64
+    assert [id(table[1]) for table in kept.values()] == list(map(id, small[-64:]))
+    assert {tau for (tau, size), _ in built if size > 1 << 12} == {9, 10}
+    assert not any(shape[0] >= 9 for shape in kept)
+
+
 def test_layered_dense_layers_agree_with_brute_force():
     # x = 1 and ell = 1 make nearly every committee a node and most pairs arcs
     for seed in range(4):
