@@ -24,29 +24,12 @@ from .formats import (
     parse_instance,
     parse_solution,
 )
-from .oracle import brute_force
-from .solvers import (
-    solve_auto,
-    solve_dp_tau,
-    solve_inout_ell,
-    solve_layered_k,
-    solve_unconstrained,
-)
+from .solvers import _SOLVERS
 
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
 EXIT_BUDGET = 3
-
-
-_ALGORITHMS = {
-    "auto": solve_auto,
-    "brute": brute_force,
-    "layered-k": solve_layered_k,
-    "inout-ell": solve_inout_ell,
-    "dp-tau": solve_dp_tau,
-    "greedy": solve_unconstrained,
-}
 
 # name -> function of :mod:`mpvkit.reductions`, in the order ``--reduction``
 # lists them; the kernel and reduction modules are imported only by the
@@ -70,6 +53,7 @@ def _write_output(text: str, path):
         sys.stdout.write(text)
 
 
+_NAMES = ", ".join(sorted(_SOLVERS))
 _BUDGET_HELP = "state exploration budget, in the solver's own unit (default: %(default)s)"
 
 
@@ -88,7 +72,7 @@ def _budget(text):
 
 def _cmd_solve(args) -> int:
     instance = parse_instance(Path(args.instance).read_text())
-    report = _ALGORITHMS[args.algorithm](instance, budget=args.budget)
+    report = _SOLVERS[args.algorithm][0](instance, budget=args.budget)
     print("YES" if report.answer else "NO")
     if args.witness and report.witness is not None:
         sys.stdout.write(emit_solution(report.witness))
@@ -183,8 +167,8 @@ def _cmd_bench(args) -> int:
         raise ValueError(f"{args.directory!r} is not a directory")
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     for name in algorithms:
-        if name not in _ALGORITHMS:
-            raise ValueError(f"unknown algorithm {name!r}")
+        if name not in _SOLVERS:
+            raise ValueError(f"unknown algorithm {name!r}; choose from {_NAMES}")
     rows = []
     for path in sorted(directory.iterdir()):
         if not path.is_file():
@@ -195,7 +179,7 @@ def _cmd_bench(args) -> int:
             continue  # directories often hold .map sidecars, notes and binaries
         for name in algorithms:
             try:
-                report = _ALGORITHMS[name](instance, budget=args.budget)
+                report = _SOLVERS[name][0](instance, budget=args.budget)
             except BudgetExceededError:
                 rows.append([path.name, name, "budget", "", ""])
                 continue
@@ -236,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="instance file")
     p.add_argument(
         "--algorithm",
-        choices=sorted(_ALGORITHMS),
+        choices=sorted(_SOLVERS),
         default="auto",
         help="solver to run (default: auto)",
     )
@@ -290,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algorithms",
         default="auto",
-        help="comma-separated algorithm names (default: auto)",
+        help=f"comma-separated algorithm names from {_NAMES} (default: auto)",
     )
     p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
     p.add_argument("-o", "--output", default=None, help="CSV output file (default: stdout)")

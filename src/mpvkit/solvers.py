@@ -10,6 +10,9 @@
   effective for few stages.
 * :func:`solve_auto` routes to the estimated-cheapest applicable method
   and falls back on budget errors.
+* :data:`_SOLVERS`, at the end, is the one table of them all (brute
+  force included), keyed by the names ``mpv`` gives them, with the
+  estimates :func:`solve_auto` ranks by.
 
 Every solver returns a :class:`~mpvkit.core.SolveReport` whose witness,
 when present, passes :func:`~mpvkit.core.verify`. Searches that would
@@ -794,9 +797,10 @@ def _twins(np, tau, s, k, dtop, conservative, cap):
     A shape that is not kept is counted first and listed only when its
     count fits ``cap``. Tables of at most ``_CALL_ELEMENTS >> 6``
     ``touched`` entries are then kept for the process, the last 64 shapes
-    built, with read-only arrays and rows as a tuple. A kept table is
-    returned whatever ``cap``, so the caller compares its rows with the
-    cap.
+    built, with read-only arrays and rows as a tuple: at most 2^18 int64
+    ``touched`` entries, and about 6.5 MB retained in all, most of it the
+    row tuples (:func:`solve_dp_tau`). A kept table is returned whatever
+    ``cap``, so the caller compares its rows with the cap.
     """
     table = _TWINS.get((tau, s, k, dtop, conservative))
     if table is None:
@@ -859,8 +863,11 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
     top above, so the process keeps them (:func:`_twins`): tables of at
     most ``_CALL_ELEMENTS >> 6`` (4,096) step-table entries, the last 64
     shapes built, oldest evicted first. That retains at most
-    ``_CALL_ELEMENTS`` int64 step-table entries (2 MiB) after a solve.
-    Kept arrays are read-only and kept rows are tuples. Larger tables, such
+    ``_CALL_ELEMENTS`` int64 step-table entries (2 MiB) after a solve, and
+    about 6.5 MB with the rows and the smaller arrays, when all 64 kept
+    shapes are the largest that fit (one candidate's over 8 stages, 255
+    rows each; ``tracemalloc`` on CPython 3.11). Kept arrays are
+    read-only and kept rows are tuples. Larger tables, such
     as one candidate's at ``tau >= 9``, are built per solve. The first
     solve of a shape builds its table, and every group still compares its
     table's row count with its cap before it steps at once. What depends
@@ -1023,38 +1030,52 @@ def solve_auto(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
     :func:`solve_dp_tau`, which answers it no with ``states`` 0 and the
     stage in ``stats["stage"]`` (0 for ``ell > 2k``). Otherwise every
     stage reaches ``x``, so ``x`` is at most the largest stage total, and
-    the candidates are ranked by crude state estimates (layered
-    ``tau * m**k``, profile DP
-    ``(k+1)**tau * (dcap+1)**(tau-1) * (x+1)**tau * m``, change witnesses
-    ``tau * m**(2 ell)`` for the revolutionary variant, brute force as the
-    last resort) and tried in that order; a solver that raises
+    the solvers that :data:`_SOLVERS` gives a crude state estimate for
+    the instance are tried from the smallest estimate up, equal
+    estimates in table order; a solver that raises
     :class:`BudgetExceededError` hands over to the next one. When every
-    attempt fails the raised budget error lists all estimates. ``budget``
-    is checked first (:func:`~mpvkit.core._natural`), before any routing
-    work, and then goes to every solver tried.
+    attempt fails the raised budget error names each attempt by its
+    table key, with its estimate and its error. ``budget`` is checked
+    first (:func:`~mpvkit.core._natural`), before any routing work, and
+    then goes to every solver tried.
     """
     budget = _natural("budget", budget, 0)
-    tau, k, m, x, ell = instance.tau, instance.k, instance.m, instance.x, instance.ell
     if _decoupled(instance):
         return solve_unconstrained(instance, budget)
     if _hopeless(instance) is not None:
         return solve_dp_tau(instance, budget=budget)
 
-    dcap = min(ell, 2 * k)
-    entries = [
-        (tau * m**k, "layered-k", solve_layered_k),
-        ((k + 1) ** tau * (dcap + 1) ** (tau - 1) * (x + 1) ** tau * m, "dp-tau", solve_dp_tau),
-    ]
-    if instance.variant == REVOLUTIONARY:
-        entries.append((tau * m ** (2 * ell), "inout-ell", solve_inout_ell))
-    entries.append((_committees(m, k) ** tau, "brute-force", brute_force))
-    # stable: equal estimates keep the order above
-    entries.sort(key=lambda e: e[0])
-
+    costs = [(estimate(instance), name, solver) for name, (solver, estimate) in _SOLVERS.items()]
+    ranked = sorted((c for c in costs if c[0] is not None), key=lambda c: c[0])  # stable
     failures = []
-    for estimate, name, solver in entries:
+    for estimate, name, solver in ranked:
         try:
             return solver(instance, budget=budget)
         except BudgetExceededError as exc:
             failures.append(f"{name} (estimate {estimate}): {exc}")
     raise BudgetExceededError("; ".join(failures))
+
+
+def _unranked(instance):
+    return None
+
+
+# The one solver table: ``mpv solve --algorithm`` and ``mpv bench
+# --algorithms`` name a solver by its key, and solve_auto ranks the rows
+# whose estimate of the states an instance needs is not None, ties in
+# this order.
+_SOLVERS = {
+    "greedy": (solve_unconstrained, _unranked),
+    "layered-k": (solve_layered_k, lambda i: i.tau * i.m**i.k),
+    "dp-tau": (
+        solve_dp_tau,
+        lambda i: (i.k + 1) ** i.tau * (min(i.ell, 2 * i.k) + 1) ** (i.tau - 1)
+        * (i.x + 1) ** i.tau * i.m,
+    ),
+    "inout-ell": (
+        solve_inout_ell,
+        lambda i: i.tau * i.m ** (2 * i.ell) if i.variant == REVOLUTIONARY else None,
+    ),
+    "brute": (brute_force, lambda i: _committees(i.m, i.k) ** i.tau),
+    "auto": (solve_auto, _unranked),
+}

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from mpvkit import (
     WeightedInstance,
 )
 from mpvkit.cli import run
+from mpvkit.solvers import _SOLVERS
 
 from conftest import e1
 
@@ -51,12 +53,25 @@ def test_solve_witness_output(e1_file, capsys):
     assert out == "YES\nstage 1: 1\nstage 2: 2\nstage 3: 1\n"
 
 
-@pytest.mark.parametrize(
-    "algorithm", ["auto", "brute", "layered-k", "inout-ell", "dp-tau"]
-)
+@pytest.mark.parametrize("algorithm", sorted(_SOLVERS))
 def test_solve_algorithms(e1_file, capsys, algorithm):
-    assert run(["solve", e1_file(variant="R", ell=2), "--algorithm", algorithm]) == 0
+    # greedy runs only where the stages decouple, here conservative ell = 2k
+    variant = "C" if algorithm == "greedy" else "R"
+    assert run(["solve", e1_file(variant=variant, ell=2), "--algorithm", algorithm]) == 0
     assert capsys.readouterr().out.startswith("YES")
+
+
+def test_solver_names_match_the_table(capsys):
+    names = sorted(_SOLVERS)
+    assert run(["solve", "--help"]) == 0
+    assert "--algorithm {%s}" % ",".join(names) in capsys.readouterr().out
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    usage = re.search(r"^mpv solve INSTANCE \[--algorithm ([a-z|-]+)\]", readme, re.M)
+    assert sorted(usage.group(1).split("|")) == names
+    # one row of README's solver table per function in the table
+    section = readme.split("\n## Solvers\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|", section, re.M)
+    assert sorted(rows) == sorted(solver.__name__ for solver, _ in _SOLVERS.values())
 
 
 def test_solve_greedy_out_of_regime(e1_file, capsys):
@@ -413,13 +428,19 @@ def test_bench_skips_files_that_are_not_utf8(tmp_path, capsys):
     assert "utf-8" in capsys.readouterr().err
 
 
-def test_bench_usage_errors(tmp_path, capsys):
+def test_bench_usage_errors(tmp_path, monkeypatch, capsys):
     path = tmp_path / "yes.mpv"
     path.write_text(emit_instance(e1(variant="R", ell=2)))
     assert run(["bench", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {str(path)!r} is not a directory\n"
+    # the unknown name and --algorithms' help both list the table's names
+    names = "auto, brute, dp-tau, greedy, inout-ell, layered-k"
+    assert names == ", ".join(sorted(_SOLVERS))
     assert run(["bench", str(tmp_path), "--algorithms", "auto,magic"]) == 2
-    assert capsys.readouterr().err == "error: unknown algorithm 'magic'\n"
+    assert capsys.readouterr().err == f"error: unknown algorithm 'magic'; choose from {names}\n"
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps at hyphens too
+    assert run(["bench", "--help"]) == 0
+    assert f"comma-separated algorithm names from {names} (default: auto)" in capsys.readouterr().out
 
 
 def test_bench_rows_for_budget_and_refusal_and_no_subdirectories(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -840,6 +841,35 @@ def test_dp_twin_tables_kept_are_bounded_and_read_only(monkeypatch):
     assert not any(shape[0] >= 9 for shape in kept)
 
 
+def test_dp_twin_tables_retain_what_the_docs_state(monkeypatch):
+    # the largest keepable tables are one candidate's over 8 stages (255 rows
+    # of 15 levels, 3,825 step-table entries; at 9 stages 8,687 do not fit);
+    # its rows do not depend on k or a change top of 1 or more, but the key
+    # holds both, so 64 such shapes can be kept at once
+    import numpy as np
+
+    monkeypatch.setattr(solvers, "_TWINS", {})
+    solvers._twins(np, 8, 1, 1, 1, True, 255)  # numpy's first-call allocations
+    solvers._TWINS.clear()
+    shapes = [(8, 1, k, d, c) for c in (True, False) for k in range(1, 7) for d in range(1, 2 * k + 1)]
+    # take every tuple off CPython's free lists, so that each row the cache
+    # keeps is a traced allocation
+    hold = [tuple(range(n)) for n in range(1, 21) for _ in range(2100)]
+    tracemalloc.start()
+    try:
+        for shape in shapes[:64]:
+            solvers._twins(np, *shape, 255)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del hold
+    kept = solvers._TWINS
+    assert len(kept) == 64 and {table[1].shape for table in kept.values()} == {(255, 15)}
+    assert sum(table[1].nbytes for table in kept.values()) == 64 * 3825 * 8 <= 2 * 2**20
+    # README and solve_dp_tau's docstring: about 6.5 MB with rows and smaller arrays
+    assert 6.2e6 < retained < 6.8e6, retained
+
+
 def test_layered_dense_layers_agree_with_brute_force():
     # x = 1 and ell = 1 make nearly every committee a node and most pairs arcs
     for seed in range(4):
@@ -1195,12 +1225,59 @@ def test_auto_agrees_with_brute_force_on_small_instances(inst):
         assert rep.answer is False
 
 
+def _auto_attempts(inst):
+    """``solve_auto``'s ranked attempts past its early exits, as (name,
+    estimate) pairs in the order it tries them."""
+    tau, k, m, x, ell = inst.tau, inst.k, inst.m, inst.x, inst.ell
+    committees = sum(math.comb(m, j) for j in range(min(k, m) + 1))
+    rows = [
+        ("layered-k", tau * m**k),
+        ("dp-tau", (k + 1) ** tau * (min(ell, 2 * k) + 1) ** (tau - 1) * (x + 1) ** tau * m),
+    ]
+    if inst.variant == "R":
+        rows.append(("inout-ell", tau * m ** (2 * ell)))
+    rows.append(("brute", committees**tau))
+    return sorted(rows, key=lambda row: row[1])
+
+
+def _budget_starved():
+    """Seeded instances outside greedy's regime and the no-search rule, each
+    with a budget every solver runs out of."""
+    yield random_instance(4, 8, 6, 3, 2, 1, "C", seed=13), 3
+    rng = random.Random(7)
+    for trial in range(60):
+        variant, tau, k = "CR"[trial % 2], rng.randint(2, 4), rng.randint(1, 4)
+        m = rng.randint(k + 1, 30)
+        if trial % 3 == 0:  # k >= m over two stages, where brute force can rank first
+            tau, m = 2, rng.randint(2, 4)
+            k = rng.randint(m, 4)
+        ell = rng.randint(1, 2 * k - 1) if variant == "C" else rng.randint(1, min(2 * k, m))
+        inst = random_instance(rng.randint(1, 4), m, tau, k, ell, 1, variant, seed=trial)
+        yield inst, rng.randint(0, 1)
+
+
 def test_auto_reports_all_failures_when_budget_too_small():
-    inst = random_instance(4, 8, 6, 3, 2, 1, "C", seed=13)
-    with pytest.raises(BudgetExceededError) as err:
-        solve_auto(inst, budget=3)
-    assert "layered-k" in str(err.value)
-    assert "dp-tau" in str(err.value)
+    # each attempt is named with its estimate, in the order tried, followed
+    # by the error that solver raises alone
+    solver_of = {
+        "layered-k": solve_layered_k,
+        "dp-tau": solve_dp_tau,
+        "inout-ell": solve_inout_ell,
+        "brute": brute_force,
+    }
+    firsts = Counter()
+    for inst, budget in _budget_starved():
+        assert not solvers._decoupled(inst) and _hopeless(inst) is None, inst
+        texts = []
+        for name, estimate in _auto_attempts(inst):
+            with pytest.raises(BudgetExceededError) as alone:
+                solver_of[name](inst, budget=budget)
+            texts.append(f"{name} (estimate {estimate}): {alone.value}")
+        with pytest.raises(BudgetExceededError) as err:
+            solve_auto(inst, budget=budget)
+        assert str(err.value) == "; ".join(texts), inst
+        firsts[texts[0].split(" ")[0]] += 1
+    assert set(firsts) == set(solver_of), firsts
 
 
 def test_auto_on_weird_corners():
