@@ -746,17 +746,21 @@ def _twin_rows(tau, s, k, dtop, conservative, cap):
 def _twin_table(np, rows, tau, j, conservative):
     """The arrays with which one step takes :func:`_twin_rows`' ``rows``.
 
-    Returns ``(touched, guards, bits, at, need, clip, levels, values)``
-    over levels: a level is a size ``1..j`` of one stage (``j = min(s,
-    k)``), or a change ``1..d`` of one pair of stages, ``d`` the largest
-    that occurs. Level ``l`` adds ``values[l]`` to profile column
-    ``levels[l]``, and row ``r`` takes it when ``touched[r, l]`` is 1.
+    Returns ``(touched, levels, values, guards, bits, clip)`` over
+    levels: a level is a size ``1..j`` of one stage (``j = min(s, k)``),
+    or a change ``1..d`` of one pair of stages, ``d`` the largest that
+    occurs. Level ``l`` adds ``values[l]`` to profile column
+    ``levels[l]``, and row ``r`` takes it when ``touched[r, l]`` is 1. A
+    row takes at most one level per column, so its ``touched`` line gives
+    the row back: column ``levels[l]`` holds ``values[l]`` for each level
+    ``l`` it takes, and 0 elsewhere, the first ``tau`` columns the sizes
+    and the rest the changes.
 
-    * The sizes and conservative changes are pruned: a level needs
-      ``need[l]`` of room in profile column ``at[l]``, and ``guards[r]``
-      has bit ``i`` set when row ``r`` takes the ``i``-th of them;
-      ``bits`` holds these bits in the smallest type that fits them
-      (Python ints past 64).
+    * The sizes and conservative changes, the first ``p = bits.size``
+      levels, are pruned: level ``l < p`` needs ``values[l]`` of room in
+      profile column ``levels[l]``, and ``guards[r]`` has bit ``i`` set
+      when row ``r`` takes the ``i``-th of them; ``bits`` holds these
+      bits in the smallest type that fits them (Python ints past 64).
     * A level adds ``min(hi[l], room)`` of column ``clip[l]``, times
       ``scale[l]`` (that column's key multiplier), plus ``base[l]``. A
       change adds itself to its own column, and a size adds itself to its
@@ -768,48 +772,50 @@ def _twin_table(np, rows, tau, j, conservative):
       ``values``.
 
     For one candidate there is one level per size and change column, so
-    ``touched`` is the fingerprints' step table.
+    ``touched`` is the fingerprints' step table. These six arrays are all
+    that :func:`_twins` keeps of a shape, about 2.1 MB for the 64 largest
+    keepable shapes.
     """
-    # level l adds need[l] to column at[l]: per size column the sizes 1..j,
-    # per change column the changes 1..d
+    # level l adds values[l] to column levels[l]: per size column the sizes
+    # 1..j, per change column the changes 1..d
     steps = np.array([sizes + changes for sizes, changes in rows], dtype=np.int64)
     steps = steps.reshape(len(rows), 2 * tau - 1)
     d = int(steps[:, tau:].max(initial=0))
     widths = [j] * tau + [d] * (tau - 1)
-    at = np.arange(2 * tau - 1).repeat(widths)
-    need = np.array([v for w in widths for v in range(1, w + 1)], dtype=np.int64)
-    touched = (steps[:, at] == need).astype(np.int64)
-    pruned = at.size if conservative else tau * j
+    levels = np.arange(2 * tau - 1).repeat(widths)
+    values = np.array([v for w in widths for v in range(1, w + 1)], dtype=np.int64)
+    touched = (steps[:, levels] == values).astype(np.int64)
+    pruned = levels.size if conservative else tau * j
     bits = np.array([1 << i for i in range(pruned)], dtype=np.min_scalar_type((1 << pruned) - 1))
     guards = (touched[:, :pruned] @ bits).astype(bits.dtype)
-    clip = np.where(at < tau, at + 2 * tau - 1, at)
-    return touched, guards, bits, at[:pruned], need[:pruned], clip, at, need
+    clip = np.where(levels < tau, levels + 2 * tau - 1, levels)
+    return touched, levels, values, guards, bits, clip
 
 
-# (tau, s, k, dtop, conservative): (rows, *_twin_table(...)), arrays read-only, oldest first
+# (tau, s, k, dtop, conservative): _twin_table(...), arrays read-only, oldest first
 _TWINS = {}
 
 
 def _twins(np, tau, s, k, dtop, conservative, cap):
-    """``s`` twins' rows and :func:`_twin_table`, as one tuple, or ``None``
-    when the rows number more than ``cap``.
+    """``s`` twins' :func:`_twin_table`, or ``None`` when their rows number
+    more than ``cap``.
 
     A shape that is not kept is counted first and listed only when its
     count fits ``cap``. Tables of at most ``_CALL_ELEMENTS >> 6``
     ``touched`` entries are then kept for the process, the last 64 shapes
-    built, with read-only arrays and rows as a tuple: at most 2^18 int64
-    ``touched`` entries, and about 6.5 MB retained in all, most of it the
-    row tuples (:func:`solve_dp_tau`). A kept table is returned whatever
-    ``cap``, so the caller compares its rows with the cap.
+    built, as read-only arrays: at most 2^18 int64 ``touched`` entries,
+    about 2.1 MB retained in all (:func:`solve_dp_tau`). A kept table
+    is returned whatever ``cap``, so the caller compares its rows with
+    the cap.
     """
     table = _TWINS.get((tau, s, k, dtop, conservative))
     if table is None:
         rows = _twin_rows(tau, s, k, dtop, conservative, cap)
         if rows is None:
             return None
-        table = (tuple(rows), *_twin_table(np, rows, tau, min(s, k), conservative))
-        if table[1].size <= _CALL_ELEMENTS >> 6:
-            for array in table[1:]:
+        table = _twin_table(np, rows, tau, min(s, k), conservative)
+        if table[0].size <= _CALL_ELEMENTS >> 6:
+            for array in table:
                 array.setflags(False)  # write=False; positional, which parses in a third of the time
             _TWINS[tau, s, k, dtop, conservative] = table
             for old in [*_TWINS][:-64]:  # a list, so that a concurrent solve cannot break the walk
@@ -857,17 +863,16 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
     the answer and whether the budget runs out are those of one step per
     candidate.
 
-    A table's rows and the arrays that do not depend on ``x`` are a
-    function of its shape ``(tau, s, k, dtop, variant)``, with ``s`` the
-    group size capped at ``k + ceil(dtop / 2)`` and ``dtop`` the change
-    top above, so the process keeps them (:func:`_twins`): tables of at
-    most ``_CALL_ELEMENTS >> 6`` (4,096) step-table entries, the last 64
+    A table's arrays that do not depend on ``x`` are a function of its
+    shape ``(tau, s, k, dtop, variant)``, with ``s`` the group size capped
+    at ``k + ceil(dtop / 2)`` and ``dtop`` the change top above, so the
+    process keeps them, read-only (:func:`_twins`): tables of at most
+    ``_CALL_ELEMENTS >> 6`` (4,096) step-table entries, the last 64
     shapes built, oldest evicted first. That retains at most
-    ``_CALL_ELEMENTS`` int64 step-table entries (2 MiB) after a solve, and
-    about 6.5 MB with the rows and the smaller arrays, when all 64 kept
-    shapes are the largest that fit (one candidate's over 8 stages, 255
-    rows each; ``tracemalloc`` on CPython 3.11). Kept arrays are
-    read-only and kept rows are tuples. Larger tables, such
+    ``_CALL_ELEMENTS`` int64 step-table entries (2 MiB) after a solve,
+    and about 2.1 MB in all when the 64 kept shapes are the largest that
+    fit (one candidate's over 8 stages, 255 rows each; ``tracemalloc``
+    on CPython 3.11); the rows themselves are not kept. Larger tables, such
     as one candidate's at ``tau >= 9``, are built per solve. The first
     solve of a shape builds its table, and every group still compares its
     table's row count with its cap before it steps at once. What depends
@@ -894,7 +899,8 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
     checked first like every solver's, counts distinct states discovered;
     each step's new states are counted before they are stored.
 
-    The witness is rebuilt from each step's row: stage 1 takes the
+    The witness is rebuilt from each step's row, read back from its
+    ``touched`` line (:func:`_twin_table`): stage 1 takes the
     group's first ``j_1`` members, and stage ``t + 1`` keeps the first
     ``(j_t + j_{t+1} - d_t) / 2`` members of stage ``t`` and adds the
     first members not in stage ``t``. A revolutionary change at ``ell``
@@ -939,20 +945,21 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
         if s not in tables:
             if (shared := _twins(np, tau, s, k, dtop, conservative, cap)) is None:
                 return None
-            *shared, clip, levels, values = shared
+            _, levels, values, _, _, clip = shared
             base = np.where(levels < tau, values * mult[levels], 0)
-            tables[s] = (*shared, clip, mult[clip], values.copy(), base)
+            tables[s] = (shared, mult[clip], values.copy(), base)
         return tables[s]
 
     seen = np.zeros(1, dtype=np.int64)  # packed key 0 is the empty profile
-    layer_maps = []  # (members, new keys sorted, parent keys, row numbers, rows)
+    layer_maps = []  # (members, new keys sorted, parent keys, row numbers, _twins' table)
     for col, group in groups.items():
         key = min(len(group), limit)
         cap = min(len(group) * full, _CALL_ELEMENTS // seen.size)
         got, steps = table(key, cap), [group]
-        if got is None or len(got[0]) > cap:
+        if got is None or got[0][0].shape[0] > cap:
             key, got, steps = 1, table(1, full), [[c] for c in group]
-        rows, touched, guards, bits, at, need, clip, scale, hi, base = got
+        (touched, levels, values, guards, bits, clip), scale, hi, base = got
+        p = bits.size  # the first p levels, sizes and conservative changes, are pruned
         # size j of stage t scores min(j * count, x); clipping each count at
         # x first keeps big weights out of int64
         j = min(key, k)
@@ -964,7 +971,7 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
                 break
             room = top - _unpack(sources_packed, radii, mult)
             # a step is pruned when it takes a pruned level its source has no room for
-            kept = (guards[:, None] & ((room[:, at] < need) @ bits)) == 0
+            kept = (guards[:, None] & ((room[:, levels[:p]] < values[:p]) @ bits)) == 0
             # a level's clipped step is min(value, top - source), so every key
             # is its source's key plus one entry of a (row, source) product
             gain = np.minimum(room[:, clip], hi)
@@ -984,7 +991,7 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
                 # occurrence of a key is its first row, then smallest parent
                 pairs = kept.ravel().nonzero()[0][first[fresh]]
                 picked, parents = np.divmod(pairs, sources_packed.size)
-                layer_maps.append((members, frontier, sources_packed[parents], picked, rows))
+                layer_maps.append((members, frontier, sources_packed[parents], picked, got[0]))
                 # seen and frontier are sorted runs, which a stable sort merges
                 seen = np.concatenate((seen, frontier))
                 seen.sort(kind="stable")
@@ -996,10 +1003,15 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
 
     target = int(seen[hits[0]])
     committees = [set() for _ in range(tau)]
-    for members, keys, parents, picked, rows in reversed(layer_maps):
+    for members, keys, parents, picked, (touched, levels, values, *_) in reversed(layer_maps):
         pos = int(np.searchsorted(keys, target))
         if pos < keys.size and keys[pos] == target:
-            s, (sizes, changes) = len(members), rows[picked[pos]]
+            # the picked row, from its touched line: each level it takes sets its column
+            on = touched[picked[pos]].nonzero()[0]
+            step = [0] * (2 * tau - 1)
+            for level, value in zip(levels[on].tolist(), values[on].tolist()):
+                step[level] = value
+            s, sizes, changes = len(members), step[:tau], step[tau:]
             stage = members[: sizes[0]]
             committees[0].update(stage)
             for t in range(1, tau):

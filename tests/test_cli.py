@@ -481,6 +481,40 @@ def test_bench_dp_tau_matches_separate_solves(tmp_path):
         assert _fresh_python(*solve, str(int(states) - 1)).returncode == 3, name
 
 
+# Wraps every solver of the table so that each call records whether numpy
+# was loaded before it, then runs ``mpv`` in-process
+_BENCH_AND_PROBE = (
+    "import sys\n"
+    "from mpvkit.cli import run\n"
+    "from mpvkit.solvers import _SOLVERS\n"
+    "loaded = []\n"
+    "def probe(solve):\n"
+    "    def call(instance, budget):\n"
+    "        loaded.append('numpy' in sys.modules)\n"
+    "        return solve(instance, budget)\n"
+    "    return call\n"
+    "for name, (solve, estimate) in list(_SOLVERS.items()):\n"
+    "    _SOLVERS[name] = (probe(solve), estimate)\n"
+    "code = run(sys.argv[1:])\n"
+    "print('loaded:', *loaded, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def test_bench_loads_numpy_before_the_first_timed_solve(tmp_path):
+    # greedy and layered-k on these small files load no numpy themselves,
+    # and dp-tau imports it inside its timed solve: bench loads it first, so
+    # no solve's time_ms includes numpy's import
+    for seed in range(2):
+        inst = random_instance(6, 8, 3, 2, 1, 2, "C", seed=seed)
+        (tmp_path / f"C-{seed}.mpv").write_text(emit_instance(inst))
+    args = ("bench", str(tmp_path), "--algorithms", "greedy,layered-k,dp-tau")
+    proc = _fresh_python("-c", _BENCH_AND_PROBE, *args)
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(csv.reader(io.StringIO(proc.stdout)))) == 7
+    assert proc.stderr.strip().splitlines()[-1] == "loaded:" + " True" * 6
+
+
 # ---------------------------------------------------------------------------
 # numpy stays off the start-up path
 # ---------------------------------------------------------------------------

@@ -811,6 +811,8 @@ def test_dp_twin_tables_cold_and_warm_agree(monkeypatch):
 def test_dp_twin_tables_kept_are_bounded_and_read_only(monkeypatch):
     # a sweep over more than 64 shapes, with one candidate's tables at tau 9
     # (511 rows x 17 levels) and 10, which are too large to keep
+    import numpy as np
+
     monkeypatch.setattr(solvers, "_TWINS", {})
     built = []
     twin_table = solvers._twin_table
@@ -829,14 +831,14 @@ def test_dp_twin_tables_kept_are_bounded_and_read_only(monkeypatch):
             solve_dp_tau(random_instance(2, m, tau, k, ell, 1, variant, seed=rng.randrange(10**6)))
     kept = solvers._TWINS
     assert len(kept) <= 64
-    assert sum(table[1].size for table in kept.values()) <= 1 << 18
+    assert sum(table[0].size for table in kept.values()) <= 1 << 18
     for shape, table in kept.items():
-        assert isinstance(table[0], tuple), shape
-        assert not any(array.flags.writeable for array in table[1:]), shape
+        assert all(isinstance(array, np.ndarray) for array in table), shape
+        assert not any(array.flags.writeable for array in table), shape
     # the last 64 tables built that fit 4,096 entries, oldest evicted first
     small = [touched for (tau, size), touched in built if size <= 1 << 12]
     assert len(small) > 64
-    assert [id(table[1]) for table in kept.values()] == list(map(id, small[-64:]))
+    assert [id(table[0]) for table in kept.values()] == list(map(id, small[-64:]))
     assert {tau for (tau, size), _ in built if size > 1 << 12} == {9, 10}
     assert not any(shape[0] >= 9 for shape in kept)
 
@@ -852,9 +854,6 @@ def test_dp_twin_tables_retain_what_the_docs_state(monkeypatch):
     solvers._twins(np, 8, 1, 1, 1, True, 255)  # numpy's first-call allocations
     solvers._TWINS.clear()
     shapes = [(8, 1, k, d, c) for c in (True, False) for k in range(1, 7) for d in range(1, 2 * k + 1)]
-    # take every tuple off CPython's free lists, so that each row the cache
-    # keeps is a traced allocation
-    hold = [tuple(range(n)) for n in range(1, 21) for _ in range(2100)]
     tracemalloc.start()
     try:
         for shape in shapes[:64]:
@@ -862,12 +861,45 @@ def test_dp_twin_tables_retain_what_the_docs_state(monkeypatch):
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    del hold
     kept = solvers._TWINS
-    assert len(kept) == 64 and {table[1].shape for table in kept.values()} == {(255, 15)}
-    assert sum(table[1].nbytes for table in kept.values()) == 64 * 3825 * 8 <= 2 * 2**20
-    # README and solve_dp_tau's docstring: about 6.5 MB with rows and smaller arrays
-    assert 6.2e6 < retained < 6.8e6, retained
+    assert len(kept) == 64 and {table[0].shape for table in kept.values()} == {(255, 15)}
+    assert sum(table[0].nbytes for table in kept.values()) == 64 * 3825 * 8 <= 2 * 2**20
+    # README and solve_dp_tau's docstring: about 2.1 MB in all, the step
+    # tables and the smaller arrays
+    assert 2.0e6 < retained < 2.5e6, retained
+
+
+def _check_twin_rows_rebuild(max_tau):
+    # solve_dp_tau's witness walk keeps no rows: it reads a step's row back
+    # from its touched line, each level the row takes setting column
+    # levels[l] to values[l], the first tau columns the sizes and the rest
+    # the changes; every shape with k <= 3, s <= k + 3 and a change top up
+    # to 2k + 1 (past s = k + ceil(dtop / 2) the rows no longer grow)
+    import numpy as np
+
+    shapes = rows_seen = 0
+    for tau in range(1, max_tau + 1):
+        for k in (1, 2, 3):
+            for s, dtop, conservative in itertools.product(
+                range(1, k + 4), range(2 * k + 2), (True, False)
+            ):
+                rows = solvers._twin_rows(tau, s, k, dtop, conservative, math.inf)
+                touched, levels, values, *_ = solvers._twin_table(np, rows, tau, min(s, k), conservative)
+                steps = np.zeros((len(rows), 2 * tau - 1), dtype=np.int64)
+                for level, column, value in zip(touched.T, levels, values):
+                    steps[level == 1, column] = value
+                assert [(tuple(row[:tau]), tuple(row[tau:])) for row in steps.tolist()] == rows
+                shapes, rows_seen = shapes + 1, rows_seen + len(rows)
+    return shapes, rows_seen
+
+
+def test_dp_twin_rows_rebuild_from_touched():
+    assert _check_twin_rows_rebuild(4) == (752, 83582)
+
+
+@pytest.mark.full_box
+def test_dp_twin_rows_rebuild_from_touched_up_to_six_stages():
+    assert _check_twin_rows_rebuild(6) == (1128, 3672419)
 
 
 def test_layered_dense_layers_agree_with_brute_force():
