@@ -128,7 +128,14 @@ def _cmd_transform(args) -> int:
     reduction = getattr(reductions, _REDUCTIONS[name])
     texts = [Path(p).read_text() for p in args.inputs]
     if name in ("vc-cmpv", "mcc-cmpv"):
-        result = reduction(parse_graph(texts[0]))
+        graph = parse_graph(texts[0])
+        nv, ne, q = graph.num_vertices, len(graph.edges), len(getattr(graph, "parts", ()))
+        # before building what cannot be written; an edgeless vc-cmpv is a verdict
+        if name == "mcc-cmpv":
+            _check_emittable(nv + ne, q + 3 * q * (q - 1) // 2)
+        elif ne:
+            _check_emittable(nv, ne)
+        result = reduction(graph)
     elif name.startswith("and-"):
         result = reduction([parse_instance(text) for text in texts])
     else:

@@ -1075,10 +1075,11 @@ def _unranked(instance):
 # The one solver table: ``mpv solve --algorithm`` and ``mpv bench
 # --algorithms`` name a solver by its key, and solve_auto ranks the rows
 # whose estimate of the states an instance needs is not None, ties in
-# this order.
+# this order. No committee holds more than m members, and in/out-ell has
+# no witness when ell > m, hence min(k, m) and min(ell, m).
 _SOLVERS = {
     "greedy": (solve_unconstrained, _unranked),
-    "layered-k": (solve_layered_k, lambda i: i.tau * i.m**i.k),
+    "layered-k": (solve_layered_k, lambda i: i.tau * i.m ** min(i.k, i.m)),
     "dp-tau": (
         solve_dp_tau,
         lambda i: (i.k + 1) ** i.tau * (min(i.ell, 2 * i.k) + 1) ** (i.tau - 1)
@@ -1086,7 +1087,7 @@ _SOLVERS = {
     ),
     "inout-ell": (
         solve_inout_ell,
-        lambda i: i.tau * i.m ** (2 * i.ell) if i.variant == REVOLUTIONARY else None,
+        lambda i: i.tau * i.m ** (2 * min(i.ell, i.m)) if i.variant == REVOLUTIONARY else None,
     ),
     "brute": (brute_force, lambda i: _committees(i.m, i.k) ** i.tau),
     "auto": (solve_auto, _unranked),

@@ -140,6 +140,44 @@ def test_absurd_sizes_are_input_errors(tmp_path, capsys):
     assert "line 5: 1000 stages of 100000 candidates exceed" in capsys.readouterr().err
 
 
+def test_transform_refuses_gadgets_it_cannot_write(tmp_path):
+    # refused from the graph's sizes before the gadget is built, so each
+    # call stays far under a 1 GB address-space cap; the clique gadget's
+    # 100 + 3 * C(100, 2) stages are counted in full, and an edgeless graph
+    # of any size is still answered yes without a gadget
+    parts = "".join(" ".join(str(10 * p + j) for j in range(1, 11)) + "\n" for p in range(100))
+    cases = {
+        "wide": ("vc-cmpv", "graph 100000 2000\n" + "".join(f"1 {v}\n" for v in range(2, 2002))),
+        "huge": ("vc-cmpv", "graph 200000000 1\n1 2\n"),
+        "parts": ("mcc-cmpv", "graph 1000 0\nparts 100\n" + parts),
+        "edgeless": ("vc-cmpv", "graph 200000000 0\n"),
+    }
+    script = (
+        "import os, resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from mpvkit.cli import run\n"
+        "os.chdir(sys.argv[1])\n"
+        "for name, reduction in zip(sys.argv[2::2], sys.argv[3::2]):\n"
+        "    print(name, run(['transform', '--reduction', reduction, name]), flush=True)\n"
+    )
+    args = []
+    for name, (reduction, text) in cases.items():
+        (tmp_path / name).write_text(text)
+        args += [name, reduction]
+    proc = _fresh_python("-c", script, str(tmp_path), *args)
+    assert proc.stdout == (
+        "wide 2\nhuge 2\nparts 2\n"
+        "YES (an edgeless graph is covered by the empty set)\nedgeless 0\n"
+    ), proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: cannot emit 2000 stages of 100000 candidates: files hold at most "
+        "MAX_COUNTS=10000000 counts",
+        "error: cannot emit 200000000 candidates: files hold at most MAX_CANDIDATES=100000",
+        "error: cannot emit 14950 stages of 1000 candidates: files hold at most "
+        "MAX_COUNTS=10000000 counts",
+    ]
+
+
 def test_unexpected_crash_is_not_a_no(e1_file, monkeypatch, capsys):
     def crash(text):
         raise ZeroDivisionError("boom")
@@ -762,3 +800,197 @@ def test_layered_solve_still_answers(e1_file):
     code, out, loaded = _mpv("solve", "--algorithm", "dp-tau", path)
     assert (code, out) == (0, "YES\n")
     assert "numpy" in loaded  # numpy itself imports inspect
+
+
+
+# ---------------------------------------------------------------------------
+# CLI scenarios
+# ---------------------------------------------------------------------------
+
+# A scenario is a list of steps run in order in a fresh working directory.
+# A step (command, code, pattern) runs the command's words through cli.run,
+# which must exit with code and write a line that pattern matches (re.M) to
+# stdout, or to stderr on exit 2; "COMMAND > FILE" also writes stdout to
+# FILE. Any other step is a function that writes files or checks them, and
+# fails by returning False. No scenario reads a file that another one wrote.
+
+
+def _text(name):
+    return Path(name).read_text()
+
+
+def _generate(name, variant, n, m, tau, k, ell, x, seed):
+    """The step that writes ``random_instance(n, m, tau, k, ell, x, variant, seed=seed)``."""
+    flags = f"--variant {variant} --agents {n} --candidates {m} --stages {tau} --k {k}"
+    return f"generate {flags} --ell {ell} --x {x} --seed {seed} -o {name}", 0, ""
+
+
+def _solved(name, flags=""):
+    """Steps: ``solve --witness`` answers YES on ``name``, and ``verify`` accepts its witness."""
+    return [
+        (f"solve --witness {flags} {name} > {name}.out", 0, "^YES$"),
+        lambda: Path(f"{name}.sol").write_text(_text(f"{name}.out").partition("\n")[2]),
+        (f"verify {name} {name}.sol", 0, "^VALID$"),
+    ]
+
+
+def _grep(name, pattern, found=True):
+    """The step that checks whether a line of file ``name`` matches ``pattern``."""
+    return lambda: (re.search(pattern, _text(name), re.M) is not None) == found
+
+
+def _same(a, b):
+    return lambda: _text(a) == _text(b)
+
+
+def _csv(name):
+    return list(csv.reader(io.StringIO(_text(name))))
+
+
+def _gadget():
+    Path("g.graph").write_text("graph 6 4\n1 3\n1 5\n3 5\n2 4\nparts 3\n1 2\n3 4\n5 6\n")
+
+
+def _odd_tokens():
+    # profile tokens 1 and 2 respelled 01 and +2, which parse as 1 and 2
+    def respell(row):
+        return re.sub(r" 2( |$)", r" +2\1", re.sub(r" 1( |$)", r" 01\1", row[0]))
+
+    Path("odd.mpv").write_text(re.sub(r"^profile.*$", respell, _text("f.mpv"), flags=re.M))
+
+
+_FILES = {
+    "f.mpv": ("C", 3, 5, 4, 2, 1, 2, 7),  # a yes with m <= n * tau
+    "r.mpv": ("R", 6, 6, 4, 3, 1, 3, 0),  # in/out-ell's home: revolutionary, ell = 1
+    "w.mpv": ("C", 2, 20, 2, 2, 1, 1, 0),  # the n-tau kernel keeps at most 4 candidates
+    "short.mpv": ("R", 6, 40, 3, 3, 2, 4, 2),  # stage 1's top-3 counts sum to 3 < x
+    # 23 approved candidates in 5 count columns (10, 7, 3, 2 and 1 twins)
+    "twins.mpv": ("C", 15, 40, 2, 4, 1, 4, 0),
+}
+_F = _generate("f.mpv", *_FILES["f.mpv"])
+
+_SCENARIOS = {
+    "generate-and-solve": [
+        ("--version", 0, "^mpv "),
+        _F,
+        ("solve --witness f.mpv", 0, "^YES$"),
+        # brute force runs at core.DEFAULT_BUDGET like every other solver
+        ("solve --witness --algorithm brute f.mpv", 0, "^YES$"),
+        ("solve --help", 0, "50000000"),
+    ],
+    # rows are read with one int per token and written with one %d per entry;
+    # the n-tau kernel writes a file with m <= n * tau back unchanged
+    "canonical-rows": [
+        _F,
+        ("solve --witness f.mpv > out.txt", 0, "^YES$"),
+        ("kernelize --target ntau f.mpv -o same.mpv", 0, ""),
+        _same("f.mpv", "same.mpv"),
+        _odd_tokens,
+        _grep("odd.mpv", r"^profile.* (01|\+2)( |$)"),
+        ("solve --witness odd.mpv > odd.out", 0, "^YES$"),
+        _same("out.txt", "odd.out"),
+        ("kernelize --target ntau odd.mpv -o back.mpv", 0, ""),
+        _same("f.mpv", "back.mpv"),
+    ],
+    # the gadget is built from counts: its 340 agents are written as one
+    # `weights` row per stage and read back without spelling ballots
+    "clique-gadget": [
+        _gadget,
+        ("transform --reduction mcc-cmpv g.graph -o g.mpv", 0, ""),
+        _grep("g.mpv", "^agents 340$"),
+        _grep("g.mpv", "^weights 1:"),
+        *_solved("g.mpv"),
+        *_solved("g.mpv", "--algorithm brute"),
+    ],
+    # the ROADMAP's named-C40-40-s5: the numpy pass, after the score bound
+    "layered-k-numpy-pass": [
+        _generate("c40.mpv", "C", 40, 40, 8, 3, 2, 6, 5),
+        *_solved("c40.mpv", "--algorithm layered-k"),
+    ],
+    # 834 committees listed in plain Python, 198,622 pairs scanned with numpy
+    "layered-k-middle-path": [
+        _generate("mid.mpv", "C", 12, 18, 4, 3, 1, 3, 0),
+        *_solved("mid.mpv", "--algorithm layered-k"),
+    ],
+    "dp-tau-twins": [
+        _generate("twins.mpv", *_FILES["twins.mpv"]),
+        *_solved("twins.mpv", "--algorithm dp-tau"),
+    ],
+    "inout-ell": [
+        _generate("r.mpv", *_FILES["r.mpv"]),
+        *_solved("r.mpv", "--algorithm inout-ell"),
+    ],
+    "and-cmpv": [
+        _generate("a.mpv", "C", 3, 4, 3, 2, 1, 2, 7),
+        _generate("b.mpv", "C", 3, 4, 3, 2, 1, 2, 8),
+        ("transform --reduction and-cmpv a.mpv b.mpv -o and.mpv", 0, ""),
+        *_solved("and.mpv", "--algorithm brute"),
+    ],
+    "refusals": [
+        (
+            "generate --variant C --agents -1 --candidates 3 --stages 2 --k 1 --ell 0 --x 1 "
+            "--seed 0", 2, "^error: n must be a non-negative integer, got -1$",
+        ),
+        lambda: Path("plain.graph").write_text("graph 4 1\n1 2\n"),
+        (
+            "transform --reduction mcc-cmpv plain.graph", 2,
+            "^error: mcc_to_cmpv expects a partitioned graph$",
+        ),
+        _F,
+        ("solve --budget -1 f.mpv", 2, "argument --budget: must be a non-negative integer, got '-1'"),
+    ],
+    # generated ballots stay `profile` rows, the kernels' counts are written
+    # as `weights` rows, and both kernels keep the verdict
+    "kernels": [
+        _generate("w.mpv", *_FILES["w.mpv"]),
+        ("kernelize --target ntau w.mpv -o k.mpv", 0, ""),
+        lambda: Path("k.mpv.map").is_file(),
+        _grep("w.mpv", "^profile 1:"),
+        _grep("w.mpv", "^weights", found=False),
+        _grep("k.mpv", "^agents 2$"),
+        _grep("k.mpv", "^weights 1:"),
+        _grep("k.mpv", "^profile", found=False),
+        ("kernelize --target mtau w.mpv -o m.mpv", 0, ""),
+        *((f"solve {f}.mpv > {f}.out", 0, "^YES$") for f in "wkm"),
+        _same("w.out", "k.out"),
+        _same("w.out", "m.out"),
+    ],
+    "bench": [
+        lambda: Path("bench").mkdir(),
+        _generate("bench/f.mpv", *_FILES["f.mpv"]),
+        _gadget,
+        ("transform --reduction mcc-cmpv g.graph -o bench/g.mpv", 0, ""),
+        ("bench bench --algorithms auto,brute,greedy -o bench.csv", 0, ""),
+        lambda: len(_csv("bench.csv")) == 7 and "budget" not in [r[2] for r in _csv("bench.csv")],
+    ],
+    # one CSV row per (file, name) of solvers._SOLVERS; greedy answers on
+    # the decoupled file (conservative ell = 2k)
+    "bench-every-solver": [
+        lambda: Path("table").mkdir(),
+        _generate("table/dec.mpv", "C", 3, 5, 4, 1, 2, 1, 7),
+        *(_generate(f"table/{name}", *spec) for name, spec in _FILES.items()),
+        ("bench table --algorithms auto,brute,layered-k,inout-ell,dp-tau,greedy -o table.csv", 0, ""),
+        lambda: len(_csv("table.csv")) == 37 and len({(r[0], r[1]) for r in _csv("table.csv")[1:]}) == 36,
+        _grep("table.csv", r"^dec\.mpv,greedy,yes,.*$"),
+        (
+            "bench table --algorithms auto,magic", 2, "^error: unknown algorithm 'magic'; "
+            "choose from auto, brute, dp-tau, greedy, inout-ell, layered-k$",
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", _SCENARIOS)
+def test_cli_scenario(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for i, step in enumerate(_SCENARIOS[name]):
+        if callable(step):
+            assert step() is not False, (name, i)
+            continue
+        command, code, pattern = step
+        words, _, target = command.partition(" > ")
+        got = run(words.split())
+        out, err = capsys.readouterr()
+        if target:
+            Path(target).write_text(out)
+        assert got == code and re.search(pattern, err if code == 2 else out, re.M), (step, out, err)

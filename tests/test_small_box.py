@@ -8,7 +8,10 @@ on two boxes of 2 agents: ``m <= 2``, ``tau <= 3`` (6,504 instances) and
 ``m <= 3``, ``tau <= 2`` (5,944). The full box, ``m <= 3``, ``tau <= 3``
 (55,344), takes about half a minute: it is marked ``full_box``, which the
 pytest settings in ``pyproject.toml`` deselect, and CI's ``small-box``
-job runs it with ``-m full_box``. The n-tau kernels run on a box of 1
+job runs it with ``-m full_box``. ``cmpv_normalize_half`` and
+``cmpv_to_rmpv`` run on the box's conservative ``ell = 0`` instances: 852
+of ``m <= 3``, ``tau <= 2`` in tier-1, and 7,770 of the full box, also
+marked ``full_box``. The n-tau kernels run on a box of 1
 agent, ``m <= 5``, ``tau <= 2`` (7,744), where ``m > n * tau`` lets them
 act. Brute force's scan path, taken when a stage's ball of successors
 holds more than 64 committees, needs ``m >= 7`` and gets a pinned case
@@ -24,6 +27,8 @@ import pytest
 from mpvkit import (
     Instance,
     brute_force,
+    cmpv_normalize_half,
+    cmpv_to_rmpv,
     kernel_ntau_cmpv,
     kernel_ntau_rmpv,
     random_instance,
@@ -86,6 +91,29 @@ def test_every_solver_matches_the_reference_on_the_small_box(ms, taus, size):
             assert report.answer == expected, (solver.__name__, inst)
             if expected:
                 assert verify(inst, report.witness) == [], (solver.__name__, inst)
+    assert (count, yes) == size
+
+
+@pytest.mark.parametrize(
+    "ms, taus, size",
+    [
+        pytest.param((1, 2, 3), (1, 2), (852, 388), id="m3-tau2"),
+        pytest.param((1, 2, 3), (1, 2, 3), (7770, 2500), id="m3-tau3", marks=pytest.mark.full_box),
+    ],
+)
+def test_normalizations_keep_the_answer_on_the_small_box(ms, taus, size):
+    # every conservative ell = 0 instance of the box, padded to k = m/2 and
+    # then re-expressed as revolutionary, against the reference alone
+    count = yes = 0
+    for inst in _box(2, ms, taus):
+        if inst.variant != "C" or inst.ell:
+            continue
+        count += 1
+        expected = _reference(inst)
+        yes += expected
+        half = cmpv_normalize_half(inst)
+        assert _reference(half) == expected, inst
+        assert _reference(cmpv_to_rmpv(half)) == expected, inst
     assert (count, yes) == size
 
 

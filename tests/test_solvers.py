@@ -1263,11 +1263,11 @@ def _auto_attempts(inst):
     tau, k, m, x, ell = inst.tau, inst.k, inst.m, inst.x, inst.ell
     committees = sum(math.comb(m, j) for j in range(min(k, m) + 1))
     rows = [
-        ("layered-k", tau * m**k),
+        ("layered-k", tau * m ** min(k, m)),
         ("dp-tau", (k + 1) ** tau * (min(ell, 2 * k) + 1) ** (tau - 1) * (x + 1) ** tau * m),
     ]
     if inst.variant == "R":
-        rows.append(("inout-ell", tau * m ** (2 * ell)))
+        rows.append(("inout-ell", tau * m ** (2 * min(ell, m))))
     rows.append(("brute", committees**tau))
     return sorted(rows, key=lambda row: row[1])
 
