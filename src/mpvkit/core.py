@@ -27,7 +27,6 @@ import time
 from array import array
 from collections.abc import Iterable
 from itertools import chain
-from math import comb
 
 CONSERVATIVE = "C"
 REVOLUTIONARY = "R"
@@ -628,8 +627,19 @@ def _greedy_fill(row, order, k, x, required, forbidden):
 
 def _committees(n, k):
     """The number of committees of at most ``k`` members drawn from ``n``
-    candidates, the empty one included; 0 when ``k`` is negative."""
-    return sum(comb(n, j) for j in range(min(k, n) + 1))
+    candidates, the empty one included; 0 when ``k`` is negative.
+
+    The sum of ``comb(n, j)`` for ``j <= min(k, n)``, each term computed
+    from the one before, so the sum takes ``min(k, n)`` steps.
+    """
+    top = min(k, n)
+    if top < 0:
+        return 0
+    total = term = 1
+    for j in range(1, top + 1):
+        term = term * (n - j + 1) // j  # comb(n, j) from comb(n, j - 1)
+        total += term
+    return total
 
 
 def _change_out_of_reach(instance) -> bool:

@@ -8,18 +8,21 @@ sizes admits it. Where that table admits only a small neighbourhood of
 the previous committee (``ell`` near 0 conservative, near ``m``
 revolutionary), that neighbourhood's committees are tested directly
 instead of listing each stage's feasible ones, in one inline loop whose
-committees meet ``ell`` by construction, and a tail found to hold no
-sequence is not searched again; ``stats["states"]`` still counts every
-extension of the full search. :func:`brute_force` reads its first
-sequence and :func:`enumerate_solutions` its first ``limit``.
-Exponential in every parameter, intended for desk-scale instances and as
-a test oracle.
+committees meet ``ell`` by construction, each scored once per count row
+from small subset-sum tables of that row, and a tail found to hold no
+sequence is not searched again. Where it admits one committee only
+(``ell = 0`` conservative, ``ell = m`` revolutionary), every transition
+is forced, and the tail after each first-stage committee is walked in
+one loop. ``stats["states"]`` still counts every extension of the full
+search. :func:`brute_force` reads its first sequence and
+:func:`enumerate_solutions` its first ``limit``. Exponential in every
+parameter, intended for desk-scale instances and as a test oracle.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import accumulate, compress, islice
+from itertools import accumulate, islice
 from operator import add
 
 from .core import (
@@ -34,7 +37,6 @@ from .core import (
     _report,
 )
 
-_SELECT = bytes.maketrans(b"01", b"\0\1")
 _LEX = str.maketrans("01", "10")
 
 
@@ -88,6 +90,45 @@ def _feasible_masks(weights, k, x):
     return out
 
 
+def _subset_sums(a, b, c, d):
+    """The sums of the 16 subsets of four weights, indexed by bitmask (bit 0
+    for ``a``, bit 3 for ``d``)."""
+    ab, cd = a + b, c + d
+    return [0, a, b, ab, c, a + c, b + c, ab + c, d, a + d, b + d, ab + d, cd, a + cd, b + cd, ab + cd]
+
+
+class _Verdicts(dict):
+    """Whether a committee scores at least ``x`` under one count row, by bitmask.
+
+    A committee missing from the dict is scored on first need from the
+    row's subset-sum tables, one per chunk of 4 candidates: chunk ``j``
+    covers bits ``4j`` to ``4j + 3``, candidates ``4j + 1`` to ``4j + 4``
+    of ``row``. Each table is built the first time a committee has a
+    member in its chunk. Only committees of at most ``k`` members are
+    asked for; ``k`` is not checked here.
+    """
+
+    __slots__ = ("row", "x", "tables")
+
+    def __init__(self, row, x):
+        # padded so that every chunk, the last one too, has four weights
+        self.row, self.x, self.tables = row + (0, 0, 0), x, [None] * ((len(row) + 2) // 4)
+
+    def __missing__(self, committee):
+        tables, score, j, rest = self.tables, 0, 0, committee
+        while rest:
+            members = rest & 15  # the committee's members in chunk j
+            if members:
+                table = tables[j]
+                if table is None:
+                    table = tables[j] = _subset_sums(*self.row[4 * j + 1 : 4 * j + 5])
+                score += table[members]
+            rest >>= 4
+            j += 1
+        self[committee] = verdict = score >= self.x
+        return verdict
+
+
 def _sequence_search(instance, budget, states):
     """Check the arguments and return a generator of the valid committee
     sequences in lexicographic order.
@@ -105,13 +146,16 @@ def _sequence_search(instance, budget, states):
       stage after the first takes this path when the ball holds at most
       64 masks, enumerated once. The loop walks the ball around ``prev``
       and keeps the committees of at most ``k`` members scoring at least
-      ``x``, sorted into the scan's order. Each of them meets ``ok`` by
-      construction, so none is tested again. Per count row, ``verdicts``
-      keeps one string per committee tested: ``bits[c]`` is ``"1"``
-      exactly when candidate ``c`` (bit ``c - 1``) is a member, and with
-      0 and 1 swapped it sorts a committee before its extensions and
-      otherwise by the first differing candidate, a member first; it is
-      ``""`` for a score below ``x``;
+      ``x``. Each of them meets ``ok`` by construction, so none is tested
+      again. Per count row, a :class:`_Verdicts` keeps one bool per
+      committee scored, and the subset-sum tables of 4 candidates each
+      that scored it, each built on first need; stages with equal rows
+      share it. When a lookup keeps more than one committee, they are
+      sorted into the scan's order by a string, built the first time a
+      committee is sorted and kept in ``keys``: ``"0"`` at index ``c``
+      exactly when candidate ``c`` is a member, so it sorts a committee
+      before its extensions and otherwise by the first differing
+      candidate, a member first;
     * otherwise by a scan of the stage's feasible masks that tests each
       committee against ``ok``. The first stage always scans.
 
@@ -120,10 +164,23 @@ def _sequence_search(instance, budget, states):
     from stage ``t`` after ``prev`` that yields nothing is dead, and
     ``dead[t][prev]`` remembers how many extensions it took; a revisit
     adds that count to ``states[0]`` instead of searching again, so
-    ``states`` and every budget error stay those of the full search. The
-    search holds the feasible lists of the scan stages only, at most 64
-    verdicts per committee a lookup visits, and at most one dead count
-    per committee of stage ``t - 1``.
+    ``states`` and every budget error stay those of the full search.
+
+    When the ball holds only its centre (radius 0: conservative ``ell =
+    0``, revolutionary ``ell = m``), a committee's one possible successor
+    is itself xor ``flip``, so the stage-``t`` committee is a function of
+    the stage-0 one. The tail after each stage-0 committee is then walked
+    in one loop, stage by stage, until a stage rejects its committee,
+    with no generator per stage. Distinct stage-0 committees reach
+    distinct committees at every stage, so no tail is reached twice and
+    the walk keeps no dead counts: none could ever be read. It counts its
+    extensions in a local and stores them in ``states[0]`` before each
+    sequence it yields and when it ends.
+
+    The search holds the feasible lists of the scan stages only, at most
+    64 verdicts per committee a lookup visits, one string per committee a
+    lookup sorts, the tables of the chunks those committees have members
+    in, and at most one dead count per committee of stage ``t - 1``.
 
     The checks run when this function is called, not when the generator
     is first read, so a reader that takes no sequence is refused like any
@@ -153,7 +210,7 @@ def _sequence_search(instance, budget, states):
     lookup = tau > 1 and ball_size <= 64
     counts = instance.counts
     ball, stages = [], []  # filled on the first read
-    dead = [{} for _ in range(tau)]
+    keys, dead = {}, [{} for _ in range(tau)]
 
     def paths(t, prev):  # the valid tails from stage t on, after committee prev
         spent = dead[t].get(prev)
@@ -166,19 +223,16 @@ def _sequence_search(instance, budget, states):
         candidates = stages[t]
         test = t and not lookup  # a lookup's successors meet ell by construction
         if t and lookup:
-            verdicts, row, centre, candidates = candidates, counts[t], prev ^ flip, []
+            verdicts, centre, candidates = candidates, prev ^ flip, []
             for offset in ball:
                 committee = centre ^ offset
-                if committee.bit_count() <= k:
-                    key = verdicts.get(committee)
-                    if key is None:
-                        bits = bin(committee << 1)[:1:-1]
-                        feasible = sum(compress(row, bits.encode().translate(_SELECT))) >= x
-                        key = verdicts[committee] = bits.translate(_LEX) if feasible else ""
-                    if key:
-                        candidates.append(committee)
+                if committee.bit_count() <= k and verdicts[committee]:
+                    candidates.append(committee)
             if len(candidates) > 1:
-                candidates.sort(key=verdicts.__getitem__)
+                for committee in candidates:
+                    if committee not in keys:
+                        keys[committee] = bin(committee << 1)[:1:-1].translate(_LEX)
+                candidates.sort(key=keys.__getitem__)
         for committee in candidates:
             if test and not ok[(prev ^ committee).bit_count()]:
                 continue
@@ -195,14 +249,38 @@ def _sequence_search(instance, budget, states):
         if not found:
             dead[t][prev] = states[0] - start
 
+    def chains():  # radius 0: the stage-0 committees whose forced tails hold
+        later, spent = stages[1:], 0
+        for first in stages[0]:
+            spent += 1
+            if spent > budget:
+                raise BudgetExceededError(exceeded)
+            committee = first
+            for verdicts in later:
+                committee ^= flip
+                if committee.bit_count() > k or not verdicts[committee]:
+                    break
+                spent += 1
+                if spent > budget:
+                    raise BudgetExceededError(exceeded)
+            else:
+                states[0] = spent
+                yield tuple(first ^ flip * (t & 1) for t in range(tau))
+        states[0] = spent
+
     def sequences():
-        if lookup and radius >= 0:
-            ball.extend(_feasible_masks([0] * m, radius, 0))
-        # stages with equal rows share a feasible list or verdicts
-        lists = {row: _feasible_masks(row[1:], k, x) for row in set(counts[: 1 if lookup else tau])}
-        verdicts = {row: {} for row in counts}
-        stages.extend(verdicts[row] if t and lookup else lists[row] for t, row in enumerate(counts))
-        for path in paths(0, 0):
+        if lookup:
+            if radius >= 0:
+                ball.extend(_feasible_masks([0] * m, radius, 0))
+            # stages with equal rows share their verdicts and tables
+            verdicts = {row: _Verdicts(row, x) for row in counts[1:]}
+            stages.append(_feasible_masks(counts[0][1:], k, x))
+            stages.extend(verdicts[row] for row in counts[1:])
+        else:
+            # stages with equal rows share a feasible list
+            lists = {row: _feasible_masks(row[1:], k, x) for row in set(counts)}
+            stages.extend(lists[row] for row in counts)
+        for path in chains() if lookup and radius == 0 else paths(0, 0):
             yield tuple(_decode(mask, pool) for mask in path)
 
     return sequences()

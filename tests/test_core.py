@@ -5,6 +5,7 @@ import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -688,3 +689,19 @@ def test_feasible_committee_agrees_with_an_exhaustive_search():
 def test_feasible_committee_prefers_low_ids_on_ties():
     inst = Instance(variant="C", m=3, ballots=((1, 2, 3),), k=1, ell=0, x=1)
     assert feasible_committee(inst, 1) == frozenset({1})
+
+
+# ---------------------------------------------------------------------------
+# committee counts
+# ---------------------------------------------------------------------------
+
+
+def test_committee_count_is_the_binomial_sum():
+    # _committees builds each comb(n, j) from the one before; it must give
+    # the plain sum, 0 below k = 0 and every committee above k = n
+    for n in range(13):
+        for k in range(-3, n + 4):
+            assert core._committees(n, k) == sum(comb(n, j) for j in range(min(k, n) + 1)), (n, k)
+    # half of the subsets of 2n + 1 candidates have at most n members
+    n = 10_000
+    assert core._committees(2 * n + 1, n) == 2 ** (2 * n)

@@ -7,11 +7,15 @@ import pytest
 
 from mpvkit import (
     BudgetExceededError,
+    Graph,
     Instance,
     brute_force,
+    cmpv_normalize_half,
+    cmpv_to_rmpv,
     enumerate_solutions,
     mcc_to_cmpv,
     random_instance,
+    vc_to_cmpv,
     verify,
 )
 from mpvkit.core import DEFAULT_BUDGET
@@ -282,6 +286,83 @@ def test_neighbourhood_lookup_matches_the_closure_reference():
     assert min(seen[key] for key in ("Cyes", "Cno", "Ryes", "Rno", "exceeded")) >= 10, seen
 
 
+def _forced(rng, trial):
+    """A random instance whose every transition is forced.
+
+    Conservative with ``ell = 0``, where a committee's one successor is
+    itself, or revolutionary with ``ell = m``, where it is its complement;
+    ``m`` 8-12, ``tau`` 1-25, stage rows drawn with repeats from at most
+    four. Where the pool is small enough for the reference's full search,
+    a last stage nobody votes at kills every tail there, so that the
+    search outgrows budgets the pool check lets through.
+    """
+    m = rng.randint(8, 12)
+    if rng.random() < 0.5:
+        variant, ell, k = "C", 0, rng.randint(1, 4)
+    else:
+        variant, ell, k = "R", m, rng.randint(m // 2 - 1, (m + 1) // 2)
+    n, tau = rng.randint(4, 10), rng.randint(1, 25)
+    base = random_instance(
+        n, m, rng.randint(1, 4), k, ell, 1, variant,
+        abstain_probability=rng.choice((0.0, 0.2)), seed=trial,
+    )
+    rows = tuple(rng.choice(base.ballots) for _ in range(tau))
+    if sum(comb(m, j) for j in range(k + 1)) <= 400 and rng.random() < 0.3:
+        rows = rows[:-1] + ((0,) * n,)
+    x = max(1, rng.choice((1, 2, n // 3, n // 2) if variant == "R" else (1, 2, n // 2, n)))
+    return Instance(variant, m, rows, k, ell, x)
+
+
+@pytest.mark.parametrize(
+    "draws, least",
+    [
+        pytest.param(range(24), 1, id="24-draws"),
+        pytest.param(range(24, 600), 20, id="576-draws", marks=pytest.mark.full_box),
+    ],
+)
+def test_forced_transitions_match_the_closure_reference(draws, least):
+    # the walk of forced tails against the closure DFS: witness, states and
+    # budget errors at the default budget, at states and one short of it,
+    # and the first 0-5 sequences at each
+    seen = Counter()
+    rng = random.Random(45)
+    for trial in range(draws.stop):
+        inst = _forced(rng, trial)  # every draw, so that each slice sees the same stream
+        if trial not in draws:
+            continue
+        default = _sequence_reference(inst, DEFAULT_BUDGET, 1)
+        states = default[1]
+        for budget in {DEFAULT_BUDGET, states, max(0, states - 1)}:
+            expected = default if budget == DEFAULT_BUDGET else _sequence_reference(inst, budget, 1)
+            got = _outcome(lambda: brute_force(inst, budget=budget))
+            refused = isinstance(expected, str) and expected.startswith("enumerating")
+            if isinstance(expected, str):
+                seen["refused" if refused else "exceeded"] += 1
+                assert got == expected, (inst, budget)
+            else:
+                witness = expected[0][0] if expected[0] else None
+                seen[inst.variant + ("yes" if witness else "no")] += 1
+                assert (got.answer, got.witness, got.stats["states"]) == (
+                    witness is not None, witness, expected[1]
+                ), (inst, budget)
+            assert _outcome(lambda: enumerate_solutions(inst, 0, budget=budget)) == (
+                expected if refused else []
+            ), (inst, budget)
+            # a search that fails, or finds nothing, before its first
+            # sequence does so at every limit
+            first = expected
+            for limit in range(1, 6):
+                if isinstance(first, str) or not first[0]:
+                    expected = first if isinstance(first, str) else []
+                else:
+                    expected = _sequence_reference(inst, budget, limit)
+                    expected = expected if isinstance(expected, str) else expected[0]
+                got = _outcome(lambda: enumerate_solutions(inst, limit, budget=budget))
+                assert got == expected, (inst, budget, limit)
+        seen["repeated"] += len(set(inst.counts)) < inst.tau
+    assert min(seen[key] for key in ("Cyes", "Cno", "Ryes", "Rno", "exceeded", "repeated")) >= least, seen
+
+
 def test_dead_tails_still_count_every_extension():
     # six candidates, a of them approved at each stage, and none at the
     # last: with x = 1 no committee meets the last stage, and ell = m
@@ -368,3 +449,22 @@ def test_brute_force_keeps_the_14_edge_clique_gadget_answers():
         assert (rep.answer, rep.witness, rep.stats["states"]) == (
             True, (frozenset(committee),) * inst.tau, states
         )
+
+
+def test_brute_force_keeps_the_vc_chain_answers():
+    # witnesses and states of the search that opened one generator per
+    # stage, on the revolutionary VC chains of two seeded 10-vertex graphs
+    # with 12 edges (m 12, tau 25, k 6, ell 12: every transition swaps the
+    # whole committee); the first has a half cover, the second none
+    recorded = [
+        (0, ({2, 3, 4, 5, 7, 11}, {1, 6, 8, 9, 10, 12}), 3_006),
+        (9, None, 5_032),
+    ]
+    for seed, pair, states in recorded:
+        rng = random.Random(seed)
+        g = Graph(10, tuple(rng.sample(list(combinations(range(1, 11), 2)), 12)))
+        inst = cmpv_to_rmpv(cmpv_normalize_half(vc_to_cmpv(g)))
+        assert (inst.m, inst.tau, inst.k, inst.ell) == (12, 25, 6, 12)
+        witness = pair and tuple(frozenset(pair[t % 2]) for t in range(inst.tau))
+        rep = brute_force(inst)
+        assert (rep.answer, rep.witness, rep.stats["states"]) == (pair is not None, witness, states)
