@@ -27,6 +27,7 @@ import time
 from array import array
 from collections.abc import Iterable
 from itertools import chain
+from math import log10
 
 CONSERVATIVE = "C"
 REVOLUTIONARY = "R"
@@ -48,6 +49,34 @@ class BudgetExceededError(RuntimeError):
 # the ``budget`` default of every solver, brute force included; each
 # counts it in its own unit (``SolveReport.stats["states"]``)
 DEFAULT_BUDGET = 5 * 10**7
+
+
+def _figure(number):
+    """``number`` as a budget error prints it: in full below ``10**30``, and
+    past that as ``over 10^e``, the largest power of ten below it.
+
+    ``e`` is found with ``log10`` and checked against ``10**e``, so the
+    number is never converted to a string: CPython refuses to print an
+    ``int`` of more than 4,300 digits.
+    """
+    if number < 10**30:
+        return str(number)
+    e = int(log10(number))  # at worst one too high, just below a power of ten
+    return f"over 10^{e - (10**e >= number)}"
+
+
+def _refuse(unit, budget, work=None):
+    """Raise the budget error "[work] unit exceed the budget of B".
+
+    Every budget refusal of the searches is raised here, numbers printed
+    by :func:`_figure`; only dp-tau's 64-bit packing refusal and
+    ``solve_auto``'s combined error keep texts of their own, with numbers
+    printed by the same rule. An up-front refusal passes ``work``, the
+    number it compared with ``budget``; a running check passes none,
+    since where it stops depends on the path a search takes.
+    """
+    shown = unit if work is None else f"{_figure(work)} {unit}"
+    raise BudgetExceededError(f"{shown} exceed the budget of {_figure(budget)}")
 
 
 class _Record:

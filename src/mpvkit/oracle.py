@@ -26,7 +26,6 @@ from itertools import accumulate, islice
 from operator import add
 
 from .core import (
-    BudgetExceededError,
     CONSERVATIVE,
     DEFAULT_BUDGET,
     Instance,
@@ -34,6 +33,7 @@ from .core import (
     _committees,
     _decode,
     _natural,
+    _refuse,
     _report,
 )
 
@@ -185,21 +185,22 @@ def _sequence_search(instance, budget, states):
     The checks run when this function is called, not when the generator
     is first read, so a reader that takes no sequence is refused like any
     other: ``budget`` is checked by :func:`~mpvkit.core._natural` first,
-    and a stage pool too large to enumerate within it raises
-    :class:`BudgetExceededError`. The stage lists and the ball are built
-    on the generator's first read, so a reader that takes no sequence
-    lists nothing. Each stage is listed from ``row[1:]``, its counts over
-    the pool ``1..m``. An extension past the budget raises
-    :class:`BudgetExceededError` too.
+    and then the stage pool: more committees per stage than ``budget``, or
+    more than ``8 * budget`` over all stages, is refused
+    (:func:`~mpvkit.core._refuse`, each with its own count). The stage
+    lists and the ball are built on the generator's first read, so a
+    reader that takes no sequence lists nothing. Each stage is listed
+    from ``row[1:]``, its counts over the pool ``1..m``. An extension
+    past the budget is refused too, as "partial sequences exceed the
+    budget of B".
     """
     budget = _natural("budget", budget, 0)
     m, k, ell, x, tau = instance.m, instance.k, instance.ell, instance.x, instance.tau
     pool_size = _committees(m, k)
-    if pool_size > budget or pool_size * tau > 8 * budget:
-        raise BudgetExceededError(
-            f"enumerating {pool_size} committees per stage exceeds the budget of {budget}"
-        )
-    exceeded = f"search exceeded the budget of {budget} partial sequences"
+    if pool_size > budget:
+        _refuse("committees per stage", budget, pool_size)
+    if pool_size * tau > 8 * budget:
+        _refuse("blocks of 8 committees over all stages", budget, -(-pool_size * tau // 8))
     pool = range(1, m + 1)
     conservative = instance.variant == CONSERVATIVE
     ok = [d <= ell if conservative else d >= ell for d in range(m + 1)]
@@ -217,7 +218,7 @@ def _sequence_search(instance, budget, states):
         if spent is not None:
             states[0] += spent
             if states[0] > budget:
-                raise BudgetExceededError(exceeded)
+                _refuse("partial sequences", budget)
             return
         start, found, last = states[0], False, t + 1 == tau
         candidates = stages[t]
@@ -238,7 +239,7 @@ def _sequence_search(instance, budget, states):
                 continue
             states[0] += 1
             if states[0] > budget:
-                raise BudgetExceededError(exceeded)
+                _refuse("partial sequences", budget)
             if last:
                 found = True
                 yield (committee,)
@@ -254,7 +255,7 @@ def _sequence_search(instance, budget, states):
         for first in stages[0]:
             spent += 1
             if spent > budget:
-                raise BudgetExceededError(exceeded)
+                _refuse("partial sequences", budget)
             committee = first
             for verdicts in later:
                 committee ^= flip
@@ -262,7 +263,7 @@ def _sequence_search(instance, budget, states):
                     break
                 spent += 1
                 if spent > budget:
-                    raise BudgetExceededError(exceeded)
+                    _refuse("partial sequences", budget)
             else:
                 states[0] = spent
                 yield tuple(first ^ flip * (t & 1) for t in range(tau))
@@ -302,7 +303,7 @@ def brute_force(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport
     instance : Instance
     budget : int
         Maximum number of partial-sequence extensions before the search
-        gives up with :class:`BudgetExceededError`; by default
+        gives up with :class:`~mpvkit.core.BudgetExceededError`; by default
         :data:`~mpvkit.core.DEFAULT_BUDGET`, and checked before the
         search like every other solver's (a non-negative integer, see
         :func:`~mpvkit.core._natural`).

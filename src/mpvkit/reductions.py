@@ -240,33 +240,36 @@ def cmpv_to_rmpv(instance: Instance) -> Instance:
 
 
 def lift_ell1(instance: Instance) -> Instance:
-    """Lift a conservative ``ell = 0`` hardness instance to ``ell = 1``.
+    """Lift a conservative ``ell = 0`` instance to ``ell = 1``.
 
-    For two-agent instances with ``x = 1``: three fresh candidates
-    ``v'``, ``v``, ``w`` and four fresh agents, so ``n' = 6``. Every
-    stage adds two approvals of ``w`` and two of a rotating candidate:
-    ``w`` at odd stages, ``v'`` at stages divisible by four, and ``v``
-    at the remaining even stages. Meeting ``x' = 5`` forces the
-    committee to ride this rotation, and the single allowed change per
-    transition is spent on it, freezing the original part;
-    ``k' = k + 2``.
+    The lift adds no candidate. Every original count at every stage gets
+    ``B = n + 1`` more votes, and ``k' = min(k, m)``, ``ell' = 1``, ``x' =
+    k' B + x`` and ``n' = n + B m``, so that every stage total fits.
+
+    Why the answer is kept:
+
+    * a committee of fewer than ``k'`` members scores at most ``(k' - 1) B
+      + n < k' B + x``, so every committee of a solution has exactly
+      ``k'`` members, and it meets ``x'`` exactly when it meets ``x`` on
+      the original counts;
+    * two sets of equal size differ in an even number of members, so
+      ``ell' = 1`` allows no change at all;
+    * with ``ell = 0`` the input's solutions are one committee at every
+      stage, and padding it to ``k'`` members costs no stage its score.
+
+    So the lifted instance is the input with its committee padded to
+    ``k'`` members. It works for any ``n`` and ``x``, but ``n'`` grows
+    with ``n`` and ``m``: the lift shows NP-hardness at ``ell = 1``, not
+    for a constant number of agents, which :func:`vc_to_cmpv` gives at
+    ``ell = 0`` with ``n = 2``. The lift reads ``n``, so a weighted
+    instance raises :class:`PreconditionError`.
     """
-    if (
-        instance.variant != CONSERVATIVE
-        or instance.n != 2
-        or instance.ell != 0
-        or instance.x != 1
-    ):
-        raise PreconditionError("expected a conservative instance with n=2, ell=0, x=1")
-    rows = []
-    for t, row in enumerate(instance.counts, start=1):  # columns v', v, w
-        if t % 2:
-            rows.append(row + (0, 0, 4))
-        elif t % 4 == 0:
-            rows.append(row + (2, 0, 2))
-        else:
-            rows.append(row + (0, 2, 2))
-    return Instance._of_counts(CONSERVATIVE, instance.m + 3, rows, 6, instance.k + 2, 1, 5)
+    if instance.variant != CONSERVATIVE or instance.ell != 0:
+        raise PreconditionError("expected a conservative instance with ell=0")
+    n, m, k = instance.n, instance.m, min(instance.k, instance.m)
+    lift = n + 1  # B
+    rows = [(0, *(count + lift for count in row[1:])) for row in instance.counts]
+    return Instance._of_counts(CONSERVATIVE, m, rows, n + lift * m, k, 1, k * lift + instance.x)
 
 
 def lift_ell_2km2(instance: Instance) -> Instance:

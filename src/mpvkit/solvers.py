@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from itertools import combinations
-from math import comb, prod
+from math import comb
 
 from .core import (
     BudgetExceededError,
@@ -42,9 +42,11 @@ from .core import (
     _approved,
     _committees,
     _decode,
+    _figure,
     _greedy_fill,
     _hopeless,
     _natural,
+    _refuse,
     _report,
     _stage_order,
     feasible_committee,
@@ -123,7 +125,7 @@ def _first_links(layer, prev, linked, states, budget):
         else:
             states += len(prev)
         if states > budget:
-            raise BudgetExceededError(f"arc scan exceeded the budget of {budget}")
+            _refuse("nodes and examined arcs", budget)
     return hits, parents, states
 
 
@@ -341,7 +343,7 @@ def _scan_arcs(np, layer, reach, conservative, ell, states, budget):
             missed.append(idx[~hit])
             states += int(first.sum()) + first.size + (hi - lo) * (idx.size - first.size)
             if states > budget:
-                raise BudgetExceededError(f"arc scan exceeded the budget of {budget}")
+                _refuse("nodes and examined arcs", budget)
         pending = np.concatenate(missed)
         lo, width = hi, min(max(2 * width, 64), _CALL_ELEMENTS)
     return parents, states
@@ -456,10 +458,7 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     pool = _approved(instance.counts) if conservative else list(range(1, instance.m + 1))
     node_bound = _committees(len(pool), instance.k)
     if node_bound * instance.tau > budget:
-        raise BudgetExceededError(
-            f"{node_bound} committees per layer over {instance.tau} stages "
-            f"exceed the budget of {budget}"
-        )
+        _refuse("committees over all stages", budget, node_bound * instance.tau)
     # the stage table, read by both listings and the score bound; top, the
     # largest sum of k of one stage's, only where it is read
     weights = [[row[c] for c in pool] for row in instance.counts]
@@ -505,7 +504,7 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
             )
             states += int(ruled_out.sum()) * len(prev)
             if states > budget:
-                raise BudgetExceededError(f"arc scan exceeded the budget of {budget}")
+                _refuse("nodes and examined arcs", budget)
             rows = np.flatnonzero(~ruled_out)
         parents, states = _scan_arcs(
             np, layers[t][rows], prev, conservative, instance.ell, states, budget
@@ -586,9 +585,7 @@ def solve_inout_ell(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     node_count = comb(m, ell) * sum(comb(ell, j) for j in range(lo, cap + 1))
     work_bound = node_count * (tau - 1) + node_count * node_count * max(0, tau - 2)
     if work_bound > budget:
-        raise BudgetExceededError(
-            f"{node_count} witness pairs per layer exceed the budget of {budget}"
-        )
+        _refuse("middle-layer nodes and arcs", budget, work_bound)
     if not node_count:  # ell > m or ell > 2k: no witness, so no path
         return _report("inout-ell", start, None, 0)
 
@@ -621,7 +618,7 @@ def solve_inout_ell(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
         rows = [i for i, (out2, in2) in enumerate(layers[t]) if hosts(out2, in2)]
         states += (len(layers[t]) - len(rows)) * len(prev)
         if states > budget:
-            raise BudgetExceededError(f"arc scan exceeded the budget of {budget}")
+            _refuse("nodes and examined arcs", budget)
         hits, parents, states = _first_links(
             [layers[t][i] for i in rows], prev, linked, states, budget
         )
@@ -823,6 +820,21 @@ def _twins(np, tau, s, k, dtop, conservative, cap):
     return table
 
 
+def _profile_space(instance):
+    """``(dtop, size)``: dp-tau's change top and the number of its profiles.
+
+    A profile holds ``tau`` sizes in ``0..k``, ``tau - 1`` changes in
+    ``0..dtop`` (``min(ell, 2k)`` conservative, ``ell`` revolutionary)
+    and ``tau`` scores in ``0..x``. :func:`solve_dp_tau` refuses a space
+    too large for 64-bit keys, and :data:`_SOLVERS` estimates dp-tau's
+    states as the size times ``m``. Where :func:`solve_auto` ranks, a
+    revolutionary ``ell`` is at most ``2k``, so both tops agree there.
+    """
+    k, tau = instance.k, instance.tau
+    dtop = min(instance.ell, 2 * k) if instance.variant == CONSERVATIVE else instance.ell
+    return dtop, (k + 1) ** tau * (dtop + 1) ** (tau - 1) * (instance.x + 1) ** tau
+
+
 def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
     """Dynamic programming over per-stage size/difference/score profiles.
 
@@ -918,16 +930,13 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
         return _report("dp-tau", start, None, 0, stage=stage)
 
     # each profile entry's largest value: sizes, differences, scores
-    dtop = min(ell, 2 * k) if conservative else ell
-    top = [k] * tau + [dtop] * (tau - 1) + [x] * tau
-    capacity = prod(v + 1 for v in top)
+    dtop, capacity = _profile_space(instance)
     if capacity > 2**62:
-        raise BudgetExceededError(
-            f"profile space of size {capacity} cannot be packed into 64-bit keys"
-        )
+        message = f"profile space of size {_figure(capacity)} cannot be packed into 64-bit keys"
+        raise BudgetExceededError(message)
     import numpy as np
 
-    top = np.array(top, dtype=np.int64)
+    top = np.array([k] * tau + [dtop] * (tau - 1) + [x] * tau, dtype=np.int64)
     radii = top + 1
     mult = np.cumprod(np.concatenate(([1], radii[:-1])))
     goal = [0] * tau + [0 if conservative else ell] * (tau - 1) + [x] * tau
@@ -984,9 +993,7 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
                 # checked before the new states are stored, which can take more
                 # memory than the budget allows
                 if seen.size + frontier.size > budget:
-                    raise BudgetExceededError(
-                        f"{seen.size + frontier.size} profiles exceed the budget of {budget}"
-                    )
+                    _refuse("profiles", budget, seen.size + frontier.size)
                 # kept pairs ascend in (row, source) order, so the first
                 # occurrence of a key is its first row, then smallest parent
                 pairs = kept.ravel().nonzero()[0][first[fresh]]
@@ -1064,7 +1071,7 @@ def solve_auto(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
         try:
             return solver(instance, budget=budget)
         except BudgetExceededError as exc:
-            failures.append(f"{name} (estimate {estimate}): {exc}")
+            failures.append(f"{name} (estimate {_figure(estimate)}): {exc}")
     raise BudgetExceededError("; ".join(failures))
 
 
@@ -1080,11 +1087,7 @@ def _unranked(instance):
 _SOLVERS = {
     "greedy": (solve_unconstrained, _unranked),
     "layered-k": (solve_layered_k, lambda i: i.tau * i.m ** min(i.k, i.m)),
-    "dp-tau": (
-        solve_dp_tau,
-        lambda i: (i.k + 1) ** i.tau * (min(i.ell, 2 * i.k) + 1) ** (i.tau - 1)
-        * (i.x + 1) ** i.tau * i.m,
-    ),
+    "dp-tau": (solve_dp_tau, lambda i: _profile_space(i)[1] * i.m),
     "inout-ell": (
         solve_inout_ell,
         lambda i: i.tau * i.m ** (2 * min(i.ell, i.m)) if i.variant == REVOLUTIONARY else None,

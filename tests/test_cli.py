@@ -939,6 +939,22 @@ _SCENARIOS = {
         _F,
         ("solve --budget -1 f.mpv", 2, "argument --budget: must be a non-negative integer, got '-1'"),
     ],
+    # budget refusals of sizes too long to print as an int (CPython's limit
+    # is 4,300 digits) exit 3, with each size as a power of ten
+    "long-refusals-wide": [
+        _generate("wide.mpv", "R", 2, 20000, 3, 10000, 3000, 1, 0),
+        *(
+            (f"solve --algorithm {name} --budget 100 wide.mpv", 3, r"^budget exceeded: over 10\^")
+            for name in ("layered-k", "brute", "inout-ell")
+        ),
+    ],
+    "long-refusals-tall": [
+        _generate("tall.mpv", "R", 2, 6, 20000, 3, 1, 1, 0),
+        (
+            "solve --algorithm dp-tau tall.mpv", 3,
+            r"^budget exceeded: profile space of size over 10\^24082 cannot be packed",
+        ),
+    ],
     # generated ballots stay `profile` rows, the kernels' counts are written
     # as `weights` rows, and both kernels keep the verdict
     "kernels": [
@@ -993,4 +1009,5 @@ def test_cli_scenario(name, tmp_path, monkeypatch, capsys):
         out, err = capsys.readouterr()
         if target:
             Path(target).write_text(out)
-        assert got == code and re.search(pattern, err if code == 2 else out, re.M), (step, out, err)
+        shown = err if code in (2, 3) else out  # input errors and budget refusals go to stderr
+        assert got == code and re.search(pattern, shown, re.M), (step, out, err)

@@ -705,3 +705,28 @@ def test_committee_count_is_the_binomial_sum():
     # half of the subsets of 2n + 1 candidates have at most n members
     n = 10_000
     assert core._committees(2 * n + 1, n) == 2 ** (2 * n)
+
+
+def test_budget_refusals_print_numbers_by_one_rule():
+    # in full below 10**30, and past that as the largest power of ten below
+    # the number, found without printing it: CPython refuses to print an int
+    # of more than 4,300 digits
+    shown = {
+        0: "0",
+        10**30 - 1: str(10**30 - 1),
+        10**30: "over 10^29",
+        10**30 + 1: "over 10^30",
+        7 * 10**40: "over 10^40",
+        10**5000 - 1: "over 10^4999",
+        10**5000: "over 10^4999",
+        10**5000 + 1: "over 10^5000",
+        2**79999: "over 10^24082",
+    }
+    for number, text in shown.items():
+        assert core._figure(number) == text
+    with pytest.raises(core.BudgetExceededError) as err:
+        core._refuse("partial sequences", 100)
+    assert str(err.value) == "partial sequences exceed the budget of 100"
+    with pytest.raises(core.BudgetExceededError) as err:
+        core._refuse("committees per stage", 10**6000, 10**6001 + 1)
+    assert str(err.value) == "over 10^6001 committees per stage exceed the budget of over 10^5999"

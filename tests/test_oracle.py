@@ -125,7 +125,21 @@ def test_budget_exhaustion():
     for limit in (0, 1):
         with pytest.raises(BudgetExceededError) as err:
             enumerate_solutions(inst, limit, budget=10)
-        assert str(err.value) == "enumerating 163 committees per stage exceeds the budget of 10"
+        assert str(err.value) == "163 committees per stage exceed the budget of 10"
+    # a pool of 42 fits a budget of 100 at each stage, but not over 20
+    # stages, which list 840 committees, 105 blocks of 8
+    rows = ((1, 2, 3, 4, 5, 6),) * 20
+    inst = Instance(variant="C", m=6, ballots=rows, k=3, ell=6, x=1)
+    for limit in (0, 1):
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_solutions(inst, limit, budget=100)
+        assert str(err.value) == "105 blocks of 8 committees over all stages exceed the budget of 100"
+    # 19 stages list 798 committees, within 8 * 100; with nobody voting at
+    # the last one, the search runs out instead
+    nineteen = Instance(variant="C", m=6, ballots=rows[:18] + ((0,) * 6,), k=3, ell=6, x=1)
+    with pytest.raises(BudgetExceededError) as err:
+        brute_force(nineteen, budget=100)
+    assert str(err.value) == "partial sequences exceed the budget of 100"
 
 
 def test_empty_committee_allowed_when_x_reachable():
@@ -143,8 +157,11 @@ def _sequence_reference(instance, budget, max_solutions):
     m, k, ell, x, tau = instance.m, instance.k, instance.ell, instance.x, instance.tau
     conservative = instance.variant == "C"
     pool_size = sum(comb(m, j) for j in range(min(k, m) + 1))
-    if pool_size > budget or pool_size * tau > 8 * budget:
-        return f"enumerating {pool_size} committees per stage exceeds the budget of {budget}"
+    if pool_size > budget:
+        return f"{pool_size} committees per stage exceed the budget of {budget}"
+    if pool_size * tau > 8 * budget:
+        blocks = (pool_size * tau + 7) // 8
+        return f"{blocks} blocks of 8 committees over all stages exceed the budget of {budget}"
     pool = range(1, m + 1)
     feasible = [feasible_masks(row, pool, k, x) for row in instance.counts]
 
@@ -164,9 +181,7 @@ def _sequence_reference(instance, budget, max_solutions):
                     continue
             extensions += 1
             if extensions > budget:
-                raise BudgetExceededError(
-                    f"search exceeded the budget of {budget} partial sequences"
-                )
+                raise BudgetExceededError(f"partial sequences exceed the budget of {budget}")
             prefix.append(committee)
             if t + 1 == tau:
                 solutions.append(tuple(_decode(mask, pool) for mask in prefix))
@@ -216,13 +231,13 @@ def test_search_matches_the_closure_reference():
                     witness is not None, witness, expected[1]
                 ), (inst, budget)
             # limit 0 reads no sequence, but a pool too large is refused up front
-            refused = isinstance(expected, str) and expected.startswith("enumerating")
+            refused = isinstance(expected, str) and not expected.startswith("partial sequences")
             got = _outcome(lambda: enumerate_solutions(inst, 0, budget=budget))
             assert got == (expected if refused else []), (inst, budget)
             for limit in range(1, 6):
                 expected = _sequence_reference(inst, budget, limit)
                 if isinstance(expected, str):
-                    seen["refused" if expected.startswith("enumerating") else "search"] += 1
+                    seen["search" if expected.startswith("partial sequences") else "refused"] += 1
                 else:
                     expected = expected[0]
                 got = _outcome(lambda: enumerate_solutions(inst, limit, budget=budget))
@@ -335,7 +350,7 @@ def test_forced_transitions_match_the_closure_reference(draws, least):
         for budget in {DEFAULT_BUDGET, states, max(0, states - 1)}:
             expected = default if budget == DEFAULT_BUDGET else _sequence_reference(inst, budget, 1)
             got = _outcome(lambda: brute_force(inst, budget=budget))
-            refused = isinstance(expected, str) and expected.startswith("enumerating")
+            refused = isinstance(expected, str) and not expected.startswith("partial sequences")
             if isinstance(expected, str):
                 seen["refused" if refused else "exceeded"] += 1
                 assert got == expected, (inst, budget)
@@ -384,7 +399,7 @@ def test_dead_tails_still_count_every_extension():
     for budget in (extensions - 1, 70_000):
         with pytest.raises(BudgetExceededError) as exc:
             brute_force(inst, budget=budget)
-        assert str(exc.value) == f"search exceeded the budget of {budget} partial sequences"
+        assert str(exc.value) == f"partial sequences exceed the budget of {budget}"
     assert enumerate_solutions(inst, 5) == []
 
 

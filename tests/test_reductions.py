@@ -206,25 +206,59 @@ def test_cmpv_to_rmpv_preconditions(e1_cmpv):
 
 
 def test_lift_ell1_shape_and_answers():
+    # B = n + 1 more votes for every candidate at every stage, no fresh
+    # candidate, k' = min(k, m), ell' = 1, x' = k' B + x and n' = n + B m;
+    # k runs past m, where the clamp acts
     rng = random.Random(6)
-    for trial in range(30):
+    clamped = 0
+    for trial in range(40):
+        n, m, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 5)
         inst = random_instance(
-            2, rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 2), 0, 1,
+            n, m, rng.randint(1, 4), k, 0, rng.randint(1, n + 1),
             "C", abstain_probability=0.3, seed=trial,
         )
         lifted = lift_ell1(inst)
-        assert (lifted.ell, lifted.x) == (1, 5)
-        assert lifted.m == inst.m + 3 and lifted.n == 6
+        top, b = min(k, m), n + 1
+        assert (lifted.variant, lifted.m, lifted.k, lifted.ell) == ("C", m, top, 1)
+        assert (lifted.x, lifted.n) == (top * b + inst.x, n + b * m)
+        assert lifted.counts == tuple((0, *(c + b for c in row[1:])) for row in inst.counts)
         assert brute_force(lifted).answer == brute_force(inst).answer, inst
-    with pytest.raises(PreconditionError):
-        lift_ell1(random_instance(2, 3, 2, 1, 1, 1, "C", seed=0))
+        clamped += k > m
+    assert clamped >= 5
+    for wrong in (
+        random_instance(2, 3, 2, 1, 1, 1, "C", seed=0),  # ell = 1
+        random_instance(2, 3, 2, 1, 0, 1, "R", seed=0),
+    ):
+        with pytest.raises(PreconditionError, match="expected a conservative instance with ell=0"):
+            lift_ell1(wrong)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="lift_ell1 turns some no instances into yes ones (ROADMAP item 1)",
-)
+def _lift_box(agents, ms, taus):
+    # every conservative ell = 0 instance of the box: each stage an
+    # unordered tuple of ballot entries, x in {1, 2} and every k <= m
+    for m in ms:
+        stages = list(itertools.combinations_with_replacement(range(m + 1), agents))
+        for tau in taus:
+            for profile in itertools.product(stages, repeat=tau):
+                for k, x in itertools.product(range(1, m + 1), (1, 2)):
+                    yield Instance("C", m, profile, k, 0, x)
+
+
+@pytest.mark.full_box
+def test_lift_ell1_keeps_the_answer_on_the_lift_boxes():
+    # 2 agents with m <= 3 and tau <= 3, 3 agents with m <= 4 and tau <= 2,
+    # and 1 agent with m <= 5 and tau <= 3
+    boxes = ((2, (1, 2, 3), (1, 2, 3)), (3, (1, 2, 3, 4), (1, 2)), (1, range(1, 6), (1, 2, 3)))
+    checked, yes = 0, 0
+    for agents, ms, taus in boxes:
+        for inst in _lift_box(agents, ms, taus):
+            answer = brute_force(inst).answer
+            assert brute_force(lift_ell1(inst)).answer == answer, inst
+            checked += 1
+            yes += answer
+    assert (checked, yes) == (25358, 12333)
+
+
 def test_lift_ell1_agrees_on_every_small_two_agent_profile():
     # the lift reads only counts, so each stage is an unordered agent pair
     wrong, checked = [], 0
@@ -263,15 +297,17 @@ def test_lift_ell_2km2_shape_and_answers():
 
 
 def _instances_with_answer(variant, ell, m, want, count):
+    # the first count seeds from 1 whose draw brute force answers want; at
+    # most 50 draws, so that a brute force that never gives want fails here
     found = []
-    seed = 0
-    while len(found) < count:
-        seed += 1
+    for seed in range(1, 51):
         inst = random_instance(2, m, 2, 1, ell, 1, variant,
                                abstain_probability=0.3, seed=seed)
         if brute_force(inst).answer is want:
             found.append(inst)
-    return found
+            if len(found) == count:
+                return found
+    raise AssertionError(f"{len(found)} of 50 draws answer {want}, {count} wanted")
 
 
 def test_and_compose_cmpv_patterns():
@@ -564,12 +600,13 @@ def _cmpv_to_rmpv_reference(inst):
 
 
 def _lift_ell1_reference(inst):
-    vp, v, w = inst.m + 1, inst.m + 2, inst.m + 3
-    rows = []
-    for t, row in enumerate(inst.ballots, start=1):
-        extra = w if t % 2 else vp if t % 4 == 0 else v
-        rows.append(row + (extra, extra, w, w))
-    return Instance("C", inst.m + 3, tuple(rows), inst.k + 2, 1, 5)
+    # n + 1 fresh agents per candidate, each approving it at every stage;
+    # each row in id order, abstentions last, as the canonical spelling
+    n, m = inst.n, inst.m
+    pad = tuple(c for c in range(1, m + 1) for _ in range(n + 1))
+    rows = tuple(tuple(sorted(row + pad, key=lambda c: (c == 0, c))) for row in inst.ballots)
+    k = min(inst.k, m)
+    return Instance("C", m, rows, k, 1, k * (n + 1) + inst.x)
 
 
 def _lift_ell_2km2_reference(inst):

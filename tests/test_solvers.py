@@ -199,7 +199,12 @@ def test_budget_raises(monkeypatch):
         assert solve_layered_k(inst, budget=states).stats["states"] == states, path
         with pytest.raises(BudgetExceededError) as err:
             solve_layered_k(inst, budget=states - 1)
-        assert str(err.value) == f"arc scan exceeded the budget of {states - 1}", path
+        assert str(err.value) == f"nodes and examined arcs exceed the budget of {states - 1}", path
+    # the up-front refusal names the committees it compared: 93 of at most
+    # 3 members from the 8 approved candidates, at each of 6 stages
+    with pytest.raises(BudgetExceededError) as err:
+        solve_layered_k(inst, budget=557)
+    assert str(err.value) == "558 committees over all stages exceed the budget of 557"
     with pytest.raises(BudgetExceededError):
         solve_dp_tau(inst, budget=5)
     # dp-tau counts every discovered profile: its exact count is enough
@@ -211,6 +216,33 @@ def test_budget_raises(monkeypatch):
         solve_inout_ell(
             random_instance(4, 8, 6, 3, 2, 1, "R", seed=11), budget=5
         )
+
+
+def test_refusals_of_sizes_too_long_to_print():
+    # an up-front refusal names the number it compared, here thousands of
+    # digits long, past CPython's 4,300-digit limit on printing an int; each
+    # is printed as a power of ten, so every one is a BudgetExceededError
+    wide = random_instance(2, 20000, 3, 10000, 3000, 1, "R", seed=0)
+    tall = random_instance(2, 6, 20000, 3, 1, 1, "R", seed=0)
+    cases = [
+        (solve_layered_k, wide, "over 10^6020 committees over all stages exceed the budget of 100"),
+        (brute_force, wide, "over 10^6020 committees per stage exceed the budget of 100"),
+        (solve_inout_ell, wide, "over 10^9145 middle-layer nodes and arcs exceed the budget of 100"),
+        (solve_dp_tau, tall, "profile space of size over 10^24082 cannot be packed into 64-bit keys"),
+    ]
+    for solver, inst, text in cases:
+        with pytest.raises(BudgetExceededError) as err:
+            solver(inst, budget=100)
+        assert str(err.value) == text, solver.__name__
+    # solve_auto prints its estimates by the same rule
+    with pytest.raises(BudgetExceededError) as err:
+        solve_auto(random_instance(2, 6, 20000, 3, 1, 1, "C", seed=0), budget=100)
+    assert str(err.value) == (
+        "layered-k (estimate 4320000): 840000 committees over all stages exceed the budget of 100; "
+        "dp-tau (estimate over 10^24082): profile space of size over 10^24082 cannot be packed "
+        "into 64-bit keys; brute (estimate over 10^32464): 105000 blocks of 8 committees over "
+        "all stages exceed the budget of 100"
+    )
 
 
 def test_no_answer_reports_more_states_than_its_budget():
@@ -322,8 +354,9 @@ def _inout_reference(inst, budget):
     if splits == 0:
         return None, 0
     node_count = math.comb(m, ell) * splits
-    if node_count * (tau - 1) + node_count**2 * max(0, tau - 2) > budget:
-        return f"{node_count} witness pairs per layer exceed the budget of {budget}"
+    work = node_count * (tau - 1) + node_count**2 * max(0, tau - 2)
+    if work > budget:
+        return f"{work} middle-layer nodes and arcs exceed the budget of {budget}"
     nodes = []
     for union in itertools.combinations(range(1, m + 1), ell):
         for jx in range(lo, cap + 1):
@@ -338,7 +371,7 @@ def _inout_reference(inst, budget):
     for node in nodes:  # the first pass: one arc per node
         states += 1
         if states > budget:
-            return f"arc scan exceeded the budget of {budget}"
+            return f"nodes and examined arcs exceed the budget of {budget}"
         if feasible(1, *node):
             reach.append((node, None))
     for t in range(2, tau):
@@ -349,7 +382,7 @@ def _inout_reference(inst, budget):
             for entry in reach:
                 states += 1
                 if states > budget:
-                    return f"arc scan exceeded the budget of {budget}"
+                    return f"nodes and examined arcs exceed the budget of {budget}"
                 out1, in1 = entry[0]
                 if not (out1 & out2 or in1 & in2) and feasible(t, in1 | out2, out1 | in2):
                     cur.append(((out2, in2), entry))
@@ -359,7 +392,7 @@ def _inout_reference(inst, budget):
     for entry in reach:
         states += 1
         if states > budget:
-            return f"arc scan exceeded the budget of {budget}"
+            return f"nodes and examined arcs exceed the budget of {budget}"
         if feasible(tau, entry[0][1], entry[0][0]):
             goal = entry
             break
@@ -399,7 +432,7 @@ def test_inout_matches_three_pass_reference():
     def check(inst, budget):
         expected = _check_inout(inst, budget)
         if isinstance(expected, str):
-            seen["scan" if expected.startswith("arc scan") else "bound"] += 1
+            seen["scan" if expected.startswith("nodes and examined arcs") else "bound"] += 1
         else:
             seen["yes" if expected[0] else "no"] += 1
 
