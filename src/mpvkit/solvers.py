@@ -27,6 +27,7 @@ or a string raises ``ValueError``.
 
 from __future__ import annotations
 
+import sys
 import time
 from itertools import combinations
 from math import comb
@@ -167,7 +168,8 @@ def _path(layers, scan, states):
 
 # Layered-k's cap on plain Python, for both of its counts: it enumerates
 # committees in Python while its pool has at most this many committees of
-# at most k members, and scans arcs in Python while, in addition,
+# at most k members (and, once numpy is loaded, while their pairs cannot
+# exceed it either), and scans arcs in Python while, in addition,
 # consecutive layers hold at most this many committee pairs in all. On a
 # 2-vCPU Xeon the Python scan (_first_links, with one call of its link
 # test per pair) costs about 70 ns per pair examined and the enumeration
@@ -177,7 +179,7 @@ def _path(layers, scan, states):
 SCAN_PYTHON_MAX = 1 << 13
 
 # array elements one numpy call builds in the arc scan, in layered-k's
-# numpy pass and in dp-tau's expansion, so temporaries stay bounded on
+# numpy listings and in dp-tau's expansion, so temporaries stay bounded on
 # large inputs
 _CALL_ELEMENTS = 1 << 18
 
@@ -195,19 +197,9 @@ def _layer_array(np, masks, words):
     return out
 
 
-def _feasible_layers(weights, top, k, x):
-    """Every stage's :func:`~mpvkit.oracle._feasible_masks`, built in one numpy pass.
-
-    ``weights`` is :func:`solve_layered_k`'s stage table, each stage's
-    counts over the candidate pool, one list of ``n`` per stage, the rows
-    that :func:`~mpvkit.oracle._feasible_masks` lists one at a time, and
-    ``top`` is the largest sum of ``max(k, 1)`` of one stage's weights: at
-    least one seat, so that no weight exceeds ``top`` either. The pass
-    reads both and computes neither. Returns one ``(size, words)`` uint64
-    array per stage, in the layout of :func:`_layer_array` and with the
-    rows in :func:`~mpvkit.oracle._feasible_masks`'s order, or ``None``,
-    before importing numpy, when no stage reaches ``x`` or the pass's
-    int64 arithmetic could overflow.
+def _listing_pass(np, weights, k, x, span):
+    """The keys of every stage's committees of at most ``k`` members scoring
+    at least ``x >= 0`` under ``weights``, a ``(tau, n)`` int64 array, sorted.
 
     The pass goes level by level over a frontier of committee prefixes of
     every stage at once: ``(stage, score, next position, key)``. A prefix
@@ -222,26 +214,14 @@ def _feasible_layers(weights, top, k, x):
     prefix that scores below ``x`` extends only over its stage's
     nonzero-weight positions, since a zero-weight child would score below
     ``x`` too. The key spells a stage and its committee's sorted positions
-    as digits ``position + 1`` in base ``n + 1``, most significant
-    first and 0 past the last member, so one sort of the keys gives the
-    stages in order, each in lexicographic order, a prefix first; the
-    masks are read off the sorted keys' digits.
-
-    ``None`` is returned when ``x > top``, so that every layer is empty,
-    and unless ``tau * (n + 1)**k``, the keys' range, and ``tau * (top +
-    2)``, the offset bounds' range, are below ``2**63``. A negative ``x``
-    is clipped to 0, which keeps every committee's verdict. Each numpy
-    call builds fewer than ``_CALL_ELEMENTS + n`` children.
+    as digits ``position + 1`` in base ``n + 1``, most significant first
+    and 0 past the last member, plus ``span = (n + 1)**k`` per stage, so
+    the sorted keys give the stages in order, each in lexicographic order,
+    a prefix first. The caller keeps ``tau * max(span, top + 2)`` below
+    ``2**63``, ``top`` the largest stage score. Each numpy call builds
+    fewer than ``_CALL_ELEMENTS + n`` children.
     """
-    n, tau = len(weights[0]), len(weights)
-    k = min(k, n)
-    span = (n + 1) ** k  # keys of one stage
-    if x > top or tau * max(span, top + 2) >= 2**63:
-        return None
-    import numpy as np
-
-    x = max(x, 0)
-    weights = np.array(weights, dtype=np.int64)
+    tau, n = weights.shape
     # best[left][t][i]: the sum of the left largest of stage t's weights[i:]
     best = np.zeros((k + 1, tau, n + 1), dtype=np.int64)
     for left in range(1, k + 1):
@@ -293,19 +273,124 @@ def _feasible_layers(weights, top, k, x):
             break
         at, score, key = map(np.concatenate, zip(*kept))
         stage, start = at // n, at + 1
-    keys = np.sort(np.concatenate(keys))
-    # bits[d]: the mask of position d - 1, and bits[0] no member
+    return np.sort(np.concatenate(keys))
+
+
+def _key_masks(np, keys, n, k, span):
+    """``(masks, digits)`` of :func:`_listing_pass`'s ``keys``.
+
+    ``digits`` is a ``(k, len(keys))`` array of each committee's key
+    digits, the last seat first: ``position + 1`` per member, 0 for an
+    empty seat. ``masks`` holds the committees' bitmasks in the layout of
+    :func:`_layer_array`.
+    """
     words = max(1, -(-n // 64))
+    # bits[d]: the mask of position d - 1, and bits[0] no member
     bits = np.zeros((n + 1, words), dtype=np.uint64)
     pos = np.arange(n)
     bits[pos + 1, pos >> 6] = np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64))
-    # each committee's mask from its key's digits, the last member first
     masks = np.zeros((keys.size, words), dtype=np.uint64)
+    digits = np.empty((k, keys.size), dtype=np.intp)
     rest = keys % span
-    for _ in range(k):
-        rest, digit = np.divmod(rest, n + 1)
-        masks |= bits[digit]
-    return np.split(masks, keys.searchsorted(np.arange(1, tau) * span))
+    for seat in digits:
+        rest, seat[:] = np.divmod(rest, n + 1)
+        masks |= bits[seat]
+    return masks, digits
+
+
+# The bytes of committee tables that _TABLES may retain in all, 4 MiB. A
+# table of a pool of up to 64 candidates takes at most 0.9 MB (8,192
+# committees of 13 seats), one of 18 to 24 candidates at k = 3 32-75 kB,
+# and the widest that fits is 5,760 candidates' at k = 1
+_TABLE_BYTES = 1 << 22
+
+# (n, k): _committee_table(np, n, k), arrays read-only, oldest first
+_TABLES = {}
+
+
+def _committee_table(np, n, k):
+    """``(positions, masks)``: every committee of at most ``k <= n`` of ``n``
+    pool positions, in :func:`~mpvkit.oracle._feasible_masks`'s order.
+
+    Row ``i`` of ``masks`` is committee ``i``'s bitmask, in the layout of
+    :func:`_layer_array`, and column ``i`` of the ``(k, size)`` array
+    ``positions`` holds its members' positions, ``n`` for an empty seat.
+    The table is :func:`_listing_pass` over one all-zero stage at ``x =
+    0``, which lists exactly these committees in this order, with the key
+    digits kept as positions. The process keeps the tables it builds,
+    read-only, while they take at most ``_TABLE_BYTES`` (4 MiB) together:
+    a new one evicts the oldest until all fit. A table larger than that
+    alone is built per call.
+    """
+    table = _TABLES.get((n, k))
+    if table is None:
+        span = (n + 1) ** k
+        keys = _listing_pass(np, np.zeros((1, n), dtype=np.int64), k, 0, span)
+        masks, digits = _key_masks(np, keys, n, k, span)
+        table = (digits - 1) % (n + 1), masks  # digit 0, no member, becomes n
+        if sum(array.nbytes for array in table) <= _TABLE_BYTES:
+            for array in table:
+                array.setflags(False)  # write=False
+            _TABLES[n, k] = table
+            for old in [*_TABLES][:-1]:  # a list, so that a concurrent solve cannot break the walk
+                if sum(array.nbytes for kept in [*_TABLES.values()] for array in kept) <= _TABLE_BYTES:
+                    break
+                _TABLES.pop(old, None)
+    return table
+
+
+def _feasible_layers(weights, top, k, x):
+    """Every stage's :func:`~mpvkit.oracle._feasible_masks`, listed in numpy.
+
+    ``weights`` is :func:`solve_layered_k`'s stage table, each stage's
+    counts over the candidate pool, one list of ``n`` per stage, the rows
+    that :func:`~mpvkit.oracle._feasible_masks` lists one at a time, and
+    ``top`` is the largest sum of ``max(k, 1)`` of one stage's weights: at
+    least one seat, so that no weight exceeds ``top`` either. Both are
+    read here and computed by the caller. Returns one ``(size, words)``
+    uint64 array per stage, in the layout of :func:`_layer_array` and with
+    the rows in :func:`~mpvkit.oracle._feasible_masks`'s order, or
+    ``None``, before importing numpy, when no stage reaches ``x`` or the
+    int64 arithmetic could overflow. Both branches give the same arrays.
+
+    * A committee space of at most :data:`SCAN_PYTHON_MAX` committees of
+      at most ``k`` members is scored from its kept table
+      (:func:`_committee_table`): a block of stages costs one gather of
+      its weights at the table's ``k`` member positions per committee,
+      with a zero weight at the empty seat's position ``n``, one sum over
+      the seats, one comparison with ``x`` and, per stage, one selection
+      of the table's masks. A block gathers at most ``_CALL_ELEMENTS``
+      weights, or one stage's.
+    * A larger space is listed by one pass over all stages
+      (:func:`_listing_pass`), which prunes by score bounds, and the masks
+      are read off the sorted keys' digits (:func:`_key_masks`).
+
+    ``None`` is returned when ``x > top``, so that every layer is empty,
+    and unless ``tau * (n + 1)**k``, the pass's keys' range, and ``tau *
+    (top + 2)``, its offset bounds' range, are below ``2**63``; so every
+    score fits int64. A negative ``x`` is clipped to 0, which keeps every
+    committee's verdict.
+    """
+    n, tau = len(weights[0]), len(weights)
+    k = min(k, n)
+    span = (n + 1) ** k  # keys of one stage
+    if x > top or tau * max(span, top + 2) >= 2**63:
+        return None
+    import numpy as np
+
+    x = max(x, 0)
+    if _committees(n, k) > SCAN_PYTHON_MAX:
+        keys = _listing_pass(np, np.array(weights, dtype=np.int64), k, x, span)
+        masks = _key_masks(np, keys, n, k, span)[0]
+        return np.split(masks, keys.searchsorted(np.arange(1, tau) * span))
+    positions, masks = _committee_table(np, n, k)
+    padded = np.zeros((tau, n + 1), dtype=np.int64)  # position n weighs 0
+    padded[:, :n] = weights
+    layers, rows = [], max(1, _CALL_ELEMENTS // (max(k, 1) * len(masks)))
+    for a in range(0, tau, rows):
+        score = padded[a : a + rows, positions].sum(axis=1)  # (stages, seats, committees)
+        layers += [masks.compress(ok, axis=0) for ok in score >= x]
+    return layers
 
 
 def _scan_arcs(np, layer, reach, conservative, ell, states, budget):
@@ -406,20 +491,28 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     stage. For the conservative variant the candidate pool shrinks to the
     candidates approved at least once (:func:`~mpvkit.core._approved`).
 
-    The layers are enumerated in one of two ways, with the same committees
-    in the same order: lexicographic in their sorted pool positions, a
-    prefix first, which fixes the parents and so the witness.
+    The layers are enumerated in one of three ways, with the same
+    committees in the same order: lexicographic in their sorted pool
+    positions, a prefix first, which fixes the parents and so the witness.
+    Let ``N`` be the number of committees of at most ``k`` members of the
+    pool.
 
-    * When the pool has at most :data:`SCAN_PYTHON_MAX` committees of at
-      most ``k`` members, stage by stage in plain Python
-      (:func:`~mpvkit.oracle._feasible_masks`).
-    * Above that, as uint64 arrays in one numpy pass over all stages
-      (:func:`_feasible_layers`), whose scores and keys are int64. An
-      instance where ``x`` exceeds ``top``, the largest top-``k`` stage
-      sum, so that every layer is empty, or whose ``tau * (top + 2)`` or
-      ``tau * (len(pool) + 1)**k`` does not fit int64 (such as one with
-      weights of ``2**70``), is enumerated in plain Python instead, before
-      numpy is imported.
+    * Stage by stage in plain Python
+      (:func:`~mpvkit.oracle._feasible_masks`) when ``N`` is at most
+      :data:`SCAN_PYTHON_MAX` and either numpy is not loaded (no numpy
+      module in ``sys.modules``) or ``N**2 * (tau - 1)``, the most committee
+      pairs the layers can hold, is at most :data:`SCAN_PYTHON_MAX`, so
+      that the arcs are certain to be scanned in plain Python. A fresh
+      process that lists in Python imports numpy only for the scan below.
+    * Otherwise as uint64 arrays (:func:`_feasible_layers`), whose scores
+      are int64: for ``N`` up to :data:`SCAN_PYTHON_MAX` scored from a
+      table of the pool's ``N`` committees, kept for the process
+      (:func:`_committee_table`), and above that listed in one numpy pass
+      over all stages. An instance where ``x`` exceeds ``top``, the
+      largest top-``k`` stage sum, so that every layer is empty, or whose
+      ``tau * (top + 2)`` or ``tau * (len(pool) + 1)**k`` does not fit
+      int64 (such as one with weights of ``2**70``), is enumerated in
+      plain Python instead, before numpy is imported.
 
     When the layers were enumerated in plain Python and consecutive layers
     hold at most :data:`SCAN_PYTHON_MAX` committee pairs in all (up to the
@@ -445,7 +538,7 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     Both listings and the score bound read one stage table, built once per
     solve right after the up-front refusal: each stage's counts projected
     onto the pool, one list per stage. ``top`` is computed at most once
-    per solve, and only where it is read: before the numpy pass, and
+    per solve, and only where it is read: before the numpy listing, and
     before the first conservative numpy scan of Python-listed layers.
 
     Budget, checked first like every solver's, counts layer nodes plus
@@ -463,7 +556,12 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     # largest sum of k of one stage's, only where it is read
     weights = [[row[c] for c in pool] for row in instance.counts]
     top = layers = masks = None
-    if node_bound > SCAN_PYTHON_MAX:
+    # numpy lists the layers past the Python cap, and also below it once
+    # numpy is loaded, unless the layers' pairs cannot exceed the cap
+    if node_bound > SCAN_PYTHON_MAX or (
+        sys.modules.get("numpy") is not None
+        and node_bound**2 * (instance.tau - 1) > SCAN_PYTHON_MAX
+    ):
         top = max(sum(sorted(row, reverse=True)[: instance.k]) for row in weights)
         layers = _feasible_layers(weights, top, instance.k, instance.x)
     if layers is None:
@@ -582,7 +680,16 @@ def solve_inout_ell(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     m, k, ell, x, tau = instance.m, instance.k, instance.ell, instance.x, instance.tau
     cap = min(k, ell)
     lo = max(0, ell - cap)
-    node_count = comb(m, ell) * sum(comb(ell, j) for j in range(lo, cap + 1))
+    # the split sizes lo..cap are symmetric about ell / 2, so their comb sum
+    # is also 2**ell less twice the sum below lo: the form with fewer terms
+    # is taken (no witness when ell > m)
+    if ell > m:
+        splits = 0
+    elif cap - lo < lo:
+        splits = sum(comb(ell, j) for j in range(lo, cap + 1))
+    else:
+        splits = 2**ell - 2 * _committees(ell, lo - 1)
+    node_count = comb(m, ell) * splits
     work_bound = node_count * (tau - 1) + node_count * node_count * max(0, tau - 2)
     if work_bound > budget:
         _refuse("middle-layer nodes and arcs", budget, work_bound)
@@ -711,9 +818,17 @@ def _twin_rows(tau, s, k, dtop, conservative, cap):
     from its sizes, so its rows ascend in its fingerprint, the stage
     bitmask of the committees it sits in. The rows are built in that
     order, one stage at a time from the last, and counted first, so that
-    a table past ``cap`` is never listed.
+    a table past ``cap`` is never listed. Before the count, a lower bound
+    refuses what is far past ``cap`` at once: ``(top + 1) * r**(tau - 1) -
+    1`` rows, with ``top = min(s, k)``. Every pair of stages takes at least
+    one change when revolutionary, so there ``r = top + 1``; conservative,
+    each size ``a`` has at least ``r = min(top, dtop) + 1`` sizes ``b``
+    within ``dtop`` of it, each with at least one change.
     """
     top = min(s, k)
+    r = min(top, dtop) + 1 if conservative else top + 1
+    if (top + 1) * r ** (tau - 1) - 1 > cap:
+        return None
     # span[a][b]: the changes of stages with a and b twins
     span = [[None] * (top + 1) for _ in range(top + 1)]
     for a in range(top + 1):

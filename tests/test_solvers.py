@@ -1,8 +1,10 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,25 +164,51 @@ def _listed_empty(weights, k, x):
     return masks
 
 
-# layered-k's three paths, each as the SCAN_PYTHON_MAX that forces it and
+# the real functions, which the table path's stand-in calls
+_FEASIBLE_LAYERS, _LISTING_PASS = solvers._feasible_layers, solvers._listing_pass
+
+
+def _building_only(np, weights, k, x, span):
+    """:func:`solvers._listing_pass` where it may only build a committee table:
+    over one all-zero stage at ``x = 0``."""
+    assert weights.shape[0] == 1 and not weights.any() and x == 0, "listed a stage by the pass"
+    return _LISTING_PASS(np, weights, k, x, span)
+
+
+def _tabled(weights, top, k, x):
+    """:func:`solvers._feasible_layers` with its table branch for every
+    committee space, and its numpy pass only building tables."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "SCAN_PYTHON_MAX", 10**12)
+        patch.setattr(solvers, "_listing_pass", _building_only)
+        return _FEASIBLE_LAYERS(weights, top, k, x)
+
+
+# layered-k's four paths, each as the SCAN_PYTHON_MAX that forces it and
 # the stand-ins it puts in place of solvers functions: plain Python, up to
 # SCAN_PYTHON_MAX committees in the pool and committee pairs; Python-listed
 # layers scanned with numpy, when only the pairs exceed it or the numpy
-# pass would overflow int64; and the numpy pass with the numpy scan, which
-# leaves to Python only the empty layers of an x that no stage reaches
+# listing would overflow int64; the numpy pass with the numpy scan; and
+# the committee table with the numpy scan. The last two leave to Python
+# only the empty layers of an x that no stage reaches
 _SCAN_PATHS = {
     "python": (10**12, {"_scan_arcs": _unexpected_path, "_feasible_layers": _unexpected_path}),
     "numpy scan": (0, {"_first_links": _unexpected_path, "_feasible_layers": _overflowing}),
     "numpy": (0, {"_first_links": _unexpected_path, "_feasible_masks": _listed_empty}),
+    "table": (
+        0,
+        {"_first_links": _unexpected_path, "_feasible_masks": _listed_empty, "_feasible_layers": _tabled},
+    ),
 }
 
 
-def _on_each_scan_path(monkeypatch):
-    """Force layered-k onto each path in turn, yielding the path's name.
+def _on_each_scan_path(monkeypatch, paths=tuple(_SCAN_PATHS)):
+    """Force layered-k onto each of ``paths`` in turn, yielding the path's name.
 
     The other paths' enumeration and scan fail if they are called.
     """
-    for path, (cap, replaced) in _SCAN_PATHS.items():
+    for path in paths:
+        cap, replaced = _SCAN_PATHS[path]
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "SCAN_PYTHON_MAX", cap)
             for name, stand_in in replaced.items():
@@ -243,6 +271,51 @@ def test_refusals_of_sizes_too_long_to_print():
         "into 64-bit keys; brute (estimate over 10^32464): 105000 blocks of 8 committees over "
         "all stages exceed the budget of 100"
     )
+
+
+def test_refusals_come_before_work_that_grows_with_k():
+    # in/out-ell's up-front bound sums whichever has fewer terms: its split
+    # sizes' combs, or their complement's, and dp-tau rules out a twin
+    # table by a lower bound on its rows before counting them; at k = 10,000
+    # and 2,000 the two refusals took 8.6 s and 4.8 s when they summed
+    # every term and counted every row
+    cases = [
+        (
+            solve_inout_ell,
+            random_instance(2, 20000, 3, 10000, 10000, 1, "R", seed=0),
+            "over 10^18057 middle-layer nodes and arcs exceed the budget of 100",
+        ),
+        (solve_dp_tau, random_instance(2, 4000, 2, 2000, 1, 1, "R", seed=0), "108 profiles exceed the budget of 100"),
+    ]
+    for solver, inst, text in cases:
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as err:
+            solver(inst, budget=100)
+        assert str(err.value) == text, solver.__name__
+        assert time.perf_counter() - start < 1, solver.__name__
+    # both forms of the split sum give the direct sum's bound: m 12, k 1-7
+    # and every ell from 1 to 2k + 1, where each form is the shorter one
+    forms = Counter()
+    for k in range(1, 8):
+        for ell in range(1, 2 * k + 2):
+            lo, cap = max(0, ell - k), min(k, ell)
+            forms["direct" if cap - lo < lo else "closed"] += 1
+            _check_inout(random_instance(2, 12, 3, k, ell, 1, "R", seed=ell), 0)
+    assert min(forms.values()) >= 20, forms
+
+
+def test_twin_rows_bound_never_refuses_a_table_that_fits():
+    # _twin_rows' lower bound on its rows, checked before it counts them,
+    # never refuses a cap its exact count fits: every shape with tau <= 4,
+    # s <= 6, k <= 5 and a change top up to 2k + 1
+    shapes = 0
+    for tau, k, s in itertools.product(range(1, 5), range(1, 6), range(1, 7)):
+        for dtop, conservative in itertools.product(range(2 * k + 2), (True, False)):
+            rows = solvers._twin_rows(tau, s, k, dtop, conservative, math.inf)
+            assert solvers._twin_rows(tau, s, k, dtop, conservative, len(rows)) == rows
+            assert solvers._twin_rows(tau, s, k, dtop, conservative, len(rows) - 1) is None
+            shapes += 1
+    assert shapes == 1920
 
 
 def test_no_answer_reports_more_states_than_its_budget():
@@ -945,6 +1018,51 @@ def test_layered_dense_layers_agree_with_brute_force():
             assert verify(inst, rep.witness) == []
 
 
+def _layered_outcome(inst, budget):
+    try:
+        rep = solve_layered_k(inst, budget=budget)
+    except BudgetExceededError as err:
+        return str(err)
+    return rep.answer, rep.witness, rep.stats["states"], rep.stats["layer_sizes"]
+
+
+@pytest.mark.parametrize(
+    "seeds",
+    [
+        pytest.param(range(200), id="200-draws"),
+        pytest.param(range(200, 2200), id="2000-draws", marks=pytest.mark.full_box),
+    ],
+)
+def test_layered_table_matches_plain_python(monkeypatch, seeds):
+    # the committee table with the numpy scan against plain Python listing
+    # and scan: answers, witnesses, states and layer sizes or the budget
+    # error, at budgets states - 1, states (where the up-front refusal
+    # often fires) and the default; m 8-24 and k 1-4, so committee spaces
+    # of 9 to 12,951, and x at least 1 and at most 2 below the smallest
+    # top-k stage sum, so that layers stay small
+    seen = Counter()
+    for seed in seeds:
+        rng = random.Random(seed)
+        variant, m, k = rng.choice("CR"), rng.randint(8, 24), rng.randint(1, 4)
+        drawn = random_instance(
+            rng.randint(2, 8), m, rng.randint(2, 4), k, 0, 1, variant,
+            abstain_probability=rng.choice((0.2, 0.6)), seed=seed,
+        )
+        floor = min(sum(sorted(row[1:], reverse=True)[:k]) for row in drawn.counts)
+        inst = Instance(
+            variant=variant, m=m, ballots=drawn.ballots, k=k, ell=rng.randint(0, 2 * k),
+            x=max(1, floor - rng.randint(0, 2)),
+        )
+        states = solve_layered_k(inst).stats["states"]
+        for budget in (*range(max(0, states - 1), states + 1), DEFAULT_BUDGET):
+            got = [_layered_outcome(inst, budget) for _ in _on_each_scan_path(monkeypatch, ("python", "table"))]
+            assert got[0] == got[1], (inst, budget)
+            seen["refused" if isinstance(got[0], str) else "answered"] += budget < DEFAULT_BUDGET
+        seen.update((variant, got[0][0], f"k{k}"))
+        seen["space > cap"] += solvers._committees(m, k) > solvers.SCAN_PYTHON_MAX
+    assert min(seen.values()) >= len(seeds) // 100, seen
+
+
 def test_layered_pool_over_64_candidates(monkeypatch):
     # more than 64 approved candidates: committee masks span two words
     insts = [random_instance(80, 130, 3, 2, 1, 3, "C", seed=seed) for seed in (1, 4)]
@@ -980,9 +1098,12 @@ def _pass_inputs(counts, pool, k):
 
 
 def test_feasible_layers_match_feasible_masks(monkeypatch):
-    # the numpy pass lists each stage's committees in _feasible_masks's order,
-    # also in blocks of 5 children, which cut every level into many blocks
-    # and leave some empty
+    # both branches list each stage's committees in _feasible_masks's order:
+    # the numpy pass (a committee space above SCAN_PYTHON_MAX) and the
+    # committee table (at most that), also in blocks of 5 children or of
+    # one stage, which cut every pass level into many blocks and leave some
+    # empty; the table branch runs the pass only to build its tables
+    monkeypatch.setattr(solvers, "_TABLES", {})
     rng = random.Random(8)
     seen = Counter()
     for trial in range(300):
@@ -998,16 +1119,22 @@ def test_feasible_layers_match_feasible_masks(monkeypatch):
         ]
         x = rng.choice((-3, 0, 1, rng.randint(1, 3 * high + 1), 10**30))
         weights, top = _pass_inputs(counts, pool, k)
-        layers = solvers._feasible_layers(weights, top, k, x)
         expected = [feasible_masks(row, pool, k, x) for row in counts]
-        # no stage reaches an x above every top-k sum: None, before numpy
+        for branch, cap, listing in (("pass", 0, _LISTING_PASS), ("table", 10**12, _building_only)):
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "SCAN_PYTHON_MAX", cap)
+                patch.setattr(solvers, "_listing_pass", listing)
+                layers = solvers._feasible_layers(weights, top, k, x)
+            # no stage reaches an x above every top-k sum: None, before numpy
+            if x > top:
+                assert layers is None and not any(expected), (branch, pool, k, x, counts)
+                continue
+            assert [_rows(layer) for layer in layers] == expected, (branch, pool, k, x, counts)
+            words = max(1, -(-n // 64))
+            assert all(layer.dtype == "uint64" and layer.shape[1:] == (words,) for layer in layers)
         seen["x > top"] += x > top
         if x > top:
-            assert layers is None and not any(expected), (pool, k, x, counts)
             continue
-        assert [_rows(layer) for layer in layers] == expected, (pool, k, x, counts)
-        words = max(1, -(-n // 64))
-        assert all(layer.dtype == "uint64" and layer.shape[1:] == (words,) for layer in layers)
         seen["x <= 0"] += x <= 0
         seen["k = 0"] += k == 0
         seen["k >= pool"] += 0 < n <= k
@@ -1015,7 +1142,82 @@ def test_feasible_layers_match_feasible_masks(monkeypatch):
         seen["zero rows"] += any(not any(row) for row in counts)
         seen["pool > 64"] += n > 64
         seen["committees"] += sum(map(len, expected)) > 0
+        seen["empty layers"] += not all(expected)
     assert min(seen.values()) >= 15, seen
+
+
+def test_layered_lists_below_the_cap_in_numpy_only_once_numpy_is_loaded(monkeypatch):
+    # committee spaces within SCAN_PYTHON_MAX: the table lists them when
+    # numpy is loaded and N**2 * (tau - 1) exceeds the cap, and plain Python
+    # otherwise, as in a fresh process that has not loaded numpy or one that
+    # blocks it; the answers, witnesses and counts agree
+    import numpy  # noqa: F401  (loaded here, whichever tests ran before)
+
+    listed = []
+    feasible_layers = solvers._feasible_layers
+
+    def recorded(weights, top, k, x):
+        listed.append(len(weights))
+        return feasible_layers(weights, top, k, x)
+
+    monkeypatch.setattr(solvers, "_feasible_layers", recorded)
+    wide = random_instance(6, 40, 3, 2, 2, 2, "R", seed=0)  # 821 committees, 450 pairs
+    # 22 committees: 22**2 * 16 = 7,744 pairs at most over 17 stages, 8,228 over 18
+    narrow = [random_instance(3, 6, tau, 2, 1, 2, "R", seed=tau) for tau in (17, 18)]
+    for inst, in_numpy in ((wide, True), (narrow[0], False), (narrow[1], True)):
+        listed.clear()
+        rep = solve_layered_k(inst)
+        assert listed == ([inst.tau] if in_numpy else []), inst.tau
+        for modules in ({}, {"numpy": None}):  # numpy not loaded, or blocked
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "sys", SimpleNamespace(modules=modules))
+                patch.setattr(solvers, "_feasible_layers", _unexpected_path)
+                patch.setattr(solvers, "_scan_arcs", _unexpected_path)
+                python = solve_layered_k(inst)
+            got, expected = ((r.answer, r.witness, r.stats["states"], r.stats["layer_sizes"]) for r in (rep, python))
+            assert got == expected and rep.answer, (inst.tau, modules)
+
+
+def test_committee_tables_kept_are_bounded_and_read_only(monkeypatch):
+    # tables of growing pools, one larger than the whole cap (8,191
+    # candidates at k = 1, 8.5 MB of masks), then smaller ones again: the
+    # kept tables are the latest built that fit _TABLE_BYTES together,
+    # oldest evicted first, read-only, and a kept table is not built again
+    import numpy as np
+
+    monkeypatch.setattr(solvers, "_TABLES", {})
+    solvers._committee_table(np, 12, 3)  # numpy's first-call allocations
+    solvers._TABLES.clear()
+    shapes = [(n, 3) for n in range(12, 37)] + [(13, 13), (127, 2), (8191, 1)]
+    shapes += [(n, 2) for n in range(60, 128, 4)] + [(5, 5), (0, 0)]
+    sizes = {}
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        for n, k in shapes:
+            positions, masks = solvers._committee_table(np, n, k)
+            assert positions.shape == (k, masks.shape[0]) and masks.shape[1] == max(1, -(-n // 64))
+            assert masks.shape[0] == solvers._committees(n, k) <= solvers.SCAN_PYTHON_MAX
+            sizes[n, k] = positions.nbytes + masks.nbytes
+        retained = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+    kept = solvers._TABLES
+    expected = []
+    for shape in reversed([shape for shape in shapes if sizes[shape] <= solvers._TABLE_BYTES]):
+        if sum(sizes[s] for s in expected) + sizes[shape] > solvers._TABLE_BYTES:
+            break
+        expected.insert(0, shape)
+    assert list(kept) == expected and len(expected) > 10
+    assert (8191, 1) not in kept and sizes[8191, 1] > solvers._TABLE_BYTES
+    total = sum(array.nbytes for table in kept.values() for array in table)
+    assert sum(sizes.values()) > 2 * solvers._TABLE_BYTES >= 2 * total
+    # README and _committee_table's docstring: at most 4 MiB retained in all
+    assert total <= retained < total + 2**16 and solvers._TABLE_BYTES == 4 * 2**20, (retained, total)
+    for shape, table in kept.items():
+        assert all(isinstance(array, np.ndarray) for array in table), shape
+        assert not any(array.flags.writeable for array in table), shape
+        assert solvers._committee_table(np, *shape) is table, shape
 
 
 # (spec, witness, states, layer sizes) of solve_layered_k on the ROADMAP's
