@@ -179,8 +179,9 @@ def _path(layers, scan, states):
 SCAN_PYTHON_MAX = 1 << 13
 
 # array elements one numpy call builds in the arc scan, in layered-k's
-# numpy listings and in dp-tau's expansion, so temporaries stay bounded on
-# large inputs
+# numpy listings and subset-key join and in dp-tau's expansion, so
+# temporaries stay bounded on large inputs; also the join's cap on its key
+# space, so that each of its tables takes at most 1 MiB
 _CALL_ELEMENTS = 1 << 18
 
 
@@ -438,6 +439,11 @@ def _parentless(np, layer, weights, k, ell, x):
     """Rows of ``layer`` that no committee scoring at least ``x`` under
     ``weights`` can precede in the conservative variant.
 
+    Only the pair scan reads it: :func:`solve_layered_k` runs it before a
+    conservative :func:`_scan_arcs` against more than 64 reachable
+    committees, which happens where the key space exceeds the cap of
+    :func:`_subset_join`'s exact join.
+
     Returns a boolean array over the rows. A parent ``b`` of a committee
     ``a`` of ``s`` members drops some ``r <= min(ell, s)`` of them and adds
     at most ``j(s) = max over r of min(ell - r, k - s + r)`` others, since
@@ -475,6 +481,119 @@ def _parentless(np, layer, weights, k, ell, x):
                 mask = mask ^ low
         out[a : a + _CALL_ELEMENTS] = bound < x
     return out
+
+
+# a free entry of _subset_join's tables, above every reach position
+_FREE = 2**31 - 1
+
+
+def _subset_join(np, n, k, ell):
+    """The plan of :func:`_join_parents` for committees of at most ``k`` of
+    ``n`` pool positions and the conservative ``ell``, or ``()`` where the
+    key space ``span = (n + 1)**min(k, n)`` exceeds ``_CALL_ELEMENTS``.
+
+    A variant of a committee drops some ``d <= min(ell, k)`` of its
+    members, and ``d`` is its label. Its key spells the members it keeps
+    as :func:`_listing_pass` does, as digits ``position + 1`` in base ``n
+    + 1``, most significant first and 0 past the last, so it is below
+    ``span``. A drop pattern names the seats it drops, seat 0 holding the
+    lowest member, and a committee's :func:`_seat_digits` times one column
+    of ``fill``, a ``(k, patterns)`` float64 matrix, give the key of one of
+    its variants; every product is an integer below ``2**53``, so exact. A
+    pattern that drops an empty seat, past a committee's last member,
+    gives the key of the variant that drops only the members among them,
+    under a larger label: a weaker claim, which is harmless. A pattern's
+    key plus its entry of ``fill_at`` is its index into ``table``, whose
+    entries ``d * span`` to ``(d + 1) * span - 1`` are label ``d``'s
+    table. ``read``, ``(lookups, k)``, and ``read_at`` do the same for the
+    lookups: each pattern of label ``da`` in the table of every label
+    ``db <= min(ell - da, k)``. Returns ``(fill, fill_at, read, read_at,
+    table)``, ``table`` holding ``min(ell, k) + 1`` free int32 tables of
+    ``span`` entries, at most ``(min(ell, k) + 1) * 2**20`` bytes in all.
+    """
+    k = min(k, n)
+    span = (n + 1) ** k
+    if span > _CALL_ELEMENTS:
+        return ()
+    weight = [(n + 1) ** power for power in range(k - 1, -1, -1)]  # by rank
+    fill, labels = [], []
+    for d in range(min(ell, k) + 1):
+        for kept in combinations(range(k), k - d):
+            row = [0] * k
+            for rank, seat in enumerate(kept):
+                row[seat] = weight[rank]
+            fill.append(row)
+            labels.append(d)
+    reads = [(p, db) for p, da in enumerate(labels) for db in range(min(ell - da, k) + 1)]
+    fill = np.array(fill, dtype=np.float64)
+    return (
+        fill.T,
+        np.array(labels, dtype=np.intp) * span,
+        fill[[p for p, _ in reads]],
+        np.array([db * span for _, db in reads], dtype=np.intp)[:, None],
+        np.full((min(ell, k) + 1) * span, _FREE, dtype=np.int32),
+    )
+
+
+def _seat_digits(np, layer, k):
+    """The members of each row of ``layer`` as key digits: a ``(k, rows)``
+    float64 array of ``position + 1`` per member, lowest first, and 0 past
+    the last member, for committees of at most ``k >= 1`` members.
+
+    Members are read off each word's value, lowest first, with negation
+    and popcount, as :func:`_parentless` reads them; the last of ``k``
+    seats is what is left. A higher word's members take the seats after
+    those of the lower words.
+    """
+    size, words = layer.shape
+    # digit[w][i]: position + 1 of bit i of word w, and 0 at i = 64 for no member
+    digit = np.zeros((words, 65))
+    digit[:, :64] = np.arange(1, 64 * words + 1).reshape(words, 64)
+    low = np.empty((k, size), dtype=np.uint64)
+    out, before = np.zeros((k + 1, size)), 0  # seat k takes what no seat holds
+    for w in range(words):
+        mask = layer[:, w]
+        for i in range(k - 1):
+            np.bitwise_and(mask, -mask, out=low[i])  # the lowest member left, or 0
+            mask = mask ^ low[i]
+        low[k - 1] = mask
+        found = digit[w].take(np.bitwise_count(low - np.uint64(1)))
+        if words == 1:
+            return found
+        # before: each row's members in lower words
+        out[np.minimum(before + np.arange(k)[:, None], k), np.arange(size)] = found
+        before = before + np.bitwise_count(layer[:, w])
+    return out[:k]
+
+
+def _join_parents(np, layer, reach, plan):
+    """First compatible ``reach`` row for every row of ``layer``, conservative.
+
+    ``layer`` and ``reach`` are :func:`_seat_digits` of two layers' rows,
+    and ``plan`` is :func:`_subset_join`'s. Returns an int32 array with the
+    first position in ``reach`` within ``ell`` of each row, or ``_FREE``
+    where there is none. Each reach row's variants write its position into
+    their keys' entries, the least position kept (``np.minimum.at``); each
+    row's least entry over its variants' lookups is its first parent. The
+    entries written are freed again before the return. Every block of rows
+    builds at most ``_CALL_ELEMENTS`` keys, or one row's.
+    """
+    fill, fill_at, read, read_at, table = plan
+    written = []
+    rows = max(1, _CALL_ELEMENTS // fill.shape[1])
+    for a in range(0, reach.shape[1], rows):
+        keys = (reach[:, a : a + rows].T @ fill).astype(np.intp) + fill_at
+        at = np.arange(a, a + len(keys), dtype=np.int32)
+        np.minimum.at(table, keys.ravel(), at.repeat(fill.shape[1]))
+        written.append(keys)
+    parents = np.empty(layer.shape[1], dtype=np.int32)
+    rows = max(1, _CALL_ELEMENTS // len(read))
+    for a in range(0, layer.shape[1], rows):
+        keys = (read @ layer[:, a : a + rows]).astype(np.intp) + read_at
+        parents[a : a + rows] = table.take(keys).min(axis=0)
+    for keys in written:
+        table[keys] = _FREE
+    return parents
 
 
 def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveReport:
@@ -522,24 +641,46 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     scanned with numpy (:func:`_scan_arcs`) and the witness is decoded
     from the arrays' rows. One scan function serves :func:`_path` on
     every path.
-    Before a conservative numpy scan against more than 64 reachable
-    committees, one scan block's width, a score bound rules out the
-    committees that no feasible committee of the previous stage can
-    precede (:func:`_parentless`): within ``ell``, a parent of a committee
-    of ``s`` members adds at most ``j(s)`` others, so it scores at most
-    the committee's own previous-stage score plus the previous stage's
+    A conservative numpy transition against more than 64 reachable
+    committees, one scan block's width, is a join on subset keys
+    (:func:`_subset_join`, :func:`_join_parents`) where the key space
+    ``span = (len(pool) + 1)**min(k, len(pool))`` is at most
+    ``_CALL_ELEMENTS``. ``|a ^ b| <= ell`` holds exactly when some ``S``
+    inside both has ``|a - S| + |b - S| <= ell``: ``S = a & b`` gives
+    ``|a ^ b|`` itself, and any such ``S`` gives at least ``|a ^ b|``, since
+    ``a ^ b`` lies in ``(a - S) | (b - S)``. So ``b`` precedes ``a``
+    exactly when a variant of ``a`` that drops ``da`` members has the key
+    of a variant of ``b`` that drops at most ``ell - da``, and ``a``'s
+    first parent is the least reach position over those lookups: the
+    parent the scan finds, with the same misses, and ``states`` grows as
+    the scan counts it. The budget is checked once per transition: the
+    count only grows, so the scan raises within it exactly when its end
+    count exceeds ``budget``, with the same message. The cap means ``k <=
+    6`` seats, so at most 64 variants per committee, and tables of at most
+    ``(min(ell, k) + 1)`` MiB, built at the first join of a solve and
+    dropped with it; only the keys written are freed between transitions,
+    and only two layers' digits are kept.
+
+    Any other numpy transition is a pair scan (:func:`_scan_arcs`). Before
+    a conservative one against more than 64 reachable committees (a key
+    space over the cap), a score bound rules out the committees that no
+    feasible committee of the previous stage can precede
+    (:func:`_parentless`): within ``ell``, a parent of a committee of
+    ``s`` members adds at most ``j(s)`` others, so it scores at most the
+    committee's own previous-stage score plus the previous stage's
     ``j(s)`` largest weights, which is sound because weights are
     non-negative. A committee ruled out is not scanned and counts as the
     full miss the scan would find. The bound's sums are int64 and the
     bound runs with ``1 <= x <= top``; it is skipped where ``tau * (top +
-    2)`` does not fit. All paths return the same witness, states, layer
-    sizes and budget errors.
+    2)`` does not fit. The join's misses are exact, so it needs no bound.
+    All paths return the same witness, states, layer sizes and budget
+    errors.
 
     Both listings and the score bound read one stage table, built once per
     solve right after the up-front refusal: each stage's counts projected
     onto the pool, one list per stage. ``top`` is computed at most once
     per solve, and only where it is read: before the numpy listing, and
-    before the first conservative numpy scan of Python-listed layers.
+    before the first score bound of Python-listed layers.
 
     Budget, checked first like every solver's, counts layer nodes plus
     examined arcs. ``stats["layer_sizes"]`` holds the number of feasible
@@ -583,27 +724,47 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
         if masks is not None:
             words = max(1, -(-len(pool) // 64))
             layers = [_layer_array(np, layer, words) for layer in masks]
-        if conservative and top is None:
-            top = max(sum(sorted(row, reverse=True)[: instance.k]) for row in weights)
-        # the score bound's sums fit int64 where the numpy pass's guard on scores holds
-        bounded = conservative and instance.tau * (top + 2) < 2**63
+    # the subset-key join's plan and the score bound's top, each built at
+    # the first transition that reads it, and the last joined layer's digits
+    plan, seated = None, (None, None)
 
     def scan(t, reached, states):
+        nonlocal plan, seated, top
         if in_python:
             prev = [layers[t - 1][i] for i in reached]
             linked = lambda b, a: ok[(a ^ b).bit_count()]
             return _first_links(layers[t], prev, linked, states, budget)
         prev = layers[0] if t == 1 else layers[t - 1][reached]
         rows = np.arange(len(layers[t]))
-        if bounded and len(prev) > 64:
-            # a committee the bound rules out is a miss over all of prev
-            ruled_out = _parentless(
-                np, layers[t], weights[t - 1], instance.k, instance.ell, instance.x
-            )
-            states += int(ruled_out.sum()) * len(prev)
-            if states > budget:
-                _refuse("nodes and examined arcs", budget)
-            rows = np.flatnonzero(~ruled_out)
+        if conservative and len(prev) > 64:
+            if plan is None:
+                plan = _subset_join(np, len(pool), instance.k, instance.ell)
+            if plan:
+                # the reach rows' digits, read off the last join's layer where that was t - 1
+                known, digits = seated
+                seats = min(instance.k, len(pool))
+                reach = digits[:, reached] if known == t - 1 else _seat_digits(np, prev, seats)
+                seated = t, _seat_digits(np, layers[t], seats)
+                parents = _join_parents(np, seated[1], reach, plan)
+                hit = parents < len(prev)
+                rows, parents = rows[hit], parents[hit]
+                # a scan with early exit examines parent + 1 pairs per hit, all per miss
+                states += int(parents.sum()) + rows.size + len(prev) * (hit.size - rows.size)
+                if states > budget:
+                    _refuse("nodes and examined arcs", budget)
+                return rows, parents, states
+            if top is None:
+                top = max(sum(sorted(row, reverse=True)[: instance.k]) for row in weights)
+            # the score bound's sums fit int64 where the numpy pass's guard on scores holds
+            if instance.tau * (top + 2) < 2**63:
+                # a committee the bound rules out is a miss over all of prev
+                ruled_out = _parentless(
+                    np, layers[t], weights[t - 1], instance.k, instance.ell, instance.x
+                )
+                states += int(ruled_out.sum()) * len(prev)
+                if states > budget:
+                    _refuse("nodes and examined arcs", budget)
+                rows = np.flatnonzero(~ruled_out)
         parents, states = _scan_arcs(
             np, layers[t][rows], prev, conservative, instance.ell, states, budget
         )

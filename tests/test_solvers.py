@@ -184,13 +184,21 @@ def _tabled(weights, top, k, x):
         return _FEASIBLE_LAYERS(weights, top, k, x)
 
 
-# layered-k's four paths, each as the SCAN_PYTHON_MAX that forces it and
+def _no_join(np, n, k, ell):
+    """:func:`solvers._subset_join`'s answer where the key space exceeds its cap."""
+    return ()
+
+
+# layered-k's five paths, each as the SCAN_PYTHON_MAX that forces it and
 # the stand-ins it puts in place of solvers functions: plain Python, up to
 # SCAN_PYTHON_MAX committees in the pool and committee pairs; Python-listed
 # layers scanned with numpy, when only the pairs exceed it or the numpy
-# listing would overflow int64; the numpy pass with the numpy scan; and
-# the committee table with the numpy scan. The last two leave to Python
-# only the empty layers of an x that no stage reaches
+# listing would overflow int64; the numpy pass with the numpy scan; the
+# committee table with the numpy scan; and the numpy pass with the pair
+# scan (_scan_arcs, after the score bound) on every transition, where the
+# other numpy paths join a conservative transition against more than 64
+# reachable committees on subset keys. The last three leave to Python only
+# the empty layers of an x that no stage reaches
 _SCAN_PATHS = {
     "python": (10**12, {"_scan_arcs": _unexpected_path, "_feasible_layers": _unexpected_path}),
     "numpy scan": (0, {"_first_links": _unexpected_path, "_feasible_layers": _overflowing}),
@@ -198,6 +206,10 @@ _SCAN_PATHS = {
     "table": (
         0,
         {"_first_links": _unexpected_path, "_feasible_masks": _listed_empty, "_feasible_layers": _tabled},
+    ),
+    "pair scan": (
+        0,
+        {"_first_links": _unexpected_path, "_feasible_masks": _listed_empty, "_subset_join": _no_join},
     ),
 }
 
@@ -1063,6 +1075,88 @@ def test_layered_table_matches_plain_python(monkeypatch, seeds):
     assert min(seen.values()) >= len(seeds) // 100, seen
 
 
+def _join_draw(seed):
+    """A seeded conservative instance for the subset-key join sweep."""
+    rng = random.Random(seed)
+    shape = rng.choice(("k > m", "mid", "mid", "wide"))
+    m, k = {
+        "k > m": lambda: (rng.randint(2, 6), rng.randint(3, 8)),
+        "mid": lambda: (rng.randint(10, 18), rng.randint(2, 4)),
+        "wide": lambda: (rng.randint(70, 100), rng.randint(1, 2)),  # often two words
+    }[shape]()
+    tau = rng.randint(2, 4)
+    agents = rng.randint(m, 3 * m) if m > 64 else rng.randint(m // (2 * tau) + 1, 2 * m // tau + 1)
+    drawn = random_instance(
+        agents, m, tau, k, 0, 1, "C",
+        abstain_probability=rng.choice((0.1, 0.4)), seed=seed,
+    )
+    tops = [sum(sorted(row[1:], reverse=True)[:k]) for row in drawn.counts]
+    # x low for wide layers (but near the top for wide pools at k = 2, so
+    # that pair scans stay short), near the smallest top-k sum for narrow
+    # ones, or above some stage's, whose layer is then empty
+    low = rng.randint(1, max(1, min(tops) // 2)) if m <= 64 or k == 1 else min(tops)
+    x = rng.choice((low, low, max(1, min(tops) - rng.randint(0, 2)), rng.choice(tops) + 1))
+    return Instance(variant="C", m=m, ballots=drawn.ballots, k=k, ell=rng.randint(0, 2 * k + 1), x=x)
+
+
+def _reach_edge(size, k, ell):
+    """A conservative instance whose first stage has ``size`` committees:
+    at ``k = 1`` the ``size`` first of 66 candidates, at ``x = 1``; at ``k =
+    2`` candidate 1, of weight 2, alone or with any other of ``size``, at
+    ``x = 2``, every one approved at stage 2. Pools over 64 take two words."""
+    rng = random.Random(size * 8 + k * 3 + ell)
+    m = 66 if k == 1 else size
+    first = [1] * size + [0] * (m - size) if k == 1 else [2] + [0] * (size - 1)
+    rows = [(0, *first), (0, *(rng.randint(k - 1, 2) for _ in range(m))), (0, *(rng.randint(0, 2) for _ in range(m)))]
+    return WeightedInstance("C", m, rows, k, ell, k)
+
+
+@pytest.mark.parametrize(
+    "seeds",
+    [
+        pytest.param(range(200), id="200-draws"),
+        pytest.param(range(200, 2200), id="2000-draws", marks=pytest.mark.full_box),
+    ],
+)
+def test_layered_join_matches_pair_scan(monkeypatch, seeds):
+    # the subset-key join against the pair scan, both over the numpy pass:
+    # answers, witnesses, states and layer sizes or the budget error, at
+    # budgets states - 1 and states; the draws cover pools over
+    # 64, k > m, ell > k and ell >= 2k, and empty layers, and the fixed
+    # edges a first stage of 64 committees, which the pair scan takes, and
+    # one of 65, which joins
+    joined = []  # the reach sizes joined
+    join_parents = solvers._join_parents
+
+    def counted(np, layer, reach, plan):
+        joined.append(reach.shape[1])
+        return join_parents(np, layer, reach, plan)
+
+    monkeypatch.setattr(solvers, "_join_parents", counted)
+    edges = [_reach_edge(size, k, ell) for size in (64, 65) for k in (1, 2) for ell in (0, 1, 2)]
+    seen = Counter()
+    for inst in [_join_draw(seed) for seed in seeds] + edges:
+        rep = solve_layered_k(inst)
+        states, sizes, n = rep.stats["states"], rep.stats["layer_sizes"], len(solvers._approved(inst.counts))
+        joined.clear()
+        for budget in range(max(0, states - 1), states + 1):
+            got = [_layered_outcome(inst, budget) for _ in _on_each_scan_path(monkeypatch, ("numpy", "pair scan"))]
+            assert got[0] == got[1], (inst, budget)
+            seen["refused in a scan"] += got[0] == f"nodes and examined arcs exceed the budget of {budget}"
+        if inst in edges:
+            # the first transition, from the whole first stage, joins exactly at 65
+            assert sizes[0] in (64, 65) and (joined[:1] == [sizes[0]]) == (sizes[0] == 65), sizes
+            continue
+        seen["joined"] += bool(joined)
+        seen[f"answer {rep.answer}"] += 1
+        seen["pool > 64"] += bool(joined) and n > 64
+        seen["k > m"] += inst.k > inst.m
+        seen["ell > k"] += bool(joined) and inst.k < inst.ell < 2 * inst.k
+        seen["ell >= 2k"] += bool(joined) and inst.ell >= 2 * inst.k
+        seen["empty layers"] += 0 in sizes and sizes.index(0) > 0
+    assert min(seen.values()) >= len(seeds) // 100, seen
+
+
 def test_layered_pool_over_64_candidates(monkeypatch):
     # more than 64 approved candidates: committee masks span two words
     insts = [random_instance(80, 130, 3, 2, 1, 3, "C", seed=seed) for seed in (1, 4)]
@@ -1252,8 +1346,9 @@ def test_layered_pins_the_named_instances_on_every_path(monkeypatch):
 
 def test_layered_lists_and_bounds_from_one_stage_table(monkeypatch):
     # on every path, the listing (the numpy pass, _feasible_masks stage by
-    # stage, or both) and the conservative score bound read the row objects
-    # of one table: each stage's counts over the pool, built once per solve
+    # stage, or both) and the conservative score bound, which only the pair
+    # scan runs, read the row objects of one table: each stage's counts over
+    # the pool, built once per solve
     inst = random_instance(12, 18, 4, 3, 1, 3, "C", seed=0)
     pool = solvers._approved(inst.counts)
     for path in _on_each_scan_path(monkeypatch):
@@ -1283,8 +1378,10 @@ def test_layered_lists_and_bounds_from_one_stage_table(monkeypatch):
         table = list({id(row): row for row in listed}.values())
         assert table == [[row[c] for c in pool] for row in inst.counts], path
         assert all(any(row is own for own in table) for row in bounded), path
-        # Python-listed layers with few pairs take no bound; both numpy scans do
-        assert bool(bounded) == (path != "python"), path
+        # the numpy paths join their transitions against more than 64
+        # reachable committees on subset keys, where misses are exact, so
+        # only the pair scan takes the bound; Python scans take none
+        assert bool(bounded) == (path == "pair scan"), path
 
 
 def test_layered_weights_beyond_int64_match_the_python_path(monkeypatch):
