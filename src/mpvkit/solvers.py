@@ -169,8 +169,9 @@ def _path(layers, scan, states):
 # Layered-k's cap on plain Python, for both of its counts: it enumerates
 # committees in Python while its pool has at most this many committees of
 # at most k members (and, once numpy is loaded, while their pairs cannot
-# exceed it either), and scans arcs in Python while, in addition,
-# consecutive layers hold at most this many committee pairs in all. On a
+# exceed it either), and stays in Python, arc scan included, while the
+# listed layers also hold at most this many committee pairs between
+# consecutive stages in all; past that it lists them again in numpy. On a
 # 2-vCPU Xeon the Python scan (_first_links, with one call of its link
 # test per pair) costs about 70 ns per pair examined and the enumeration
 # about 0.6 us per committee listed, so the worst cases here are about
@@ -179,23 +180,10 @@ def _path(layers, scan, states):
 SCAN_PYTHON_MAX = 1 << 13
 
 # array elements one numpy call builds in the arc scan, in layered-k's
-# numpy listings and subset-key join and in dp-tau's expansion, so
-# temporaries stay bounded on large inputs; also the join's cap on its key
-# space, so that each of its tables takes at most 1 MiB
+# numpy listings, score bound and subset-key join and in dp-tau's
+# expansion, so temporaries stay bounded on large inputs; also the join's
+# cap on its key space, so that each of its tables takes at most 1 MiB
 _CALL_ELEMENTS = 1 << 18
-
-
-def _layer_array(np, masks, words):
-    """Committee bitmasks as a ``(len(masks), words)`` uint64 array, low word first.
-
-    ``np`` is the numpy module, imported by the calling solver.
-    """
-    if words == 1:
-        return np.array(masks, dtype=np.uint64).reshape(-1, 1)
-    out = np.empty((len(masks), words), dtype=np.uint64)
-    for j in range(words):
-        out[:, j] = [mask >> (64 * j) & 0xFFFF_FFFF_FFFF_FFFF for mask in masks]
-    return out
 
 
 def _listing_pass(np, weights, k, x, span):
@@ -278,12 +266,14 @@ def _listing_pass(np, weights, k, x, span):
 
 
 def _key_masks(np, keys, n, k, span):
-    """``(masks, digits)`` of :func:`_listing_pass`'s ``keys``.
+    """``(masks, digits)`` of :func:`_listing_pass`'s ``keys``: the pair
+    that every numpy layer of :func:`solve_layered_k` carries.
 
-    ``digits`` is a ``(k, len(keys))`` array of each committee's key
-    digits, the last seat first: ``position + 1`` per member, 0 for an
-    empty seat. ``masks`` holds the committees' bitmasks in the layout of
-    :func:`_layer_array`.
+    ``masks`` is a ``(len(keys), words)`` uint64 array of the committees'
+    bitmasks over the ``n`` pool positions, ``words = max(1, ceil(n /
+    64))``, low word first. ``digits`` is a ``(k, len(keys))`` intp array
+    (8 bytes a seat on 64-bit builds) of each committee's key digits, the
+    last seat first: ``position + 1`` per member, 0 for an empty seat.
     """
     words = max(1, -(-n // 64))
     # bits[d]: the mask of position d - 1, and bits[0] no member
@@ -310,25 +300,23 @@ _TABLES = {}
 
 
 def _committee_table(np, n, k):
-    """``(positions, masks)``: every committee of at most ``k <= n`` of ``n``
+    """``(masks, digits)``: every committee of at most ``k <= n`` of ``n``
     pool positions, in :func:`~mpvkit.oracle._feasible_masks`'s order.
 
-    Row ``i`` of ``masks`` is committee ``i``'s bitmask, in the layout of
-    :func:`_layer_array`, and column ``i`` of the ``(k, size)`` array
-    ``positions`` holds its members' positions, ``n`` for an empty seat.
-    The table is :func:`_listing_pass` over one all-zero stage at ``x =
-    0``, which lists exactly these committees in this order, with the key
-    digits kept as positions. The process keeps the tables it builds,
-    read-only, while they take at most ``_TABLE_BYTES`` (4 MiB) together:
-    a new one evicts the oldest until all fit. A table larger than that
-    alone is built per call.
+    Row ``i`` of ``masks`` is committee ``i``'s bitmask and column ``i`` of
+    the ``(k, size)`` array ``digits`` its key digits, both as
+    :func:`_key_masks` gives them. The table is :func:`_listing_pass` over
+    one all-zero stage at ``x = 0``, which lists exactly these committees
+    in this order. The process keeps the tables it builds, read-only,
+    while they take at most ``_TABLE_BYTES`` (4 MiB) together: a new one
+    evicts the oldest until all fit. A table larger than that alone is
+    built per call.
     """
     table = _TABLES.get((n, k))
     if table is None:
         span = (n + 1) ** k
         keys = _listing_pass(np, np.zeros((1, n), dtype=np.int64), k, 0, span)
-        masks, digits = _key_masks(np, keys, n, k, span)
-        table = (digits - 1) % (n + 1), masks  # digit 0, no member, becomes n
+        table = _key_masks(np, keys, n, k, span)
         if sum(array.nbytes for array in table) <= _TABLE_BYTES:
             for array in table:
                 array.setflags(False)  # write=False
@@ -348,23 +336,25 @@ def _feasible_layers(weights, top, k, x):
     that :func:`~mpvkit.oracle._feasible_masks` lists one at a time, and
     ``top`` is the largest sum of ``max(k, 1)`` of one stage's weights: at
     least one seat, so that no weight exceeds ``top`` either. Both are
-    read here and computed by the caller. Returns one ``(size, words)``
-    uint64 array per stage, in the layout of :func:`_layer_array` and with
-    the rows in :func:`~mpvkit.oracle._feasible_masks`'s order, or
-    ``None``, before importing numpy, when no stage reaches ``x`` or the
-    int64 arithmetic could overflow. Both branches give the same arrays.
+    read here and computed by the caller. Returns ``(masks, digits)``, one
+    list of each stage's committees as :func:`_key_masks` gives them, with
+    ``min(k, n)`` seats and in :func:`~mpvkit.oracle._feasible_masks`'s
+    order, or ``None``, before importing numpy, when no stage reaches
+    ``x`` or the int64 arithmetic could overflow. Both branches give the
+    same arrays.
 
     * A committee space of at most :data:`SCAN_PYTHON_MAX` committees of
       at most ``k`` members is scored from its kept table
       (:func:`_committee_table`): a block of stages costs one gather of
-      its weights at the table's ``k`` member positions per committee,
-      with a zero weight at the empty seat's position ``n``, one sum over
-      the seats, one comparison with ``x`` and, per stage, one selection
-      of the table's masks. A block gathers at most ``_CALL_ELEMENTS``
-      weights, or one stage's.
+      its weights at the table's ``k`` digits per committee, with a zero
+      weight at digit 0, the empty seat, one sum over the seats, one
+      comparison with ``x`` and, per stage, one selection of the table's
+      masks and one of its digits. A block gathers at most
+      ``_CALL_ELEMENTS`` weights, or one stage's.
     * A larger space is listed by one pass over all stages
-      (:func:`_listing_pass`), which prunes by score bounds, and the masks
-      are read off the sorted keys' digits (:func:`_key_masks`).
+      (:func:`_listing_pass`), which prunes by score bounds; the masks and
+      digits are read off the sorted keys (:func:`_key_masks`) and split
+      by stage.
 
     ``None`` is returned when ``x > top``, so that every layer is empty,
     and unless ``tau * (n + 1)**k``, the pass's keys' range, and ``tau *
@@ -382,16 +372,19 @@ def _feasible_layers(weights, top, k, x):
     x = max(x, 0)
     if _committees(n, k) > SCAN_PYTHON_MAX:
         keys = _listing_pass(np, np.array(weights, dtype=np.int64), k, x, span)
-        masks = _key_masks(np, keys, n, k, span)[0]
-        return np.split(masks, keys.searchsorted(np.arange(1, tau) * span))
-    positions, masks = _committee_table(np, n, k)
-    padded = np.zeros((tau, n + 1), dtype=np.int64)  # position n weighs 0
-    padded[:, :n] = weights
-    layers, rows = [], max(1, _CALL_ELEMENTS // (max(k, 1) * len(masks)))
+        masks, digits = _key_masks(np, keys, n, k, span)
+        cuts = keys.searchsorted(np.arange(1, tau) * span)
+        return np.split(masks, cuts), np.split(digits, cuts, axis=1)
+    masks, digits = _committee_table(np, n, k)
+    padded = np.zeros((tau, n + 1), dtype=np.int64)  # digit 0, no member, weighs 0
+    padded[:, 1:] = weights
+    layers, layer_digits, rows = [], [], max(1, _CALL_ELEMENTS // (max(k, 1) * len(masks)))
     for a in range(0, tau, rows):
-        score = padded[a : a + rows, positions].sum(axis=1)  # (stages, seats, committees)
-        layers += [masks.compress(ok, axis=0) for ok in score >= x]
-    return layers
+        score = padded[a : a + rows].take(digits, axis=1).sum(axis=1)  # (stages, seats, committees)
+        for ok in score >= x:
+            layers.append(masks.compress(ok, axis=0))
+            layer_digits.append(digits.compress(ok, axis=1))
+    return layers, layer_digits
 
 
 def _scan_arcs(np, layer, reach, conservative, ell, states, budget):
@@ -435,51 +428,44 @@ def _scan_arcs(np, layer, reach, conservative, ell, states, budget):
     return parents, states
 
 
-def _parentless(np, layer, weights, k, ell, x):
-    """Rows of ``layer`` that no committee scoring at least ``x`` under
-    ``weights`` can precede in the conservative variant.
+def _parentless(np, digits, weights, k, ell, x):
+    """Committees of a layer that no committee scoring at least ``x``
+    under ``weights`` can precede in the conservative variant.
 
     Only the pair scan reads it: :func:`solve_layered_k` runs it before a
     conservative :func:`_scan_arcs` against more than 64 reachable
     committees, which happens where the key space exceeds the cap of
     :func:`_subset_join`'s exact join.
 
-    Returns a boolean array over the rows. A parent ``b`` of a committee
+    ``digits`` is the layer's carried digits (:func:`_key_masks`), and the
+    result a boolean array over its columns. A parent ``b`` of a committee
     ``a`` of ``s`` members drops some ``r <= min(ell, s)`` of them and adds
     at most ``j(s) = max over r of min(ell - r, k - s + r)`` others, since
     ``|a ^ b| <= ell`` and ``|b| <= k``; that maximum is ``min(ell, k - s +
     min(ell, s), (ell + k - s) // 2)``. Weights are non-negative, so ``b``
     scores at most ``a``'s own score plus the sum ``T[j(s)]`` of the
-    ``j(s)`` largest ``weights``, and a row where that falls below ``x``
-    has no parent. Members are read off each word's value, lowest first,
-    with negation, subtraction and popcount, which do not depend on byte
-    order, in blocks of ``_CALL_ELEMENTS`` rows, so that every temporary
-    holds at most that many entries. ``weights`` is the previous stage's
-    row of :func:`solve_layered_k`'s stage table, a list over the
-    pool (an int64 array works too), and the caller keeps every sum in
-    int64. ``np`` is the numpy module, imported by the calling solver.
+    ``j(s)`` largest ``weights``, and a committee where that falls below
+    ``x`` has no parent. Its score is one gather of ``weights``, padded
+    with a zero weight at digit 0, the empty seat, and one sum over the
+    seats; ``s`` counts its nonzero digits. Committees go in blocks, so
+    that every temporary holds at most ``_CALL_ELEMENTS`` entries, or one
+    committee's. ``weights`` is the previous stage's row of
+    :func:`solve_layered_k`'s stage table, a list over the pool (an int64
+    array works too), and every sum fits int64 wherever
+    :func:`_feasible_layers` lists the layers. ``np`` is the numpy module,
+    imported by the calling solver.
     """
-    n, words = len(weights), layer.shape[1]
+    n = len(weights)
     k = min(k, n)
     # added[s]: T[j(s)], by committee size s
     tops = np.concatenate([[0], np.sort(weights)[::-1][:k].cumsum()])
     added = tops[[min(ell, k - s + min(ell, s), (ell + k - s) // 2) for s in range(k + 1)]]
-    # table[w][i]: the weight of bit i of word w, and 0 at i = 64 for no member
-    table = np.zeros((words, 65), dtype=np.int64)
-    pos = np.arange(n)
-    table[pos >> 6, pos & 63] = weights
-    one = np.uint64(1)
-    out = np.empty(len(layer), dtype=bool)
-    for a in range(0, len(layer), _CALL_ELEMENTS):
-        block = layer[a : a + _CALL_ELEMENTS]
-        bound = added[np.bitwise_count(block).sum(axis=1, dtype=np.intp)]
-        for w in range(words):
-            mask = block[:, w]
-            for _ in range(min(k, 64)):
-                low = mask & -mask  # the lowest member, or 0
-                bound += table[w][np.bitwise_count(low - one)]
-                mask = mask ^ low
-        out[a : a + _CALL_ELEMENTS] = bound < x
+    pad = np.array([0, *weights], dtype=np.int64)
+    out = np.empty(digits.shape[1], dtype=bool)
+    rows = max(1, _CALL_ELEMENTS // max(k, 1))
+    for a in range(0, digits.shape[1], rows):
+        block = digits[:, a : a + rows]
+        out[a : a + rows] = added[np.count_nonzero(block, axis=0)] + pad.take(block).sum(axis=0) < x
     return out
 
 
@@ -497,9 +483,10 @@ def _subset_join(np, n, k, ell):
     as :func:`_listing_pass` does, as digits ``position + 1`` in base ``n
     + 1``, most significant first and 0 past the last, so it is below
     ``span``. A drop pattern names the seats it drops, seat 0 holding the
-    lowest member, and a committee's :func:`_seat_digits` times one column
-    of ``fill``, a ``(k, patterns)`` float64 matrix, give the key of one of
-    its variants; every product is an integer below ``2**53``, so exact. A
+    lowest member, and a committee's key digits in seat order (its carried
+    digits, :func:`_key_masks`'s, reversed) times one column of ``fill``, a
+    ``(k, patterns)`` float64 matrix, give the key of one of its variants;
+    every product is an integer below ``2**53``, so exact. A
     pattern that drops an empty seat, past a committee's last member,
     gives the key of the variant that drops only the members among them,
     under a larger label: a weaker claim, which is harmless. A pattern's
@@ -535,50 +522,24 @@ def _subset_join(np, n, k, ell):
     )
 
 
-def _seat_digits(np, layer, k):
-    """The members of each row of ``layer`` as key digits: a ``(k, rows)``
-    float64 array of ``position + 1`` per member, lowest first, and 0 past
-    the last member, for committees of at most ``k >= 1`` members.
-
-    Members are read off each word's value, lowest first, with negation
-    and popcount, as :func:`_parentless` reads them; the last of ``k``
-    seats is what is left. A higher word's members take the seats after
-    those of the lower words.
-    """
-    size, words = layer.shape
-    # digit[w][i]: position + 1 of bit i of word w, and 0 at i = 64 for no member
-    digit = np.zeros((words, 65))
-    digit[:, :64] = np.arange(1, 64 * words + 1).reshape(words, 64)
-    low = np.empty((k, size), dtype=np.uint64)
-    out, before = np.zeros((k + 1, size)), 0  # seat k takes what no seat holds
-    for w in range(words):
-        mask = layer[:, w]
-        for i in range(k - 1):
-            np.bitwise_and(mask, -mask, out=low[i])  # the lowest member left, or 0
-            mask = mask ^ low[i]
-        low[k - 1] = mask
-        found = digit[w].take(np.bitwise_count(low - np.uint64(1)))
-        if words == 1:
-            return found
-        # before: each row's members in lower words
-        out[np.minimum(before + np.arange(k)[:, None], k), np.arange(size)] = found
-        before = before + np.bitwise_count(layer[:, w])
-    return out[:k]
-
-
 def _join_parents(np, layer, reach, plan):
-    """First compatible ``reach`` row for every row of ``layer``, conservative.
+    """First compatible ``reach`` committee for every committee of
+    ``layer``, conservative.
 
-    ``layer`` and ``reach`` are :func:`_seat_digits` of two layers' rows,
-    and ``plan`` is :func:`_subset_join`'s. Returns an int32 array with the
-    first position in ``reach`` within ``ell`` of each row, or ``_FREE``
-    where there is none. Each reach row's variants write its position into
-    their keys' entries, the least position kept (``np.minimum.at``); each
-    row's least entry over its variants' lookups is its first parent. The
-    entries written are freed again before the return. Every block of rows
-    builds at most ``_CALL_ELEMENTS`` keys, or one row's.
+    ``layer`` and ``reach`` are the carried digits (:func:`_key_masks`) of
+    two layers' committees, one column each, which the products read
+    reversed, in :func:`_subset_join`'s seat order, and as float64.
+    ``plan`` is :func:`_subset_join`'s. Returns an int32 array with the
+    first position in ``reach`` within ``ell`` of each committee, or
+    ``_FREE`` where there is none. Each reach committee's variants write
+    its position into their keys' entries, the least position kept
+    (``np.minimum.at``); each committee's least entry over its variants'
+    lookups is its first parent. The entries written are freed again
+    before the return. Every block of committees builds at most
+    ``_CALL_ELEMENTS`` keys, or one committee's.
     """
     fill, fill_at, read, read_at, table = plan
+    layer, reach = (digits[::-1].astype(np.float64) for digits in (layer, reach))
     written = []
     rows = max(1, _CALL_ELEMENTS // fill.shape[1])
     for a in range(0, reach.shape[1], rows):
@@ -610,37 +571,40 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     stage. For the conservative variant the candidate pool shrinks to the
     candidates approved at least once (:func:`~mpvkit.core._approved`).
 
-    The layers are enumerated in one of three ways, with the same
-    committees in the same order: lexicographic in their sorted pool
-    positions, a prefix first, which fixes the parents and so the witness.
-    Let ``N`` be the number of committees of at most ``k`` members of the
-    pool.
+    A solve takes one of two routes, plain Python end to end or numpy end
+    to end, and both enumerate the same committees in the same order:
+    lexicographic in their sorted pool positions, a prefix first, which
+    fixes the parents and so the witness. Let ``N`` be the number of
+    committees of at most ``k`` members of the pool.
 
-    * Stage by stage in plain Python
-      (:func:`~mpvkit.oracle._feasible_masks`) when ``N`` is at most
-      :data:`SCAN_PYTHON_MAX` and either numpy is not loaded (no numpy
-      module in ``sys.modules``) or ``N**2 * (tau - 1)``, the most committee
-      pairs the layers can hold, is at most :data:`SCAN_PYTHON_MAX`, so
-      that the arcs are certain to be scanned in plain Python. A fresh
-      process that lists in Python imports numpy only for the scan below.
-    * Otherwise as uint64 arrays (:func:`_feasible_layers`), whose scores
-      are int64: for ``N`` up to :data:`SCAN_PYTHON_MAX` scored from a
-      table of the pool's ``N`` committees, kept for the process
-      (:func:`_committee_table`), and above that listed in one numpy pass
-      over all stages. An instance where ``x`` exceeds ``top``, the
-      largest top-``k`` stage sum, so that every layer is empty, or whose
-      ``tau * (top + 2)`` or ``tau * (len(pool) + 1)**k`` does not fit
-      int64 (such as one with weights of ``2**70``), is enumerated in
-      plain Python instead, before numpy is imported.
+    * Plain Python lists the layers stage by stage
+      (:func:`~mpvkit.oracle._feasible_masks`) and scans the arcs pair by
+      pair (:func:`_first_links`, linking committees whose symmetric
+      difference respects ``ell``), and numpy is never imported. It takes
+      a solve where ``N`` is at most :data:`SCAN_PYTHON_MAX` and either
+      numpy is not loaded (no numpy module in ``sys.modules``) or ``N**2 *
+      (tau - 1)``, the most committee pairs the layers can hold, is at most
+      :data:`SCAN_PYTHON_MAX`, as long as the listed layers hold at most
+      :data:`SCAN_PYTHON_MAX` committee pairs between consecutive stages
+      in all (up to the first empty layer). When they hold more (a fresh
+      process that has not loaded numpy), the solve hands over: it imports
+      numpy and lists the layers again through :func:`_feasible_layers`.
+      Plain Python also takes, whatever its pair count, every instance
+      that :func:`_feasible_layers` refuses before importing numpy: one
+      where ``x`` exceeds ``top``, the largest top-``k`` stage sum, so that
+      every layer is empty, or whose ``tau * (top + 2)`` or ``tau *
+      (len(pool) + 1)**k`` does not fit int64, such as one with weights of
+      ``2**70``.
+    * numpy lists every layer as the pair :func:`_key_masks` gives, its
+      uint64 bitmasks and its ``(k, size)`` key digits, with int64 scores
+      (:func:`_feasible_layers`): for ``N`` up to :data:`SCAN_PYTHON_MAX`
+      scored from a table of the pool's ``N`` committees, kept for the
+      process (:func:`_committee_table`), and above that listed in one
+      numpy pass over all stages. The transitions below read these arrays
+      and never work out a committee's members again, and the witness is
+      decoded from the masks' rows.
 
-    When the layers were enumerated in plain Python and consecutive layers
-    hold at most :data:`SCAN_PYTHON_MAX` committee pairs in all (up to the
-    first empty layer), the arcs are scanned in plain Python
-    (:func:`_first_links`, linking committees whose symmetric difference
-    respects ``ell``) and numpy is never imported; otherwise they are
-    scanned with numpy (:func:`_scan_arcs`) and the witness is decoded
-    from the arrays' rows. One scan function serves :func:`_path` on
-    every path.
+    One scan function serves :func:`_path` on both routes.
     A conservative numpy transition against more than 64 reachable
     committees, one scan block's width, is a join on subset keys
     (:func:`_subset_join`, :func:`_join_parents`) where the key space
@@ -658,8 +622,7 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     count exceeds ``budget``, with the same message. The cap means ``k <=
     6`` seats, so at most 64 variants per committee, and tables of at most
     ``(min(ell, k) + 1)`` MiB, built at the first join of a solve and
-    dropped with it; only the keys written are freed between transitions,
-    and only two layers' digits are kept.
+    dropped with it; only the keys written are freed between transitions.
 
     Any other numpy transition is a pair scan (:func:`_scan_arcs`). Before
     a conservative one against more than 64 reachable committees (a key
@@ -670,17 +633,15 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     committee's own previous-stage score plus the previous stage's
     ``j(s)`` largest weights, which is sound because weights are
     non-negative. A committee ruled out is not scanned and counts as the
-    full miss the scan would find. The bound's sums are int64 and the
-    bound runs with ``1 <= x <= top``; it is skipped where ``tau * (top +
-    2)`` does not fit. The join's misses are exact, so it needs no bound.
-    All paths return the same witness, states, layer sizes and budget
-    errors.
+    full miss the scan would find. The bound's sums fit int64 because
+    :func:`_feasible_layers`' guard holds wherever numpy scans. The
+    join's misses are exact, so it needs no bound. Both routes return
+    the same witness, states, layer sizes and budget errors.
 
     Both listings and the score bound read one stage table, built once per
     solve right after the up-front refusal: each stage's counts projected
-    onto the pool, one list per stage. ``top`` is computed at most once
-    per solve, and only where it is read: before the numpy listing, and
-    before the first score bound of Python-listed layers.
+    onto the pool, one list per stage. ``top`` is computed only before a
+    numpy listing.
 
     Budget, checked first like every solver's, counts layer nodes plus
     examined arcs. ``stats["layer_sizes"]`` holds the number of feasible
@@ -693,44 +654,45 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     node_bound = _committees(len(pool), instance.k)
     if node_bound * instance.tau > budget:
         _refuse("committees over all stages", budget, node_bound * instance.tau)
-    # the stage table, read by both listings and the score bound; top, the
-    # largest sum of k of one stage's, only where it is read
+    # the stage table, read by both listings and the score bound
     weights = [[row[c] for c in pool] for row in instance.counts]
-    top = layers = masks = None
+
+    def listed_in_numpy():
+        top = max(sum(sorted(row, reverse=True)[: instance.k]) for row in weights)
+        return _feasible_layers(weights, top, instance.k, instance.x)
+
     # numpy lists the layers past the Python cap, and also below it once
     # numpy is loaded, unless the layers' pairs cannot exceed the cap
-    if node_bound > SCAN_PYTHON_MAX or (
+    numpy_first = node_bound > SCAN_PYTHON_MAX or (
         sys.modules.get("numpy") is not None
         and node_bound**2 * (instance.tau - 1) > SCAN_PYTHON_MAX
-    ):
-        top = max(sum(sorted(row, reverse=True)[: instance.k]) for row in weights)
-        layers = _feasible_layers(weights, top, instance.k, instance.x)
-    if layers is None:
-        layers = masks = [_feasible_masks(row, instance.k, instance.x) for row in weights]
-    layer_sizes = list(map(len, layers))
-    pairs = 0
-    for size, after in zip(layer_sizes, layer_sizes[1:]):
-        if not size:
-            break
-        pairs += size * after
-    in_python = masks is not None and pairs <= SCAN_PYTHON_MAX
-    if in_python:
+    )
+    listed = listed_in_numpy() if numpy_first else None
+    if listed is None:
+        layers = [_feasible_masks(row, instance.k, instance.x) for row in weights]
+        pairs = 0
+        for before, after in zip(layers, layers[1:]):
+            if not before:
+                break
+            pairs += len(before) * len(after)
+        # more pairs than the cap hand a small space over to numpy, which
+        # lists it again, unless _feasible_layers refuses it
+        if pairs > SCAN_PYTHON_MAX and not numpy_first:
+            listed = listed_in_numpy()
+    if listed is None:
         # ok[d]: whether committees at symmetric difference d may follow each other
         ell = instance.ell
         ok = [d <= ell if conservative else d >= ell for d in range(len(pool) + 1)]
     else:
         import numpy as np
 
-        if masks is not None:
-            words = max(1, -(-len(pool) // 64))
-            layers = [_layer_array(np, layer, words) for layer in masks]
-    # the subset-key join's plan and the score bound's top, each built at
-    # the first transition that reads it, and the last joined layer's digits
-    plan, seated = None, (None, None)
+        layers, digits = listed
+    layer_sizes = list(map(len, layers))
+    plan = None  # the subset-key join's, built at the first transition that reads it
 
     def scan(t, reached, states):
-        nonlocal plan, seated, top
-        if in_python:
+        nonlocal plan
+        if listed is None:
             prev = [layers[t - 1][i] for i in reached]
             linked = lambda b, a: ok[(a ^ b).bit_count()]
             return _first_links(layers[t], prev, linked, states, budget)
@@ -740,12 +702,8 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
             if plan is None:
                 plan = _subset_join(np, len(pool), instance.k, instance.ell)
             if plan:
-                # the reach rows' digits, read off the last join's layer where that was t - 1
-                known, digits = seated
-                seats = min(instance.k, len(pool))
-                reach = digits[:, reached] if known == t - 1 else _seat_digits(np, prev, seats)
-                seated = t, _seat_digits(np, layers[t], seats)
-                parents = _join_parents(np, seated[1], reach, plan)
+                reach = digits[0] if t == 1 else digits[t - 1].take(reached, axis=1)
+                parents = _join_parents(np, digits[t], reach, plan)
                 hit = parents < len(prev)
                 rows, parents = rows[hit], parents[hit]
                 # a scan with early exit examines parent + 1 pairs per hit, all per miss
@@ -753,25 +711,21 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
                 if states > budget:
                     _refuse("nodes and examined arcs", budget)
                 return rows, parents, states
-            if top is None:
-                top = max(sum(sorted(row, reverse=True)[: instance.k]) for row in weights)
-            # the score bound's sums fit int64 where the numpy pass's guard on scores holds
-            if instance.tau * (top + 2) < 2**63:
-                # a committee the bound rules out is a miss over all of prev
-                ruled_out = _parentless(
-                    np, layers[t], weights[t - 1], instance.k, instance.ell, instance.x
-                )
-                states += int(ruled_out.sum()) * len(prev)
-                if states > budget:
-                    _refuse("nodes and examined arcs", budget)
-                rows = np.flatnonzero(~ruled_out)
+            # a committee the bound rules out is a miss over all of prev
+            ruled_out = _parentless(
+                np, digits[t], weights[t - 1], instance.k, instance.ell, instance.x
+            )
+            states += int(ruled_out.sum()) * len(prev)
+            if states > budget:
+                _refuse("nodes and examined arcs", budget)
+            rows = np.flatnonzero(~ruled_out)
         parents, states = _scan_arcs(
             np, layers[t][rows], prev, conservative, instance.ell, states, budget
         )
         return rows[parents >= 0], parents[parents >= 0], states
 
     path, states = _path(layers, scan, sum(layer_sizes))
-    if path is not None and not in_python:  # the array rows' words, low word first
+    if path is not None and listed is not None:  # the array rows' words, low word first
         path = [sum(int(word) << 64 * w for w, word in enumerate(row)) for row in path]
     witness = None if path is None else tuple(_decode(mask, pool) for mask in path)
     return _report("layered-k", start, witness, states, layer_sizes=layer_sizes)

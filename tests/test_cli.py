@@ -704,10 +704,12 @@ def test_layered_k_loads_numpy_only_above_the_python_cap(tmp_path, monkeypatch):
     # makes a committee space of 821, within SCAN_PYTHON_MAX, and k = 3
     # makes 10,701, which the numpy pass lists unless no stage reaches x:
     # the seed's top-3 stage sums are all 3, so x = 4 is listed, empty, in
-    # plain Python; every file's layers hold few committee pairs. At k = 2,
-    # x = 2 leaves 15 committees per stage (450 pairs), so a fresh mpv, which
-    # has not loaded numpy, lists and scans a non-empty small space in plain
-    # Python, and x = 3 leaves none
+    # plain Python. At k = 2, x = 2 leaves 15 committees per stage (450
+    # pairs), so a fresh mpv, which has not loaded numpy, lists and scans a
+    # non-empty small space in plain Python, and x = 3 leaves none; x = 1
+    # leaves 225 (101,250 pairs, the only file above the cap), so a fresh
+    # mpv lists them in Python, then loads numpy and lists them again from
+    # the committee table
     from math import comb
 
     from mpvkit import emit_solution, solve_layered_k, solvers
@@ -716,7 +718,7 @@ def test_layered_k_loads_numpy_only_above_the_python_cap(tmp_path, monkeypatch):
     args = ["--variant", "R", "--agents", "6", "--candidates", "40", "--stages", "3"]
     args += ["--ell", "2", "--seed", "0"]
     answers = []
-    rows = ((2, 2, 821, False), (2, 3, 821, False), (3, 3, 10_701, True), (3, 4, 10_701, False))
+    rows = ((2, 2, 821, False), (2, 3, 821, False), (2, 1, 821, True), (3, 3, 10_701, True), (3, 4, 10_701, False))
     for k, x, space, in_numpy in rows:
         path = tmp_path / f"k{k}-x{x}.mpv"
         assert _mpv("generate", *args, "--k", str(k), "--x", str(x), "-o", str(path))[0] == 0
@@ -726,7 +728,8 @@ def test_layered_k_loads_numpy_only_above_the_python_cap(tmp_path, monkeypatch):
             patch.setattr(solvers, "SCAN_PYTHON_MAX", 10**12)
             rep = solve_layered_k(inst)
         sizes = rep.stats["layer_sizes"]
-        assert sum(a * b for a, b in zip(sizes, sizes[1:])) <= cap
+        pairs = sum(a * b for a, b in zip(sizes, sizes[1:]))
+        assert (pairs > cap) == (in_numpy and space <= cap), (k, x, pairs)
         code, out, loaded = _mpv("solve", "--witness", "--algorithm", "layered-k", str(path))
         assert ("numpy" in loaded) == in_numpy, (k, x)
         assert code == (0 if rep.answer else 1), (k, x)
@@ -736,10 +739,11 @@ def test_layered_k_loads_numpy_only_above_the_python_cap(tmp_path, monkeypatch):
             sol.write_text(out.split("\n", 1)[1])
             assert _mpv("verify", str(path), str(sol))[:2] == (0, "VALID\n"), (k, x)
         answers.append((rep.answer, sizes))
-    # the numpy pass's witness went through mpv verify, and x = 4 is a NO
-    # with empty layers
-    assert [answer for answer, _ in answers[2:]] == [True, False] and (rep.stats["states"], sizes) == (0, [0, 0, 0])
-    assert answers[0][1] == [15, 15, 15] and answers[1][1] == [0, 0, 0], answers
+    # the hand-off's and the numpy pass's witnesses went through mpv
+    # verify, and x = 4 is a NO with empty layers
+    assert [answer for answer, _ in answers[2:]] == [True, True, False]
+    assert (rep.stats["states"], sizes) == (0, [0, 0, 0])
+    assert [sizes for _, sizes in answers[:3]] == [[15, 15, 15], [0, 0, 0], [225, 225, 225]], answers
 
 
 def test_solve_answers_a_short_stage_without_numpy(tmp_path):

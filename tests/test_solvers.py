@@ -151,11 +151,6 @@ def _unexpected_path(*args):
     raise AssertionError("layered-k took the other path")
 
 
-def _overflowing(*args):
-    """:func:`solvers._feasible_layers`'s answer when int64 could overflow."""
-    return None
-
-
 def _listed_empty(weights, k, x):
     """:func:`_feasible_masks` where the numpy pass leaves it only the
     layers of an instance whose stages all stay below ``x``."""
@@ -189,19 +184,17 @@ def _no_join(np, n, k, ell):
     return ()
 
 
-# layered-k's five paths, each as the SCAN_PYTHON_MAX that forces it and
-# the stand-ins it puts in place of solvers functions: plain Python, up to
-# SCAN_PYTHON_MAX committees in the pool and committee pairs; Python-listed
-# layers scanned with numpy, when only the pairs exceed it or the numpy
-# listing would overflow int64; the numpy pass with the numpy scan; the
-# committee table with the numpy scan; and the numpy pass with the pair
-# scan (_scan_arcs, after the score bound) on every transition, where the
-# other numpy paths join a conservative transition against more than 64
-# reachable committees on subset keys. The last three leave to Python only
-# the empty layers of an x that no stage reaches
+# layered-k's paths, each as the SCAN_PYTHON_MAX that forces it and the
+# stand-ins it puts in place of solvers functions: plain Python end to end,
+# up to SCAN_PYTHON_MAX committees in the pool and committee pairs; the
+# numpy pass with the numpy scan; the committee table with the numpy scan;
+# and the numpy pass with the pair scan (_scan_arcs, after the score bound)
+# on every transition, where the other numpy paths join a conservative
+# transition against more than 64 reachable committees on subset keys. The
+# last three leave to Python only the empty layers of an x that no stage
+# reaches
 _SCAN_PATHS = {
     "python": (10**12, {"_scan_arcs": _unexpected_path, "_feasible_layers": _unexpected_path}),
-    "numpy scan": (0, {"_first_links": _unexpected_path, "_feasible_layers": _overflowing}),
     "numpy": (0, {"_first_links": _unexpected_path, "_feasible_masks": _listed_empty}),
     "table": (
         0,
@@ -1183,6 +1176,13 @@ def _rows(layer):
     return [sum(int(word) << 64 * j for j, word in enumerate(row)) for row in layer]
 
 
+def _carried_digits(mask, seats):
+    """The key digits a numpy layer carries for the committee ``mask``:
+    ``position + 1`` per member, the last seat first, 0 for an empty seat."""
+    members = [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+    return [0] * (seats - len(members)) + members[::-1]
+
+
 def _pass_inputs(counts, pool, k):
     """:func:`solvers._feasible_layers`'s ``weights`` and ``top``: each
     stage's counts over ``pool``, and the largest sum of ``max(k, 1)`` of
@@ -1196,7 +1196,8 @@ def test_feasible_layers_match_feasible_masks(monkeypatch):
     # the numpy pass (a committee space above SCAN_PYTHON_MAX) and the
     # committee table (at most that), also in blocks of 5 children or of
     # one stage, which cut every pass level into many blocks and leave some
-    # empty; the table branch runs the pass only to build its tables
+    # empty; the table branch runs the pass only to build its tables. Each
+    # layer's digits spell exactly its masks' members
     monkeypatch.setattr(solvers, "_TABLES", {})
     rng = random.Random(8)
     seen = Counter()
@@ -1218,14 +1219,18 @@ def test_feasible_layers_match_feasible_masks(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(solvers, "SCAN_PYTHON_MAX", cap)
                 patch.setattr(solvers, "_listing_pass", listing)
-                layers = solvers._feasible_layers(weights, top, k, x)
+                listed = solvers._feasible_layers(weights, top, k, x)
             # no stage reaches an x above every top-k sum: None, before numpy
             if x > top:
-                assert layers is None and not any(expected), (branch, pool, k, x, counts)
+                assert listed is None and not any(expected), (branch, pool, k, x, counts)
                 continue
+            layers, digits = listed
             assert [_rows(layer) for layer in layers] == expected, (branch, pool, k, x, counts)
             words = max(1, -(-n // 64))
             assert all(layer.dtype == "uint64" and layer.shape[1:] == (words,) for layer in layers)
+            spelled = [[_carried_digits(mask, min(k, n)) for mask in layer] for layer in expected]
+            assert all(seats.shape == (min(k, n), len(layer)) for seats, layer in zip(digits, layers))
+            assert [seats.T.tolist() for seats in digits] == spelled, (branch, pool, k, x, counts)
         seen["x > top"] += x > top
         if x > top:
             continue
@@ -1270,6 +1275,20 @@ def test_layered_lists_below_the_cap_in_numpy_only_once_numpy_is_loaded(monkeypa
                 python = solve_layered_k(inst)
             got, expected = ((r.answer, r.witness, r.stats["states"], r.stats["layer_sizes"]) for r in (rep, python))
             assert got == expected and rep.answer, (inst.tau, modules)
+    # x = 1 leaves 225 committees a stage, 101,250 pairs: a process without
+    # numpy lists them in Python, then hands over and lists them once more
+    # through _feasible_layers, with the loaded-numpy run's results
+    handed = random_instance(6, 40, 3, 2, 2, 1, "R", seed=0)
+    listed.clear()
+    rep = solve_layered_k(handed)
+    assert listed == [3] and rep.stats["layer_sizes"] == [225, 225, 225]
+    listed.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "sys", SimpleNamespace(modules={}))
+        fresh = solve_layered_k(handed)
+    assert listed == [3]
+    got, expected = ((r.answer, r.witness, r.stats["states"], r.stats["layer_sizes"]) for r in (fresh, rep))
+    assert got == expected and rep.answer and verify(handed, rep.witness) == []
 
 
 def test_committee_tables_kept_are_bounded_and_read_only(monkeypatch):
@@ -1289,10 +1308,10 @@ def test_committee_tables_kept_are_bounded_and_read_only(monkeypatch):
     try:
         baseline = tracemalloc.get_traced_memory()[0]
         for n, k in shapes:
-            positions, masks = solvers._committee_table(np, n, k)
-            assert positions.shape == (k, masks.shape[0]) and masks.shape[1] == max(1, -(-n // 64))
+            masks, digits = solvers._committee_table(np, n, k)
+            assert digits.shape == (k, masks.shape[0]) and masks.shape[1] == max(1, -(-n // 64))
             assert masks.shape[0] == solvers._committees(n, k) <= solvers.SCAN_PYTHON_MAX
-            sizes[n, k] = positions.nbytes + masks.nbytes
+            sizes[n, k] = digits.nbytes + masks.nbytes
         retained = tracemalloc.get_traced_memory()[0] - baseline
     finally:
         tracemalloc.stop()
@@ -1365,9 +1384,9 @@ def test_layered_lists_and_bounds_from_one_stage_table(monkeypatch):
             listed.append(weights)
             return masks(weights, k, x)
 
-        def bounding(np, layer, weights, k, ell, x):
+        def bounding(np, digits, weights, k, ell, x):
             bounded.append(weights)
-            return parentless(np, layer, weights, k, ell, x)
+            return parentless(np, digits, weights, k, ell, x)
 
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "_feasible_layers", listing_layers)
@@ -1409,9 +1428,10 @@ def test_layered_weights_beyond_int64_match_the_python_path(monkeypatch):
 
 
 def test_layered_conservative_weights_beyond_int64_skip_the_score_bound(monkeypatch):
-    # the conservative twin: weights of 2**70 list their layers in Python,
-    # but 1,904,290 states' worth of pairs take the numpy scan, where the
-    # score bound's int64 sums would overflow, so it is skipped
+    # the conservative twin: weights of 2**70, which _feasible_layers
+    # refuses, so the layers are listed and their 1,904,290 states' worth
+    # of pairs scanned in plain Python, with no score bound, whose int64
+    # sums would overflow
     rng = random.Random(1)
     rows = [(0, *(rng.choice([0, 0, 1, 2]) * 2**70 for _ in range(40))) for _ in range(3)]
     inst = WeightedInstance("C", 40, rows, 3, 2, 2**71)
@@ -1428,7 +1448,8 @@ def test_layered_conservative_weights_beyond_int64_skip_the_score_bound(monkeypa
 def test_score_bound_rules_out_only_parentless_committees(monkeypatch):
     # every committee the conservative score bound flags has no committee
     # within ell among the previous stage's feasible ones, pair by pair;
-    # every other trial reads the rows in blocks of 3
+    # every other trial reads the committees' digits in blocks of at most
+    # 3, or of one committee
     import numpy as np
 
     rng = random.Random(29)
@@ -1445,10 +1466,9 @@ def test_score_bound_rules_out_only_parentless_committees(monkeypatch):
         x = rng.choice((-1, 0, rng.randint(1, 2 * high), rng.randint(1, k * high)))
         pool = range(1, n + 1)
         prev, layer = (feasible_masks(r, pool, k, x) for r in (prev_row, row))
-        words = max(1, -(-n // 64))
-        flagged = solvers._parentless(
-            np, solvers._layer_array(np, layer, words), np.array(prev_row[1:], dtype=np.int64), k, ell, x
-        )
+        seats = min(k, n)
+        digits = np.array([_carried_digits(a, seats) for a in layer], dtype=np.intp).reshape(-1, seats).T
+        flagged = solvers._parentless(np, digits, np.array(prev_row[1:], dtype=np.int64), k, ell, x)
         assert flagged.shape == (len(layer),)
         for a, ruled_out in zip(layer, flagged.tolist()):
             if ruled_out:
