@@ -289,14 +289,40 @@ def _key_masks(np, keys, n, k, span):
     return masks, digits
 
 
-# The bytes of committee tables that _TABLES may retain in all, 4 MiB. A
-# table of a pool of up to 64 candidates takes at most 0.9 MB (8,192
-# committees of 13 seats), one of 18 to 24 candidates at k = 3 32-75 kB,
-# and the widest that fits is 5,760 candidates' at k = 1
-_TABLE_BYTES = 1 << 22
+# every table the solvers keep between solves, by a key that starts with
+# its kind, arrays read-only, oldest first (_kept)
+_KEPT = {}
 
-# (n, k): _committee_table(np, n, k), arrays read-only, oldest first
-_TABLES = {}
+
+def _kept(key, build):
+    """The table kept under ``key``, or else ``build()``'s: a tuple of numpy
+    arrays, or ``None``.
+
+    This is the one store of the tables that the solvers keep between
+    solves, layered-k's committee tables (:func:`_committee_table`) and
+    dp-tau's twin tables (:func:`_twins`), and its one rule is: the latest
+    64 tables built, while their arrays take at most 4 MiB together. On a
+    miss ``build()`` runs, and its table is kept, every array made
+    read-only, unless it is ``None`` or its arrays alone take more than 4
+    MiB; so such a table is built per call. Keeping a table evicts the
+    oldest until both bounds hold again. A kept table is returned as it
+    is, the same object on every lookup. Each table also holds 0.3-0.9 kB
+    of Python objects beyond its arrays, which the count bound caps: a
+    full store of 64 tables with 3.7 MiB of arrays retains 3.9 MB
+    (``tracemalloc`` on CPython 3.11).
+    """
+    table = _KEPT.get(key)
+    if table is None:
+        table = build()
+        if table is not None and sum(array.nbytes for array in table) <= 1 << 22:
+            for array in table:
+                array.setflags(False)  # write=False; positional, which parses in a third of the time
+            _KEPT[key] = table
+            for old in [*_KEPT][:-1]:  # a list, so that a concurrent solve cannot break the walk
+                if len(_KEPT) <= 64 and sum(array.nbytes for kept in [*_KEPT.values()] for array in kept) <= 1 << 22:
+                    break
+                _KEPT.pop(old, None)
+    return table
 
 
 def _committee_table(np, n, k):
@@ -307,25 +333,19 @@ def _committee_table(np, n, k):
     the ``(k, size)`` array ``digits`` its key digits, both as
     :func:`_key_masks` gives them. The table is :func:`_listing_pass` over
     one all-zero stage at ``x = 0``, which lists exactly these committees
-    in this order. The process keeps the tables it builds, read-only,
-    while they take at most ``_TABLE_BYTES`` (4 MiB) together: a new one
-    evicts the oldest until all fit. A table larger than that alone is
-    built per call.
+    in this order. It is kept by ``(n, k)`` in the process's one store
+    (:func:`_kept`); a table of 8,192 committees of a pool of up to 64
+    takes at most 0.9 MB (13 seats), one of 18 to 24 candidates at ``k =
+    3`` 32-75 kB, and one over 4 MiB, such as 8,191 candidates' at ``k =
+    1``, is built per call.
     """
-    table = _TABLES.get((n, k))
-    if table is None:
+
+    def build():
         span = (n + 1) ** k
         keys = _listing_pass(np, np.zeros((1, n), dtype=np.int64), k, 0, span)
-        table = _key_masks(np, keys, n, k, span)
-        if sum(array.nbytes for array in table) <= _TABLE_BYTES:
-            for array in table:
-                array.setflags(False)  # write=False
-            _TABLES[n, k] = table
-            for old in [*_TABLES][:-1]:  # a list, so that a concurrent solve cannot break the walk
-                if sum(array.nbytes for kept in [*_TABLES.values()] for array in kept) <= _TABLE_BYTES:
-                    break
-                _TABLES.pop(old, None)
-    return table
+        return _key_masks(np, keys, n, k, span)
+
+    return _kept(("committees", n, k), build)
 
 
 def _feasible_layers(weights, top, k, x):
@@ -344,12 +364,13 @@ def _feasible_layers(weights, top, k, x):
     same arrays.
 
     * A committee space of at most :data:`SCAN_PYTHON_MAX` committees of
-      at most ``k`` members is scored from its kept table
-      (:func:`_committee_table`): a block of stages costs one gather of
-      its weights at the table's ``k`` digits per committee, with a zero
-      weight at digit 0, the empty seat, one sum over the seats, one
-      comparison with ``x`` and, per stage, one selection of the table's
-      masks and one of its digits. A block gathers at most
+      at most ``k`` members is scored from its committee table
+      (:func:`_committee_table`), which the process keeps in its one
+      store of tables (:func:`_kept`) where it fits: a block of stages
+      costs one gather of its weights at the table's ``k`` digits per
+      committee, with a zero weight at digit 0, the empty seat, one sum
+      over the seats, one comparison with ``x`` and, per stage, one
+      selection of the table's masks and one of its digits. A block gathers at most
       ``_CALL_ELEMENTS`` weights, or one stage's.
     * A larger space is listed by one pass over all stages
       (:func:`_listing_pass`), which prunes by score bounds; the masks and
@@ -598,11 +619,12 @@ def solve_layered_k(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRe
     * numpy lists every layer as the pair :func:`_key_masks` gives, its
       uint64 bitmasks and its ``(k, size)`` key digits, with int64 scores
       (:func:`_feasible_layers`): for ``N`` up to :data:`SCAN_PYTHON_MAX`
-      scored from a table of the pool's ``N`` committees, kept for the
-      process (:func:`_committee_table`), and above that listed in one
-      numpy pass over all stages. The transitions below read these arrays
-      and never work out a committee's members again, and the witness is
-      decoded from the masks' rows.
+      scored from a table of the pool's ``N`` committees, kept in the
+      process's one store of tables (:func:`_committee_table`,
+      :func:`_kept`), and above that listed in one numpy pass over all
+      stages. The transitions below read these arrays and never work out
+      a committee's members again, and the witness is decoded from the
+      masks' rows.
 
     One scan function serves :func:`_path` on both routes.
     A conservative numpy transition against more than 64 reachable
@@ -1000,8 +1022,7 @@ def _twin_table(np, rows, tau, j, conservative):
 
     For one candidate there is one level per size and change column, so
     ``touched`` is the fingerprints' step table. These six arrays are all
-    that :func:`_twins` keeps of a shape, about 2.1 MB for the 64 largest
-    keepable shapes.
+    that :func:`_twins` keeps of a shape.
     """
     # level l adds values[l] to column levels[l]: per size column the sizes
     # 1..j, per change column the changes 1..d
@@ -1019,35 +1040,22 @@ def _twin_table(np, rows, tau, j, conservative):
     return touched, levels, values, guards, bits, clip
 
 
-# (tau, s, k, dtop, conservative): _twin_table(...), arrays read-only, oldest first
-_TWINS = {}
-
-
 def _twins(np, tau, s, k, dtop, conservative, cap):
     """``s`` twins' :func:`_twin_table`, or ``None`` when their rows number
     more than ``cap``.
 
-    A shape that is not kept is counted first and listed only when its
-    count fits ``cap``. Tables of at most ``_CALL_ELEMENTS >> 6``
-    ``touched`` entries are then kept for the process, the last 64 shapes
-    built, as read-only arrays: at most 2^18 int64 ``touched`` entries,
-    about 2.1 MB retained in all (:func:`solve_dp_tau`). A kept table
-    is returned whatever ``cap``, so the caller compares its rows with
-    the cap.
+    The table is kept by its shape in the process's one store
+    (:func:`_kept`). A shape that is not kept is counted first and listed
+    only when its count fits ``cap``; a count past ``cap`` gives ``None``,
+    which is not kept. A kept table is returned whatever ``cap``, so the
+    caller compares its rows with the cap.
     """
-    table = _TWINS.get((tau, s, k, dtop, conservative))
-    if table is None:
+
+    def build():
         rows = _twin_rows(tau, s, k, dtop, conservative, cap)
-        if rows is None:
-            return None
-        table = _twin_table(np, rows, tau, min(s, k), conservative)
-        if table[0].size <= _CALL_ELEMENTS >> 6:
-            for array in table:
-                array.setflags(False)  # write=False; positional, which parses in a third of the time
-            _TWINS[tau, s, k, dtop, conservative] = table
-            for old in [*_TWINS][:-64]:  # a list, so that a concurrent solve cannot break the walk
-                _TWINS.pop(old, None)
-    return table
+        return None if rows is None else _twin_table(np, rows, tau, min(s, k), conservative)
+
+    return _kept(("twins", tau, s, k, dtop, conservative), build)
 
 
 def _profile_space(instance):
@@ -1108,16 +1116,14 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
     A table's arrays that do not depend on ``x`` are a function of its
     shape ``(tau, s, k, dtop, variant)``, with ``s`` the group size capped
     at ``k + ceil(dtop / 2)`` and ``dtop`` the change top above, so the
-    process keeps them, read-only (:func:`_twins`): tables of at most
-    ``_CALL_ELEMENTS >> 6`` (4,096) step-table entries, the last 64
-    shapes built, oldest evicted first. That retains at most
-    ``_CALL_ELEMENTS`` int64 step-table entries (2 MiB) after a solve,
-    and about 2.1 MB in all when the 64 kept shapes are the largest that
-    fit (one candidate's over 8 stages, 255 rows each; ``tracemalloc``
-    on CPython 3.11); the rows themselves are not kept. Larger tables, such
-    as one candidate's at ``tau >= 9``, are built per solve. The first
-    solve of a shape builds its table, and every group still compares its
-    table's row count with its cap before it steps at once. What depends
+    process keeps them in its one store of tables (:func:`_twins`,
+    :func:`_kept`), read-only, under the store's rule: the latest 64
+    tables, while their arrays take at most 4 MiB together. The rows
+    themselves are not kept. One candidate's tables at ``tau`` 9-12 (69
+    kB to 0.75 MB of step-table entries) are kept like any other, and a
+    table over 4 MiB is built per solve. The first solve of a shape
+    builds its table, and every group still compares its table's row
+    count with its cap before it steps at once. What depends
     on the key multipliers, and so on ``x``, is built per solve:
     :func:`_twin_table`'s ``scale`` and ``base``, and a fresh ``hi``, into
     which each group writes its scores.

@@ -880,33 +880,42 @@ def test_dp_twin_tables_cold_and_warm_agree(monkeypatch):
     # tables are kept by (tau, s, k, dtop, variant) across solves; a cold
     # solve builds its own, and a warm one must take the kept ones and still
     # build x's arrays itself
-    monkeypatch.setattr(solvers, "_TWINS", {})
+    monkeypatch.setattr(solvers, "_KEPT", {})
     builds, outcome = _counting_twin_builds(monkeypatch)
     items = list(_dp_cache_items())
 
     def cold():
         out = []
         for inst, budget in items:
-            solvers._TWINS.clear()
+            solvers._KEPT.clear()
             out.append(outcome(inst, budget))
         return out
 
     expected = cold()
     for (inst, budget), out in zip(items, expected):  # the cold solves are right
         assert (out[0] if isinstance(out[0], str) else out[1:3]) == _dp_reference(inst, budget), inst
-    solvers._TWINS.clear()
+    solvers._KEPT.clear()
     assert [outcome(inst, budget) for inst, budget in items] == expected
-    shapes = set(solvers._TWINS)
+    shapes = {key[1:] for key in solvers._KEPT}
     builds.clear()
     assert [outcome(inst, budget) for inst, budget in reversed(items)][::-1] == expected
     assert not builds, builds
-    # a block of 8 keys keeps no table (8 >> 6 is 0), and a table kept from
-    # the default block steps at once only when its rows fit the block; a
-    # budget of 3,000 keeps the many small blocks few
+    # blocks of 8 keys: a table kept from the default block is returned
+    # whatever the cap, and a group whose kept table has more rows than its
+    # cap steps member by member, as in a cold solve at 8, which keeps its
+    # tables too; a budget of 3,000 keeps the many small blocks few
+    twins, past_cap = solvers._twins, Counter()
+
+    def recorded(np, tau, s, k, dtop, conservative, cap):
+        table = twins(np, tau, s, k, dtop, conservative, cap)
+        past_cap[table is not None and table[0].shape[0] > cap] += 1
+        return table
+
+    monkeypatch.setattr(solvers, "_twins", recorded)
     monkeypatch.setattr(solvers, "_CALL_ELEMENTS", 8)
     items = [(inst, min(budget, 3000)) for inst, budget in items]
     assert [outcome(inst, budget) for inst, budget in items] == cold()
-    assert not solvers._TWINS
+    assert solvers._KEPT and past_cap[True] >= 2, past_cap
 
     seen = Counter("budget" if isinstance(out[0], str) else out[0] for out in expected)
     seen["weighted"] = sum(isinstance(inst, WeightedInstance) for inst, _ in items)
@@ -919,65 +928,103 @@ def test_dp_twin_tables_cold_and_warm_agree(monkeypatch):
     assert min(seen.values()) >= 2, seen
 
 
-def test_dp_twin_tables_kept_are_bounded_and_read_only(monkeypatch):
-    # a sweep over more than 64 shapes, with one candidate's tables at tau 9
-    # (511 rows x 17 levels) and 10, which are too large to keep
+def _look_up(np, call):
+    """``(table, key)`` of one store lookup through the store's callers:
+    ``("committees", n, k)`` or ``("twins", tau, s, k, dtop, conservative, cap)``."""
+    kind, *args = call
+    if kind == "committees":
+        return solvers._committee_table(np, *args), call
+    return solvers._twins(np, *args), call[:-1]
+
+
+def test_kept_tables_are_bounded_and_read_only(monkeypatch):
+    # one sweep over both kinds of table, interleaved: small twin tables,
+    # committee tables of growing pools, one larger than the whole 4 MiB
+    # (8,191 candidates at k = 1, 8.5 MB of masks), one candidate's twin
+    # tables at tau 9-12 (72 kB to 0.77 MB), twin shapes counted past
+    # their cap, and lookups again of tables kept or evicted. After each
+    # lookup the store holds the latest 64 tables built while their arrays
+    # take at most 4 MiB together, oldest evicted first, whichever kind
+    # the table that evicts and the one evicted are
     import numpy as np
 
-    monkeypatch.setattr(solvers, "_TWINS", {})
-    built = []
-    twin_table = solvers._twin_table
+    monkeypatch.setattr(solvers, "_KEPT", {})
+    twins = [
+        ("twins", tau, s, k, d, c, 4095)
+        for tau in (2, 3, 4)
+        for s in (1, 2)
+        for k in (1, 2, 3)
+        for d in range(2 * k + 1)
+        for c in (True, False)
+    ]
+    twins += [("twins", 6, 3, 3, 6, False, 100), ("twins", 7, 2, 2, 4, True, 200)]  # past the cap: None
+    committees = [("committees", n, 3) for n in range(12, 37)] + [("committees", 13, 13), ("committees", 127, 2)]
+    committees += [("committees", 8191, 1)] + [("committees", n, 2) for n in range(60, 128, 4)]
+    committees += [("committees", 5, 5), ("committees", 0, 0)]
+    longer = [("twins", tau, 1, 1, 1, c, 4095) for tau in (9, 10, 11, 12) for c in (True, False)]
+    calls = [call for pair in itertools.zip_longest(twins[::2], committees) for call in pair if call]
+    calls += longer + longer[::-1] + twins[1::2] + committees[:8] + twins[:4]
+    model, sizes, seen = [], {}, Counter()
+    for call in calls:
+        table, key = _look_up(np, call)
+        if key in model:
+            seen["kept, found again"] += 1
+        elif table is None:
+            seen["past the cap"] += 1
+        elif sum(array.nbytes for array in table) > 4 * 2**20:
+            seen["over 4 MiB"] += 1
+        else:
+            model.append(key)
+            sizes[key] = sum(array.nbytes for array in table)
+            seen["tau 9-12 kept"] += key[0] == "twins" and key[1] >= 9
+            while len(model) > 64 or sum(sizes[old] for old in model) > 4 * 2**20:
+                seen["by count" if len(model) > 64 else "by bytes"] += 1
+                seen["across kinds"] += model.pop(0)[0] != key[0]
+        assert list(solvers._KEPT) == model, call
+        assert key not in model or solvers._KEPT[key] is table, call
+    assert all(seen[name] for name in ("kept, found again", "past the cap", "over 4 MiB", "by count")), seen
+    assert min(seen[name] for name in ("by bytes", "across kinds", "tau 9-12 kept")) >= 2, seen
+    big = solvers._committee_table(np, 8191, 1)  # built per call
+    assert big[0].nbytes > 4 * 2**20 and solvers._committee_table(np, 8191, 1) is not big
+    for key, table in solvers._KEPT.items():
+        assert all(isinstance(array, np.ndarray) for array in table), key
+        assert not any(array.flags.writeable for array in table), key
+        # a kept twin table is returned whatever the cap, 0 included
+        assert _look_up(np, (*key, 0) if key[0] == "twins" else key)[0] is table, key
 
-    def recorded(np, rows, tau, j, conservative):
-        table = twin_table(np, rows, tau, j, conservative)
-        built.append(((tau, table[0].size), table[0]))
-        return table
 
-    monkeypatch.setattr(solvers, "_twin_table", recorded)
-    rng = random.Random(41)
-    # two candidates, or one at tau 9 and 10, keep the profiles few
-    draws = [(tau, k, ell, 2) for tau in range(2, 7) for k in (1, 2, 3) for ell in range(2 * k + 1)]
-    for tau, k, ell, m in draws + [(9, 1, 1, 1), (10, 1, 1, 1)]:
-        for variant in "CR":
-            solve_dp_tau(random_instance(2, m, tau, k, ell, 1, variant, seed=rng.randrange(10**6)))
-    kept = solvers._TWINS
-    assert len(kept) <= 64
-    assert sum(table[0].size for table in kept.values()) <= 1 << 18
-    for shape, table in kept.items():
-        assert all(isinstance(array, np.ndarray) for array in table), shape
-        assert not any(array.flags.writeable for array in table), shape
-    # the last 64 tables built that fit 4,096 entries, oldest evicted first
-    small = [touched for (tau, size), touched in built if size <= 1 << 12]
-    assert len(small) > 64
-    assert [id(table[0]) for table in kept.values()] == list(map(id, small[-64:]))
-    assert {tau for (tau, size), _ in built if size > 1 << 12} == {9, 10}
-    assert not any(shape[0] >= 9 for shape in kept)
-
-
-def test_dp_twin_tables_retain_what_the_docs_state(monkeypatch):
-    # the largest keepable tables are one candidate's over 8 stages (255 rows
-    # of 15 levels, 3,825 step-table entries; at 9 stages 8,687 do not fit);
-    # its rows do not depend on k or a change top of 1 or more, but the key
-    # holds both, so 64 such shapes can be kept at once
+def test_kept_tables_retain_what_the_docs_state(monkeypatch):
+    # a full store: 64 tables, one candidate's twin tables over 9 stages
+    # (72 kB each) and committee tables of 44-63 candidates at k = 2, 3.7
+    # MiB of arrays in all. README and _kept's docstring: the store
+    # retains its arrays plus under 1 kB of Python objects per table. The
+    # tables are built once before tracing, so that the row tuples a build
+    # leaves on CPython's free lists, which the process holds whether or
+    # not a table is kept, were allocated before it
     import numpy as np
 
-    monkeypatch.setattr(solvers, "_TWINS", {})
-    solvers._twins(np, 8, 1, 1, 1, True, 255)  # numpy's first-call allocations
-    solvers._TWINS.clear()
-    shapes = [(8, 1, k, d, c) for c in (True, False) for k in range(1, 7) for d in range(1, 2 * k + 1)]
+    monkeypatch.setattr(solvers, "_KEPT", {})
+    twins = [(9, 1, k, d, c) for c in (True, False) for k in range(1, 7) for d in range(1, 2 * k + 1)]
+
+    def fill():
+        for shape in twins[:44]:
+            solvers._twins(np, *shape, 511)
+        for n in range(44, 64):
+            solvers._committee_table(np, n, 2)
+
+    fill()
+    solvers._KEPT.clear()
     tracemalloc.start()
     try:
-        for shape in shapes[:64]:
-            solvers._twins(np, *shape, 255)
-        retained = tracemalloc.get_traced_memory()[0]
+        baseline = tracemalloc.get_traced_memory()[0]
+        fill()
+        retained = tracemalloc.get_traced_memory()[0] - baseline
     finally:
         tracemalloc.stop()
-    kept = solvers._TWINS
-    assert len(kept) == 64 and {table[0].shape for table in kept.values()} == {(255, 15)}
-    assert sum(table[0].nbytes for table in kept.values()) == 64 * 3825 * 8 <= 2 * 2**20
-    # README and solve_dp_tau's docstring: about 2.1 MB in all, the step
-    # tables and the smaller arrays
-    assert 2.0e6 < retained < 2.5e6, retained
+    kept = solvers._KEPT
+    arrays = sum(array.nbytes for table in kept.values() for array in table)
+    assert len(kept) == 64 and 3.5 * 2**20 < arrays <= 4 * 2**20, (len(kept), arrays)
+    assert arrays <= retained < arrays + 64 * 2**10, (retained, arrays)
 
 
 def _check_twin_rows_rebuild(max_tau):
@@ -1198,7 +1245,7 @@ def test_feasible_layers_match_feasible_masks(monkeypatch):
     # one stage, which cut every pass level into many blocks and leave some
     # empty; the table branch runs the pass only to build its tables. Each
     # layer's digits spell exactly its masks' members
-    monkeypatch.setattr(solvers, "_TABLES", {})
+    monkeypatch.setattr(solvers, "_KEPT", {})
     rng = random.Random(8)
     seen = Counter()
     for trial in range(300):
@@ -1289,48 +1336,6 @@ def test_layered_lists_below_the_cap_in_numpy_only_once_numpy_is_loaded(monkeypa
     assert listed == [3]
     got, expected = ((r.answer, r.witness, r.stats["states"], r.stats["layer_sizes"]) for r in (fresh, rep))
     assert got == expected and rep.answer and verify(handed, rep.witness) == []
-
-
-def test_committee_tables_kept_are_bounded_and_read_only(monkeypatch):
-    # tables of growing pools, one larger than the whole cap (8,191
-    # candidates at k = 1, 8.5 MB of masks), then smaller ones again: the
-    # kept tables are the latest built that fit _TABLE_BYTES together,
-    # oldest evicted first, read-only, and a kept table is not built again
-    import numpy as np
-
-    monkeypatch.setattr(solvers, "_TABLES", {})
-    solvers._committee_table(np, 12, 3)  # numpy's first-call allocations
-    solvers._TABLES.clear()
-    shapes = [(n, 3) for n in range(12, 37)] + [(13, 13), (127, 2), (8191, 1)]
-    shapes += [(n, 2) for n in range(60, 128, 4)] + [(5, 5), (0, 0)]
-    sizes = {}
-    tracemalloc.start()
-    try:
-        baseline = tracemalloc.get_traced_memory()[0]
-        for n, k in shapes:
-            masks, digits = solvers._committee_table(np, n, k)
-            assert digits.shape == (k, masks.shape[0]) and masks.shape[1] == max(1, -(-n // 64))
-            assert masks.shape[0] == solvers._committees(n, k) <= solvers.SCAN_PYTHON_MAX
-            sizes[n, k] = digits.nbytes + masks.nbytes
-        retained = tracemalloc.get_traced_memory()[0] - baseline
-    finally:
-        tracemalloc.stop()
-    kept = solvers._TABLES
-    expected = []
-    for shape in reversed([shape for shape in shapes if sizes[shape] <= solvers._TABLE_BYTES]):
-        if sum(sizes[s] for s in expected) + sizes[shape] > solvers._TABLE_BYTES:
-            break
-        expected.insert(0, shape)
-    assert list(kept) == expected and len(expected) > 10
-    assert (8191, 1) not in kept and sizes[8191, 1] > solvers._TABLE_BYTES
-    total = sum(array.nbytes for table in kept.values() for array in table)
-    assert sum(sizes.values()) > 2 * solvers._TABLE_BYTES >= 2 * total
-    # README and _committee_table's docstring: at most 4 MiB retained in all
-    assert total <= retained < total + 2**16 and solvers._TABLE_BYTES == 4 * 2**20, (retained, total)
-    for shape, table in kept.items():
-        assert all(isinstance(array, np.ndarray) for array in table), shape
-        assert not any(array.flags.writeable for array in table), shape
-        assert solvers._committee_table(np, *shape) is table, shape
 
 
 # (spec, witness, states, layer sizes) of solve_layered_k on the ROADMAP's
@@ -1427,22 +1432,24 @@ def test_layered_weights_beyond_int64_match_the_python_path(monkeypatch):
             assert verify(inst, rep.witness) == []
 
 
-def test_layered_conservative_weights_beyond_int64_skip_the_score_bound(monkeypatch):
+def test_layered_conservative_weights_beyond_int64_skip_the_score_bound():
     # the conservative twin: weights of 2**70, which _feasible_layers
     # refuses, so the layers are listed and their 1,904,290 states' worth
     # of pairs scanned in plain Python, with no score bound, whose int64
-    # sums would overflow
+    # sums would overflow. Its scaled twin, every weight and x shifted
+    # right by 70 bits, keeps every feasible set, and numpy lists and joins
+    # it: the two routes give the same witness, states and layer sizes
     rng = random.Random(1)
     rows = [(0, *(rng.choice([0, 0, 1, 2]) * 2**70 for _ in range(40))) for _ in range(3)]
     inst = WeightedInstance("C", 40, rows, 3, 2, 2**71)
+    scaled = WeightedInstance("C", 40, [[w >> 70 for w in row] for row in rows], 3, 2, 2)
     assert solvers._feasible_layers(*_pass_inputs(inst.counts, range(1, 41), 3), 3, inst.x) is None
-    rep = solve_layered_k(inst)
+    assert solvers._feasible_layers(*_pass_inputs(scaled.counts, range(1, 41), 3), 3, scaled.x) is not None
+    rep, numpy = solve_layered_k(inst), solve_layered_k(scaled)
     assert (rep.answer, rep.stats["states"], rep.stats["layer_sizes"]) == (True, 1_904_290, [4651, 4899, 3959])
     assert verify(inst, rep.witness) == []
-    with monkeypatch.context() as patch:
-        patch.setattr(solvers, "SCAN_PYTHON_MAX", 10**12)
-        python = solve_layered_k(inst)
-    assert (rep.witness, rep.stats["states"]) == (python.witness, python.stats["states"])
+    got, expected = ((r.witness, r.stats["states"], r.stats["layer_sizes"]) for r in (numpy, rep))
+    assert got == expected
 
 
 def test_score_bound_rules_out_only_parentless_committees(monkeypatch):
