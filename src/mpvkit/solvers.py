@@ -274,18 +274,25 @@ def _key_masks(np, keys, n, k, span):
     64))``, low word first. ``digits`` is a ``(k, len(keys))`` intp array
     (8 bytes a seat on 64-bit builds) of each committee's key digits, the
     last seat first: ``position + 1`` per member, 0 for an empty seat.
+    The keys are decoded by floor division by a scalar and a
+    multiply-subtract, since ``%`` and ``np.divmod`` cost several times
+    more per element, and each seat ORs one 1-D ``take`` into each mask
+    word.
     """
     words = max(1, -(-n // 64))
-    # bits[d]: the mask of position d - 1, and bits[0] no member
-    bits = np.zeros((n + 1, words), dtype=np.uint64)
+    # bits[w, d]: word w of the mask of position d - 1, and bits[:, 0] no member
+    bits = np.zeros((words, n + 1), dtype=np.uint64)
     pos = np.arange(n)
-    bits[pos + 1, pos >> 6] = np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64))
+    bits[pos >> 6, pos + 1] = np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64))
     masks = np.zeros((keys.size, words), dtype=np.uint64)
     digits = np.empty((k, keys.size), dtype=np.intp)
-    rest = keys % span
+    rest = keys - keys // span * span
     for seat in digits:
-        rest, seat[:] = np.divmod(rest, n + 1)
-        masks |= bits[seat]
+        above = rest // (n + 1)
+        seat[:] = rest - above * (n + 1)
+        rest = above
+        for w, word in enumerate(bits):
+            masks[:, w] |= word.take(seat)
     return masks, digits
 
 
@@ -374,8 +381,8 @@ def _feasible_layers(weights, top, k, x):
       ``_CALL_ELEMENTS`` weights, or one stage's.
     * A larger space is listed by one pass over all stages
       (:func:`_listing_pass`), which prunes by score bounds; the masks and
-      digits are read off the sorted keys (:func:`_key_masks`) and split
-      by stage.
+      digits are read off the sorted keys (:func:`_key_masks`) and
+      sliced by stage at the keys' ``searchsorted`` cuts.
 
     ``None`` is returned when ``x > top``, so that every layer is empty,
     and unless ``tau * (n + 1)**k``, the pass's keys' range, and ``tau *
@@ -394,8 +401,8 @@ def _feasible_layers(weights, top, k, x):
     if _committees(n, k) > SCAN_PYTHON_MAX:
         keys = _listing_pass(np, np.array(weights, dtype=np.int64), k, x, span)
         masks, digits = _key_masks(np, keys, n, k, span)
-        cuts = keys.searchsorted(np.arange(1, tau) * span)
-        return np.split(masks, cuts), np.split(digits, cuts, axis=1)
+        cuts = [0, *keys.searchsorted(np.arange(1, tau) * span).tolist(), keys.size]
+        return [masks[a:b] for a, b in zip(cuts, cuts[1:])], [digits[:, a:b] for a, b in zip(cuts, cuts[1:])]
     masks, digits = _committee_table(np, n, k)
     padded = np.zeros((tau, n + 1), dtype=np.int64)  # digit 0, no member, weighs 0
     padded[:, 1:] = weights
@@ -416,9 +423,13 @@ def _scan_arcs(np, layer, reach, conservative, ell, states, budget):
     (``-1`` when none does), and ``states`` grows by the arcs a row-by-row
     scan with early exit examines: ``parents[i] + 1`` per hit and
     ``len(reach)`` per miss. Every row is first tested against ``reach[0]``
-    alone, where many rows find their parent; the columns after it go in
-    blocks of 64 and then of doubling width, and only rows without a hit
-    move on, so cheap hits stay cheap. The running count is a lower bound
+    alone, where many rows find their parent, and only rows without a hit
+    move on, so cheap hits stay cheap. Once the rows still pending times
+    the remaining columns times the mask words is at most
+    ``_CALL_ELEMENTS``, the remaining columns go in one block; until then
+    they go 64 at a time and then in doubling widths up to
+    ``_CALL_ELEMENTS``. A block holds at most ``_CALL_ELEMENTS`` words, or
+    one row's against its columns. The running count is a lower bound
     on the final one, so the budget error is raised as soon as it passes
     ``budget``, exactly when the row-by-row scan would raise.
     ``np`` is the numpy module, imported by the calling solver.
@@ -445,7 +456,10 @@ def _scan_arcs(np, layer, reach, conservative, ell, states, budget):
             if states > budget:
                 _refuse("nodes and examined arcs", budget)
         pending = np.concatenate(missed)
-        lo, width = hi, min(max(2 * width, 64), _CALL_ELEMENTS)
+        rest = reach.shape[0] - hi
+        # the rest in one block once the pending rows fit it, else doubling widths
+        width = rest if pending.size * rest * words <= _CALL_ELEMENTS else min(max(2 * width, 64), _CALL_ELEMENTS)
+        lo = hi
     return parents, states
 
 
@@ -933,7 +947,7 @@ def _first_of_each(np, keys):
     return keys[runs], np.minimum.reduceat(order, runs)
 
 
-def _twin_rows(tau, s, k, dtop, conservative, cap):
+def _twin_rows(tau, s, k, dtop, conservative, cap, budget=None):
     """The nonzero profile increments that ``s`` twins can add, or ``None``
     when there are more than ``cap``.
 
@@ -961,6 +975,13 @@ def _twin_rows(tau, s, k, dtop, conservative, cap):
     one change when revolutionary, so there ``r = top + 1``; conservative,
     each size ``a`` has at least ``r = min(top, dtop) + 1`` sizes ``b``
     within ``dtop`` of it, each with at least one change.
+
+    A ``budget`` is given for :func:`solve_dp_tau`'s first step, from the
+    empty profile alone, where every row is a distinct new profile: rows
+    differ in a size or change column, none is pruned, and the packing is
+    injective. So that step finds ``1 + rows`` profiles, and the step's
+    budget error is raised here, once the rows are counted and before
+    they are listed, with the message and number the step would give.
     """
     top = min(s, k)
     r = min(top, dtop) + 1 if conservative else top + 1
@@ -981,6 +1002,8 @@ def _twin_rows(tau, s, k, dtop, conservative, cap):
         count = [sum(count[b] * len(span[a][b]) for b in range(top + 1)) for a in range(top + 1)]
     if sum(count) - 1 > cap:
         return None
+    if budget is not None and 0 < sum(count) - 1 >= budget:
+        _refuse("profiles", budget, sum(count))
     rows = [((b,), ()) for b in range(top + 1)]
     for _ in range(tau - 1):
         rows = [
@@ -1040,7 +1063,7 @@ def _twin_table(np, rows, tau, j, conservative):
     return touched, levels, values, guards, bits, clip
 
 
-def _twins(np, tau, s, k, dtop, conservative, cap):
+def _twins(np, tau, s, k, dtop, conservative, cap, budget=None):
     """``s`` twins' :func:`_twin_table`, or ``None`` when their rows number
     more than ``cap``.
 
@@ -1048,11 +1071,12 @@ def _twins(np, tau, s, k, dtop, conservative, cap):
     (:func:`_kept`). A shape that is not kept is counted first and listed
     only when its count fits ``cap``; a count past ``cap`` gives ``None``,
     which is not kept. A kept table is returned whatever ``cap``, so the
-    caller compares its rows with the cap.
+    caller compares its rows with the cap. A ``budget`` goes to
+    :func:`_twin_rows`, for the first step's check before listing.
     """
 
     def build():
-        rows = _twin_rows(tau, s, k, dtop, conservative, cap)
+        rows = _twin_rows(tau, s, k, dtop, conservative, cap, budget)
         return None if rows is None else _twin_table(np, rows, tau, min(s, k), conservative)
 
     return _kept(("twins", tau, s, k, dtop, conservative), build)
@@ -1145,7 +1169,11 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
     (for one candidate, the smallest fingerprint as a stage bitmask),
     then the smallest parent key, and the run is deterministic. Budget,
     checked first like every solver's, counts distinct states discovered;
-    each step's new states are counted before they are stored.
+    each step's new states are counted before they are stored. The first
+    step, from the empty profile alone, finds ``1 + rows`` states, since
+    every row of its table gives a new one, so it is checked before any
+    row is listed or stepped, with the same message: once a new table's
+    rows are counted (:func:`_twin_rows`), and at once for a kept one.
 
     The witness is rebuilt from each step's row, read back from its
     ``touched`` line (:func:`_twin_table`): stage 1 takes the
@@ -1188,7 +1216,9 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
     def table(s, cap):
         # _twins' table, then this solve's scale, hi and base
         if s not in tables:
-            if (shared := _twins(np, tau, s, k, dtop, conservative, cap)) is None:
+            # the first step, from the empty profile alone, is checked before its rows are listed
+            first = budget if seen.size == 1 else None
+            if (shared := _twins(np, tau, s, k, dtop, conservative, cap, first)) is None:
                 return None
             _, levels, values, _, _, clip = shared
             base = np.where(levels < tau, values * mult[levels], 0)
@@ -1204,6 +1234,8 @@ def solve_dp_tau(instance: Instance, budget: int = DEFAULT_BUDGET) -> SolveRepor
         if got is None or got[0][0].shape[0] > cap:
             key, got, steps = 1, table(1, full), [[c] for c in group]
         (touched, levels, values, guards, bits, clip), scale, hi, base = got
+        if seen.size == 1 and 0 < touched.shape[0] >= budget:  # a kept table's first step, as _twin_rows'
+            _refuse("profiles", budget, touched.shape[0] + 1)
         p = bits.size  # the first p levels, sizes and conservative changes, are pruned
         # size j of stage t scores min(j * count, x); clipping each count at
         # x first keeps big weights out of int64

@@ -906,8 +906,8 @@ def test_dp_twin_tables_cold_and_warm_agree(monkeypatch):
     # tables too; a budget of 3,000 keeps the many small blocks few
     twins, past_cap = solvers._twins, Counter()
 
-    def recorded(np, tau, s, k, dtop, conservative, cap):
-        table = twins(np, tau, s, k, dtop, conservative, cap)
+    def recorded(np, tau, s, k, dtop, conservative, cap, *budget):
+        table = twins(np, tau, s, k, dtop, conservative, cap, *budget)
         past_cap[table is not None and table[0].shape[0] > cap] += 1
         return table
 
@@ -1488,6 +1488,183 @@ def test_score_bound_rules_out_only_parentless_committees(monkeypatch):
         seen["pool > 64"] += n > 64
         seen[f"ell {ell}"] += 1
     assert min(seen.values()) >= 15, seen
+
+
+class _TracedNumpy:
+    """numpy, recording the shape of every ``bitwise_count`` input: one
+    ``(rows, columns, words)`` per block of :func:`solvers._scan_arcs`."""
+
+    def __init__(self, np):
+        self.np, self.blocks = np, []
+
+    def __getattr__(self, name):
+        return getattr(self.np, name)
+
+    def bitwise_count(self, a):
+        self.blocks.append(a.shape)
+        return self.np.bitwise_count(a)
+
+
+def _scan_blocks(parents, columns, words, call):
+    """The blocks :func:`solvers._scan_arcs`' docstring schedules for rows
+    with first parents ``parents`` (-1 for none) among ``columns``: column
+    0 alone, then the remaining columns in one block once the rows still
+    pending times those columns times ``words`` is at most ``call``, else
+    64 columns and then doubling widths up to ``call``; each width in
+    blocks of ``max(1, call // (width * words))`` rows."""
+    blocks, lo, width, pending = [], 0, 1, len(parents)
+    while pending and lo < columns:
+        hi = min(columns, lo + width)
+        rows = max(1, call // ((hi - lo) * words))
+        blocks += [(min(rows, pending - a), hi - lo, words) for a in range(0, pending, rows)]
+        pending = sum(not 0 <= p < hi for p in parents)
+        rest = columns - hi
+        lo, width = hi, rest if pending * rest * words <= call else min(max(2 * width, 64), call)
+    return blocks
+
+
+def test_scan_arcs_matches_pair_by_pair_reference(monkeypatch):
+    # _scan_arcs against a row-by-row scan with early exit over int masks
+    # of one to three words: parents, states, the budget error at the end
+    # count less one and none at the end count, and the blocks its
+    # docstring schedules. Each draw runs with _CALL_ELEMENTS just below,
+    # at and just above the rows left after column 0 times the remaining
+    # columns times the words, so the rest goes in one block from the
+    # bound on and in doubling widths below it, and at the default
+    import numpy as np
+
+    rng = random.Random(53)
+    seen = Counter()
+    for trial in range(150):
+        words = rng.choice((1, 1, 2, 3))
+        positions = rng.sample(range(64 * words), rng.randint(2, 10))
+        masks = [
+            [sum(1 << p for p in rng.sample(positions, rng.randint(0, min(4, len(positions))))) for _ in range(size)]
+            for size in (rng.randint(1, 40), rng.choice((1, 2, 70, rng.randint(3, 300))))
+        ]
+        conservative, ell, start = rng.random() < 0.5, rng.randint(0, 5), rng.randint(0, 50)
+        layer, reach = (
+            np.array([[mask >> 64 * w & (2**64 - 1) for w in range(words)] for mask in rows], dtype=np.uint64)
+            for rows in masks
+        )
+        parents, states = [], start
+        for a in masks[0]:
+            linked = [(d <= ell) if conservative else (d >= ell) for d in ((a ^ b).bit_count() for b in masks[1])]
+            parents.append(linked.index(True) if True in linked else -1)
+            states += parents[-1] + 1 if parents[-1] >= 0 else len(masks[1])
+        bound = sum(p != 0 for p in parents) * (len(masks[1]) - 1) * words
+        for call in sorted({max(1, bound - 1), max(1, bound), bound + 1, 1 << 18}):
+            monkeypatch.setattr(solvers, "_CALL_ELEMENTS", call)
+            traced = _TracedNumpy(np)
+            got, end = solvers._scan_arcs(traced, layer, reach, conservative, ell, start, states)
+            assert (got.tolist(), end) == (parents, states), (trial, call)
+            assert traced.blocks == _scan_blocks(parents, len(masks[1]), words, call), (trial, call)
+            with pytest.raises(BudgetExceededError) as err:
+                solvers._scan_arcs(np, layer, reach, conservative, ell, start, states - 1)
+            assert str(err.value) == f"nodes and examined arcs exceed the budget of {states - 1}"
+            if bound and len(masks[1]) > 1:
+                seen["one block" if bound <= call else "doubling"] += 1
+                seen["at the bound"] += bound == call
+        seen["hit at column 0"] += 0 in parents
+        seen["hit past column 0"] += any(p > 0 for p in parents)
+        seen["miss"] += -1 in parents
+        seen[f"{words} words"] += 1
+    assert min(seen.values()) >= 15, seen
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+def test_key_masks_match_divmod_reference(n):
+    # _key_masks' masks and digits against divmod on Python ints, for
+    # pools of one to three mask words, at one seat, two and the most
+    # seats whose stage span fits twice below 2**63; the keys carry the
+    # offsets of the first stage and the last two stages that
+    # _feasible_layers' int64 guard lets through, so the largest is just
+    # below 2**63
+    import numpy as np
+
+    rng = random.Random(n)
+    for k in sorted({1, 2, int(62 / math.log2(n + 1))}):
+        span = (n + 1) ** k
+        stages = (2**63 - 1) // span  # the most stages the guard lets through
+        committees = [(), tuple(range(n - k, n)), (n - 1,)]
+        committees += [tuple(sorted(rng.sample(range(n), rng.randint(0, k)))) for _ in range(40)]
+        keys = [
+            stage * span + sum((p + 1) * (n + 1) ** (k - 1 - i) for i, p in enumerate(members))
+            for stage in {0, max(stages - 2, 0), stages - 1}
+            for members in committees
+        ]
+        assert max(keys) < 2**63 and (k == 1 or max(keys) >= 2**62), (n, k)
+        masks, digits = solvers._key_masks(np, np.array(keys, dtype=np.int64), n, k, span)
+        expected_masks, expected_digits = [], []
+        for key in keys:
+            rest, mask, seats = key % span, 0, []
+            for _ in range(k):
+                rest, digit = divmod(rest, n + 1)
+                seats.append(digit)
+                mask |= 1 << digit - 1 if digit else 0
+            expected_masks.append(mask)
+            expected_digits.append(seats)
+        assert masks.dtype == "uint64" and masks.shape == (len(keys), -(-n // 64))
+        assert digits.dtype == np.intp and digits.shape == (k, len(keys))
+        assert _rows(masks) == expected_masks, (n, k)
+        assert digits.T.tolist() == expected_digits, (n, k)
+
+
+@pytest.mark.parametrize("variant", "CR")
+def test_dp_first_step_refuses_before_listing(monkeypatch, variant):
+    # from the empty profile every row of the first step's table is a new
+    # profile, so a budget below 1 + rows is refused once the rows are
+    # counted, before any is listed or stepped. 40 twins at k = 1 and tau
+    # 16-17 step from a table of 2**tau - 1 rows, the group's (C) or, past
+    # its cap, one member's (R). At tau 5 a cold table and a kept one both
+    # refuse before the step, with the step's message, when the group
+    # steps and when its members do (a cap below the group's rows)
+    monkeypatch.setattr(solvers, "_KEPT", {})
+
+    def refused(inst, budget):
+        with pytest.raises(BudgetExceededError) as err:
+            solve_dp_tau(inst, budget)
+        return str(err.value)
+
+    def cold(inst, budget):
+        monkeypatch.setattr(solvers, "_KEPT", {})
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_twin_table", _unexpected_path)
+            patch.setattr(solvers, "_expand", _unexpected_path)
+            return refused(inst, budget)
+
+    def kept(inst, budget):
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_expand", _unexpected_path)
+            return refused(inst, budget)
+
+    for tau in (16, 17):
+        inst = WeightedInstance(variant, 40, [[0] + [1] * 40] * tau, 1, 1, 1)
+        for budget in (0, 2**tau - 1):
+            assert cold(inst, budget) == f"{2**tau} profiles exceed the budget of {budget}"
+    inst = WeightedInstance(variant, 40, [[0] + [1] * 40] * 5, 1, 1, 1)
+    for call, rows in ((1 << 18, 31 if variant == "C" else 88), (16, 31)):
+        monkeypatch.setattr(solvers, "_CALL_ELEMENTS", call)
+        monkeypatch.setattr(solvers, "_KEPT", {})
+        assert solve_dp_tau(inst).stats["states"] >= rows + 1
+        assert any(key[0] == "twins" for key in solvers._KEPT)
+        for refusal in (kept, cold):  # cold() leaves no table kept
+            for budget in (0, rows):
+                assert refusal(inst, budget) == f"{rows + 1} profiles exceed the budget of {budget}"
+        try:  # the first step fits, and any later refusal counts more
+            solve_dp_tau(inst, rows + 1)
+        except BudgetExceededError as err:
+            assert int(str(err).split()[0]) > rows + 1
+    # only the first step is checked by its table's rows: the second
+    # group's table, 33 rows, is stepped over the 16 profiles seen, cold
+    # or kept, and refused with the step's own count
+    monkeypatch.setattr(solvers, "_CALL_ELEMENTS", 1 << 18)
+    counts = [(1, 2, 2, 2, 0, 0), (2, 1, 1, 1, 1, 1), (0, 1, 1, 1, 2, 2), (1, 2, 2, 2, 1, 1)]
+    inst = WeightedInstance("C", 6, [[0, *row] for row in counts], 1, 2, 1)
+    for budget in (18, 30):
+        monkeypatch.setattr(solvers, "_KEPT", {})
+        for _ in range(2):  # cold, then kept
+            assert refused(inst, budget) == f"58 profiles exceed the budget of {budget}"
 
 
 # ---------------------------------------------------------------------------

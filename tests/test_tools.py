@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +37,18 @@ def test_exec_lines_counts_code_only(tmp_path):
     grown.write_text(edited + "\nSTATEMENT = 1\n", encoding="utf-8")
     counts_copy, _ = _exec_lines(copy, grown)
     assert counts_copy == {str(copy): counts["src/mpvkit/solvers.py"], str(grown): counts["src/mpvkit/solvers.py"] + 1}
+
+
+def test_ab_items_runs_the_repo_against_itself(tmp_path):
+    # one round of two solve-mix items, this tree's src as both trees:
+    # the trees agree, and every item and the pass get two positive times
+    out = tmp_path / "ab.json"
+    src = str(ROOT / "src")
+    subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_items.py"), src, src, "--seeds", "1", "--rounds", "1",
+         "--solves", "1", "--items", "layered-yes,dp-no", "--json", str(out)],
+        capture_output=True, text=True, cwd=ROOT, timeout=120, check=True,
+    )
+    rows = json.loads(out.read_text(encoding="utf-8"))
+    assert sorted(rows) == ["dp-no", "layered-yes", "pass"], rows
+    assert all(row["before_ms"] > 0 and row["after_ms"] > 0 for row in rows.values()), rows
